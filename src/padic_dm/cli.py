@@ -50,16 +50,16 @@ def _parse_field(text: str) -> FieldSpec:
     if parts[0] == "gauss":
         p = None
         variables = ("x",)
-        for part in parts[1:]:
-            if part.startswith("p="):
-                p = int(part[2:])
-            elif part.startswith("vars="):
-                variables = tuple(v for v in part[5:].split(",") if v)
-            else:
-                raise ParseError(f"unknown field option {part!r}")
-        if p is None:
-            raise ParseError("gauss field needs p=<prime>")
         try:
+            for part in parts[1:]:
+                if part.startswith("p="):
+                    p = int(part[2:])
+                elif part.startswith("vars="):
+                    variables = tuple(v for v in part[5:].split(",") if v)
+                else:
+                    raise ParseError(f"unknown field option {part!r}")
+            if p is None:
+                raise ParseError("gauss field needs p=<prime>")
             return FieldSpec.gauss(p, variables)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
@@ -71,22 +71,22 @@ def _parse_field(text: str) -> FieldSpec:
 
 def _parse_precision(text: str) -> PrecisionCtx:
     n, d, max_iter = Fraction(10), 64, 100
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, _, val = part.partition("=")
-        if key == "N":
-            n = Fraction(val)
-        elif key == "d":
-            d = int(val)
-        elif key == "max_iter":
-            max_iter = int(val)
-        else:
-            raise ParseError(f"unknown precision option {key!r}")
     try:
+        for part in text.split(","):
+            part = part.strip()
+            if not part:
+                continue
+            key, _, val = part.partition("=")
+            if key == "N":
+                n = Fraction(val)
+            elif key == "d":
+                d = int(val)
+            elif key == "max_iter":
+                max_iter = int(val)
+            else:
+                raise ParseError(f"unknown precision option {key!r}")
         return PrecisionCtx(n, d, max_iter)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(str(exc)) from exc
 
 
@@ -146,7 +146,10 @@ def parse_job(argv: list) -> JobSpec:
         deriv = field.variables.index(deriv_name)
     env_cap = os.environ.get("PADIC_DM_MAX_ITER")
     if env_cap is not None:
-        precision = PrecisionCtx(precision.N, precision.d, int(env_cap))
+        try:
+            precision = PrecisionCtx(precision.N, precision.d, int(env_cap))
+        except ValueError as exc:
+            raise ParseError(f"PADIC_DM_MAX_ITER: {exc}") from exc
     return JobSpec(field, command, op_text, mat_texts, deriv, precision, out)
 
 

@@ -5,7 +5,15 @@ An ``ApproxScalar`` is a truncated expansion of a field element:
 * Gauss model: p^shift * (polynomial in the variables with integer
   coefficients reduced mod p^mod_exp), capped at total degree ctx.d.
 * Laurent model: z^shift * (polynomial in z with exact rational
-  coefficients), window of ctx.d + 1 digits.
+  coefficients), window of ctx.d + 1 digits.  Digits are ``Fraction``s
+  (``int``s where a caller supplied them), never floats: every operation,
+  inverse included, keeps them exact.
+
+Digits are stored as dicts from exponent tuples to coefficients.  Products
+go through ``_conv``: univariate operands (both models) are multiplied by
+Kronecker substitution, one product of packed Python ints, or by monomial
+scaling when one side has a single term; bivariate operands keep the
+pairwise loop (see ``_conv`` for why).
 
 ``err_lv`` is a lower bound for lv(true - represented) in the p-adic
 (resp. z-adic) direction; every operation propagates it.  The total-degree
@@ -257,7 +265,7 @@ class ApproxScalar:
         u = {m[0] - k0: c for m, c in self.coeffs.items()}
         n = ctx.d
         inv = [Fraction(0)] * (n + 1)
-        inv[0] = 1 / u[0]
+        inv[0] = Fraction(1) / u[0]
         for k in range(1, n + 1):
             acc = Fraction(0)
             for i in range(1, k + 1):
@@ -345,19 +353,36 @@ class ApproxScalar:
 
 
 def _conv(a: dict, b: dict, dcap: int, nvars: int) -> dict:
-    """Truncated convolution; b is scanned in degree order for early exit."""
+    """Truncated product of two digit dicts: the terms of degree <= dcap.
+
+    The path depends only on the operands' shape:
+
+    * univariate, one operand with a single term (or none): monomial
+      scaling, a single pass over the other operand;
+    * univariate otherwise: Kronecker substitution (``_kronecker``), one
+      product of packed Python ints for both models;
+    * bivariate: the pairwise loop, with b scanned in degree order for
+      early exit.  Packing two variables needs a y-stride of 2*dcap + 1
+      slots, and under the total-degree cap most slots of the packed
+      product are thrown away; in measurements the packed product ranged
+      from 2x faster (29x29 terms, d=28) to 1.5x slower (435x435 terms),
+      so these products stay on the loop.
+
+    Results are exact: ``int`` digits stay ``int``; ``Fraction`` digits
+    give ``Fraction`` digits.  Zero digits may be dropped or kept.
+    """
+    if nvars == 1:
+        if not a or not b:
+            return {}
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) > 1:
+            return _kronecker(a, b, dcap)
+        ((ea,), ca), = a.items()
+        rem = dcap - ea
+        return {(ea + eb,): ca * cb for (eb,), cb in b.items() if eb <= rem}
     out: dict = {}
     get = out.get
-    if nvars == 1:
-        bi = sorted(((m[0], c) for m, c in b.items()))
-        for (ea,), ca in a.items():
-            rem = dcap - ea
-            for eb, cb in bi:
-                if eb > rem:
-                    break
-                m = (ea + eb,)
-                out[m] = get(m, 0) + ca * cb
-        return out
     bi = sorted(((sum(m), m, c) for m, c in b.items()))
     for ma, ca in a.items():
         rem = dcap - sum(ma)
@@ -368,6 +393,70 @@ def _conv(a: dict, b: dict, dcap: int, nvars: int) -> dict:
             m = (ma0 + mb[0], ma1 + mb[1])
             out[m] = get(m, 0) + ca * cb
     return out
+
+
+def _kronecker(a: dict, b: dict, dcap: int) -> dict:
+    """Univariate truncated product by Kronecker substitution.
+
+    Both digit vectors become integers (``Fraction`` digits over one common
+    denominator) and are evaluated at 2^k, so one product of Python ints
+    does the whole convolution.  Each output digit is a sum of at most
+    min(len a, len b) products, so |c| < 2^(k-1) for a slot width of
+    bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 2, rounded up
+    to whole bytes; adding 2^(k-1) to every slot makes the slots
+    non-negative, so they unpack exactly from the bytes of the product.
+    """
+    loa, hia = min(a)[0], max(a)[0]
+    lob, hib = min(b)[0], max(b)[0]
+    top = dcap - loa - lob
+    if top < 0:
+        return {}
+    da, dena = _int_digits(a, loa, min(top, hia - loa) + 1)
+    db, denb = _int_digits(b, lob, min(top, hib - lob) + 1)
+    kb = (_bits(da) + _bits(db) + min(len(a), len(b)).bit_length() + 2 + 7) >> 3
+    n = min(top + 1, len(da) + len(db) - 1)
+    nbytes = n * kb
+    bias = int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")
+    prod = _pack(da, kb) * _pack(db, kb) + bias
+    buf = (prod & ((1 << (nbytes << 3)) - 1)).to_bytes(nbytes, "little")
+    half = 1 << ((kb << 3) - 1)
+    frombytes = int.from_bytes
+    digits = [frombytes(buf[i:i + kb], "little") - half
+              for i in range(0, nbytes, kb)]
+    lo = loa + lob
+    if dena is None and denb is None:
+        return {(lo + i,): c for i, c in enumerate(digits) if c}
+    den = (dena or 1) * (denb or 1)
+    return {(lo + i,): Fraction(c, den) for i, c in enumerate(digits) if c}
+
+
+def _int_digits(d: dict, lo: int, n: int) -> tuple:
+    """Dense integer digits of d at exponents lo .. lo+n-1, and the common
+    denominator that scaled them (None when every digit is an int)."""
+    dense = [0] * n
+    for (e,), c in d.items():
+        if e - lo < n:
+            dense[e - lo] = c
+    if all(type(c) is int for c in d.values()):
+        return dense, None
+    den = math.lcm(*[c.denominator for c in dense])
+    return [c.numerator * (den // c.denominator) for c in dense], den
+
+
+def _bits(digits: list) -> int:
+    return max(max(digits), -min(digits)).bit_length()
+
+
+def _pack(digits: list, kb: int) -> int:
+    """sum(c * 2^(8*kb*i)) for the signed digits c of the list."""
+    x = int.from_bytes(b"".join([c.to_bytes(kb, "little", signed=True)
+                                 for c in digits]), "little")
+    if min(digits) < 0:
+        # a negative slot is stored as c + 2^k: take back the 2^k it lent
+        one, zero = b"\1" + bytes(kb - 1), bytes(kb)
+        x -= int.from_bytes(b"".join([one if c < 0 else zero for c in digits]),
+                            "little") << (kb << 3)
+    return x
 
 
 def _gauss_polymul(a: dict, b: dict, mod: int, dcap: int, nvars: int) -> dict:

@@ -117,21 +117,6 @@ def solution_matrix(m: DiffModule, j: int, n: int) -> list:
             for a in range(m.dim)]
 
 
-def series_mat_mul(a: list, b: list) -> list:
-    n, k = len(a), len(b)
-    m = len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for jj in range(m):
-            acc = a[i][0] * b[0][jj]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][jj]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def hadamard_radius(s: TruncSeries, window: tuple[int, int]) -> RadiusEstimate:
     """Windowed estimate of lv(1/limsup |a_i|^{1/i}).
 

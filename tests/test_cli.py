@@ -123,6 +123,25 @@ def test_main_exit_codes(capsys):
     assert main(["--field", "gauss:p=5:vars=x", "--cmd", "radii"]) == 1
 
 
+@pytest.mark.parametrize("args, env", [
+    (["--field", "gauss:p=abc"], None),
+    (["--precision", "N=abc"], None),
+    (["--precision", "N=1/0"], None),
+    (["--precision", "d=abc"], None),
+    (["--precision", "max_iter=abc"], None),
+    ([], "x"),
+    ([], "-1"),
+], ids=["field-p", "N", "N-zero-denominator", "d", "max_iter",
+        "env-not-int", "env-negative"])
+def test_main_bad_numbers_exit_as_json(capsys, monkeypatch, args, env):
+    if env is not None:
+        monkeypatch.setenv("PADIC_DM_MAX_ITER", env)
+    assert main(job_args(*args)) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert report["error"]["code"] == "parse-error"
+
+
 def test_scalar_roundtrip(gauss5):
     samples = ["(x^2+1)/(5*x)", "1/5", "-x", "3*x^2 - 2*x + 7/25",
                "(x+1)/(1+5*x)"]

@@ -1,11 +1,14 @@
 """Truncated scalars: reduction, arithmetic, error tracking."""
 
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from padic_dm import (ApproxDomain, NotExpandable, PrecisionCtx, LogVal,
-                      reduce_scalar)
+from padic_dm import (ApproxDomain, ApproxScalar, NotExpandable, PrecisionCtx,
+                      LogVal, reduce_scalar)
+from padic_dm.precision import _conv
 
 
 def test_reduce_one(gauss5):
@@ -97,3 +100,54 @@ def test_precision_zero_val_floor(gauss5):
     assert r.is_precision_zero()
     assert r.val() == LogVal(4)
     assert r.val_exact() is None
+
+
+def test_laurent_inverse_of_int_digits_is_exact(laurent):
+    u = ApproxScalar(laurent, PrecisionCtx(4, d=4), 0, {(0,): 3, (1,): 1}, 5)
+    inv = u.inverse()
+    # 1/(3 + z) = sum_k (-1)^k z^k / 3^(k+1), as exact rationals
+    assert inv.coeffs == {(k,): Fraction((-1) ** k, 3 ** (k + 1))
+                          for k in range(5)}
+    assert all(type(c) is Fraction for c in inv.coeffs.values())
+    assert (u * inv - 1).is_precision_zero()
+
+
+def schoolbook(a, b, dcap):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(map(add, ma, mb))
+            if sum(m) <= dcap:
+                out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+@st.composite
+def conv_operands(draw):
+    """Two digit dicts sharing nvars and digit type, some terms above dcap;
+    digits mix 1-bit and ~200-bit sizes of either sign."""
+    nvars = draw(st.sampled_from([1, 2]))
+    dcap = draw(st.integers(0, 12))
+    ints = st.one_of(st.integers(-1, 1), st.integers(-2 ** 200, 2 ** 200))
+    if draw(st.booleans()):
+        digit = st.builds(Fraction, ints,
+                          st.one_of(st.integers(1, 6), st.integers(1, 2 ** 64)))
+    else:
+        digit = ints
+    mono = st.tuples(*[st.integers(0, dcap + 3)] * nvars)
+    operand = st.dictionaries(mono, digit, max_size=10)
+    return draw(operand), draw(operand), dcap, nvars
+
+
+@given(conv_operands())
+@example(({}, {(0,): 3, (2,): -1}, 4, 1))
+@example(({(1,): Fraction(-1, 3)}, {(0,): Fraction(1, 2), (4,): 7}, 4, 1))
+@example(({(0,): 1, (3,): -2 ** 200}, {(0,): 5, (1,): 1, (9,): 2}, 8, 1))
+@settings(max_examples=300, deadline=None)
+def test_conv_matches_schoolbook(case):
+    a, b, dcap, nvars = case
+    got = _conv(a, b, dcap, nvars)
+    assert {m: c for m, c in got.items() if c} == schoolbook(a, b, dcap)
+    digit_types = {type(c) for c in (*a.values(), *b.values())}
+    if len(digit_types) == 1:
+        assert {type(c) for c in got.values()} <= digit_types

@@ -9,7 +9,7 @@ import pytest
 from padic_dm import (AllZero, DiffModule, ExactDomain, LogVal, PairingVector,
                       TruncSeries, biduality_transform, dual_pairing,
                       hadamard_radius, iterate_G, solution_matrix, taylor_map)
-from padic_dm.taylor import series_mat_mul
+from padic_dm.linalg import mat_mul
 
 from conftest import random_scalar
 
@@ -63,7 +63,7 @@ def test_solution_matrix_ode(gauss5):
         n = 6
         y = solution_matrix(m, 0, n)
         tg = [[taylor_map(g[a][b], 0, n) for b in range(2)] for a in range(2)]
-        rhs = series_mat_mul(y, tg)
+        rhs = mat_mul(y, tg)
         for a in range(2):
             for b in range(2):
                 assert y[a][b].derive_x() == rhs[a][b].truncate(n - 1)
