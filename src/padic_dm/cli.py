@@ -6,8 +6,9 @@ requested pipeline and print a JSON report.  Reports are deterministic
 encoding) apart from the timing field; decimal renderings are included for
 display only and are marked non-authoritative.
 
-Exit codes: 0 all certificates pass, 1 parse or input error, 2 certificate
-failure, 3 precision or iteration budget abort.
+Exit codes: 0 all certificates pass, 1 parse or input error (or an
+unwritable --out), 2 certificate failure, 3 precision or iteration budget
+abort.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from fractions import Fraction
 
 import math
 
-from .errors import (CertificateFailure, IterationBudget, NoGap, PadicDMError,
-                     ParseError, PrecisionLoss)
+from .errors import (CertificateFailure, IterationBudget, NoGap, OutputError,
+                     PadicDMError, ParseError, PrecisionLoss)
 from .diffmod import DiffModule, dual, from_operator, spectral_radius_bruteforce
 from .factorize import Decomposition, decompose, multi_decompose
 from .grammar import matrix_str, parse_matrix, parse_operator
@@ -60,13 +61,16 @@ def _parse_field(text: str) -> FieldSpec:
                     raise ParseError(f"unknown field option {part!r}")
             if p is None:
                 raise ParseError("gauss field needs p=<prime>")
-            return FieldSpec.gauss(p, variables)
+            field = FieldSpec.gauss(p, variables)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-    if parts[0] == "laurent":
-        var = parts[1] if len(parts) > 1 else "z"
-        return FieldSpec.laurent(var)
-    raise ParseError(f"unknown field kind {parts[0]!r}")
+    elif parts[0] == "laurent":
+        field = FieldSpec.laurent(parts[1] if len(parts) > 1 else "z")
+    else:
+        raise ParseError(f"unknown field kind {parts[0]!r}")
+    if "T" in field.variables:
+        raise ParseError("variable name T is reserved for the operator symbol")
+    return field
 
 
 def _parse_precision(text: str) -> PrecisionCtx:
@@ -161,13 +165,15 @@ def _build_module(job: JobSpec) -> DiffModule:
         return from_operator(p)
     mats = [None] * field.nderiv
     rows = [parse_matrix(t, field) for t in job.mat_texts]
+    dim = len(rows[0])
+    if any(len(g) != dim for g in rows):
+        raise ParseError("--mat matrices differ in size")
     if len(rows) == 1 and field.nderiv == 1:
         mats[0] = rows[0]
     elif len(rows) == field.nderiv:
         mats = rows
     else:
         mats[job.deriv] = rows[0]
-    dim = len(rows[0])
     return DiffModule(dom, dim, mats)
 
 
@@ -323,17 +329,24 @@ def main(argv=None) -> int:
     try:
         job = parse_job(argv)
     except ParseError as exc:
-        report = {"schema": SCHEMA_VERSION, "ok": False,
-                  "error": {"code": exc.code, "message": str(exc)}}
-        print(json.dumps(report, sort_keys=True, indent=2))
-        return 1
+        return _print_error(exc)
     report, code = run(job)
     text = json.dumps(report, sort_keys=True, indent=2)
     if job.out:
-        with open(job.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(job.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _print_error(OutputError(f"cannot write --out: {exc}"))
     print(text)
     return code
+
+
+def _print_error(exc: PadicDMError) -> int:
+    report = {"schema": SCHEMA_VERSION, "ok": False,
+              "error": {"code": exc.code, "message": str(exc)}}
+    print(json.dumps(report, sort_keys=True, indent=2))
+    return 1
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import FieldMismatch, IntegrabilityError, NotMonic, SearchExhausted
 from .logval import INF, LogVal
@@ -163,15 +164,20 @@ def from_operator(p: TwistedPoly) -> DiffModule:
     return DiffModule(dom, n, mats, _checked=True)
 
 
+def action_matrices(m: DiffModule, j: int):
+    """Yield G_0 = I, G_1, G_2, ...: the matrices of the k-fold T_j action."""
+    g1 = m.mat(j)
+    acc = la.identity(m.domain, m.dim)
+    while True:
+        yield acc
+        acc = la.mat_add(la.mat_derive(acc, j), la.mat_mul(g1, acc))
+
+
 def iterate_G(m: DiffModule, j: int, k: int) -> la.Matrix:
     """Matrix of the k-fold T_j action on the chosen basis."""
     if k < 0:
         raise ValueError("negative power")
-    g1 = m.mat(j)
-    acc = la.identity(m.domain, m.dim)
-    for _ in range(k):
-        acc = la.mat_add(la.mat_derive(acc, j), la.mat_mul(g1, acc))
-    return acc
+    return next(islice(action_matrices(m, j), k, None))
 
 
 def dual(m: DiffModule) -> DiffModule:
@@ -295,11 +301,8 @@ def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstima
     lv_omega = field.lv_omega
     dsp = field.lv_dsp(j)
     lo = max(1, (kmax + 1) // 2)
-    g1 = m.mat(j)
-    acc = la.identity(m.domain, m.dim)
     per_step = []
-    for k in range(1, kmax + 1):
-        acc = la.mat_add(la.mat_derive(acc, j), la.mat_mul(g1, acc))
+    for k, acc in enumerate(islice(action_matrices(m, j), kmax + 1)):
         if k < lo:
             continue
         vk = INF

@@ -87,6 +87,12 @@ class AllZero(PadicDMError):
     code = "all-zero"
 
 
+class OutputError(PadicDMError):
+    """The report could not be written to the requested --out file."""
+
+    code = "output-error"
+
+
 class ParseError(PadicDMError):
     """Grammar error in a text input; ``position`` is a 0-based offset."""
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import (CertificateFailure, IterationBudget, NoGap, NotExpandable,
                      NotMonic, PrecisionLoss, StabilityFailure)
@@ -37,11 +38,9 @@ from . import linalg as la
 from .diffmod import (DiffModule, cyclic_presentations, from_operator,
                       spectral_radius_bruteforce)
 from .precision import ApproxDomain, PrecisionCtx, domain_of
-from .radii import MultiRadiusProfile, RadiusProfile, profile, radii_from_polygon
-from .twisted import (PiNormParams, TwistedPoly, check_condition_c, divmod_left,
-                      divmod_right, mul, pi_norm)
-
-check_condition_C = check_condition_c
+from .radii import MultiRadiusProfile, profile, radii_from_polygon
+from .twisted import (PiNormParams, TwistedPoly, divmod_left, divmod_right,
+                      mul, pi_norm)
 
 
 # -- split bookkeeping -----------------------------------------------------
@@ -103,8 +102,14 @@ def _stale_inverse(c, zinv, need: LogVal):
     return c.inverse()
 
 
-def _hensel_right(p: TwistedPoly, d_low: int, lv_t: LogVal, ctx: PrecisionCtx):
-    """P = D*Q + R iteration on the right factor.  Returns (D, Q, res_lv)."""
+def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, ctx: PrecisionCtx,
+            right: bool):
+    """Contraction onto the monic factor Q of degree d_low.
+
+    Right: P = D*Q + R, Q <- Q + i(d0^-1) * R.  Left: P = Q*E + S,
+    Q <- Q + S * e0^-1.  Returns (cofactor, Q, res_lv).
+    """
+    divide = divmod_right if right else divmod_left
     params = PiNormParams(lv_t)
     target = LogVal(ctx.N)
     q = _init_low_factor(p, d_low)
@@ -112,49 +117,35 @@ def _hensel_right(p: TwistedPoly, d_low: int, lv_t: LogVal, ctx: PrecisionCtx):
     zinv = None
     need = LogVal(math.ceil(ctx.N) + 4)
     for step in range(ctx.max_iter + 1):
-        d, r = divmod_right(p, q)
+        cof, r = divide(p, q)
         res = pi_norm(r, params)
         if res >= target:
-            _check_factor_errs(ctx, d, q)
-            return d, q, res
+            _check_factor_errs(ctx, cof, q)
+            return cof, q, res
         if step == ctx.max_iter:
             raise IterationBudget(
                 f"residual lv {res} below target {ctx.N} after {step} steps")
         if prev is not None and not res > prev:
             raise IterationBudget(f"residual stalled at lv {res}")
         prev = res
-        d0 = d.coeff(0)
-        if d0.is_zero():
+        c0 = cof.coeff(0)
+        if c0.is_zero():
             raise PrecisionLoss("cofactor constant term vanished at precision")
-        zinv = _stale_inverse(d0, zinv, need)
-        q = q + r.scale_left(zinv)
+        zinv = _stale_inverse(c0, zinv, need)
+        if right:
+            q = q + r.scale_left(zinv)
+        else:
+            q = q + mul(r, TwistedPoly.constant(p.domain, p.deriv, zinv))
+
+
+def _hensel_right(p: TwistedPoly, d_low: int, lv_t: LogVal, ctx: PrecisionCtx):
+    """P = D*Q + R iteration on the right factor.  Returns (D, Q, res_lv)."""
+    return _hensel(p, d_low, lv_t, ctx, right=True)
 
 
 def _hensel_left(p: TwistedPoly, d_low: int, lv_t: LogVal, ctx: PrecisionCtx):
-    """P = Q*E + S iteration on the left factor.  Returns (Q, E, res_lv)."""
-    params = PiNormParams(lv_t)
-    target = LogVal(ctx.N)
-    q = _init_low_factor(p, d_low)
-    prev = None
-    zinv = None
-    need = LogVal(math.ceil(ctx.N) + 4)
-    for step in range(ctx.max_iter + 1):
-        e, s = divmod_left(p, q)
-        res = pi_norm(s, params)
-        if res >= target:
-            _check_factor_errs(ctx, q, e)
-            return q, e, res
-        if step == ctx.max_iter:
-            raise IterationBudget(
-                f"residual lv {res} below target {ctx.N} after {step} steps")
-        if prev is not None and not res > prev:
-            raise IterationBudget(f"residual stalled at lv {res}")
-        prev = res
-        e0 = e.coeff(0)
-        if e0.is_zero():
-            raise PrecisionLoss("cofactor constant term vanished at precision")
-        zinv = _stale_inverse(e0, zinv, need)
-        q = q + mul(s, TwistedPoly.constant(p.domain, p.deriv, zinv))
+    """P = Q*E + S iteration on the left factor.  Returns (E, Q, res_lv)."""
+    return _hensel(p, d_low, lv_t, ctx, right=False)
 
 
 def slope_factorize(p: TwistedPoly, lv_break: LogVal,
@@ -167,9 +158,7 @@ def slope_factorize(p: TwistedPoly, lv_break: LogVal,
     if not p.is_monic():
         raise NotMonic("slope factorization needs a monic operator")
     d_low, lv_t = _split_groups(p, lv_break)
-    if not isinstance(p.domain, ApproxDomain):
-        p = p.map_domain(_working_domain(p, ctx))
-    d, q, _res = _hensel_right(p, d_low, lv_t, ctx)
+    d, q, _res = _hensel_right(reduce_operator(p, ctx), d_low, lv_t, ctx)
     return d, q
 
 
@@ -191,26 +180,34 @@ class SlopeFactorization:
 
 
 def reduce_operator(p: TwistedPoly, ctx: PrecisionCtx) -> TwistedPoly:
-    """Image of an operator in the working approximation ring."""
-    if isinstance(p.domain, ApproxDomain):
-        return p
+    """Image of an operator in the working approximation ring of ctx.
+
+    Approximate coefficients are kept as they are; only the domain, and
+    with it the error target of new zeros, moves to the working one.
+    """
     return p.map_domain(_working_domain(p, ctx))
 
 
 def factor_by_radii(p: TwistedPoly, ctx: PrecisionCtx) -> SlopeFactorization:
     """Right-split chain: P ~ F_1 * F_2 * ... * F_k, descending radii lv."""
-    prof = radii_from_polygon(p)
-    lvs = sorted(prof.as_dict(), reverse=True)
-    if not isinstance(p.domain, ApproxDomain):
-        p = p.map_domain(_working_domain(p, ctx))
+    lvs = sorted(radii_from_polygon(p).as_dict(), reverse=True)
+    return _right_chain(reduce_operator(p, ctx), lvs, ctx)
+
+
+def _right_chain(p: TwistedPoly, lvs: list,
+                 ctx: PrecisionCtx) -> SlopeFactorization:
+    """Pure factors for the descending lvs, split off on the left in turn.
+
+    The tails (the right cofactor left after each split) span the
+    increasing filtration by high-radius submodules.
+    """
     factors, residuals, tails = [], [], []
     rest = p
     for lv in lvs[:-1]:
         d_low, lv_t = _split_groups(rest, lv)
-        d, q, res = _hensel_right(rest, d_low, lv_t, ctx)
+        d, rest, res = _hensel_right(rest, d_low, lv_t, ctx)
         factors.append(d)
         residuals.append(res)
-        rest = q
         tails.append(rest)
     factors.append(rest)
     return SlopeFactorization(tuple(factors), tuple(lvs), tuple(residuals),
@@ -297,7 +294,6 @@ class Decomposition:
 
 def _span_columns(poly_tail: TwistedPoly, n: int) -> list:
     """Columns spanning K<T>*tail/(P): coefficients of T^a * tail, a < n - deg."""
-    dom, j = poly_tail.domain, poly_tail.deriv
     cols = []
     cur = poly_tail
     for _ in range(n - poly_tail.degree):
@@ -306,7 +302,7 @@ def _span_columns(poly_tail: TwistedPoly, n: int) -> list:
     return cols
 
 
-def _pure_single(m: DiffModule, j: int, lv: LogVal, p: TwistedPoly) -> Decomposition:
+def _pure_single(m: DiffModule, lv: LogVal, p: TwistedPoly) -> Decomposition:
     dom = m.domain
     comp = Component(lv, m, la.identity(dom, m.dim), p, dom.is_exact)
     cert = Certificate(True, True, True, True, ())
@@ -325,7 +321,7 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
     if m.dim == 0:
         return Decomposition((), 0, Certificate(True, True, True, True, ()))
     last_exc = None
-    for p, cbasis in _presentations(m, j, limit=6):
+    for p, cbasis in islice(cyclic_presentations(m, j), 6):
         try:
             return _decompose_from_cyclic(m, j, ctx, p, cbasis)
         except (NotExpandable, PrecisionLoss, IterationBudget,
@@ -334,46 +330,25 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
     raise last_exc
 
 
-def _presentations(m: DiffModule, j: int, limit: int):
-    count = 0
-    for pres in cyclic_presentations(m, j):
-        yield pres
-        count += 1
-        if count >= limit:
-            return
-
-
 def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
                            p: TwistedPoly, cbasis: la.Matrix) -> Decomposition:
     prof = radii_from_polygon(p)
     lvs = sorted(prof.as_dict(), reverse=True)
     if len(lvs) == 1:
-        return _pure_single(m, j, lvs[0], p)
+        return _pure_single(m, lvs[0], p)
     mults = [prof.multiplicity(lv) for lv in lvs]
     n, k = m.dim, len(lvs)
 
-    adom = _working_domain(p, ctx)
-    pa = p.map_domain(adom)
-
-    # right-split chain: factors descending in lv, tails = the remaining
-    # right cofactors, whose spans give the increasing high-radius filtration
-    factors, tails, residuals = [], [], []
-    rest = pa
-    for i in range(k - 1):
-        d_low, lv_t = _split_groups(rest, lvs[i])
-        d, rest, res = _hensel_right(rest, d_low, lv_t, ctx)
-        factors.append(d)
-        tails.append(rest)
-        residuals.append(res)
-    factors.append(rest)
-    chain = SlopeFactorization(tuple(factors), tuple(lvs), tuple(residuals),
-                               tuple(tails))
+    pa = reduce_operator(p, ctx)
+    adom = pa.domain
+    chain = _right_chain(pa, lvs, ctx)
+    residuals = list(chain.residual_lv)
 
     # decreasing filtration: left splits at every break (low radii)
     lows = []
     for i in range(1, k):
         d_low, lv_t = _split_groups(pa, lvs[i - 1])
-        _q, e, res = _hensel_left(pa, d_low, lv_t, ctx)
+        e, _q, res = _hensel_left(pa, d_low, lv_t, ctx)
         residuals.append(res)
         lows.append(e)  # B_i = span of T^b * e, b < d_low
 
@@ -385,11 +360,11 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
     spans = []
     for c in range(k):
         if c == 0:
-            cols = _span_columns(tails[0], n)
+            cols = _span_columns(chain.tails[0], n)
         elif c == k - 1:
             cols = _span_columns(lows[k - 2], n)
         else:
-            a_cols = _round_cols(_span_columns(tails[c], n), errn, mark)
+            a_cols = _round_cols(_span_columns(chain.tails[c], n), errn, mark)
             b_cols = _round_cols(_span_columns(lows[c - 1], n), errn, mark)
             cols = la.intersect_spans(a_cols, b_cols, adom)
         cols = _round_cols(cols, errn, mark)
@@ -533,7 +508,7 @@ def _multi_rec(m: DiffModule, ctx: PrecisionCtx, derivs: list):
             u_cols = None
         else:
             u_cols = la.columns(c.embedding)
-            sub_m = _restrict(m, u_cols, _embed_domain(u_cols), boosted)
+            sub_m = _restrict(m, u_cols, domain_of(u_cols[0][0]), boosted)
         sub_comps, sub_res = _multi_rec(sub_m, ctx, derivs[1:])
         residuals.extend(sub_res)
         for sc in sub_comps:
@@ -546,7 +521,3 @@ def _multi_rec(m: DiffModule, ctx: PrecisionCtx, derivs: list):
                 exact = False
             out.append(Component(key, sc.module, emb, sc.operator, exact))
     return out, residuals
-
-
-def _embed_domain(u_cols) -> ApproxDomain:
-    return domain_of(u_cols[0][0])

@@ -19,6 +19,10 @@ from .twisted import TwistedPoly
 
 _OPS = set("+-*/^(),;")
 
+# Cap on exponents and on operator degree, so that a number written in the
+# input cannot make parsing run for an unbounded time.
+MAX_DEGREE = 512
+
 
 def _tokenize(text: str):
     out = []
@@ -183,11 +187,13 @@ def _pmul(a: list, b: list) -> list:
 def _ppow(a: list, e: int, pos: int) -> list:
     if e < 0:
         raise ParseError("negative exponent", pos)
+    if e > MAX_DEGREE:
+        raise ParseError(f"exponent above {MAX_DEGREE}", pos)
     field = a[0].field
     out = [field.one()]
     for _ in range(e):
         out = _pmul(out, a)
-        if len(out) > 512:
+        if len(out) > MAX_DEGREE:
             raise ParseError("operator degree too large", pos)
     return out
 
@@ -210,14 +216,6 @@ def parse_matrix(text: str, field: FieldSpec) -> list:
     if any(len(r) != len(rows) for r in rows):
         raise ParseError("matrix text is not square")
     return rows
-
-
-def scalar_str(x: Scalar) -> str:
-    return str(x)
-
-
-def operator_str(p: TwistedPoly) -> str:
-    return str(p)
 
 
 def matrix_str(m: list) -> str:

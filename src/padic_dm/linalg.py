@@ -86,23 +86,30 @@ def _pivot_row(rows: Matrix, col: int, start: int) -> int | None:
     return best
 
 
-def solve(a: Matrix, b: Matrix) -> Matrix | None:
-    """Solve a X = b for square invertible a; None when singular."""
-    n = len(a)
-    m = len(b[0]) if b else 0
+def _gauss_jordan(a: Matrix, b: Matrix, m: int) -> Matrix | None:
+    """Gauss-Jordan elimination on the first m columns of [a | b].
+
+    Returns the top m rows of the reduced b block (the solution of a X = b
+    for square a); None as soon as a column has no invertible pivot.
+    """
     aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    for c in range(n):
+    for c in range(m):
         piv = _pivot_row(aug, c, c)
         if piv is None:
             return None
         aug[c], aug[piv] = aug[piv], aug[c]
         inv = aug[c][c].inverse()
         aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
+        for i in range(len(aug)):
             if i != c and not aug[i][c].is_zero():
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:n + m] for row in aug]
+    return [row[m:] for row in aug[:m]]
+
+
+def solve(a: Matrix, b: Matrix) -> Matrix | None:
+    """Solve a X = b for square invertible a; None when singular."""
+    return _gauss_jordan(a, b, len(a))
 
 
 def inverse(a: Matrix, domain) -> Matrix | None:
@@ -150,25 +157,10 @@ def solve_in_span(u: Matrix, w: Matrix) -> tuple[Matrix, Matrix] | None:
     whether the residual is acceptably zero.  None when u is column-rank
     deficient.
     """
-    n, m = len(u), len(u[0])
-    k = len(w[0]) if w else 0
-    aug = [list(ru) + list(rw) for ru, rw in zip(u, w)]
-    rowperm = list(range(n))
-    for c in range(m):
-        piv = _pivot_row(aug, c, c)
-        if piv is None:
-            return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        rowperm[c], rowperm[piv] = rowperm[piv], rowperm[c]
-        inv = aug[c][c].inverse()
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    x = [row[m:m + k] for row in aug[:m]]
-    residual = mat_sub(mat_mul(u, x), w)
-    return x, residual
+    x = _gauss_jordan(u, w, len(u[0]))
+    if x is None:
+        return None
+    return x, mat_sub(mat_mul(u, x), w)
 
 
 def nullspace(a: Matrix, domain) -> list:

@@ -345,17 +345,3 @@ def _reduce(num: P.Poly, den: P.Poly, nvars: int):
         num = P.p_scale(num, Fraction(1) / c)
         den = P.p_scale(den, Fraction(1) / c)
     return num, den
-
-
-# Module-level forms of the field operations, matching the public surface.
-
-def val(x: Scalar) -> LogVal:
-    return x.val()
-
-
-def derive(x: Scalar, j: int = 0) -> Scalar:
-    return x.derive(j)
-
-
-def taylor_coeff(x: Scalar, j: int, i: int) -> Scalar:
-    return x.taylor_coeff(j, i)

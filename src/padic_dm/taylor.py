@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import AllZero
-from .diffmod import DiffModule, RadiusEstimate
+from .diffmod import DiffModule, RadiusEstimate, action_matrices
 from .scalarfield import Scalar
-from . import linalg as la
 
 
 @dataclass(frozen=True)
@@ -101,20 +101,16 @@ def solution_matrix(m: DiffModule, j: int, n: int) -> list:
     up to order n-1 (the Taylor image acts from the right with the
     column-action convention used throughout).
     """
-    dom = m.domain
-    g1 = m.mat(j)
-    acc = la.identity(dom, m.dim)
-    entries = [[[acc[a][b]] for b in range(m.dim)] for a in range(m.dim)]
+    gs = islice(action_matrices(m, j), n + 1)
+    entries = [[[e] for e in row] for row in next(gs)]
     fact = Fraction(1)
-    for k in range(1, n + 1):
-        acc = la.mat_add(la.mat_derive(acc, j), la.mat_mul(g1, acc))
+    for k, g in enumerate(gs, 1):
         fact *= k
         inv = Fraction(1, 1) / fact
         for a in range(m.dim):
             for b in range(m.dim):
-                entries[a][b].append(acc[a][b] * inv)
-    return [[TruncSeries(tuple(entries[a][b]), n) for b in range(m.dim)]
-            for a in range(m.dim)]
+                entries[a][b].append(g[a][b] * inv)
+    return [[TruncSeries(tuple(e), n) for e in row] for row in entries]
 
 
 def hadamard_radius(s: TruncSeries, window: tuple[int, int]) -> RadiusEstimate:

@@ -214,27 +214,16 @@ def mul_relation(p: TwistedPoly, q: TwistedPoly) -> TwistedPoly:
 
 def divmod_right(p: TwistedPoly, q: TwistedPoly) -> tuple[TwistedPoly, TwistedPoly]:
     """(D, R) with p = D*q + R and deg R < deg q."""
-    p._check_compatible(q)
-    if q.is_zero():
-        raise ZeroDivisionError("division by the zero twisted polynomial")
-    d = TwistedPoly.zero(p.domain, p.deriv)
-    r = p
-    qlead_inv = q.leading().inverse()
-    while not r.is_zero() and r.degree >= q.degree:
-        k = r.degree - q.degree
-        a = r.leading() * qlead_inv
-        term = TwistedPoly(p.domain, p.deriv,
-                           [p.domain.zero()] * k + [a])
-        d = d + term
-        r = r - mul(term, q)
-        if not r.is_zero() and r.degree >= k + q.degree:
-            # leading term must cancel exactly; force the drop
-            r = TwistedPoly(p.domain, p.deriv, r.coeffs[:k + q.degree])
-    return d, r
+    return _divmod(p, q, right=True)
 
 
 def divmod_left(p: TwistedPoly, q: TwistedPoly) -> tuple[TwistedPoly, TwistedPoly]:
     """(D, R) with p = q*D + R and deg R < deg q."""
+    return _divmod(p, q, right=False)
+
+
+def _divmod(p: TwistedPoly, q: TwistedPoly, right: bool):
+    """Euclidean division by q on the right (D*q) or on the left (q*D)."""
     p._check_compatible(q)
     if q.is_zero():
         raise ZeroDivisionError("division by the zero twisted polynomial")
@@ -243,12 +232,13 @@ def divmod_left(p: TwistedPoly, q: TwistedPoly) -> tuple[TwistedPoly, TwistedPol
     qlead_inv = q.leading().inverse()
     while not r.is_zero() and r.degree >= q.degree:
         k = r.degree - q.degree
-        a = qlead_inv * r.leading()
+        a = r.leading() * qlead_inv if right else qlead_inv * r.leading()
         term = TwistedPoly(p.domain, p.deriv,
                            [p.domain.zero()] * k + [a])
         d = d + term
-        r = r - mul(q, term)
+        r = r - (mul(term, q) if right else mul(q, term))
         if not r.is_zero() and r.degree >= k + q.degree:
+            # leading term must cancel exactly; force the drop
             r = TwistedPoly(p.domain, p.deriv, r.coeffs[:k + q.degree])
     return d, r
 

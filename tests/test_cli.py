@@ -1,13 +1,14 @@
 """CLI: job parsing, report payloads, exit codes, round trips."""
 
 import json
+import time
 
 import pytest
 
 from padic_dm import ParseError
 from padic_dm.cli import main, parse_job, run
 from padic_dm.grammar import (matrix_str, parse_matrix, parse_operator,
-                              parse_scalar, scalar_str)
+                              parse_scalar)
 
 
 def job_args(*extra):
@@ -142,12 +143,41 @@ def test_main_bad_numbers_exit_as_json(capsys, monkeypatch, args, env):
     assert report["error"]["code"] == "parse-error"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--field", "gauss:p=5:vars=x,y", "--cmd", "multi-decompose",
+     "--mat", "x", "--mat", "1,0;0,1"],
+    ["--field", "laurent:T", "--cmd", "radii", "--op", "T"],
+    ["--field", "gauss:p=5:vars=T", "--cmd", "radii", "--op", "T"],
+    ["--field", "gauss:p=5:vars=x,T", "--cmd", "radii", "--op", "T"],
+    job_args("--op", "T + x^513"),
+    job_args("--op", "T + x^1000000000"),
+    job_args("--op", "T^1000000000"),
+], ids=["mat-sizes", "laurent-T", "gauss-T", "gauss-x-T", "exponent-513",
+        "exponent-1e9", "operator-exponent-1e9"])
+def test_main_bad_input_exits_as_json(capsys, argv):
+    t0 = time.monotonic()
+    assert main(argv) == 1
+    assert time.monotonic() - t0 < 5
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert report["error"]["code"] == "parse-error"
+
+
+def test_main_unwritable_out(capsys, tmp_path):
+    out = tmp_path / "missing" / "report.json"
+    assert main(job_args("--out", str(out))) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert report["error"]["code"] == "output-error"
+    assert not out.exists()
+
+
 def test_scalar_roundtrip(gauss5):
     samples = ["(x^2+1)/(5*x)", "1/5", "-x", "3*x^2 - 2*x + 7/25",
                "(x+1)/(1+5*x)"]
     for text in samples:
         value = parse_scalar(text, gauss5)
-        again = parse_scalar(scalar_str(value), gauss5)
+        again = parse_scalar(str(value), gauss5)
         assert again == value
 
 

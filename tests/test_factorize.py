@@ -1,14 +1,17 @@
 """Slope factorization and decompositions, with exact-lift oracles."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from padic_dm import (DiffModule, ExactDomain, IterationBudget, LogVal, NoGap,
-                      PiNormParams, PrecisionCtx, TwistedPoly, decompose,
-                      direct_sum, factor_by_radii, linalg as la, mul,
-                      multi_decompose, pi_norm, profile, radii_from_polygon,
+from padic_dm import (ApproxDomain, CertificateFailure, DiffModule,
+                      ExactDomain, IterationBudget, LogVal, NoGap,
+                      PiNormParams, PrecisionCtx, StabilityFailure,
+                      TwistedPoly, decompose, direct_sum, factor_by_radii,
+                      from_operator, linalg as la, mul, multi_decompose,
+                      parse_operator, pi_norm, profile, radii_from_polygon,
                       slope_factorize)
 
 from conftest import block_module, unimodular_conjugator
@@ -203,3 +206,37 @@ def test_laurent_decompose(laurent):
     dec = decompose(mc, 0, CTX)
     assert sorted(str(c.key) for c in dec.components) == ["1", "3"]
     assert dec.certificate.ok
+
+
+def test_restrict_rejects_unstable_span(gauss5xy):
+    from padic_dm.factorize import _restrict
+    K = gauss5xy
+    z, one = K.zero(), K.one()
+    # T_x acts by 0, T_y swaps the basis vectors: e1 + e2 spans a
+    # submodule, e1 alone does not
+    m = DiffModule(ExactDomain(K), 2, [[[z, z], [z, z]], [[z, one], [one, z]]])
+    adom = ApproxDomain(K, CTX, CTX.working_err())
+    stable = _restrict(m, [[adom.one(), adom.one()]], adom, CTX)
+    assert stable.dim == 1 and stable.mats[1][0][0] == adom.one()
+    with pytest.raises(StabilityFailure, match="not stable under derivation"):
+        _restrict(m, [[adom.one(), adom.zero()]], adom, CTX)
+
+
+def test_corrupted_chain_factor_fails_certificate(gauss5, monkeypatch):
+    from padic_dm import factorize
+    right_chain = factorize._right_chain
+
+    def corrupted(p, lvs, ctx):
+        # shift the constant term of the lv 1/4 factor T - x by 1/25: its
+        # root moves to valuation -2, so the factor is no longer pure of 1/4
+        chain = right_chain(p, lvs, ctx)
+        f = chain.factors[-1]
+        bad = TwistedPoly(f.domain, f.deriv,
+                          (f.coeffs[0] + gauss5.one() / 25,) + f.coeffs[1:])
+        return replace(chain, factors=chain.factors[:-1] + (bad,))
+
+    m = from_operator(parse_operator("T^2 - (1/5)*T + x", gauss5))
+    assert decompose(m, 0, CTX).certificate.ok
+    monkeypatch.setattr(factorize, "_right_chain", corrupted)
+    with pytest.raises(CertificateFailure, match="certificate failed"):
+        decompose(m, 0, CTX)
