@@ -23,6 +23,14 @@ _OPS = set("+-*/^(),;")
 # input cannot make parsing run for an unbounded time.
 MAX_DEGREE = 512
 
+# Cap on the total degree of the numerator and of the denominator of every
+# parsed coefficient, checked after each sum, product and power: capped
+# exponents alone still let nesting and products build degree 512^k from a
+# short input, as in ((x+1)^32)^32.  README, test and benchmark inputs
+# have degree <= 3; `radii` on the operator T + (x+1)^k takes ~15 s at
+# k = 64 and over a minute at k = 128.
+MAX_SCALAR_DEGREE = 64
+
 
 def _tokenize(text: str):
     out = []
@@ -89,9 +97,9 @@ class _Expr:
     def expr(self) -> list:
         v = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
+            op, _txt, pos = self.take()
             w = self.term()
-            v = _padd(v, w if op == "+" else _pneg(w))
+            v = _capped(_padd(v, w if op == "+" else _pneg(w)), pos)
         return v
 
     # term := unary (('*'|'/') unary)*
@@ -108,6 +116,7 @@ class _Expr:
                 if w[0].is_zero():
                     raise ParseError("division by zero", pos)
                 v = [c / w[0] for c in v]
+            v = _capped(v, pos)
         return v
 
     def unary(self) -> list:
@@ -192,10 +201,19 @@ def _ppow(a: list, e: int, pos: int) -> list:
     field = a[0].field
     out = [field.one()]
     for _ in range(e):
-        out = _pmul(out, a)
+        out = _capped(_pmul(out, a), pos)
         if len(out) > MAX_DEGREE:
             raise ParseError("operator degree too large", pos)
     return out
+
+
+def _capped(a: list, pos: int) -> list:
+    for c in a:
+        for poly in (c.num, c.den):
+            if max(map(sum, poly), default=0) > MAX_SCALAR_DEGREE:
+                raise ParseError(
+                    f"coefficient degree above {MAX_SCALAR_DEGREE}", pos)
+    return a
 
 
 def parse_scalar(text: str, field: FieldSpec) -> Scalar:

@@ -12,8 +12,12 @@ An ``ApproxScalar`` is a truncated expansion of a field element:
 Digits are stored as dicts from exponent tuples to coefficients.  Products
 go through ``_conv``: univariate operands (both models) are multiplied by
 Kronecker substitution, one product of packed Python ints, or by monomial
-scaling when one side has a single term; bivariate operands keep the
-pairwise loop (see ``_conv`` for why).
+scaling when one side has a single term.  Bivariate operands with many
+term pairs under the degree cap d go through the same packed product after
+the weighting x^i y^j -> t^(i*(d+1) + j*(d+2)), which keeps the
+total-degree cap exact; sparser ones keep the pairwise loop (see ``_conv``
+for the threshold).  The Gauss inverse is a Newton iteration that doubles
+the degree below which it is exact at every step.
 
 ``err_lv`` is a lower bound for lv(true - represented) in the p-adic
 (resp. z-adic) direction; every operation propagates it.  The total-degree
@@ -32,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import FieldMismatch, NotExpandable, PrecisionLoss
 from .logval import LogVal
@@ -39,6 +44,11 @@ from .scalarfield import GAUSS, FieldSpec, Scalar
 from . import polys as P
 
 DEFAULT_GUARD = 12
+
+# Bivariate products with at least this many term pairs of total degree
+# <= d go through Kronecker substitution, the others through the pairwise
+# loop (``_conv`` gives the measurement behind the value).
+KRONECKER_PAIRS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -252,13 +262,17 @@ class ApproxScalar:
             u0 = self.coeffs.get(mono0, 0)
             if u0 % f.p == 0:
                 raise NotExpandable("constant term not a unit mod p")
+            # Newton z <- z(2 - uz): z is exact below degree D, so one
+            # step makes it exact below 2D; each step works at cap 2D - 1
             z = {mono0: pow(u0, -1, mod)}
-            steps = max(1, math.ceil(math.log2(ctx.d + 1)) + 1)
-            for _ in range(steps):
-                uz = _gauss_polymul(self.coeffs, z, mod, ctx.d, f.nvars)
+            D = 1
+            while D <= ctx.d:
+                cap = min(2 * D, ctx.d + 1) - 1
+                uz = _gauss_polymul(self.coeffs, z, mod, cap, f.nvars)
                 e = {m: (-c) % mod for m, c in uz.items()}
                 e[mono0] = (e.get(mono0, 0) + 2) % mod
-                z = _gauss_polymul(z, e, mod, ctx.d, f.nvars)
+                z = _gauss_polymul(z, e, mod, cap, f.nvars)
+                D = cap + 1
             err = self.err_lv - 2 * v
             return ApproxScalar(f, ctx, -v, z, err)
         k0 = v - self.shift
@@ -361,19 +375,31 @@ def _conv(a: dict, b: dict, dcap: int, nvars: int) -> dict:
       scaling, a single pass over the other operand;
     * univariate otherwise: Kronecker substitution (``_kronecker``), one
       product of packed Python ints for both models;
-    * bivariate: the pairwise loop, with b scanned in degree order for
-      early exit.  Packing two variables needs a y-stride of 2*dcap + 1
-      slots, and under the total-degree cap most slots of the packed
-      product are thrown away; in measurements the packed product ranged
-      from 2x faster (29x29 terms, d=28) to 1.5x slower (435x435 terms),
-      so these products stay on the loop.
+    * bivariate with at least ``KRONECKER_PAIRS`` truncated pairs: the
+      same ``_kronecker`` on weighted exponents (``_weighted``), with cap
+      (dcap+1)^2 - 1; an output exponent e maps back to x^(k-j) y^j for
+      k, j = divmod(e, dcap + 1);
+    * bivariate otherwise: the pairwise loop, with b scanned in degree
+      order for early exit.
+
+    The branch is picked by the count of term pairs of total degree
+    <= dcap (``_pairs``), which is the work of the loop; the packed
+    product costs about (dcap+1)^2 slots, half of them empty, whatever
+    the operands.  On the bivariate products of the ``multi-decompose``
+    benchmark (d = 28, digits of ~86 bits, one process), the loop was
+    faster below 2^13 pairs (the packed product took 1.4x to 20x as
+    long: sparse operands spread over the whole triangle pay for every
+    slot), the packed product won from about 2^13.25 pairs on, by 1.2x
+    to 1.8x up to 2^15 and by 2.0x on dense 435-term triangles (~36k
+    pairs).  ``KRONECKER_PAIRS`` = 2^14 leaves the few products between
+    2^13 and 2^14 pairs on the loop.
 
     Results are exact: ``int`` digits stay ``int``; ``Fraction`` digits
     give ``Fraction`` digits.  Zero digits may be dropped or kept.
     """
+    if not a or not b:
+        return {}
     if nvars == 1:
-        if not a or not b:
-            return {}
         if len(b) == 1:
             a, b = b, a
         if len(a) > 1:
@@ -381,9 +407,17 @@ def _conv(a: dict, b: dict, dcap: int, nvars: int) -> dict:
         ((ea,), ca), = a.items()
         rem = dcap - ea
         return {(ea + eb,): ca * cb for (eb,), cb in b.items() if eb <= rem}
-    out: dict = {}
-    get = out.get
     bi = sorted(((sum(m), m, c) for m, c in b.items()))
+    if _pairs(a, bi, dcap) >= KRONECKER_PAIRS:
+        w = dcap + 1
+        prod = _kronecker(_weighted(a, w), _weighted(b, w), w * w - 1)
+        out = {}
+        for (e,), c in prod.items():
+            k, j = divmod(e, w)
+            out[(k - j, j)] = c
+        return out
+    out = {}
+    get = out.get
     for ma, ca in a.items():
         rem = dcap - sum(ma)
         ma0, ma1 = ma
@@ -395,8 +429,34 @@ def _conv(a: dict, b: dict, dcap: int, nvars: int) -> dict:
     return out
 
 
+def _pairs(a: dict, bi: list, dcap: int) -> int:
+    """Number of term pairs (one of a, one of b) of total degree <= dcap,
+    read off the two total-degree histograms; ``bi`` is b as sorted
+    (degree, monomial, digit) triples."""
+    hist = [0] * (dcap + 1)
+    for db, _m, _c in bi:
+        if db > dcap:
+            break
+        hist[db] += 1
+    upto = list(accumulate(hist))   # upto[t]: terms of b of degree <= t
+    return sum(upto[dcap - da] for m in a if (da := sum(m)) <= dcap)
+
+
+def _weighted(d: dict, w: int) -> dict:
+    """x^i y^j -> t^(i*w + j*(w+1)) = t^((i+j)*w + j), for w = dcap + 1.
+
+    A term of total degree K <= dcap sits in slot K*w + j with j <= K < w,
+    so a product of such terms, if its degree K stays <= dcap, lands in
+    slot K*w + j without carrying into the next degree; every product of
+    degree > dcap lands at or above w^2, so the cap w^2 - 1 drops exactly
+    those.
+    """
+    return {(i * w + j * (w + 1),): c for (i, j), c in d.items()}
+
+
 def _kronecker(a: dict, b: dict, dcap: int) -> dict:
-    """Univariate truncated product by Kronecker substitution.
+    """Truncated product of univariate digit dicts (bivariate ones after
+    ``_weighted``) by Kronecker substitution.
 
     Both digit vectors become integers (``Fraction`` digits over one common
     denominator) and are evaluated at 2^k, so one product of Python ints

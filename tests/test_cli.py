@@ -152,8 +152,11 @@ def test_main_bad_numbers_exit_as_json(capsys, monkeypatch, args, env):
     job_args("--op", "T + x^513"),
     job_args("--op", "T + x^1000000000"),
     job_args("--op", "T^1000000000"),
+    job_args("--op", "((x+1)^32)^32"),
+    job_args("--op", "T + (x+1)^512"),
 ], ids=["mat-sizes", "laurent-T", "gauss-T", "gauss-x-T", "exponent-513",
-        "exponent-1e9", "operator-exponent-1e9"])
+        "exponent-1e9", "operator-exponent-1e9", "nested-power-degree",
+        "power-degree-512"])
 def test_main_bad_input_exits_as_json(capsys, argv):
     t0 = time.monotonic()
     assert main(argv) == 1
@@ -161,6 +164,16 @@ def test_main_bad_input_exits_as_json(capsys, argv):
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False
     assert report["error"]["code"] == "parse-error"
+
+
+def test_main_not_expandable_exits_1(capsys):
+    # 1/x has no expansion in the approximation ring of the Gauss model
+    argv = ["--field", "gauss:p=5:vars=x", "--cmd", "decompose",
+            "--op", "T^2 - (1/5)*T + 1/x", "--precision", "N=10,d=32"]
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert report["error"]["code"] == "not-expandable"
 
 
 def test_main_unwritable_out(capsys, tmp_path):

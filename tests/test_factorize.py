@@ -240,3 +240,26 @@ def test_corrupted_chain_factor_fails_certificate(gauss5, monkeypatch):
     monkeypatch.setattr(factorize, "_right_chain", corrupted)
     with pytest.raises(CertificateFailure, match="certificate failed"):
         decompose(m, 0, CTX)
+
+
+def test_corrupted_embedding_fails_certificate(gauss5, monkeypatch):
+    from padic_dm import factorize
+    span_columns = factorize._span_columns
+    first = []
+
+    def corrupted(tail, n):
+        # the span of the second component gets the first component's
+        # first column in place of its own: the embeddings are then
+        # linearly dependent and cannot be a direct sum
+        cols = span_columns(tail, n)
+        if not first:
+            first.append(cols[0])
+            return cols
+        return [first.pop()] + cols[1:]
+
+    m = from_operator(parse_operator("T^2 - (1/5)*T + x", gauss5))
+    assert decompose(m, 0, CTX).certificate.ok
+    monkeypatch.setattr(factorize, "_span_columns", corrupted)
+    with pytest.raises((CertificateFailure, StabilityFailure),
+                       match="direct_sum_ok': False"):
+        decompose(m, 0, CTX)

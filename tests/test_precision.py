@@ -1,14 +1,17 @@
 """Truncated scalars: reduction, arithmetic, error tracking."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from padic_dm import (ApproxDomain, ApproxScalar, NotExpandable, PrecisionCtx,
-                      LogVal, reduce_scalar)
-from padic_dm.precision import _conv
+from padic_dm import (ApproxDomain, ApproxScalar, FieldSpec, NotExpandable,
+                      PrecisionCtx, LogVal, precision, reduce_scalar)
+from padic_dm.precision import _conv, _gauss_polymul
 
 
 def test_reduce_one(gauss5):
@@ -139,15 +142,101 @@ def conv_operands(draw):
     return draw(operand), draw(operand), dcap, nvars
 
 
-@given(conv_operands())
-@example(({}, {(0,): 3, (2,): -1}, 4, 1))
-@example(({(1,): Fraction(-1, 3)}, {(0,): Fraction(1, 2), (4,): 7}, 4, 1))
-@example(({(0,): 1, (3,): -2 ** 200}, {(0,): 5, (1,): 1, (9,): 2}, 8, 1))
+@given(conv_operands(), st.booleans())
+@example(({}, {(0,): 3, (2,): -1}, 4, 1), False)
+@example(({(1,): Fraction(-1, 3)}, {(0,): Fraction(1, 2), (4,): 7}, 4, 1),
+         False)
+@example(({(0,): 1, (3,): -2 ** 200}, {(0,): 5, (1,): 1, (9,): 2}, 8, 1),
+         False)
+@example(({(0, 0): 2, (1, 0): -1}, {(0, 1): 3, (0, 0): 1}, 0, 2), True)
 @settings(max_examples=300, deadline=None)
-def test_conv_matches_schoolbook(case):
+def test_conv_matches_schoolbook(case, packed):
+    """``packed`` sends bivariate cases through the Kronecker branch."""
     a, b, dcap, nvars = case
-    got = _conv(a, b, dcap, nvars)
+    threshold = precision.KRONECKER_PAIRS
+    precision.KRONECKER_PAIRS = 0 if packed else threshold
+    try:
+        got = _conv(a, b, dcap, nvars)
+    finally:
+        precision.KRONECKER_PAIRS = threshold
     assert {m: c for m, c in got.items() if c} == schoolbook(a, b, dcap)
     digit_types = {type(c) for c in (*a.values(), *b.values())}
     if len(digit_types) == 1:
         assert {type(c) for c in got.values()} <= digit_types
+
+
+def _triangle(rng, top, keep, bits):
+    """Digits on the monomials x^i y^j of total degree <= top, each kept
+    with probability ``keep``; signed digits of 1 to ``bits`` bits."""
+    out = {}
+    for k in range(top + 1):
+        for j in range(k + 1):
+            if rng.random() < keep:
+                out[(k - j, j)] = rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)
+    return out
+
+
+@pytest.mark.parametrize("seed, top_a, keep_a, top_b, keep_b, bits", [
+    (1, 28, 1.0, 28, 1.0, 90),      # dense triangles, Gauss-sized digits
+    (2, 28, 1.0, 28, 0.5, 200),     # dense times half-dense
+    (3, 28, 0.5, 28, 1.0, 1),
+    (4, 32, 1.0, 32, 1.0, 200),     # terms up to degree dcap + 4
+    (5, 0, 1.0, 30, 1.0, 150),      # one operand of degree 0
+    (6, 30, 1.0, 0, 1.0, 150),
+], ids=["dense", "dense-half", "half-dense", "above-cap", "degree-0-left",
+        "degree-0-right"])
+def test_bivariate_kronecker_matches_schoolbook(monkeypatch, seed, top_a,
+                                                keep_a, top_b, keep_b, bits):
+    rng = random.Random(seed)
+    dcap = 28
+    a = _triangle(rng, top_a, keep_a, bits)
+    b = _triangle(rng, top_b, keep_b, bits)
+    if 0 in (top_a, top_b):
+        # a constant operand never has enough pairs for the packed product
+        monkeypatch.setattr(precision, "KRONECKER_PAIRS", 0)
+    else:
+        bi = sorted((sum(m), m, c) for m, c in b.items())
+        assert precision._pairs(a, bi, dcap) >= precision.KRONECKER_PAIRS
+    calls = []
+    kronecker = precision._kronecker
+    monkeypatch.setattr(precision, "_kronecker",
+                        lambda *args: calls.append(1) or kronecker(*args))
+    got = _conv(a, b, dcap, 2)
+    assert calls
+    assert {m: c for m, c in got.items() if c} == schoolbook(a, b, dcap)
+
+
+def _full_cap_inverse(u):
+    """Reference Gauss inverse: ceil(log2(d + 1)) + 1 Newton steps, every
+    one at the full degree cap d."""
+    f, ctx = u.field, u.ctx
+    v = int(u.val_exact().value)
+    mod = f.p ** (u.err_lv - v)
+    mono0 = (0,) * f.nvars
+    z = {mono0: pow(u.coeffs[mono0], -1, mod)}
+    for _ in range(max(1, math.ceil(math.log2(ctx.d + 1)) + 1)):
+        uz = _gauss_polymul(u.coeffs, z, mod, ctx.d, f.nvars)
+        e = {m: (-c) % mod for m, c in uz.items()}
+        e[mono0] = (e.get(mono0, 0) + 2) % mod
+        z = _gauss_polymul(z, e, mod, ctx.d, f.nvars)
+    return ApproxScalar(f, ctx, -v, z, u.err_lv - 2 * v)
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 28, 31, 32, 48])
+def test_gauss_inverse_matches_full_cap_newton(nvars, d):
+    K = FieldSpec.gauss(5, ("x", "y")[:nvars])
+    ctx = PrecisionCtx(Fraction(10), d=d)
+    rng = random.Random(100 * nvars + d)
+    shift, err = rng.randint(-3, 3), 25
+    mod = 5 ** (err - shift)
+    mono0 = (0,) * nvars
+    coeffs = {m: rng.randrange(mod)
+              for m in itertools.product(range(d + 1), repeat=nvars)
+              if sum(m) <= d}
+    coeffs[mono0] = rng.randrange(1, 5) + 5 * rng.randrange(mod // 5)
+    u = ApproxScalar(K, ctx, shift, coeffs, err)
+    inv, ref = u.inverse(), _full_cap_inverse(u)
+    assert inv.coeffs == ref.coeffs
+    assert (inv.shift, inv.err_lv) == (ref.shift, ref.err_lv)
+    assert (u * inv - 1).is_precision_zero()
