@@ -398,9 +398,17 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
     stacked = la.from_columns(
         _round_cols([col for cols in spans for col in cols], errn))
     direct_sum_ok = la.is_invertible(stacked, adom)
+    # each span must be a submodule of the cyclic presentation K<T>/K<T>pa
+    companion = from_operator(pa)
+    stability_ok = True
+    for cols in spans:
+        try:
+            _restrict(companion, cols, adom, ctx)
+        except StabilityFailure:
+            stability_ok = False
 
     cert = Certificate(dims_ok, purity_ok, profile_ok, direct_sum_ok,
-                       tuple(residuals))
+                       tuple(residuals), stability_ok)
     if not cert.ok:
         raise CertificateFailure(f"decomposition certificate failed: "
                                  f"{cert.to_jsonable()}")

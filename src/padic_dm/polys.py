@@ -3,28 +3,40 @@
 A polynomial in n variables is a dict mapping exponent tuples of length n
 to nonzero ``Fraction`` coefficients; {} is the zero polynomial.  This is
 plumbing for the scalar field layer: only the handful of operations the
-field needs, no general polynomial API.  GCDs are delegated to sympy's
-sparse polynomial rings.
+field needs, no general polynomial API.
+
+Dense univariate products go through Kronecker substitution
+(``_kronecker``, also the kernel of ``precision._conv``).  The gcd of two
+polynomials of which one is a single term c*x^e is the monomial
+``p_mono_gcd``, and dividing by it is the exponent shift ``p_shift``; only
+the remaining gcds (``p_gcd``, ``p_divexact``) go to sympy's sparse
+polynomial rings, and sympy is imported on the first of them.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import gcd as int_gcd
-
-from sympy.polys.domains import QQ
-from sympy.polys.rings import ring as _sympy_ring
+from operator import add
 
 Mono = tuple
 Poly = dict
+
+# Univariate products with at least this many term pairs (and not too
+# sparse) go through ``_kronecker``, the others through the pairwise loop
+# (``p_mul`` gives the measurement behind the value).
+MUL_KRONECKER_PAIRS = 8
 
 _SYMPY_RINGS = {}
 
 
 def _sring(nvars: int):
     if nvars not in _SYMPY_RINGS:
+        from sympy.polys.domains import QQ
+        from sympy.polys.rings import ring
         names = ",".join(f"v{i}" for i in range(nvars))
-        _SYMPY_RINGS[nvars] = _sympy_ring(names, QQ)[0]
+        _SYMPY_RINGS[nvars] = ring(names, QQ)[0]
     return _SYMPY_RINGS[nvars]
 
 
@@ -44,7 +56,7 @@ def p_is_zero(a: Poly) -> bool:
     return not a
 
 def p_is_const(a: Poly) -> bool:
-    return all(all(e == 0 for e in m) for m in a)
+    return not any(map(any, a))
 
 def p_add(a: Poly, b: Poly) -> Poly:
     out = dict(a)
@@ -63,12 +75,42 @@ def p_sub(a: Poly, b: Poly) -> Poly:
     return p_add(a, p_neg(b))
 
 def p_mul(a: Poly, b: Poly) -> Poly:
+    """Product of two polynomials.
+
+    A single-term operand c*x^e scales the other in one pass (a shift
+    alone when c = 1).  Univariate operands with at least
+    ``MUL_KRONECKER_PAIRS`` term pairs, and at least one pair per 4 slots
+    of the product's exponent span, are multiplied as one product of
+    packed integers (``_kronecker``); the rest go through the pairwise
+    loop.  Measured in one process on the 1535 multi-term products of the
+    ``radii`` benchmark corpus (seed 202, all univariate, 2 to 400
+    pairs): below 8 pairs the loop is ahead (the packed product takes
+    1.2x as long); the packed product wins by 1.3x from 8 to 15 pairs,
+    2.7x from 32 to 63 and 7x from 128 to 255.  On sparse operands
+    (2-digit rationals at exponents in steps of g) it stays ahead down to
+    about one pair per 4 slots and falls behind below that (0.4x to
+    0.9x).  On 65 x 65 dense terms it is 8x (4-digit rationals) to 44x
+    (binomial coefficients) faster.
+    """
     if not a or not b:
         return {}
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        ((ma, ca),) = a.items()
+        if ca == 1:
+            return {tuple(map(add, ma, mb)): cb for mb, cb in b.items()}
+        return {tuple(map(add, ma, mb)): ca * cb for mb, cb in b.items()}
+    if len(next(iter(a))) == 1:
+        pairs = len(a) * len(b)
+        top = max(a)[0] + max(b)[0]
+        if (pairs >= MUL_KRONECKER_PAIRS
+                and 4 * pairs >= top - min(a)[0] - min(b)[0] + 1):
+            return _kronecker(a, b, top)
     out: Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
+            m = tuple(map(add, ma, mb))
             s = out.get(m, 0) + ca * cb
             if s:
                 out[m] = s
@@ -142,6 +184,7 @@ def p_min_vp(a: Poly, p: int) -> int:
 
 def _to_sympy(a: Poly, nvars: int):
     R = _sring(nvars)
+    QQ = R.domain
     return R.from_dict({m: QQ(c.numerator, c.denominator) for m, c in a.items()})
 
 
@@ -150,6 +193,17 @@ def _from_sympy(e) -> Poly:
     for m, c in dict(e).items():
         out[tuple(m)] = Fraction(int(c.numerator), int(c.denominator))
     return out
+
+
+def p_mono_gcd(a: Poly, b: Poly) -> Mono:
+    """Componentwise-minimal exponents over the terms of a and b (both
+    nonzero): the exponents of gcd(a, b) when a or b is a single term."""
+    return tuple(map(min, zip(*a, *b)))
+
+
+def p_shift(a: Poly, e: Mono) -> Poly:
+    """a / x^e; x^e must divide every term of a."""
+    return {tuple(x - y for x, y in zip(m, e)): c for m, c in a.items()}
 
 
 def p_gcd(a: Poly, b: Poly, nvars: int) -> Poly:
@@ -168,6 +222,72 @@ def p_divexact(a: Poly, g: Poly, nvars: int) -> Poly:
     if r:
         raise ArithmeticError("inexact polynomial division")
     return _from_sympy(q)
+
+
+def _kronecker(a: dict, b: dict, dcap: int) -> dict:
+    """Truncated product of univariate polynomials or digit dicts
+    (bivariate ones after ``precision._weighted``) by Kronecker
+    substitution.
+
+    Both digit vectors become integers (``Fraction`` digits over one common
+    denominator) and are evaluated at 2^k, so one product of Python ints
+    does the whole convolution.  Each output digit is a sum of at most
+    min(len a, len b) products, so |c| < 2^(k-1) for a slot width of
+    bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 2, rounded up
+    to whole bytes; adding 2^(k-1) to every slot makes the slots
+    non-negative, so they unpack exactly from the bytes of the product.
+    """
+    loa, hia = min(a)[0], max(a)[0]
+    lob, hib = min(b)[0], max(b)[0]
+    top = dcap - loa - lob
+    if top < 0:
+        return {}
+    da, dena = _int_digits(a, loa, min(top, hia - loa) + 1)
+    db, denb = _int_digits(b, lob, min(top, hib - lob) + 1)
+    kb = (_bits(da) + _bits(db) + min(len(a), len(b)).bit_length() + 2 + 7) >> 3
+    n = min(top + 1, len(da) + len(db) - 1)
+    nbytes = n * kb
+    bias = int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")
+    prod = _pack(da, kb) * _pack(db, kb) + bias
+    buf = (prod & ((1 << (nbytes << 3)) - 1)).to_bytes(nbytes, "little")
+    half = 1 << ((kb << 3) - 1)
+    frombytes = int.from_bytes
+    digits = [frombytes(buf[i:i + kb], "little") - half
+              for i in range(0, nbytes, kb)]
+    lo = loa + lob
+    if dena is None and denb is None:
+        return {(lo + i,): c for i, c in enumerate(digits) if c}
+    den = (dena or 1) * (denb or 1)
+    return {(lo + i,): Fraction(c, den) for i, c in enumerate(digits) if c}
+
+
+def _int_digits(d: dict, lo: int, n: int) -> tuple:
+    """Dense integer digits of d at exponents lo .. lo+n-1, and the common
+    denominator that scaled them (None when every digit is an int)."""
+    dense = [0] * n
+    for (e,), c in d.items():
+        if e - lo < n:
+            dense[e - lo] = c
+    if all(type(c) is int for c in d.values()):
+        return dense, None
+    den = math.lcm(*[c.denominator for c in dense])
+    return [c.numerator * (den // c.denominator) for c in dense], den
+
+
+def _bits(digits: list) -> int:
+    return max(max(digits), -min(digits)).bit_length()
+
+
+def _pack(digits: list, kb: int) -> int:
+    """sum(c * 2^(8*kb*i)) for the signed digits c of the list."""
+    x = int.from_bytes(b"".join([c.to_bytes(kb, "little", signed=True)
+                                 for c in digits]), "little")
+    if min(digits) < 0:
+        # a negative slot is stored as c + 2^k: take back the 2^k it lent
+        one, zero = b"\1" + bytes(kb - 1), bytes(kb)
+        x -= int.from_bytes(b"".join([one if c < 0 else zero for c in digits]),
+                            "little") << (kb << 3)
+    return x
 
 
 def p_sort_key(m: Mono):

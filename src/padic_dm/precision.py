@@ -42,6 +42,7 @@ from .errors import FieldMismatch, NotExpandable, PrecisionLoss
 from .logval import LogVal
 from .scalarfield import GAUSS, FieldSpec, Scalar
 from . import polys as P
+from .polys import _kronecker
 
 DEFAULT_GUARD = 12
 
@@ -452,71 +453,6 @@ def _weighted(d: dict, w: int) -> dict:
     those.
     """
     return {(i * w + j * (w + 1),): c for (i, j), c in d.items()}
-
-
-def _kronecker(a: dict, b: dict, dcap: int) -> dict:
-    """Truncated product of univariate digit dicts (bivariate ones after
-    ``_weighted``) by Kronecker substitution.
-
-    Both digit vectors become integers (``Fraction`` digits over one common
-    denominator) and are evaluated at 2^k, so one product of Python ints
-    does the whole convolution.  Each output digit is a sum of at most
-    min(len a, len b) products, so |c| < 2^(k-1) for a slot width of
-    bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 2, rounded up
-    to whole bytes; adding 2^(k-1) to every slot makes the slots
-    non-negative, so they unpack exactly from the bytes of the product.
-    """
-    loa, hia = min(a)[0], max(a)[0]
-    lob, hib = min(b)[0], max(b)[0]
-    top = dcap - loa - lob
-    if top < 0:
-        return {}
-    da, dena = _int_digits(a, loa, min(top, hia - loa) + 1)
-    db, denb = _int_digits(b, lob, min(top, hib - lob) + 1)
-    kb = (_bits(da) + _bits(db) + min(len(a), len(b)).bit_length() + 2 + 7) >> 3
-    n = min(top + 1, len(da) + len(db) - 1)
-    nbytes = n * kb
-    bias = int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")
-    prod = _pack(da, kb) * _pack(db, kb) + bias
-    buf = (prod & ((1 << (nbytes << 3)) - 1)).to_bytes(nbytes, "little")
-    half = 1 << ((kb << 3) - 1)
-    frombytes = int.from_bytes
-    digits = [frombytes(buf[i:i + kb], "little") - half
-              for i in range(0, nbytes, kb)]
-    lo = loa + lob
-    if dena is None and denb is None:
-        return {(lo + i,): c for i, c in enumerate(digits) if c}
-    den = (dena or 1) * (denb or 1)
-    return {(lo + i,): Fraction(c, den) for i, c in enumerate(digits) if c}
-
-
-def _int_digits(d: dict, lo: int, n: int) -> tuple:
-    """Dense integer digits of d at exponents lo .. lo+n-1, and the common
-    denominator that scaled them (None when every digit is an int)."""
-    dense = [0] * n
-    for (e,), c in d.items():
-        if e - lo < n:
-            dense[e - lo] = c
-    if all(type(c) is int for c in d.values()):
-        return dense, None
-    den = math.lcm(*[c.denominator for c in dense])
-    return [c.numerator * (den // c.denominator) for c in dense], den
-
-
-def _bits(digits: list) -> int:
-    return max(max(digits), -min(digits)).bit_length()
-
-
-def _pack(digits: list, kb: int) -> int:
-    """sum(c * 2^(8*kb*i)) for the signed digits c of the list."""
-    x = int.from_bytes(b"".join([c.to_bytes(kb, "little", signed=True)
-                                 for c in digits]), "little")
-    if min(digits) < 0:
-        # a negative slot is stored as c + 2^k: take back the 2^k it lent
-        one, zero = b"\1" + bytes(kb - 1), bytes(kb)
-        x -= int.from_bytes(b"".join([one if c < 0 else zero for c in digits]),
-                            "little") << (kb << 3)
-    return x
 
 
 def _gauss_polymul(a: dict, b: dict, mod: int, dcap: int, nvars: int) -> dict:

@@ -10,8 +10,11 @@ Two computable field models are provided:
   field has characteristic 0.
 
 A ``Scalar`` is a reduced fraction of polynomials over Q.  All arithmetic is
-exact; absolute values appear only through ``LogVal`` (lv(x) = -log_B |x|,
-so lv is the valuation itself under the normalizations above).  Values are
+exact, and skips the work the operands' shape makes dead: zero operands,
+shared or constant denominators and single-term gcds (see ``Scalar`` and
+``_reduce``).  Absolute values appear only through ``LogVal``
+(lv(x) = -log_B |x|, so lv is the valuation itself under the
+normalizations above).  Values are
 immutable and every operation is a pure function.
 """
 
@@ -167,8 +170,13 @@ class FieldConstants:
 class Scalar:
     """An exact element of a ``FieldSpec``: a reduced num/den pair.
 
-    Canonical form: gcd(num, den) = 1, den has integer coefficients,
-    positive content, and is 1 whenever it is constant.
+    Canonical form: gcd(num, den) = 1, den is primitive (integer
+    coefficients with gcd 1) with a positive leading coefficient, and is 1
+    whenever it is constant.  The form is unique, so the short routes give
+    the same scalar as the long ones: ``+`` returns a zero operand's
+    partner and adds numerators over a shared denominator; ``*`` returns a
+    zero operand and multiplies no denominator by 1; ``derive`` of a
+    scalar with denominator 1 derives the numerator only.
     """
 
     __slots__ = ("field", "num", "den")
@@ -215,6 +223,12 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        if self.den == o.den:
+            return Scalar(self.field, P.p_add(self.num, o.num), self.den)
         num = P.p_add(P.p_mul(self.num, o.den), P.p_mul(o.num, self.den))
         return Scalar(self.field, num, P.p_mul(self.den, o.den))
 
@@ -236,7 +250,17 @@ class Scalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return Scalar(self.field, P.p_mul(self.num, o.num), P.p_mul(self.den, o.den))
+        if not self.num:
+            return self
+        if not o.num:
+            return o
+        if P.p_is_const(self.den):
+            den = o.den
+        elif P.p_is_const(o.den):
+            den = self.den
+        else:
+            den = P.p_mul(self.den, o.den)
+        return Scalar(self.field, P.p_mul(self.num, o.num), den)
 
     __rmul__ = __mul__
 
@@ -295,6 +319,8 @@ class Scalar:
         """Quotient-rule derivative with respect to variable j."""
         self.field._check_deriv(j)
         dn = P.p_derive(self.num, j)
+        if P.p_is_const(self.den):
+            return Scalar(self.field, dn)
         dd = P.p_derive(self.den, j)
         num = P.p_sub(P.p_mul(dn, self.den), P.p_mul(self.num, dd))
         return Scalar(self.field, num, P.p_mul(self.den, self.den))
@@ -322,7 +348,12 @@ class Scalar:
 
 
 def _reduce(num: P.Poly, den: P.Poly, nvars: int):
-    """Canonicalize a fraction of polynomials."""
+    """Canonicalize a fraction of polynomials.
+
+    A zero numerator or a constant denominator needs no gcd.  When num or
+    den is a single term, the gcd is the monomial ``P.p_mono_gcd`` and is
+    divided out by an exponent shift; only the remaining gcds go to sympy.
+    """
     if P.p_is_zero(num):
         return {}, P.p_const(nvars, 1)
     if P.p_is_const(den):
@@ -330,12 +361,17 @@ def _reduce(num: P.Poly, den: P.Poly, nvars: int):
         if c != 1:
             num = P.p_scale(num, Fraction(1) / c)
         return num, P.p_const(nvars, 1)
-    g = P.p_gcd(num, den, nvars)
-    if not P.p_is_const(g):
-        num = P.p_divexact(num, g, nvars)
-        den = P.p_divexact(den, g, nvars)
-        if P.p_is_const(den):
-            return _reduce(num, den, nvars)
+    if len(num) == 1 or len(den) == 1:
+        e = P.p_mono_gcd(num, den)
+        if any(e):
+            num, den = P.p_shift(num, e), P.p_shift(den, e)
+    else:
+        g = P.p_gcd(num, den, nvars)
+        if not P.p_is_const(g):
+            num = P.p_divexact(num, g, nvars)
+            den = P.p_divexact(den, g, nvars)
+    if P.p_is_const(den):
+        return _reduce(num, den, nvars)
     # make the denominator primitive with positive content
     c = P.p_content(den)
     lead = den[max(den, key=P.p_sort_key)]

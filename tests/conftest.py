@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
+import math
+from operator import add
+
 import pytest
 
 from padic_dm import (DiffModule, ExactDomain, FieldSpec, TwistedPoly,
                       direct_sum, linalg)
+
+
+def schoolbook(a, b, dcap=math.inf):
+    """Pairwise-loop product of two polynomial or digit dicts, keeping the
+    terms of total degree <= dcap: the reference for the fast products."""
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(map(add, ma, mb))
+            if sum(m) <= dcap:
+                out[m] = out.get(m, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
 
 
 @pytest.fixture(scope="session")

@@ -176,6 +176,17 @@ def test_main_not_expandable_exits_1(capsys):
     assert report["error"]["code"] == "not-expandable"
 
 
+def test_main_radii_on_degree_64_coefficient(capsys):
+    # the largest coefficient degree the parser admits: its exact
+    # G_k products are dense univariate ones
+    argv = ["--field", "gauss:p=5:vars=x", "--cmd", "radii",
+            "--op", "T + (x+1)^64"]
+    t0 = time.monotonic()
+    assert main(argv) == 0
+    assert time.monotonic() - t0 < 5
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
 def test_main_unwritable_out(capsys, tmp_path):
     out = tmp_path / "missing" / "report.json"
     assert main(job_args("--out", str(out))) == 1

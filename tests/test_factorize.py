@@ -263,3 +263,26 @@ def test_corrupted_embedding_fails_certificate(gauss5, monkeypatch):
     with pytest.raises((CertificateFailure, StabilityFailure),
                        match="direct_sum_ok': False"):
         decompose(m, 0, CTX)
+
+
+def test_unstable_span_fails_stability_certificate(gauss5, monkeypatch):
+    from padic_dm import factorize
+    span_columns = factorize._span_columns
+    first = []
+
+    def corrupted(tail, n):
+        # the lv 1/4 column (second call) becomes itself plus the lv 5/4
+        # column (first call): still independent, so the direct-sum check
+        # passes, but the span is no longer stable under the derivation
+        cols = span_columns(tail, n)
+        if not first:
+            first.append(cols[0])
+            return cols
+        other = first.pop()
+        return [[a + b for a, b in zip(cols[0], other)]] + cols[1:]
+
+    m = from_operator(parse_operator("T^2 - (1/5)*T + x", gauss5))
+    assert decompose(m, 0, CTX).certificate.stability_ok
+    monkeypatch.setattr(factorize, "_span_columns", corrupted)
+    with pytest.raises(CertificateFailure, match="stability_ok': False"):
+        decompose(m, 0, CTX)

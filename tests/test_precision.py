@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from padic_dm import (ApproxDomain, ApproxScalar, FieldSpec, NotExpandable,
                       PrecisionCtx, LogVal, precision, reduce_scalar)
 from padic_dm.precision import _conv, _gauss_polymul
+
+from conftest import schoolbook
 
 
 def test_reduce_one(gauss5):
@@ -113,16 +114,6 @@ def test_laurent_inverse_of_int_digits_is_exact(laurent):
                           for k in range(5)}
     assert all(type(c) is Fraction for c in inv.coeffs.values())
     assert (u * inv - 1).is_precision_zero()
-
-
-def schoolbook(a, b, dcap):
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(map(add, ma, mb))
-            if sum(m) <= dcap:
-                out[m] = out.get(m, 0) + ca * cb
-    return {m: c for m, c in out.items() if c}
 
 
 @st.composite
