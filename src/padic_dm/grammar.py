@@ -27,8 +27,9 @@ MAX_DEGREE = 512
 # parsed coefficient, checked after each sum, product and power: capped
 # exponents alone still let nesting and products build degree 512^k from a
 # short input, as in ((x+1)^32)^32.  README, test and benchmark inputs
-# have degree <= 3; `radii` on the operator T + (x+1)^k takes ~15 s at
-# k = 64 and over a minute at k = 128.
+# have degree <= 3; `radii` on the operator T + (x+1)^k takes ~1.2 s at
+# k = 64 (in process, one run), so the cap guards against such nesting
+# rather than against the cost of degree 64 itself.
 MAX_SCALAR_DEGREE = 64
 
 

@@ -5,9 +5,10 @@ to nonzero ``Fraction`` coefficients; {} is the zero polynomial.  This is
 plumbing for the scalar field layer: only the handful of operations the
 field needs, no general polynomial API.
 
-Dense univariate products go through Kronecker substitution
-(``_kronecker``, also the kernel of ``precision._conv``).  The gcd of two
-polynomials of which one is a single term c*x^e is the monomial
+Univariate products, here and in ``precision._conv``, go through one
+dispatcher (``p_mul_uni``): Kronecker substitution (``_kronecker``) from
+``MUL_KRONECKER_PAIRS`` term pairs on, the pairwise loop below.  The gcd
+of two polynomials of which one is a single term c*x^e is the monomial
 ``p_mono_gcd``, and dividing by it is the exponent shift ``p_shift``; only
 the remaining gcds (``p_gcd``, ``p_divexact``) go to sympy's sparse
 polynomial rings, and sympy is imported on the first of them.
@@ -23,9 +24,9 @@ from operator import add
 Mono = tuple
 Poly = dict
 
-# Univariate products with at least this many term pairs (and not too
-# sparse) go through ``_kronecker``, the others through the pairwise loop
-# (``p_mul`` gives the measurement behind the value).
+# Univariate products with at least this many term pairs go through
+# ``_kronecker``, the others through the pairwise loop (``p_mul_uni``
+# gives the measurement behind the value).
 MUL_KRONECKER_PAIRS = 8
 
 _SYMPY_RINGS = {}
@@ -78,19 +79,8 @@ def p_mul(a: Poly, b: Poly) -> Poly:
     """Product of two polynomials.
 
     A single-term operand c*x^e scales the other in one pass (a shift
-    alone when c = 1).  Univariate operands with at least
-    ``MUL_KRONECKER_PAIRS`` term pairs, and at least one pair per 4 slots
-    of the product's exponent span, are multiplied as one product of
-    packed integers (``_kronecker``); the rest go through the pairwise
-    loop.  Measured in one process on the 1535 multi-term products of the
-    ``radii`` benchmark corpus (seed 202, all univariate, 2 to 400
-    pairs): below 8 pairs the loop is ahead (the packed product takes
-    1.2x as long); the packed product wins by 1.3x from 8 to 15 pairs,
-    2.7x from 32 to 63 and 7x from 128 to 255.  On sparse operands
-    (2-digit rationals at exponents in steps of g) it stays ahead down to
-    about one pair per 4 slots and falls behind below that (0.4x to
-    0.9x).  On 65 x 65 dense terms it is 8x (4-digit rationals) to 44x
-    (binomial coefficients) faster.
+    alone when c = 1); other univariate operands go through
+    ``p_mul_uni``, multivariate ones through the pairwise loop.
     """
     if not a or not b:
         return {}
@@ -102,11 +92,7 @@ def p_mul(a: Poly, b: Poly) -> Poly:
             return {tuple(map(add, ma, mb)): cb for mb, cb in b.items()}
         return {tuple(map(add, ma, mb)): ca * cb for mb, cb in b.items()}
     if len(next(iter(a))) == 1:
-        pairs = len(a) * len(b)
-        top = max(a)[0] + max(b)[0]
-        if (pairs >= MUL_KRONECKER_PAIRS
-                and 4 * pairs >= top - min(a)[0] - min(b)[0] + 1):
-            return _kronecker(a, b, top)
+        return p_mul_uni(a, b, max(a)[0] + max(b)[0])
     out: Poly = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -116,6 +102,47 @@ def p_mul(a: Poly, b: Poly) -> Poly:
                 out[m] = s
             else:
                 out.pop(m, None)
+    return out
+
+def p_mul_uni(a: dict, b: dict, dcap: int) -> dict:
+    """Terms of degree <= dcap of the product of two nonzero univariate
+    polynomials or digit dicts (``Fraction`` or ``int`` coefficients):
+    the one univariate product of ``p_mul`` and ``precision._conv``.
+
+    A single-term operand scales the other in one pass; at least
+    ``MUL_KRONECKER_PAIRS`` term pairs go through ``_kronecker``, fewer
+    through the pairwise loop.  Measured in one process, loop against
+    packed product by pair count: on the 1535 multi-term products of the
+    ``radii`` benchmark corpus (seed 202, ``Fraction`` coefficients, 2 to
+    400 pairs) the loop is ahead below 8 pairs (the packed product takes
+    1.2x as long) and the packed product wins by 1.3x from 8 to 15 pairs,
+    2.7x from 32 to 63 and 7x from 128 to 255; the ``Fraction`` digits of
+    the ``decompose`` corpus give the same crossover (0.7x below 8 pairs,
+    1.3x at 8 to 15).  Its ``int`` digits would favour the loop up to
+    about 128 pairs, but the ~490 such products of a pass cost only
+    ~8 ms more on the packed path, so one threshold serves both.  On 65 x 65
+    dense terms the packed product is 8x (4-digit rationals) to 44x
+    (binomial coefficients) faster.  Zero results are dropped.
+    """
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        ((ea,), ca), = a.items()
+        rem = dcap - ea
+        return {(ea + eb,): ca * cb for (eb,), cb in b.items() if eb <= rem}
+    if len(a) * len(b) >= MUL_KRONECKER_PAIRS:
+        return _kronecker(a, b, dcap)
+    out: dict = {}
+    for (ea,), ca in a.items():
+        rem = dcap - ea
+        for (eb,), cb in b.items():
+            if eb <= rem:
+                m = (ea + eb,)
+                s = out.get(m, 0) + ca * cb
+                if s:
+                    out[m] = s
+                else:
+                    out.pop(m, None)
     return out
 
 def p_scale(a: Poly, c) -> Poly:

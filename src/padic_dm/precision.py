@@ -10,13 +10,14 @@ An ``ApproxScalar`` is a truncated expansion of a field element:
   inverse included, keeps them exact.
 
 Digits are stored as dicts from exponent tuples to coefficients.  Products
-go through ``_conv``: univariate operands (both models) are multiplied by
-Kronecker substitution, one product of packed Python ints, or by monomial
-scaling when one side has a single term.  Bivariate operands with many
-term pairs under the degree cap d go through the same packed product after
-the weighting x^i y^j -> t^(i*(d+1) + j*(d+2)), which keeps the
-total-degree cap exact; sparser ones keep the pairwise loop (see ``_conv``
-for the threshold).  The Gauss inverse is a Newton iteration that doubles
+go through ``_conv``: univariate operands (both models) go through the
+dispatcher of exact products, ``polys.p_mul_uni``: monomial scaling when
+one side has a single term, else Kronecker substitution (one product of
+packed Python ints) or, for few term pairs, the pairwise loop.  Bivariate
+operands with many term pairs under the degree cap d go through the same
+packed product after the weighting x^i y^j -> t^(i*(d+1) + j*(d+2)),
+which keeps the total-degree cap exact; sparser ones keep the pairwise
+loop (see ``_conv`` for the threshold).  The Gauss inverse is a Newton iteration that doubles
 the degree below which it is exact at every step.
 
 ``err_lv`` is a lower bound for lv(true - represented) in the p-adic
@@ -372,10 +373,10 @@ def _conv(a: dict, b: dict, dcap: int, nvars: int) -> dict:
 
     The path depends only on the operands' shape:
 
-    * univariate, one operand with a single term (or none): monomial
-      scaling, a single pass over the other operand;
-    * univariate otherwise: Kronecker substitution (``_kronecker``), one
-      product of packed Python ints for both models;
+    * univariate: ``polys.p_mul_uni``, shared with exact products:
+      monomial scaling for a single-term operand, Kronecker substitution
+      (``_kronecker``) from ``polys.MUL_KRONECKER_PAIRS`` term pairs on,
+      the pairwise loop below;
     * bivariate with at least ``KRONECKER_PAIRS`` truncated pairs: the
       same ``_kronecker`` on weighted exponents (``_weighted``), with cap
       (dcap+1)^2 - 1; an output exponent e maps back to x^(k-j) y^j for
@@ -401,13 +402,7 @@ def _conv(a: dict, b: dict, dcap: int, nvars: int) -> dict:
     if not a or not b:
         return {}
     if nvars == 1:
-        if len(b) == 1:
-            a, b = b, a
-        if len(a) > 1:
-            return _kronecker(a, b, dcap)
-        ((ea,), ca), = a.items()
-        rem = dcap - ea
-        return {(ea + eb,): ca * cb for (eb,), cb in b.items() if eb <= rem}
+        return P.p_mul_uni(a, b, dcap)
     bi = sorted(((sum(m), m, c) for m, c in b.items()))
     if _pairs(a, bi, dcap) >= KRONECKER_PAIRS:
         w = dcap + 1

@@ -175,8 +175,9 @@ class Scalar:
     whenever it is constant.  The form is unique, so the short routes give
     the same scalar as the long ones: ``+`` returns a zero operand's
     partner and adds numerators over a shared denominator; ``*`` returns a
-    zero operand and multiplies no denominator by 1; ``derive`` of a
-    scalar with denominator 1 derives the numerator only.
+    zero operand (a product with denominator 1 is one copy in
+    ``polys.p_mul``); ``derive`` of a scalar with denominator 1 derives
+    the numerator only.
     """
 
     __slots__ = ("field", "num", "den")
@@ -254,13 +255,8 @@ class Scalar:
             return self
         if not o.num:
             return o
-        if P.p_is_const(self.den):
-            den = o.den
-        elif P.p_is_const(o.den):
-            den = self.den
-        else:
-            den = P.p_mul(self.den, o.den)
-        return Scalar(self.field, P.p_mul(self.num, o.num), den)
+        return Scalar(self.field, P.p_mul(self.num, o.num),
+                      P.p_mul(self.den, o.den))
 
     __rmul__ = __mul__
 

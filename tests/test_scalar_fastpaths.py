@@ -4,6 +4,7 @@ route: full cross products, and every gcd through sympy."""
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from padic_dm import FieldSpec, polys as P
@@ -131,9 +132,10 @@ def test_p_mul_matches_schoolbook(ab):
     assert P.p_mul(a, b) == schoolbook(a, b)
 
 
-def test_p_mul_dense_goes_through_kronecker():
-    a = {(i,): Fraction(i + 1, 3) for i in range(8)}
-    b = {(i,): Fraction(-1, i + 2) for i in range(8)}
+@pytest.mark.parametrize("na, nb, packed", [(8, 8, True), (2, 3, False)])
+def test_p_mul_selects_kronecker_by_pair_count(na, nb, packed):
+    a = {(i,): Fraction(i + 1, 3) for i in range(na)}
+    b = {(i,): Fraction(-1, i + 2) for i in range(nb)}
     with mock.patch.object(P, "_kronecker", wraps=P._kronecker) as spy:
         assert P.p_mul(a, b) == schoolbook(a, b)
-    assert spy.called
+    assert spy.called == packed
