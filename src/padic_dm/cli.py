@@ -214,6 +214,9 @@ def run(job: JobSpec) -> tuple[dict, int]:
     except PadicDMError as exc:
         report["ok"] = False
         report["error"] = {"code": exc.code, "message": str(exc)}
+        if exc.attempts:
+            report["error"]["attempts"] = [{"code": c, "message": msg}
+                                           for c, msg in exc.attempts]
         if isinstance(exc, (IterationBudget, PrecisionLoss)):
             code = 3
         elif isinstance(exc, (CertificateFailure, NoGap)):

@@ -8,9 +8,14 @@ from __future__ import annotations
 
 
 class PadicDMError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    ``attempts`` holds the (code, message) of every failed try behind the
+    error, the error itself last, when the raiser retried (``decompose``).
+    """
 
     code = "error"
+    attempts: tuple = ()
 
 
 class FieldMismatch(PadicDMError):

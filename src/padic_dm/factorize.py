@@ -10,6 +10,7 @@ from the polygon truncation of the coefficients, then repeat
 
 with d0 the constant coefficient of D, which dominates D in the weighted
 norm at the break; the residual's weighted valuation must rise every step.
+Each step inverts the current d0 afresh (a doubling Newton inverse).
 A mirrored iteration (left division, correction multiplied by the inverse
 constant coefficient of the right cofactor from the right) produces the
 factorization with the low radii on the left, which is what exhibits the
@@ -85,23 +86,6 @@ def _check_factor_errs(ctx: PrecisionCtx, *polys: TwistedPoly):
                 raise PrecisionLoss("factor coefficient lost target precision")
 
 
-def _stale_inverse(c, zinv, need: LogVal):
-    """Refresh an approximate inverse of a slowly drifting value.
-
-    Newton steps z(2 - cz) refine the previous inverse; a fresh inversion
-    only happens when the drift is too large for two steps.  ``need`` is
-    the quality the correction actually requires: the relative error of
-    the inverse multiplies an already small residual.
-    """
-    if zinv is not None:
-        for _ in range(2):
-            zinv = zinv * (2 - c * zinv)
-            gap = c * zinv - 1
-            if gap.is_zero() or gap.val() >= need:
-                return zinv
-    return c.inverse()
-
-
 def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, ctx: PrecisionCtx,
             right: bool):
     """Contraction onto the monic factor Q of degree d_low.
@@ -114,8 +98,6 @@ def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, ctx: PrecisionCtx,
     target = LogVal(ctx.N)
     q = _init_low_factor(p, d_low)
     prev = None
-    zinv = None
-    need = LogVal(math.ceil(ctx.N) + 4)
     for step in range(ctx.max_iter + 1):
         cof, r = divide(p, q)
         res = pi_norm(r, params)
@@ -131,7 +113,7 @@ def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, ctx: PrecisionCtx,
         c0 = cof.coeff(0)
         if c0.is_zero():
             raise PrecisionLoss("cofactor constant term vanished at precision")
-        zinv = _stale_inverse(c0, zinv, need)
+        zinv = c0.inverse()
         if right:
             q = q + r.scale_left(zinv)
         else:
@@ -316,18 +298,22 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
     the companion matrix of its pure factor and embedded into M's
     coordinates.  Raises CertificateFailure when any a-posteriori check
     fails; cyclic-vector candidates are retried on expandability or
-    precision failures.
+    precision failures.  When every candidate fails, the last exception is
+    raised with ``attempts`` listing the (code, message) of each failure in
+    turn.
     """
     if m.dim == 0:
         return Decomposition((), 0, Certificate(True, True, True, True, ()))
-    last_exc = None
+    failures = []
     for p, cbasis in islice(cyclic_presentations(m, j), 6):
         try:
             return _decompose_from_cyclic(m, j, ctx, p, cbasis)
         except (NotExpandable, PrecisionLoss, IterationBudget,
                 CertificateFailure) as exc:
-            last_exc = exc
-    raise last_exc
+            failures.append(exc)
+    exc = failures[-1]
+    exc.attempts = tuple((e.code, str(e)) for e in failures)
+    raise exc
 
 
 def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,

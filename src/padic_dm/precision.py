@@ -17,8 +17,14 @@ packed Python ints) or, for few term pairs, the pairwise loop.  Bivariate
 operands with many term pairs under the degree cap d go through the same
 packed product after the weighting x^i y^j -> t^(i*(d+1) + j*(d+2)),
 which keeps the total-degree cap exact; sparser ones keep the pairwise
-loop (see ``_conv`` for the threshold).  The Gauss inverse is a Newton iteration that doubles
-the degree below which it is exact at every step.
+loop (see ``_conv`` for the threshold).  Both models invert by the same
+Newton iteration, which doubles the degree below which it is exact at
+every step.
+
+Every value is kept in a normal form: ``_normalize`` divides the
+valuation of the digits out into ``shift`` (Gauss: the digits have gcd
+prime to p; Laurent: a digit sits at exponent 0), and nothing else writes
+``coeffs`` or ``shift``.  So ``val_exact`` of a nonzero value is its shift.
 
 ``err_lv`` is a lower bound for lv(true - represented) in the p-adic
 (resp. z-adic) direction; every operation propagates it.  The total-degree
@@ -109,7 +115,7 @@ class ApproxScalar:
                         cc[m] = c
             self.coeffs = cc
             if cc:
-                strip = min(P.p_int_vp(c, self.field.p) for c in cc.values())
+                strip = P.p_int_vp(math.gcd(*cc.values()), self.field.p)
                 if strip:
                     q = self.field.p ** strip
                     self.coeffs = {m: c // q for m, c in cc.items()}
@@ -138,13 +144,12 @@ class ApproxScalar:
         return False
 
     def val_exact(self) -> LogVal | None:
-        """Valuation of the representation; None when zero at precision."""
-        if not self.coeffs:
-            return None
-        if self.field.kind == GAUSS:
-            return LogVal(self.shift +
-                          min(P.p_int_vp(c, self.field.p) for c in self.coeffs.values()))
-        return LogVal(self.shift + min(m[0] for m in self.coeffs))
+        """Valuation of the representation; None when zero at precision.
+
+        ``_normalize`` divides the valuation of the digits out into
+        ``shift``, and nothing else writes either, so it is the shift.
+        """
+        return LogVal(self.shift) if self.coeffs else None
 
     def val(self) -> LogVal:
         """Valuation, with precision-zero values reported at err_lv."""
@@ -157,14 +162,9 @@ class ApproxScalar:
         The truncation ring is not a field: a Gauss-model value like x has
         valuation 0 but no expandable inverse.
         """
-        if not self.coeffs:
-            return False
         if self.field.kind != GAUSS:
-            return True
-        v = int(self.val_exact().value) - self.shift
-        p = self.field.p
-        c0 = self.coeffs.get((0,) * self.field.nvars, 0)
-        return c0 != 0 and P.p_int_vp(c0, p) == v
+            return bool(self.coeffs)
+        return self.coeffs.get((0,) * self.field.nvars, 0) % self.field.p != 0
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -217,13 +217,12 @@ class ApproxScalar:
         return (-self) + other
 
     def _err_of_product(self, o: "ApproxScalar") -> int:
-        cands = [self.err_lv + o.err_lv]
-        va, vb = self.val_exact(), o.val_exact()
-        if va is not None:
-            cands.append(int(va.value) + o.err_lv)
-        if vb is not None:
-            cands.append(int(vb.value) + self.err_lv)
-        return min(cands)
+        err = self.err_lv + o.err_lv
+        if self.coeffs:
+            err = min(err, self.shift + o.err_lv)
+        if o.coeffs:
+            err = min(err, o.shift + self.err_lv)
+        return err
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -252,45 +251,34 @@ class ApproxScalar:
         if not self.coeffs:
             raise PrecisionLoss("inverse of a value that is zero at precision")
         f, ctx = self.field, self.ctx
-        v = int(self.val_exact().value)
+        v = self.shift
+        err = self.err_lv - 2 * v
+        mono0 = (0,) * f.nvars
+        u0 = self.coeffs.get(mono0, 0)
         if f.kind == GAUSS:
-            # after _normalize the unit part has a p-unit coefficient somewhere;
-            # invertibility additionally needs the constant term to be a unit
-            me = self.err_lv - v
-            if me <= 0:
-                raise PrecisionLoss("no digits left for inversion")
-            mod = f.p ** me
-            mono0 = (0,) * f.nvars
-            u0 = self.coeffs.get(mono0, 0)
+            # _normalize leaves digits mod p^(err_lv - v) with gcd prime to
+            # p; the inverse also needs the constant term to be a p-unit
+            mod = f.p ** (self.err_lv - v)
             if u0 % f.p == 0:
                 raise NotExpandable("constant term not a unit mod p")
-            # Newton z <- z(2 - uz): z is exact below degree D, so one
-            # step makes it exact below 2D; each step works at cap 2D - 1
             z = {mono0: pow(u0, -1, mod)}
-            D = 1
-            while D <= ctx.d:
-                cap = min(2 * D, ctx.d + 1) - 1
-                uz = _gauss_polymul(self.coeffs, z, mod, cap, f.nvars)
-                e = {m: (-c) % mod for m, c in uz.items()}
-                e[mono0] = (e.get(mono0, 0) + 2) % mod
-                z = _gauss_polymul(z, e, mod, cap, f.nvars)
-                D = cap + 1
-            err = self.err_lv - 2 * v
-            return ApproxScalar(f, ctx, -v, z, err)
-        k0 = v - self.shift
-        u = {m[0] - k0: c for m, c in self.coeffs.items()}
-        n = ctx.d
-        inv = [Fraction(0)] * (n + 1)
-        inv[0] = Fraction(1) / u[0]
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                if i in u:
-                    acc += u[i] * inv[k - i]
-            inv[k] = -acc / u[0]
-        err = self.err_lv - 2 * v
-        cc = {(k,): c for k, c in enumerate(inv) if c}
-        return ApproxScalar(f, ctx, -v, cc, err)
+        else:
+            # _normalize put a nonzero digit at exponent 0
+            mod = None
+            z = {mono0: Fraction(1) / u0}
+        # Newton z <- z(2 - uz): z is exact below degree D, so one step
+        # makes it exact below 2D; each step works at cap 2D - 1.  Over Q
+        # the inverse truncated at degree d is unique, so the Laurent
+        # digits are those of the power-series recurrence.
+        D = 1
+        while D <= ctx.d:
+            cap = min(2 * D, ctx.d + 1) - 1
+            uz = _polymul(self.coeffs, z, mod, cap, f.nvars)
+            e = {m: -c for m, c in uz.items()}
+            e[mono0] = e.get(mono0, 0) + 2
+            z = _polymul(z, e, mod, cap, f.nvars)
+            D = cap + 1
+        return ApproxScalar(f, ctx, -v, z, err)
 
     def truncate_err(self, err: int, degree: int | None = None) -> "ApproxScalar":
         """Round down to a smaller error bound and/or degree window.
@@ -450,8 +438,11 @@ def _weighted(d: dict, w: int) -> dict:
     return {(i * w + j * (w + 1),): c for (i, j), c in d.items()}
 
 
-def _gauss_polymul(a: dict, b: dict, mod: int, dcap: int, nvars: int) -> dict:
+def _polymul(a: dict, b: dict, mod: int | None, dcap: int, nvars: int) -> dict:
+    """Truncated product, its digits reduced mod ``mod`` unless it is None."""
     cc = _conv(a, b, dcap, nvars)
+    if mod is None:
+        return cc
     return {m: r for m, c in cc.items() if (r := c % mod)}
 
 
@@ -503,7 +494,7 @@ def _reduce_gauss(x: Scalar, ctx: PrecisionCtx, err_target: int) -> ApproxScalar
             "denominator is not a unit of the approximation ring")
     inv = ApproxScalar(f, ctx, 0, {m: c % mod for m, c in den.items()
                                    if sum(m) <= ctx.d}, me).inverse()
-    digits = _gauss_polymul(ncap, inv.coeffs, mod, ctx.d, f.nvars)
+    digits = _polymul(ncap, inv.coeffs, mod, ctx.d, f.nvars)
     digits = {m: (c * rm) % mod for m, c in digits.items()}
     return ApproxScalar(f, ctx, shift + inv.shift, digits,
                         min(err_target, shift + inv.err_lv))

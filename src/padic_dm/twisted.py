@@ -191,7 +191,7 @@ def mul(p: TwistedPoly, q: TwistedPoly) -> TwistedPoly:
                 term = towers[k][h - jj]
                 if term.is_zero():
                     continue
-                out[k + jj] = out[k + jj] + ph * (term * b)
+                out[k + jj] = out[k + jj] + ph * (term if b == 1 else term * b)
     return TwistedPoly(p.domain, p.deriv, out)
 
 

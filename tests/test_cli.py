@@ -173,7 +173,12 @@ def test_main_not_expandable_exits_1(capsys):
     assert main(argv) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False
-    assert report["error"]["code"] == "not-expandable"
+    error = report["error"]
+    assert error["code"] == "not-expandable"
+    # every cyclic-vector attempt is listed, the reported one last
+    assert error["attempts"]
+    assert error["attempts"][-1] == {"code": error["code"],
+                                     "message": error["message"]}
 
 
 def test_main_radii_on_degree_64_coefficient(capsys):

@@ -146,8 +146,10 @@ def test_iteration_budget(gauss5):
     with pytest.raises(IterationBudget):
         slope_factorize(p, lv("5/4"), starved)
     from padic_dm import from_operator
-    with pytest.raises(IterationBudget):
+    with pytest.raises(IterationBudget) as err:
         decompose(from_operator(p), 0, starved)
+    assert err.value.attempts
+    assert err.value.attempts[-1] == ("iteration-budget", str(err.value))
 
 
 def test_multi_decompose_example(gauss5xy):

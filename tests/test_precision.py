@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from padic_dm import (ApproxDomain, ApproxScalar, FieldSpec, NotExpandable,
-                      PrecisionCtx, LogVal, precision, reduce_scalar)
-from padic_dm.precision import _conv, _gauss_polymul
+                      PrecisionCtx, LogVal, polys as P, precision,
+                      reduce_scalar)
+from padic_dm.precision import _conv, _polymul
 
 from conftest import schoolbook
 
@@ -206,10 +207,10 @@ def _full_cap_inverse(u):
     mono0 = (0,) * f.nvars
     z = {mono0: pow(u.coeffs[mono0], -1, mod)}
     for _ in range(max(1, math.ceil(math.log2(ctx.d + 1)) + 1)):
-        uz = _gauss_polymul(u.coeffs, z, mod, ctx.d, f.nvars)
+        uz = _polymul(u.coeffs, z, mod, ctx.d, f.nvars)
         e = {m: (-c) % mod for m, c in uz.items()}
         e[mono0] = (e.get(mono0, 0) + 2) % mod
-        z = _gauss_polymul(z, e, mod, ctx.d, f.nvars)
+        z = _polymul(z, e, mod, ctx.d, f.nvars)
     return ApproxScalar(f, ctx, -v, z, u.err_lv - 2 * v)
 
 
@@ -231,3 +232,114 @@ def test_gauss_inverse_matches_full_cap_newton(nvars, d):
     assert inv.coeffs == ref.coeffs
     assert (inv.shift, inv.err_lv) == (ref.shift, ref.err_lv)
     assert (u * inv - 1).is_precision_zero()
+
+
+def _recurrence_inverse(u):
+    """Reference Laurent inverse: the O(d^2) power-series recurrence
+    inv_k = -(sum_{i=1..k} u_i inv_{k-i}) / u_0 over exact rationals."""
+    ctx = u.ctx
+    c = {m[0]: x for m, x in u.coeffs.items()}
+    inv = [Fraction(0)] * (ctx.d + 1)
+    inv[0] = Fraction(1) / c[0]
+    for k in range(1, ctx.d + 1):
+        acc = Fraction(0)
+        for i in range(1, k + 1):
+            if i in c:
+                acc += c[i] * inv[k - i]
+        inv[k] = -acc / c[0]
+    cc = {(k,): x for k, x in enumerate(inv) if x}
+    return ApproxScalar(u.field, ctx, -u.shift, cc, u.err_lv - 2 * u.shift)
+
+
+@pytest.mark.parametrize("fractions", [False, True], ids=["int", "Fraction"])
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 31, 32, 48])
+def test_laurent_inverse_matches_recurrence(laurent, d, fractions):
+    ctx = PrecisionCtx(Fraction(10), d=d)
+    rng = random.Random(10 * d + fractions)
+    shift = rng.choice([-3, -2, -1, 1, 2, 3])
+    err = shift + d + 1   # the full window: every digit up to z^d counts
+
+    def digit():
+        n = rng.randint(-9, 9)
+        return Fraction(n, rng.randint(1, 7)) if fractions else n
+
+    coeffs = {(k,): digit() for k in range(2, d + 1) if rng.random() < 0.7}
+    coeffs[(1,)] = digit() or 1   # so every digit of the inverse is live
+    coeffs[(0,)] = rng.choice([-1, 1]) * (Fraction(rng.randint(1, 9),
+                                                     rng.randint(1, 7))
+                                          if fractions else rng.randint(1, 9))
+    u = ApproxScalar(laurent, ctx, shift, coeffs, err)
+    inv, ref = u.inverse(), _recurrence_inverse(u)
+    assert inv.coeffs == ref.coeffs
+    assert (inv.shift, inv.err_lv) == (ref.shift, ref.err_lv)
+    assert (u * inv - 1).is_precision_zero()
+
+
+def _scanned_val(x):
+    """Valuation read off every digit, as before the normal form was
+    trusted: min v_p over the digits (Gauss), lowest exponent (Laurent)."""
+    if not x.coeffs:
+        return None
+    if x.field.kind == "gauss":
+        return LogVal(x.shift + min(P.p_int_vp(c, x.field.p)
+                                    for c in x.coeffs.values()))
+    return LogVal(x.shift + min(m[0] for m in x.coeffs))
+
+
+@st.composite
+def raw_values(draw):
+    """An ApproxScalar built from unnormalized parts: random shift, digits
+    (Gauss: signed multiples of random powers of p, some above the degree
+    cap) and err_lv, on Gauss in one or two variables or on Laurent."""
+    kind = draw(st.sampled_from(["gauss1", "gauss2", "laurent"]))
+    field = {"gauss1": FieldSpec.gauss(5, ("x",)),
+             "gauss2": FieldSpec.gauss(5, ("x", "y")),
+             "laurent": FieldSpec.laurent("z")}[kind]
+    d = draw(st.integers(1, 6))
+    shift = draw(st.integers(-6, 4))
+    err = shift + draw(st.integers(-1, 12))
+    mono = st.tuples(*[st.integers(0, d + 2)] * field.nvars)
+    if field.kind == "gauss":
+        digit = st.builds(lambda a, b: 5 ** a * b, st.integers(0, 6),
+                          st.integers(-10 ** 6, 10 ** 6))
+    else:
+        digit = st.one_of(st.integers(-9, 9),
+                          st.builds(Fraction, st.integers(-9, 9),
+                                    st.integers(1, 9)))
+    coeffs = draw(st.dictionaries(mono, digit, max_size=8))
+    return ApproxScalar(field, PrecisionCtx(Fraction(10), d=d), shift,
+                        coeffs, err)
+
+
+@given(raw_values())
+@settings(max_examples=300, deadline=None)
+def test_normal_form_carries_the_valuation(x):
+    assert x.val_exact() == _scanned_val(x)
+    if not x.coeffs:
+        return
+    if x.field.kind == "gauss":
+        assert math.gcd(*x.coeffs.values()) % x.field.p != 0
+    else:
+        assert (0,) in x.coeffs
+
+
+@given(raw_values())
+@settings(max_examples=300, deadline=None)
+def test_times_one_keeps_the_representation(x):
+    """x * 1 == x in digits, shift and err_lv, which twisted.mul relies on
+    when it skips its multiplications by comb(h, j) == 1, for every x of
+    valuation >= -4.  Laurent values are taken with err_lv <= shift + d + 1,
+    the window every Laurent operation keeps.  Below valuation -4 the +4
+    guard on the coerced 1 makes x * 1 coarser: the same digits at a lower
+    err_lv, so skipping the product never loses precision."""
+    if x.field.kind == "laurent" and x.err_lv > x.shift + x.ctx.d + 1:
+        x = x.truncate_err(x.shift + x.ctx.d + 1)
+    if not x.coeffs:
+        return
+    y = x * 1
+    if x.shift >= -4:
+        assert (y.coeffs, y.shift, y.err_lv) == (x.coeffs, x.shift, x.err_lv)
+    else:
+        assert y.err_lv < x.err_lv
+        t = x.truncate_err(y.err_lv)
+        assert (y.coeffs, y.shift) == (t.coeffs, t.shift)

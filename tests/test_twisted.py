@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from padic_dm import (ExactDomain, LogVal, NotMonic, PiNormParams, TwistedPoly,
-                      ZeroPolynomial, check_condition_c, divmod_left,
-                      divmod_right, monicize, mul, mul_relation,
-                      newton_polygon, pi_norm)
+from padic_dm import (ApproxDomain, ExactDomain, LogVal, NotMonic,
+                      PiNormParams, PrecisionCtx, TwistedPoly, ZeroPolynomial,
+                      check_condition_c, divmod_left, divmod_right, monicize,
+                      mul, mul_relation, newton_polygon, pi_norm)
 
-from conftest import random_twisted
+from conftest import random_twisted, uniformizer
 
 
 def T(field, k=1):
@@ -49,6 +49,25 @@ def test_routes_agree(gauss5):
         p = random_twisted(gauss5, rng, max_deg=4, height=8)
         q = random_twisted(gauss5, rng, max_deg=4, height=8)
         assert mul(p, q) == mul_relation(p, q)
+
+
+@pytest.mark.parametrize("name", ["gauss", "laurent"])
+def test_routes_agree_over_truncations(name, gauss5, laurent):
+    # degree >= 3 on the left gives binomials comb(h, j) > 1 next to the
+    # ones twisted.mul skips; 1/pi^2 puts negative valuations in play
+    field = gauss5 if name == "gauss" else laurent
+    dom = ApproxDomain(field, PrecisionCtx(Fraction(10), d=16), 20)
+    rng = random.Random(11)
+    small = field.one() / uniformizer(field) ** 2
+    for _ in range(10):
+        p = random_twisted(field, rng, max_deg=4, height=8)
+        while p.degree < 3:
+            p = random_twisted(field, rng, max_deg=4, height=8)
+        p = p.scale_left(small)
+        q = random_twisted(field, rng, max_deg=3, height=8)
+        pa, qa = p.map_domain(dom), q.map_domain(dom)
+        assert mul(pa, qa) == mul_relation(pa, qa)
+        assert mul(pa, qa) == mul(p, q).map_domain(dom)
 
 
 def test_associativity(gauss5):
