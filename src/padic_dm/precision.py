@@ -144,11 +144,8 @@ class ApproxScalar:
         return False
 
     def val_exact(self) -> LogVal | None:
-        """Valuation of the representation; None when zero at precision.
-
-        ``_normalize`` divides the valuation of the digits out into
-        ``shift``, and nothing else writes either, so it is the shift.
-        """
+        """Valuation of the representation (the shift, by the normal form);
+        None when zero at precision."""
         return LogVal(self.shift) if self.coeffs else None
 
     def val(self) -> LogVal:
