@@ -25,14 +25,14 @@ import math
 from .errors import (CertificateFailure, IterationBudget, NoGap, OutputError,
                      PadicDMError, ParseError, PrecisionLoss)
 from .diffmod import DiffModule, dual, from_operator, spectral_radius_bruteforce
-from .factorize import Decomposition, decompose, multi_decompose
+from .factorize import decompose, multi_decompose
 from .grammar import matrix_str, parse_matrix, parse_operator
 from .precision import ExactDomain, PrecisionCtx
-from .radii import RadiusProfile, check_rationality, profile
+from .radii import (MultiRadiusProfile, RadiusProfile, check_rationality,
+                    profile)
 from .scalarfield import FieldSpec
 
 SCHEMA_VERSION = 1
-COMMANDS = ("radii", "decompose", "multi-decompose", "dual", "verify")
 
 
 @dataclass
@@ -47,27 +47,27 @@ class JobSpec:
 
 
 def _parse_field(text: str) -> FieldSpec:
-    parts = text.split(":")
-    if parts[0] == "gauss":
-        p = None
-        variables = ("x",)
-        try:
-            for part in parts[1:]:
+    kind, *parts = text.split(":")
+    try:
+        if kind == "gauss":
+            p = None
+            variables = ("x",)
+            for part in parts:
                 if part.startswith("p="):
                     p = int(part[2:])
                 elif part.startswith("vars="):
-                    variables = tuple(v for v in part[5:].split(",") if v)
+                    variables = tuple(part[5:].split(","))
                 else:
                     raise ParseError(f"unknown field option {part!r}")
             if p is None:
                 raise ParseError("gauss field needs p=<prime>")
             field = FieldSpec.gauss(p, variables)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-    elif parts[0] == "laurent":
-        field = FieldSpec.laurent(parts[1] if len(parts) > 1 else "z")
-    else:
-        raise ParseError(f"unknown field kind {parts[0]!r}")
+        elif kind == "laurent" and len(parts) <= 1:
+            field = FieldSpec.laurent(*parts)
+        else:
+            raise ParseError(f"unknown field {text!r}")
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     if "T" in field.variables:
         raise ParseError("variable name T is reserved for the operator symbol")
     return field
@@ -159,22 +159,17 @@ def parse_job(argv: list) -> JobSpec:
 
 def _build_module(job: JobSpec) -> DiffModule:
     field = job.field
-    dom = ExactDomain(field)
     if job.op_text is not None:
-        p = parse_operator(job.op_text, field, job.deriv)
-        return from_operator(p)
-    mats = [None] * field.nderiv
+        return from_operator(parse_operator(job.op_text, field, job.deriv))
     rows = [parse_matrix(t, field) for t in job.mat_texts]
     dim = len(rows[0])
     if any(len(g) != dim for g in rows):
         raise ParseError("--mat matrices differ in size")
-    if len(rows) == 1 and field.nderiv == 1:
-        mats[0] = rows[0]
-    elif len(rows) == field.nderiv:
-        mats = rows
-    else:
+    mats = rows
+    if len(rows) < field.nderiv:
+        mats = [None] * field.nderiv
         mats[job.deriv] = rows[0]
-    return DiffModule(dom, dim, mats)
+    return DiffModule(ExactDomain(field), dim, mats)
 
 
 def _profile_payload(prof: RadiusProfile, field) -> dict:
@@ -206,7 +201,7 @@ def run(job: JobSpec) -> tuple[dict, int]:
     t0 = time.monotonic()
     code = 0
     try:
-        result, ok = _dispatch(job, report)
+        result, ok = COMMANDS[job.command](job)
         report["result"] = result
         report["ok"] = ok
         if not ok:
@@ -225,24 +220,6 @@ def run(job: JobSpec) -> tuple[dict, int]:
             code = 1
     report["timing_ms"] = int(1000 * (time.monotonic() - t0))
     return report, code
-
-
-def _dispatch(job: JobSpec, report: dict) -> tuple[dict, bool]:
-    field = job.field
-    if job.command == "radii":
-        return _run_radii(job)
-    if job.command == "decompose":
-        return _run_decompose(job)
-    if job.command == "multi-decompose":
-        m = _build_module(job)
-        dec = multi_decompose(m, job.precision)
-        derr = _display_err(job.precision)
-        result = {"decomposition": dec.to_jsonable(field, derr)}
-        result["rationality"] = _multi_rationality(dec, field, m)
-        return result, dec.certificate.ok
-    if job.command == "dual":
-        return _run_dual(job)
-    return _run_verify(job)
 
 
 def _run_radii(job: JobSpec) -> tuple[dict, bool]:
@@ -271,6 +248,24 @@ def _run_decompose(job: JobSpec) -> tuple[dict, bool]:
         "rationality": rep.to_jsonable(),
     }
     return result, dec.certificate.ok and rep.ok
+
+
+def _run_multi_decompose(job: JobSpec) -> tuple[dict, bool]:
+    field = job.field
+    m = _build_module(job)
+    dec = multi_decompose(m, job.precision)
+    keys: dict = {}
+    for c in dec.components:
+        keys[c.key] = keys.get(c.key, 0) + c.dim
+    multi = MultiRadiusProfile.from_dict(keys, dec.dim)
+    rationality = {}
+    for pos, j in enumerate(m.derivations):
+        rep = check_rationality(multi.marginal(pos, j), field)
+        rationality[field.variables[j]] = rep.to_jsonable()
+    derr = _display_err(job.precision)
+    result = {"decomposition": dec.to_jsonable(field, derr),
+              "rationality": rationality}
+    return result, dec.certificate.ok
 
 
 def _run_dual(job: JobSpec) -> tuple[dict, bool]:
@@ -316,15 +311,10 @@ def _display_err(ctx: PrecisionCtx) -> int:
     return math.ceil(ctx.N)
 
 
-def _multi_rationality(dec: Decomposition, field, m: DiffModule) -> dict:
-    out = {}
-    for pos, j in enumerate(m.derivations):
-        marg: dict = {}
-        for c in dec.components:
-            marg[c.key[pos]] = marg.get(c.key[pos], 0) + c.dim
-        prof = RadiusProfile.from_dict(marg, dec.dim, j)
-        out[field.variables[j]] = check_rationality(prof, field).to_jsonable()
-    return out
+# The --cmd values, each with the function that runs it.
+COMMANDS = {"radii": _run_radii, "decompose": _run_decompose,
+            "multi-decompose": _run_multi_decompose, "dual": _run_dual,
+            "verify": _run_verify}
 
 
 def main(argv=None) -> int:

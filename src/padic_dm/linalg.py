@@ -49,10 +49,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_scale(a: Matrix, c) -> Matrix:
-    return [[x * c for x in row] for row in a]
-
-
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 

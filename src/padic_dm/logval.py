@@ -116,11 +116,3 @@ def _as_logval(x) -> LogVal:
 
 
 INF = LogVal.infinity()
-
-
-def lv_min(*vals: LogVal) -> LogVal:
-    return min(vals)
-
-
-def lv_max(*vals: LogVal) -> LogVal:
-    return max(vals)

@@ -9,9 +9,9 @@ Univariate products, here and in ``precision._conv``, go through one
 dispatcher (``p_mul_uni``): Kronecker substitution (``_kronecker``) from
 ``MUL_KRONECKER_PAIRS`` term pairs on, the pairwise loop below.  The gcd
 of two polynomials of which one is a single term c*x^e is the monomial
-``p_mono_gcd``, and dividing by it is the exponent shift ``p_shift``; only
-the remaining gcds (``p_gcd``, ``p_divexact``) go to sympy's sparse
-polynomial rings, and sympy is imported on the first of them.
+``p_mono_gcd``, and dividing by it is the exponent shift ``p_shift``; the
+remaining gcds (``p_gcd``) and exact divisions (``p_divexact``) evaluate
+the integer primitive parts at powers of two, on Python integers only.
 """
 
 from __future__ import annotations
@@ -29,20 +29,6 @@ Poly = dict
 # gives the measurement behind the value).
 MUL_KRONECKER_PAIRS = 8
 
-_SYMPY_RINGS = {}
-
-
-def _sring(nvars: int):
-    if nvars not in _SYMPY_RINGS:
-        from sympy.polys.domains import QQ
-        from sympy.polys.rings import ring
-        names = ",".join(f"v{i}" for i in range(nvars))
-        _SYMPY_RINGS[nvars] = ring(names, QQ)[0]
-    return _SYMPY_RINGS[nvars]
-
-
-def p_zero() -> Poly:
-    return {}
 
 def p_const(nvars: int, c) -> Poly:
     c = Fraction(c)
@@ -52,9 +38,6 @@ def p_var(nvars: int, i: int) -> Poly:
     e = [0] * nvars
     e[i] = 1
     return {tuple(e): Fraction(1)}
-
-def p_is_zero(a: Poly) -> bool:
-    return not a
 
 def p_is_const(a: Poly) -> bool:
     return not any(map(any, a))
@@ -164,31 +147,23 @@ def p_derive(a: Poly, var: int) -> Poly:
                 out.pop(m2, None)
     return out
 
-def p_equal(a: Poly, b: Poly) -> bool:
-    return a == b
-
-def p_degree(a: Poly, var: int) -> int:
-    # degree of the zero polynomial is -1 by convention here
-    return max((m[var] for m in a), default=-1)
-
 def p_min_exp(a: Poly, var: int) -> int:
     return min((m[var] for m in a), default=-1)
-
-def p_eval_zero(a: Poly, var: int) -> Poly:
-    """Set variable ``var`` to 0."""
-    return {m: c for m, c in a.items() if m[var] == 0}
 
 
 def p_content(a: Poly) -> Fraction:
     """Positive rational c with a/c integer-coefficient and primitive."""
     if not a:
         return Fraction(1)
-    num = 0
-    den = 1
-    for c in a.values():
-        num = int_gcd(num, c.numerator)
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    return Fraction(num, den)
+    return Fraction(int_gcd(*[c.numerator for c in a.values()]),
+                    math.lcm(*[c.denominator for c in a.values()]))
+
+
+def p_primitive(a: Poly) -> tuple:
+    """The content c of a, and a/c as a polynomial with int coefficients."""
+    c = p_content(a)
+    return c, {m: v.numerator * (c.denominator // v.denominator) // c.numerator
+               for m, v in a.items()}
 
 
 def p_int_vp(n: int, p: int) -> int:
@@ -209,19 +184,6 @@ def p_min_vp(a: Poly, p: int) -> int:
     return min(p_frac_vp(c, p) for c in a.values())
 
 
-def _to_sympy(a: Poly, nvars: int):
-    R = _sring(nvars)
-    QQ = R.domain
-    return R.from_dict({m: QQ(c.numerator, c.denominator) for m, c in a.items()})
-
-
-def _from_sympy(e) -> Poly:
-    out = {}
-    for m, c in dict(e).items():
-        out[tuple(m)] = Fraction(int(c.numerator), int(c.denominator))
-    return out
-
-
 def p_mono_gcd(a: Poly, b: Poly) -> Mono:
     """Componentwise-minimal exponents over the terms of a and b (both
     nonzero): the exponents of gcd(a, b) when a or b is a single term."""
@@ -234,21 +196,77 @@ def p_shift(a: Poly, e: Mono) -> Poly:
 
 
 def p_gcd(a: Poly, b: Poly, nvars: int) -> Poly:
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    return _from_sympy(_to_sympy(a, nvars).gcd(_to_sympy(b, nvars)))
+    """A gcd of a and b, with integer ``Fraction`` coefficients."""
+    if not a or not b:
+        return dict(a or b)
+    return {m: Fraction(c) for m, c in _gcd_heu(a, b).items()}
 
 
 def p_divexact(a: Poly, g: Poly, nvars: int) -> Poly:
-    """Exact division a/g; g must divide a."""
+    """Exact division a/g; ArithmeticError when g does not divide a."""
     if not a:
         return {}
-    q, r = _to_sympy(a, nvars).div(_to_sympy(g, nvars))
-    if r:
+    (ca, ia), (cg, ig) = p_primitive(a), p_primitive(g)
+    q = _quo(ia, ig)
+    if q is None:
         raise ArithmeticError("inexact polynomial division")
-    return _from_sympy(q)
+    return p_scale(q, ca / cg)
+
+
+# Integer polynomials are solved one variable down: the last variable is set
+# to 2^k (``_eval``) and the answer is read back from balanced base-2^k
+# digits (``_rebuild``).  ``_quo`` sizes k by Mignotte's bound on factors of
+# a, 2^(sum of the degrees of a) * |a|_2.  The heuristic gcd of Char, Geddes
+# and Gonnet (GCDHEU, 1989) is exact once 2^k exceeds a bound fixed by the
+# inputs (their norms and cofactor resultants; the unlucky values of y are
+# finitely many), so doubling k ends; every candidate is checked by product.
+
+def _gcd_heu(a: dict, b: dict) -> dict:
+    """A gcd of two nonzero polynomials, with integer coefficients."""
+    (ca, a), (cb, b) = p_primitive(a), p_primitive(b)
+    c = int_gcd(ca.numerator, cb.numerator)
+    if () in a:
+        return {(): c}
+    k = max(map(abs, (*a.values(), *b.values()))).bit_length() + 2
+    while True:
+        g = p_primitive(_rebuild(_gcd_heu(_eval(a, k), _eval(b, k)), k))[1]
+        if _quo(a, g) is not None and _quo(b, g) is not None:
+            return {m: c * v for m, v in g.items()}
+        k += k
+
+
+def _quo(a: dict, g: dict) -> dict | None:
+    """a/g for integer polynomials, a nonzero; None if g does not divide a."""
+    if not g:
+        return None
+    if () in a:
+        q, r = divmod(a[()], g[()])
+        return None if r else {(): q}
+    bound = max(map(abs, a.values())) * len(a)
+    k = sum(map(max, zip(*a))) + bound.bit_length() + 1
+    q = _quo(_eval(a, k), _eval(g, k))
+    q = q and _rebuild(q, k)
+    return q if q and p_mul(g, q) == a else None
+
+
+def _eval(a: dict, k: int) -> dict:
+    out: dict = {}
+    for m, c in a.items():
+        out[m[:-1]] = out.get(m[:-1], 0) + (c << k * m[-1])
+    return {m: c for m, c in out.items() if c}
+
+
+def _rebuild(a: dict, k: int) -> dict:
+    out = {}
+    half = 1 << (k - 1)
+    for m, v in a.items():
+        e = 0
+        while v:
+            v, d = divmod(v + half, 1 << k)
+            if d != half:
+                out[m + (e,)] = d - half
+            e += 1
+    return out
 
 
 def _kronecker(a: dict, b: dict, dcap: int) -> dict:

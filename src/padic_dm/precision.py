@@ -462,8 +462,7 @@ def reduce_scalar(x: Scalar, ctx: PrecisionCtx, err_target: int | None = None) -
 
 def _split_padic(poly: P.Poly, p: int):
     """poly = p^a * unit_rational * primitive_int_poly, min v_p = 0."""
-    c = P.p_content(poly)
-    prim = {m: int(v / c) for m, v in poly.items()}
+    c, prim = P.p_primitive(poly)
     a = P.p_frac_vp(c, p)
     unit = c / Fraction(p) ** a
     return a, unit, prim

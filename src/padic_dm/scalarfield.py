@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import FieldMismatch
 from .logval import INF, LogVal
@@ -32,14 +33,7 @@ LAURENT = "laurent"
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -47,8 +41,8 @@ class FieldSpec:
     """A concrete complete non-archimedean differential field.
 
     ``kind`` is ``"gauss"`` or ``"laurent"``; ``p`` is the prime for the
-    Gauss model (None for Laurent); ``variables`` names the variables, one
-    derivation per variable.
+    Gauss model (None for Laurent); ``variables`` names the variables,
+    distinct identifiers, one derivation per variable.
     """
 
     kind: str
@@ -56,6 +50,9 @@ class FieldSpec:
     variables: tuple[str, ...]
 
     def __post_init__(self):
+        names = self.variables
+        if len(set(names)) < len(names) or not all(map(str.isidentifier, names)):
+            raise ValueError(f"variable names must be distinct identifiers: {names}")
         if self.kind == GAUSS:
             if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"gauss field needs a prime p, got {self.p}")
@@ -153,9 +150,6 @@ class FieldSpec:
         self._check_deriv(j)
         return Scalar(self, P.p_var(self.nvars, j))
 
-    def from_fraction_polys(self, num: P.Poly, den: P.Poly) -> "Scalar":
-        return Scalar(self, num, den)
-
 
 @dataclass(frozen=True)
 class FieldConstants:
@@ -185,7 +179,7 @@ class Scalar:
     def __init__(self, field: FieldSpec, num: P.Poly, den: P.Poly | None = None):
         if den is None:
             den = P.p_const(field.nvars, 1)
-        if P.p_is_zero(den):
+        if not den:
             raise ZeroDivisionError("scalar with zero denominator")
         num, den = _reduce(num, den, field.nvars)
         object.__setattr__(self, "field", field)
@@ -198,10 +192,7 @@ class Scalar:
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return P.p_is_zero(self.num)
-
-    def is_one(self) -> bool:
-        return self == self.field.one()
+        return not self.num
 
     def is_exact(self) -> bool:
         return True
@@ -294,8 +285,8 @@ class Scalar:
             other = self.field.scalar(other)
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (self.field == other.field and P.p_equal(self.num, other.num)
-                and P.p_equal(self.den, other.den))
+        return (self.field == other.field and self.num == other.num
+                and self.den == other.den)
 
     __hash__ = None
 
@@ -348,9 +339,10 @@ def _reduce(num: P.Poly, den: P.Poly, nvars: int):
 
     A zero numerator or a constant denominator needs no gcd.  When num or
     den is a single term, the gcd is the monomial ``P.p_mono_gcd`` and is
-    divided out by an exponent shift; only the remaining gcds go to sympy.
+    divided out by an exponent shift; only the remaining gcds take
+    ``P.p_gcd`` and two ``P.p_divexact``, which work on Python integers.
     """
-    if P.p_is_zero(num):
+    if not num:
         return {}, P.p_const(nvars, 1)
     if P.p_is_const(den):
         c = next(iter(den.values()))

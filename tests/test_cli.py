@@ -154,9 +154,15 @@ def test_main_bad_numbers_exit_as_json(capsys, monkeypatch, args, env):
     job_args("--op", "T^1000000000"),
     job_args("--op", "((x+1)^32)^32"),
     job_args("--op", "T + (x+1)^512"),
+    ["--field", "laurent:z:p=5", "--cmd", "radii", "--op", "T"],
+    ["--field", "laurent:", "--cmd", "radii", "--op", "T"],
+    ["--field", "gauss:p=5:vars=1", "--cmd", "radii", "--op", "T"],
+    ["--field", "laurent:2z", "--cmd", "radii", "--op", "T"],
+    ["--field", "gauss:p=5:vars=x,x", "--cmd", "radii", "--op", "T"],
 ], ids=["mat-sizes", "laurent-T", "gauss-T", "gauss-x-T", "exponent-513",
         "exponent-1e9", "operator-exponent-1e9", "nested-power-degree",
-        "power-degree-512"])
+        "power-degree-512", "laurent-extra-part", "laurent-empty-var",
+        "gauss-var-1", "laurent-var-2z", "gauss-duplicate-vars"])
 def test_main_bad_input_exits_as_json(capsys, argv):
     t0 = time.monotonic()
     assert main(argv) == 1

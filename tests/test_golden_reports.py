@@ -7,6 +7,8 @@ Record the copies again only when a report is meant to change:
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,6 +52,33 @@ def report_text(argv: list) -> str:
 def test_report_matches_golden(name):
     want = (GOLDEN / f"{name}.json").read_text()
     assert report_text(JOBS[name]) == want
+
+
+# Runs every job in a fresh interpreter and prints the names of those whose
+# report differs from its golden copy, then whether sympy got imported.
+_CHILD = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["sympy"] = None
+from test_golden_reports import GOLDEN, JOBS, report_text
+print([n for n, argv in JOBS.items()
+       if report_text(argv) != (GOLDEN / f"{n}.json").read_text()])
+print(sys.modules.get("sympy", "absent"))
+"""
+
+
+@pytest.mark.parametrize("mode", ["blocked", "plain"])
+def test_reports_need_no_sympy(mode):
+    """The package has no runtime dependency: with sympy made unimportable
+    every report still matches its golden copy, and a plain run never
+    imports sympy."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here),
+                            os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run([sys.executable, "-c", _CHILD, mode],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    assert out.splitlines() == ["[]", "None" if mode == "blocked" else "absent"]
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 """Exact scalar arithmetic against a reference that always takes the long
-route: full cross products, and every gcd through sympy."""
+route: full cross products, and every gcd through sympy (independent of
+``polys.p_gcd``); and ``polys`` products, gcds and exact quotients on their
+own."""
 
 from fractions import Fraction
 from unittest import mock
@@ -16,19 +18,30 @@ FIELDS = [FieldSpec.laurent("z"), FieldSpec.gauss(5, ("x",)),
           FieldSpec.gauss(5, ("x", "y"))]
 
 
+def sympy_cofactors(num, den, nvars):
+    """num/g and den/g for g = gcd(num, den), all computed by sympy."""
+    rings = pytest.importorskip("sympy.polys.rings")
+    from sympy.polys.domains import QQ
+    R = rings.ring([f"v{i}" for i in range(nvars)], QQ)[0]
+
+    def to_sympy(a):
+        return R.from_dict({m: QQ(c.numerator, c.denominator)
+                            for m, c in a.items()})
+
+    _, cn, cd = to_sympy(num).cofactors(to_sympy(den))
+    return tuple({tuple(m): Fraction(int(c.numerator), int(c.denominator))
+                  for m, c in e.items()} for e in (cn, cd))
+
+
 def ref_reduce(num, den, nvars):
     """Canonical form with every gcd taken by sympy."""
     if not num:
         return {}, P.p_const(nvars, 1)
+    if not P.p_is_const(den):
+        num, den = sympy_cofactors(num, den, nvars)
     if P.p_is_const(den):
         c = next(iter(den.values()))
         return P.p_scale(num, 1 / c), P.p_const(nvars, 1)
-    g = P.p_gcd(num, den, nvars)
-    if not P.p_is_const(g):
-        num = P.p_divexact(num, g, nvars)
-        den = P.p_divexact(den, g, nvars)
-        if P.p_is_const(den):
-            return ref_reduce(num, den, nvars)
     c = P.p_content(den)
     if den[max(den, key=P.p_sort_key)] < 0:
         c = -c
@@ -139,3 +152,80 @@ def test_p_mul_selects_kronecker_by_pair_count(na, nb, packed):
     with mock.patch.object(P, "_kronecker", wraps=P._kronecker) as spy:
         assert P.p_mul(a, b) == schoolbook(a, b)
     assert spy.called == packed
+
+
+heights = st.builds(Fraction, st.integers(-10**12, 10**12).filter(bool),
+                    st.integers(1, 10**6))
+
+
+@st.composite
+def gcd_cases(draw):
+    """(nvars, g, u, v): u and v often equal; univariate factors of degree
+    up to 32 (products up to 64), bivariate ones up to 4 in each variable."""
+    n = draw(st.sampled_from([1, 2]))
+    exps = (st.tuples(st.integers(0, 32)) if n == 1
+            else st.tuples(st.integers(0, 4), st.integers(0, 4)))
+    coeff = st.one_of(coeffs, heights)
+
+    def poly():
+        return draw(st.dictionaries(exps, coeff, min_size=1, max_size=6))
+
+    g, u = poly(), poly()
+    return n, g, u, u if draw(st.booleans()) else poly()
+
+
+def dense(n, top):
+    return {(i,): Fraction((-1) ** i * (i + 1) ** 3, i % 7 + 1)
+            for i in range(n)} | {(n,): Fraction(top)}
+
+
+def power(a, e):
+    out = {(0,) * len(next(iter(a))): Fraction(1)}
+    for _ in range(e):
+        out = P.p_mul(out, a)
+    return out
+
+
+X1, ONE1 = {(1,): Fraction(1)}, {(0,): Fraction(1)}
+
+
+@given(gcd_cases())
+@settings(max_examples=200, deadline=None)
+@example((1, dense(32, 10**12), dense(32, 3), dense(31, -1)))
+@example((1, dense(20, 7), dense(44, 1), dense(44, 1)))
+# (x - 1)^8 * (1 + x + x^2 + x^3)^8 = (x^4 - 1)^8: the quotient's
+# coefficients are ~100 times those of the product
+@example((1, power(P.p_sub(X1, ONE1), 8),
+          power({(i,): Fraction(1) for i in range(4)}, 8), ONE1))
+def test_gcd_and_divexact_on_products(case):
+    n, g, u, v = case
+    a, b = P.p_mul(g, u), P.p_mul(g, v)
+    assert P.p_divexact(a, g, n) == u and P.p_divexact(b, g, n) == v
+    r = P.p_gcd(a, b, n)
+    qa, qb = P.p_divexact(a, r, n), P.p_divexact(b, r, n)
+    assert P.p_mul(r, qa) == a and P.p_mul(r, qb) == b
+    assert P.p_mul(g, P.p_divexact(r, g, n)) == r
+    assert P.p_is_const(P.p_gcd(qa, qb, n))
+    assert P.p_is_const(P.p_divexact(a, P.p_gcd(a, a, n), n))
+    if not P.p_is_const(g):
+        with pytest.raises(ArithmeticError):
+            P.p_divexact(P.p_add(a, P.p_const(n, 1)), g, n)
+
+
+def test_gcd_rejects_unlucky_evaluations():
+    """2^s*x - y and x - 2^j are coprime, but at y = 2^(s+j) the first is
+    2^s*(x - 2^j): the gcd one variable down is then x - 2^j, which must
+    be rejected because it does not divide 2^s*x - y."""
+    for s in range(1, 7):
+        for j in range(1, 31):
+            a = {(1, 0): Fraction(2 ** s), (0, 1): Fraction(-1)}
+            b = {(1, 0): Fraction(1), (0, 0): Fraction(-2 ** j)}
+            assert P.p_is_const(P.p_gcd(a, b, 2))
+
+
+def test_divexact_rejects_divisors_at_the_evaluation_point():
+    """x - c divides no x + 1 with c > 1, though at x = c +- 1 it is +-1,
+    which divides every integer."""
+    for c in range(2, 1 << 10):
+        with pytest.raises(ArithmeticError):
+            P.p_divexact(P.p_add(X1, ONE1), P.p_sub(X1, P.p_const(1, c)), 1)
