@@ -37,6 +37,13 @@ JOBS = {
     "decompose-N80": ["--field", "gauss:p=5:vars=x", "--cmd", "decompose",
                       "--op", "T^2 - (1/5)*T + x",
                       "--precision", "N=80,d=48"],
+    "radii-gauss-5x1": ["--field", "gauss:p=5:vars=x", "--cmd", "radii",
+                        "--op", "T^2 - (1/(5*x+1))*T + x"],
+    "verify-laurent-two-dens": ["--field", "laurent:z", "--cmd", "verify",
+                                "--mat", "1/(z^3+z^4),0;0,1/(1+z)"],
+    "radii-gauss-bivariate": ["--field", "gauss:p=5:vars=x,y", "--cmd", "radii",
+                              "--mat", "1/(5*x+1),x;0,1/5",
+                              "--mat", "0,0;0,0"],
 }
 
 
