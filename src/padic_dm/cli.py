@@ -52,7 +52,12 @@ def _parse_field(text: str) -> FieldSpec:
         if kind == "gauss":
             p = None
             variables = ("x",)
+            seen = set()
             for part in parts:
+                key = part.partition("=")[0]
+                if key in seen:
+                    raise ParseError(f"field option {key} given twice")
+                seen.add(key)
                 if part.startswith("p="):
                     p = int(part[2:])
                 elif part.startswith("vars="):
@@ -75,12 +80,16 @@ def _parse_field(text: str) -> FieldSpec:
 
 def _parse_precision(text: str) -> PrecisionCtx:
     n, d, max_iter = Fraction(10), 64, 100
+    seen = set()
     try:
         for part in text.split(","):
             part = part.strip()
             if not part:
                 continue
             key, _, val = part.partition("=")
+            if key in seen:
+                raise ParseError(f"precision option {key} given twice")
+            seen.add(key)
             if key == "N":
                 n = Fraction(val)
             elif key == "d":
@@ -103,11 +112,16 @@ def parse_job(argv: list) -> JobSpec:
     precision = PrecisionCtx(Fraction(10), 64, 100)
     out = None
     i = 0
+    seen = set()
 
     def need_value(flag):
         nonlocal i
         if i + 1 >= len(argv):
             raise ParseError(f"flag {flag} needs a value")
+        if flag in seen:
+            raise ParseError(f"flag {flag} given twice")
+        if flag != "--mat":
+            seen.add(flag)
         i_next = argv[i + 1]
         i += 2
         return i_next

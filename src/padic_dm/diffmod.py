@@ -6,6 +6,14 @@ by c |-> d_j(c) + G_j c, and the k-fold action satisfies the recurrence
 G_{k+1} = d_j(G_k) + G_j G_k with G_0 = I.  Companion presentations,
 cyclic vectors, duals and brute-force spectral estimates all live here.
 
+Over exact scalars the recurrence runs on integer numerators over one
+common denominator (``action_numerators``): G_k = H_k / delta^k, where
+delta is the lcm of the denominators of G_1 and both delta and
+B = delta G_1 are scaled to integer coefficients.  Then H_0 = I and
+H_{k+1} = delta d_j(H_k) + (B - k d_j(delta) I) H_k, with no gcd per
+step.  The Gauss and Laurent valuations are multiplicative, so
+lv(G_k) = lv(H_k) - k lv(delta).
+
 A module built from a single twisted polynomial carries only that
 derivation's matrix; modules over multi-derivation fields must satisfy the
 integrability identity pairwise, which is enforced on construction.
@@ -13,14 +21,19 @@ integrability identity pairwise, which is enforced on construction.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import islice
+from math import gcd, lcm
 
 from .errors import FieldMismatch, IntegrabilityError, NotMonic, SearchExhausted
 from .logval import INF, LogVal
 from . import linalg as la
+from . import polys as P
+from .scalarfield import GAUSS, Scalar
 from .twisted import TwistedPoly
 
 
@@ -164,20 +177,121 @@ def from_operator(p: TwistedPoly) -> DiffModule:
     return DiffModule(dom, n, mats, _checked=True)
 
 
+def _integer_form(g1: la.Matrix, nvars: int) -> tuple:
+    """(delta, B) with G_1 = B / delta and ``int`` coefficients throughout.
+
+    delta is the lcm of the denominators of G_1's entries; delta and
+    B = delta G_1 are then scaled by the lcm of their coefficient
+    denominators.  A canonical single-term denominator is a monomial x^e,
+    so it divides by an exponent shift and takes no gcd.
+    """
+    def quo(a, den):
+        if len(den) == 1:
+            return P.p_shift(a, next(iter(den)))
+        return P.p_divexact(a, den, nvars)
+
+    delta = P.p_const(nvars, 1)
+    for row in g1:
+        for e in row:
+            if P.p_is_const(e.den) or e.den == delta:
+                continue
+            if len(delta) == 1 or len(e.den) == 1:
+                g = {P.p_mono_gcd(delta, e.den): 1}
+            else:
+                g = P.p_gcd(delta, e.den, nvars)
+            delta = P.p_mul(delta, quo(e.den, g))
+    b = [[e.num if e.den == delta else P.p_mul(e.num, quo(delta, e.den))
+          for e in row] for row in g1]
+    scale = lcm(*[c.denominator for a in (delta, *(e for row in b for e in row))
+                  for c in a.values()])
+
+    def whole(a):
+        return {mono: c.numerator * (scale // c.denominator)
+                for mono, c in a.items()}
+
+    return whole(delta), [[whole(e) for e in row] for row in b]
+
+
+def action_numerators(m: DiffModule, j: int) -> tuple:
+    """The G_k recurrence: (delta, iterator over H_0 = I, H_1, H_2, ...)
+    with G_k = H_k / delta^k the matrix of the k-fold T_j action.
+
+    Over an exact domain, delta and the entries of H_k are polynomial
+    dicts with ``int`` coefficients (B = delta G_1, see ``_integer_form``)
+    and H_{k+1} = delta d_j(H_k) + (B - k d_j(delta) I) H_k, which builds
+    no ``Scalar`` and takes no gcd; both valuations are multiplicative, so
+    lv(G_k) = lv(H_k) - k lv(delta).  Over an ``ApproxDomain``, delta is
+    None (read 1) and H_k = G_k is stepped as d_j(G_k) + G_1 G_k.
+    """
+    n = m.dim
+    if m.domain.is_exact:
+        nvars = m.field.nvars
+        delta, b = _integer_form(m.mat(j), nvars)
+        ddelta = P.p_derive(delta, j)
+        zero, one = {}, {(0,) * nvars: 1}
+        plus, times = P.p_add, P.p_mul
+
+        def derive(e):
+            return P.p_derive(e, j)
+    else:
+        delta, b, ddelta = None, m.mat(j), {}
+        zero, one = m.domain.zero(), m.domain.one()
+        plus, times = operator.add, operator.mul
+
+        def derive(e):
+            return e.derive(j)
+    scaled = delta is not None and delta != one
+
+    def steps():
+        h = [[one if i == t else zero for t in range(n)] for i in range(n)]
+        k = 0
+        while True:
+            yield h
+            d = [[derive(e) for e in row] for row in h]
+            if scaled:
+                d = [[times(delta, e) for e in row] for row in d]
+            bk = b
+            if ddelta and k:
+                kd = {mono: -k * c for mono, c in ddelta.items()}
+                bk = [[plus(e, kd) if i == t else e for t, e in enumerate(row)]
+                      for i, row in enumerate(b)]
+            h = [[plus(d[i][t], reduce(plus, map(times, bk[i], col)))
+                  for t, col in enumerate(zip(*h))] for i in range(n)]
+            k += 1
+
+    return delta, steps()
+
+
+def _scalar_matrix(field, h: la.Matrix, den: P.Poly) -> la.Matrix:
+    """G_k = H_k / den (den = delta^k) as a matrix of ``Scalar``s."""
+    fden = {mono: Fraction(c) for mono, c in den.items()}
+    return [[Scalar(field, {mono: Fraction(c) for mono, c in e.items()}, fden)
+             for e in row] for row in h]
+
+
 def action_matrices(m: DiffModule, j: int):
-    """Yield G_0 = I, G_1, G_2, ...: the matrices of the k-fold T_j action."""
-    g1 = m.mat(j)
-    acc = la.identity(m.domain, m.dim)
-    while True:
-        yield acc
-        acc = la.mat_add(la.mat_derive(acc, j), la.mat_mul(g1, acc))
+    """Yield G_0 = I, G_1, G_2, ...: the matrices of the k-fold T_j action,
+    each built from its numerator (``action_numerators``)."""
+    delta, hs = action_numerators(m, j)
+    if delta is None:
+        yield from hs
+        return
+    den = {(0,) * m.field.nvars: 1}
+    for h in hs:
+        yield _scalar_matrix(m.field, h, den)
+        den = P.p_mul(den, delta)
 
 
 def iterate_G(m: DiffModule, j: int, k: int) -> la.Matrix:
     """Matrix of the k-fold T_j action on the chosen basis."""
     if k < 0:
         raise ValueError("negative power")
-    return next(islice(action_matrices(m, j), k, None))
+    delta, hs = action_numerators(m, j)
+    h = next(islice(hs, k, None))
+    if delta is None:
+        return h
+    return _scalar_matrix(m.field, h,
+                          reduce(P.p_mul, [delta] * k, {(0,) * m.field.nvars: 1}))
 
 
 def dual(m: DiffModule) -> DiffModule:
@@ -301,16 +415,27 @@ def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstima
     lv_omega = field.lv_omega
     dsp = field.lv_dsp(j)
     lo = max(1, (kmax + 1) // 2)
+    delta, hs = action_numerators(m, j)
+    if delta is None:
+        def size(h, k):
+            return min((e.val() for row in h for e in row), default=INF)
+    else:
+        if field.kind == GAUSS:
+            def lv(a):
+                return P.p_int_vp(gcd(*a.values()), field.p)
+        else:
+            def lv(a):
+                return P.p_min_exp(a, 0)
+        lv_delta = lv(delta)
+
+        def size(h, k):
+            vs = [lv(e) for row in h for e in row if e]
+            return LogVal(min(vs) - k * lv_delta) if vs else INF
     per_step = []
-    for k, acc in enumerate(islice(action_matrices(m, j), kmax + 1)):
+    for k, h in enumerate(islice(hs, kmax + 1)):
         if k < lo:
             continue
-        vk = INF
-        for row in acc:
-            for e in row:
-                v = e.val()
-                if v < vk:
-                    vk = v
+        vk = size(h, k)
         ratio = vk / k if not vk.is_infinite else INF
         per_step.append(lv_omega - min(dsp, ratio))
     est = max(per_step)

@@ -159,10 +159,26 @@ def test_main_bad_numbers_exit_as_json(capsys, monkeypatch, args, env):
     ["--field", "gauss:p=5:vars=1", "--cmd", "radii", "--op", "T"],
     ["--field", "laurent:2z", "--cmd", "radii", "--op", "T"],
     ["--field", "gauss:p=5:vars=x,x", "--cmd", "radii", "--op", "T"],
+    ["--field", "gauss:p=5:p=7:vars=x:vars=y", "--cmd", "radii",
+     "--op", "T^2 - (1/5)*T + y"],
+    ["--field", "gauss:p=5:p=7", "--cmd", "radii", "--op", "T"],
+    ["--field", "gauss:vars=x:p=5:vars=y", "--cmd", "radii", "--op", "T"],
+    job_args("--precision", "N=10,N=20"),
+    job_args("--precision", "d=32,max_iter=5,d=48"),
+    job_args("--field", "gauss:p=7:vars=x"),
+    job_args("--cmd", "decompose"),
+    job_args("--op", "T + x"),
+    job_args("--deriv", "x", "--deriv", "x"),
+    job_args("--precision", "N=10", "--precision", "N=20"),
+    job_args("--out", "a.json", "--out", "b.json"),
 ], ids=["mat-sizes", "laurent-T", "gauss-T", "gauss-x-T", "exponent-513",
         "exponent-1e9", "operator-exponent-1e9", "nested-power-degree",
         "power-degree-512", "laurent-extra-part", "laurent-empty-var",
-        "gauss-var-1", "laurent-var-2z", "gauss-duplicate-vars"])
+        "gauss-var-1", "laurent-var-2z", "gauss-duplicate-vars",
+        "field-p-and-vars-twice", "field-p-twice", "field-vars-twice",
+        "precision-N-twice", "precision-d-twice", "flag-field-twice",
+        "flag-cmd-twice", "flag-op-twice", "flag-deriv-twice",
+        "flag-precision-twice", "flag-out-twice"])
 def test_main_bad_input_exits_as_json(capsys, argv):
     t0 = time.monotonic()
     assert main(argv) == 1
