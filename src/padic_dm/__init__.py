@@ -7,7 +7,7 @@ from .errors import (AllZero, CertificateFailure, FieldMismatch,
                      PrecisionLoss, SearchExhausted, StabilityFailure,
                      ZeroDegree, ZeroPolynomial)
 from .logval import INF, LogVal
-from .scalarfield import FieldConstants, FieldSpec, Scalar
+from .scalarfield import FieldSpec, Scalar
 from .precision import (ApproxDomain, ApproxScalar, ExactDomain, PrecisionCtx,
                         reduce_scalar)
 from .twisted import (NewtonPolygon, PiNormParams, TwistedPoly,
@@ -21,20 +21,19 @@ from .radii import (MultiRadiusProfile, RadiusProfile, RationalityReport,
 from .factorize import (Certificate, Component, Decomposition,
                         SlopeFactorization, decompose, factor_by_radii,
                         multi_decompose, reduce_operator, slope_factorize)
-from .taylor import (PairingVector, TruncSeries, biduality_transform,
-                     dual_pairing, hadamard_radius, solution_matrix,
-                     taylor_map)
+from .taylor import (TruncSeries, biduality_transform, dual_pairing,
+                     hadamard_radius, solution_matrix, taylor_map)
 from .grammar import matrix_str, parse_matrix, parse_operator, parse_scalar
 
 __all__ = [
     "AllZero", "ApproxDomain", "ApproxScalar", "Certificate",
     "CertificateFailure", "Component", "Decomposition", "DiffModule",
-    "ExactDomain", "FieldConstants", "FieldMismatch", "FieldSpec", "INF",
+    "ExactDomain", "FieldMismatch", "FieldSpec", "INF",
     "IntegrabilityError",
     "IterationBudget", "LogVal", "ModuleMorphism", "MultiRadiusProfile",
     "NewtonPolygon", "NoGap", "NotExpandable", "NotMonic", "OutputError",
     "PadicDMError",
-    "PairingVector", "ParseError", "PiNormParams", "PrecisionCtx",
+    "ParseError", "PiNormParams", "PrecisionCtx",
     "PrecisionLoss", "RadiusEstimate", "RadiusProfile", "RationalityReport",
     "Scalar", "SearchExhausted", "SlopeFactorization", "StabilityFailure",
     "TruncSeries", "TwistedPoly", "ZeroDegree", "ZeroPolynomial",

@@ -14,10 +14,9 @@ abort.
 from __future__ import annotations
 
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import math
@@ -33,6 +32,9 @@ from .radii import (MultiRadiusProfile, RadiusProfile, check_rationality,
 from .scalarfield import FieldSpec
 
 SCHEMA_VERSION = 1
+
+# The precision of a job whose --precision leaves a key out.
+DEFAULT_PRECISION = PrecisionCtx(Fraction(10), 64, 100)
 
 
 @dataclass
@@ -79,26 +81,22 @@ def _parse_field(text: str) -> FieldSpec:
 
 
 def _parse_precision(text: str) -> PrecisionCtx:
-    n, d, max_iter = Fraction(10), 64, 100
-    seen = set()
+    opts = {}
     try:
         for part in text.split(","):
             part = part.strip()
             if not part:
                 continue
             key, _, val = part.partition("=")
-            if key in seen:
+            if key in opts:
                 raise ParseError(f"precision option {key} given twice")
-            seen.add(key)
             if key == "N":
-                n = Fraction(val)
-            elif key == "d":
-                d = int(val)
-            elif key == "max_iter":
-                max_iter = int(val)
+                opts[key] = Fraction(val)
+            elif key in ("d", "max_iter"):
+                opts[key] = int(val)
             else:
                 raise ParseError(f"unknown precision option {key!r}")
-        return PrecisionCtx(n, d, max_iter)
+        return replace(DEFAULT_PRECISION, **opts)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(str(exc)) from exc
 
@@ -109,7 +107,7 @@ def parse_job(argv: list) -> JobSpec:
     op_text = None
     mat_texts = []
     deriv_name = None
-    precision = PrecisionCtx(Fraction(10), 64, 100)
+    precision = DEFAULT_PRECISION
     out = None
     i = 0
     seen = set()
@@ -162,12 +160,6 @@ def parse_job(argv: list) -> JobSpec:
         if deriv_name not in field.variables:
             raise ParseError(f"unknown derivation {deriv_name!r}")
         deriv = field.variables.index(deriv_name)
-    env_cap = os.environ.get("PADIC_DM_MAX_ITER")
-    if env_cap is not None:
-        try:
-            precision = PrecisionCtx(precision.N, precision.d, int(env_cap))
-        except ValueError as exc:
-            raise ParseError(f"PADIC_DM_MAX_ITER: {exc}") from exc
     return JobSpec(field, command, op_text, mat_texts, deriv, precision, out)
 
 

@@ -32,6 +32,15 @@ MAX_DEGREE = 512
 # rather than against the cost of degree 64 itself.
 MAX_SCALAR_DEGREE = 64
 
+# Cap on the bit length of every integer literal and of the numerator and
+# denominator of every coefficient of a parsed polynomial, checked with
+# the degree cap.  Reports print the input's coefficients (``dual_mats``)
+# and quotients and short products of them (monic forms, cyclic
+# operators), and Python refuses to print an int of more than 4300
+# decimal digits.  2048 bits are 617 digits, so a product of up to six
+# capped integers still prints.
+MAX_HEIGHT_BITS = 2048
+
 
 def _tokenize(text: str):
     out = []
@@ -45,7 +54,14 @@ def _tokenize(text: str):
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            out.append(("int", int(text[i:j]), i))
+            # k digits without leading zeros hold more than 3 (k - 1) bits,
+            # so a literal is converted only when it may be under the cap
+            digits = text[i:j].lstrip("0") or "0"
+            if (3 * (len(digits) - 1) > MAX_HEIGHT_BITS
+                    or int(digits).bit_length() > MAX_HEIGHT_BITS):
+                raise ParseError(
+                    f"integer literal above {MAX_HEIGHT_BITS} bits", i)
+            out.append(("int", int(digits), i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -214,6 +230,11 @@ def _capped(a: list, pos: int) -> list:
             if max(map(sum, poly), default=0) > MAX_SCALAR_DEGREE:
                 raise ParseError(
                     f"coefficient degree above {MAX_SCALAR_DEGREE}", pos)
+            if any(q.numerator.bit_length() > MAX_HEIGHT_BITS
+                   or q.denominator.bit_length() > MAX_HEIGHT_BITS
+                   for q in poly.values()):
+                raise ParseError(
+                    f"coefficient height above {MAX_HEIGHT_BITS} bits", pos)
     return a
 
 

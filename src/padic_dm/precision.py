@@ -26,6 +26,14 @@ valuation of the digits out into ``shift`` (Gauss: the digits have gcd
 prime to p; Laurent: a digit sits at exponent 0), and nothing else writes
 ``coeffs`` or ``shift``.  So ``val_exact`` of a nonzero value is its shift.
 
+``reduce_scalar`` takes an exact scalar to its truncation by one route
+in both models: the numerator's digits times the Newton inverse of the
+denominator, through ``_polymul``.  The ``Scalar`` canonical form makes
+the denominator a primitive integer polynomial, so the valuation is read
+off the numerator's content (Gauss: its p-power is the shift and its unit
+part multiplies the digits) or off the lowest exponents (Laurent), and a
+constant denominator is 1 and needs no inverse.
+
 ``err_lv`` is a lower bound for lv(true - represented) in the p-adic
 (resp. z-adic) direction; every operation propagates it.  The total-degree
 cap of the Gauss model is a ring quotient, not an error term: results are
@@ -444,11 +452,11 @@ def _polymul(a: dict, b: dict, mod: int | None, dcap: int, nvars: int) -> dict:
 
 
 def reduce_scalar(x: Scalar, ctx: PrecisionCtx, err_target: int | None = None) -> ApproxScalar:
-    """Truncated image of an exact scalar.
+    """Truncated image of an exact scalar, by the one route the module
+    docstring describes.
 
     Raises ``NotExpandable`` when the denominator is not a unit of the
-    expansion ring (Gauss model: constant term divisible by p after
-    valuation normalization).
+    expansion ring (Gauss model: constant term divisible by p).
     """
     f = x.field
     if err_target is None:
@@ -456,65 +464,32 @@ def reduce_scalar(x: Scalar, ctx: PrecisionCtx, err_target: int | None = None) -
     if x.is_zero():
         return ApproxScalar(f, ctx, 0, {}, err_target)
     if f.kind == GAUSS:
-        return _reduce_gauss(x, ctx, err_target)
-    return _reduce_laurent(x, ctx, err_target)
-
-
-def _split_padic(poly: P.Poly, p: int):
-    """poly = p^a * unit_rational * primitive_int_poly, min v_p = 0."""
-    c, prim = P.p_primitive(poly)
-    a = P.p_frac_vp(c, p)
-    unit = c / Fraction(p) ** a
-    return a, unit, prim
-
-
-def _reduce_gauss(x: Scalar, ctx: PrecisionCtx, err_target: int) -> ApproxScalar:
-    f = x.field
-    an, un, num = _split_padic(x.num, f.p)
-    ad, ud, den = _split_padic(x.den, f.p)
-    shift = an - ad
-    me = err_target - shift
-    if me <= 0:
+        content, num = P.p_primitive(x.num)
+        shift = P.p_frac_vp(content, f.p)
+        den, err = x.den, err_target
+    else:
+        a, b = P.p_min_exp(x.num, 0), P.p_min_exp(x.den, 0)
+        shift = a - b
+        num, den = P.p_shift(x.num, (a,)), P.p_shift(x.den, (b,))
+        err = min(err_target, shift + ctx.d + 1)   # the window of d + 1 digits
+    if err <= shift:
         return ApproxScalar(f, ctx, shift, {}, err_target)
-    mod = f.p ** me
-    r = Fraction(un, 1) / ud
-    rm = (r.numerator % mod) * pow(r.denominator, -1, mod) % mod
-    ncap = {m: c % mod for m, c in num.items() if sum(m) <= ctx.d}
-    mono0 = (0,) * f.nvars
-    if P.p_is_const(x.den):
-        digits = {m: (c * rm) % mod for m, c in ncap.items()}
-        return ApproxScalar(f, ctx, shift, digits, err_target)
-    d0 = den.get(mono0, 0)
-    if d0 % f.p == 0:
+    mod = None
+    if f.kind == GAUSS:
+        # fold the p-unit part of the content into the digits
+        mod = f.p ** (err - shift)
+        unit = content / Fraction(f.p) ** shift
+        unit = unit.numerator * pow(unit.denominator, -1, mod)
+        num = {m: c * unit % mod for m, c in num.items()}
+    if P.p_is_const(den):
+        return ApproxScalar(f, ctx, shift, num, err)
+    den = {m: c.numerator for m, c in den.items()}
+    if f.kind == GAUSS and den.get((0,) * f.nvars, 0) % f.p == 0:
         raise NotExpandable(
             "denominator is not a unit of the approximation ring")
-    inv = ApproxScalar(f, ctx, 0, {m: c % mod for m, c in den.items()
-                                   if sum(m) <= ctx.d}, me).inverse()
-    digits = _polymul(ncap, inv.coeffs, mod, ctx.d, f.nvars)
-    digits = {m: (c * rm) % mod for m, c in digits.items()}
-    return ApproxScalar(f, ctx, shift + inv.shift, digits,
-                        min(err_target, shift + inv.err_lv))
-
-
-def _reduce_laurent(x: Scalar, ctx: PrecisionCtx, err_target: int) -> ApproxScalar:
-    f = x.field
-    a = P.p_min_exp(x.num, 0)
-    b = P.p_min_exp(x.den, 0)
-    shift = a - b
-    num = {m[0] - a: c for m, c in x.num.items()}
-    den = {m[0] - b: c for m, c in x.den.items()}
-    n = min(ctx.d, err_target - shift - 1)
-    if n < 0:
-        return ApproxScalar(f, ctx, shift, {}, err_target)
-    out = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        acc = num.get(k, Fraction(0))
-        for i in range(1, k + 1):
-            if i in den:
-                acc -= den[i] * out[k - i]
-        out[k] = acc / den[0]
-    cc = {(k,): c for k, c in enumerate(out) if c}
-    return ApproxScalar(f, ctx, shift, cc, min(err_target, shift + n + 1))
+    inv = ApproxScalar(f, ctx, 0, den, err - shift).inverse()
+    return ApproxScalar(f, ctx, shift,
+                        _polymul(num, inv.coeffs, mod, ctx.d, f.nvars), err)
 
 
 # -- coefficient domains ------------------------------------------------------

@@ -19,6 +19,11 @@ from .logval import LogVal
 from .diffmod import DiffModule, cyclic_data, spectral_radius_bruteforce
 from .twisted import TwistedPoly, newton_polygon
 
+# Order of the brute-force spectral estimate that ``profile`` checks its
+# maximal radius against.  It is passed to the oracle positionally, where
+# a tracer counting oracle steps reads it.
+CHECK_KMAX = 20
+
 
 @dataclass(frozen=True)
 class RadiusProfile:
@@ -98,22 +103,12 @@ class MultiRadiusProfile:
         items = tuple(sorted(d.items(), key=lambda kv: kv[0]))
         return MultiRadiusProfile(items, dim)
 
-    def as_dict(self) -> dict:
-        return dict(self.entries)
-
     def marginal(self, pos: int, deriv: int) -> RadiusProfile:
         """Sum multiplicities over all but one key coordinate."""
         out: dict = {}
         for key, m in self.entries:
             out[key[pos]] = out.get(key[pos], 0) + m
         return RadiusProfile.from_dict(out, self.dim, deriv)
-
-    def to_jsonable(self, field=None) -> dict:
-        return {
-            "entries": [{"lv": [str(x) for x in key], "mult": m}
-                        for key, m in self.entries],
-            "dim": self.dim,
-        }
 
 
 def radii_from_polygon(p: TwistedPoly) -> RadiusProfile:
@@ -141,8 +136,7 @@ def radii_from_polygon(p: TwistedPoly) -> RadiusProfile:
     return RadiusProfile.from_dict(out, p.degree, p.deriv, boundary)
 
 
-def profile(m: DiffModule, j: int, check: bool = True,
-            kmax: int = 20) -> RadiusProfile:
+def profile(m: DiffModule, j: int, check: bool = True) -> RadiusProfile:
     """Radius profile of a module: cyclic vector, then polygon radii.
 
     With ``check`` the maximal-lv entry is cross-validated against the
@@ -154,10 +148,8 @@ def profile(m: DiffModule, j: int, check: bool = True,
     p, _ = cyclic_data(m, j)
     prof = radii_from_polygon(p)
     if check:
-        est = spectral_radius_bruteforce(m, j, kmax)
-        tol = est.spread + Fraction(1, 2)
-        if not m.field.lv_omega.is_infinite:
-            tol += m.field.lv_omega.value
+        est = spectral_radius_bruteforce(m, j, CHECK_KMAX)
+        tol = est.spread + Fraction(1, 2) + m.field.lv_omega.value
         got = prof.max_lv()
         if abs(got.value - est.lv.value) > tol:
             raise CertificateFailure(

@@ -112,11 +112,6 @@ class FieldSpec:
     def lv_rK(self, j: int = 0) -> LogVal:
         return self.lv_omega - self.lv_dsp(j)
 
-    def constants(self) -> "FieldConstants":
-        return FieldConstants(self.lv_omega,
-                              tuple(self.lv_dsp(j) for j in range(self.nderiv)),
-                              tuple(self.lv_rK(j) for j in range(self.nderiv)))
-
     def lv_factorial(self, i: int) -> LogVal:
         """lv(i!).  Legendre's formula for the Gauss model, 0 for Laurent."""
         if self.kind != GAUSS:
@@ -149,16 +144,6 @@ class FieldSpec:
     def var(self, j: int = 0) -> "Scalar":
         self._check_deriv(j)
         return Scalar(self, P.p_var(self.nvars, j))
-
-
-@dataclass(frozen=True)
-class FieldConstants:
-    """The log-scale constants of a field: lv of omega(K), of each
-    |d_j|_sp, and of each maximal radius r(K, d_j) = omega/|d_j|_sp."""
-
-    lv_omega: LogVal
-    lv_dsp: tuple
-    lv_rK: tuple
 
 
 class Scalar:
@@ -311,15 +296,6 @@ class Scalar:
         dd = P.p_derive(self.den, j)
         num = P.p_sub(P.p_mul(dn, self.den), P.p_mul(self.num, dd))
         return Scalar(self.field, num, P.p_mul(self.den, self.den))
-
-    def taylor_coeff(self, j: int, i: int) -> "Scalar":
-        """The i-th divided derivative d_j^i(x)/i!, computed exactly."""
-        if i < 0:
-            raise ValueError("negative derivative order")
-        c = self
-        for k in range(1, i + 1):
-            c = c.derive(j) / k
-        return c
 
     # -- misc ---------------------------------------------------------------
 

@@ -136,31 +136,10 @@ def hadamard_radius(s: TruncSeries, window: tuple[int, int]) -> RadiusEstimate:
     return RadiusEstimate(est, max(vals) - min(vals), window)
 
 
-@dataclass(frozen=True)
-class PairingVector:
-    """Coefficients of a pairing between a module vector and a functional."""
-
-    coeffs: tuple
-
-    def coeff(self, i: int):
-        return self.coeffs[i]
-
-    def __len__(self):
-        return len(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, PairingVector):
-            return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        return all((a - b).is_zero() for a, b in
-                   zip(self.coeffs[:n], other.coeffs[:n]))
-
-    __hash__ = None
-
-
 def dual_pairing(m: DiffModule, x: list, s: list, n: int,
-                 j: int | None = None) -> PairingVector:
-    """Coefficients <s, x>_i = s(T^i x / i!) for i = 0..n, exactly."""
+                 j: int | None = None) -> TruncSeries:
+    """The pairing series sum_i <s, x>_i X^i, <s, x>_i = s(T^i x / i!),
+    exactly to order n."""
     if j is None:
         (j,) = m.derivations
     out = []
@@ -174,24 +153,19 @@ def dual_pairing(m: DiffModule, x: list, s: list, n: int,
         for t in range(1, m.dim):
             acc = acc + s[t] * w[t]
         out.append(acc / fact)
-    return PairingVector(tuple(out))
+    return TruncSeries(tuple(out), n)
 
 
-def biduality_transform(v: PairingVector, j: int, n: int) -> PairingVector:
+def biduality_transform(v: TruncSeries, j: int, n: int) -> TruncSeries:
     """Alternating Taylor transform w_i = sum_{a+k=i} (-1)^a d^k(v_a)/k!.
 
     An exact involution on coefficients 0..n: applying it twice returns
     the original coefficients (binomial cancellation).
     """
-    if len(v) < n + 1:
-        raise ValueError("pairing vector too short for the requested order")
+    if v.order < n:
+        raise ValueError("pairing series too short for the requested order")
     # towers[a][k] = d^k(v_a) / k!
-    towers = []
-    for a in range(n + 1):
-        tower = [v.coeff(a)]
-        for k in range(1, n + 1 - a):
-            tower.append(tower[-1].derive(j) / k)
-        towers.append(tower)
+    towers = [taylor_map(v.coeff(a), j, n - a).coeffs for a in range(n + 1)]
     out = []
     for i in range(n + 1):
         acc = None
@@ -201,4 +175,4 @@ def biduality_transform(v: PairingVector, j: int, n: int) -> PairingVector:
                 term = -term
             acc = term if acc is None else acc + term
         out.append(acc)
-    return PairingVector(tuple(out))
+    return TruncSeries(tuple(out), n)

@@ -265,10 +265,6 @@ class PiNormParams:
 
     lv_t: LogVal
 
-    def validate(self, field, deriv: int):
-        if self.lv_t < field.lv_rK(deriv):
-            raise ValueError("pi-norm parameter t exceeds r(K, d)")
-
 
 def pi_norm(p: TwistedPoly, params: PiNormParams) -> LogVal:
     """lv of the weighted sup norm sup_i |i! q_i| / t^i.

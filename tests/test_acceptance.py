@@ -13,8 +13,8 @@ from itertools import islice
 import pytest
 
 from padic_dm import (DiffModule, ExactDomain, FieldSpec, IterationBudget,
-                      LogVal, NotExpandable, PairingVector, PiNormParams,
-                      PrecisionCtx, PrecisionLoss, TwistedPoly,
+                      LogVal, NotExpandable, PiNormParams,
+                      PrecisionCtx, PrecisionLoss, TruncSeries, TwistedPoly,
                       biduality_transform, check_rationality, decompose,
                       divmod_left, divmod_right, dual,
                       factor_by_radii, hadamard_radius, linalg as la, mul,
@@ -234,8 +234,8 @@ def test_criterion_6_biduality(field, note):
     rng = random.Random(404)
     bad = 0
     for _ in range(100):
-        v = PairingVector(tuple(random_scalar(field, rng, deg=2)
-                                for _ in range(9)))
+        v = TruncSeries.from_list(random_scalar(field, rng, deg=2)
+                                  for _ in range(9))
         w = biduality_transform(biduality_transform(v, 0, 8), 0, 8)
         if not all((w.coeff(i) - v.coeff(i)).is_zero() for i in range(9)):
             bad += 1

@@ -1,0 +1,53 @@
+"""Dead-definition guard: every function and class defined in the package
+is referred to somewhere in ``src/``, ``tests/`` or ``perfbench/``.
+
+A reference is a name, an attribute, an imported name, or a string
+constant spelling an identifier (the benchmark tracer names the functions
+it wraps as strings).  Dunder methods are called by Python itself and are
+not checked.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEARCHED = ("src", "tests", "perfbench")
+
+
+def _trees(*dirs):
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), str(path))
+
+
+def _definitions(tree):
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+                and not (node.name.startswith("__")
+                         and node.name.endswith("__"))):
+            yield node.name, node.lineno
+
+
+def _references(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+            if node.asname:
+                yield node.asname
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value
+
+
+def test_every_definition_is_referenced():
+    used = {name for _path, tree in _trees(*SEARCHED)
+            for name in _references(tree)}
+    dead = [f"{path.relative_to(ROOT)}:{line} {name}"
+            for path, tree in _trees("src/padic_dm")
+            for name, line in _definitions(tree) if name not in used]
+    assert not dead, "defined but never referenced:\n" + "\n".join(dead)

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from padic_dm import (ApproxDomain, ApproxScalar, FieldSpec, NotExpandable,
-                      PrecisionCtx, LogVal, polys as P, precision,
-                      reduce_scalar)
+                      PrecisionCtx, LogVal, Scalar, parse_scalar, polys as P,
+                      precision, reduce_scalar)
 from padic_dm.precision import _conv, _polymul
 
 from conftest import schoolbook
@@ -115,6 +115,130 @@ def test_laurent_inverse_of_int_digits_is_exact(laurent):
                           for k in range(5)}
     assert all(type(c) is Fraction for c in inv.coeffs.values())
     assert (u * inv - 1).is_precision_zero()
+
+
+def _split_padic(poly, p):
+    """poly = p^a * unit_rational * primitive_int_poly, min v_p = 0."""
+    c, prim = P.p_primitive(poly)
+    a = P.p_frac_vp(c, p)
+    return a, c / Fraction(p) ** a, prim
+
+
+def _gauss_route(x, ctx, err_target):
+    """Reference Gauss reduction: p-adic splits of numerator and
+    denominator, the numerator's digits times the Newton inverse of the
+    denominator's, times the unit ratio of the two contents."""
+    f = x.field
+    an, un, num = _split_padic(x.num, f.p)
+    ad, ud, den = _split_padic(x.den, f.p)
+    shift = an - ad
+    me = err_target - shift
+    if me <= 0:
+        return ApproxScalar(f, ctx, shift, {}, err_target)
+    mod = f.p ** me
+    r = un / ud
+    rm = (r.numerator % mod) * pow(r.denominator, -1, mod) % mod
+    ncap = {m: c % mod for m, c in num.items() if sum(m) <= ctx.d}
+    if P.p_is_const(x.den):
+        digits = {m: (c * rm) % mod for m, c in ncap.items()}
+        return ApproxScalar(f, ctx, shift, digits, err_target)
+    if den.get((0,) * f.nvars, 0) % f.p == 0:
+        raise NotExpandable(
+            "denominator is not a unit of the approximation ring")
+    inv = ApproxScalar(f, ctx, 0, {m: c % mod for m, c in den.items()
+                                   if sum(m) <= ctx.d}, me).inverse()
+    digits = _polymul(ncap, inv.coeffs, mod, ctx.d, f.nvars)
+    digits = {m: (c * rm) % mod for m, c in digits.items()}
+    return ApproxScalar(f, ctx, shift + inv.shift, digits,
+                        min(err_target, shift + inv.err_lv))
+
+
+def _laurent_recurrence(x, ctx, err_target):
+    """Reference Laurent reduction: the O(d^2) power-series recurrence
+    out_k = (num_k - sum_{i=1..k} den_i out_{k-i}) / den_0, on the window
+    of min(d, err_target - shift - 1) + 1 digits."""
+    f = x.field
+    a = P.p_min_exp(x.num, 0)
+    b = P.p_min_exp(x.den, 0)
+    shift = a - b
+    num = {m[0] - a: c for m, c in x.num.items()}
+    den = {m[0] - b: c for m, c in x.den.items()}
+    n = min(ctx.d, err_target - shift - 1)
+    if n < 0:
+        return ApproxScalar(f, ctx, shift, {}, err_target)
+    out = [Fraction(0)] * (n + 1)
+    for k in range(n + 1):
+        acc = num.get(k, Fraction(0))
+        for i in range(1, k + 1):
+            if i in den:
+                acc -= den[i] * out[k - i]
+        out[k] = acc / den[0]
+    cc = {(k,): c for k, c in enumerate(out) if c}
+    return ApproxScalar(f, ctx, shift, cc, min(err_target, shift + n + 1))
+
+
+def _two_routes(x, ctx, err_target):
+    """``reduce_scalar`` as it was: the zero check, then one route per
+    model."""
+    if x.is_zero():
+        return ApproxScalar(x.field, ctx, 0, {}, err_target)
+    route = _gauss_route if x.field.kind == "gauss" else _laurent_recurrence
+    return route(x, ctx, err_target)
+
+
+def _reduced(route, x, ctx, err_target):
+    """(shift, digits, err_lv) of a reduction, or its NotExpandable."""
+    try:
+        r = route(x, ctx, err_target)
+    except NotExpandable as exc:
+        return "not-expandable", str(exc)
+    return r.shift, r.coeffs, r.err_lv
+
+
+# Denominators by kind: constant (the canonical form moves them into the
+# numerator), monomial, and general; "x+5", "x^2+5" and "5*y+x" are not
+# units of the Gauss expansion ring.
+REDUCE_FIELDS = {
+    "gauss1": (FieldSpec.gauss(5, ("x",)),
+               ["1", "3", "25", "3/125", "x", "5*x^3",
+                "x+1", "5*x+1", "x^2+2", "x^2+5", "x+5", "7*x^4-3*x+2"]),
+    "gauss2": (FieldSpec.gauss(5, ("x", "y")),
+               ["1", "2/5", "y", "x*y^2", "x+y+1", "5*y+1", "1+x+5*y^2",
+                "5*y+x"]),
+    "laurent": (FieldSpec.laurent("z"),
+                ["1", "7", "2/9", "z", "3*z^2", "1+z", "2+z^2",
+                 "z^2+3*z^3", "5*z-z^4+1/3"]),
+}
+
+
+@st.composite
+def reduce_cases(draw):
+    """A scalar num/den with a numerator of up to five terms whose
+    coefficients carry powers of 5 and non-unit contents, a denominator of
+    each kind, a degree cap d in 1..64 and an err target in -3..80."""
+    field, dens = REDUCE_FIELDS[draw(st.sampled_from(sorted(REDUCE_FIELDS)))]
+    coeff = st.builds(lambda a, b, k: Fraction(a, b) * Fraction(5) ** k,
+                      st.integers(-50, 50).filter(bool), st.integers(1, 30),
+                      st.integers(-3, 3))
+    mono = st.tuples(*[st.integers(0, 6)] * field.nvars)
+    num = draw(st.dictionaries(mono, coeff, max_size=5))
+    den = parse_scalar(draw(st.sampled_from(dens)), field)
+    x = Scalar(field, num) / den
+    ctx = PrecisionCtx(Fraction(10), d=draw(st.integers(1, 64)))
+    return x, ctx, draw(st.integers(-3, 80))
+
+
+@given(reduce_cases())
+@example((parse_scalar("(3/5+x)/(1+x)", FieldSpec.gauss(5, ("x",))),
+          PrecisionCtx(Fraction(10), d=8), 6))
+@example((parse_scalar("(3*z+z^2)/(z+2*z^2)", FieldSpec.laurent("z")),
+          PrecisionCtx(Fraction(10), d=3), 80))
+@settings(max_examples=200, deadline=None)
+def test_reduce_matches_the_model_routes(case):
+    """The one ``reduce_scalar`` body against the two routes it replaced."""
+    x, ctx, err = case
+    assert (_reduced(reduce_scalar, x, ctx, err)
+            == _reduced(_two_routes, x, ctx, err))
 
 
 @st.composite

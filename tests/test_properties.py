@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from padic_dm import INF, FieldSpec, LogVal, PairingVector, biduality_transform
+from padic_dm import INF, FieldSpec, LogVal, TruncSeries, biduality_transform
 
 K5 = FieldSpec.gauss(5, ("x",))
 
@@ -48,6 +48,6 @@ def test_scalar_val_laws(a, b):
 @given(st.lists(scalars(K5), min_size=9, max_size=9))
 @settings(max_examples=25, deadline=None)
 def test_biduality_involution_property(coeffs):
-    v = PairingVector(tuple(coeffs))
+    v = TruncSeries.from_list(coeffs)
     w = biduality_transform(biduality_transform(v, 0, 8), 0, 8)
     assert all((w.coeff(i) - v.coeff(i)).is_zero() for i in range(9))

@@ -6,9 +6,9 @@ from math import factorial
 
 import pytest
 
-from padic_dm import (AllZero, DiffModule, ExactDomain, LogVal, PairingVector,
-                      TruncSeries, biduality_transform, dual_pairing,
-                      hadamard_radius, iterate_G, solution_matrix, taylor_map)
+from padic_dm import (AllZero, DiffModule, ExactDomain, LogVal, TruncSeries,
+                      biduality_transform, dual_pairing, hadamard_radius,
+                      iterate_G, solution_matrix, taylor_map)
 from padic_dm.linalg import mat_mul
 
 from conftest import random_scalar
@@ -143,7 +143,7 @@ def test_dual_pairing_matrix_oracle(gauss5):
 
 def test_biduality_constant(gauss5):
     K = gauss5
-    v = PairingVector((K.scalar(7),) + tuple(K.zero() for _ in range(8)))
+    v = TruncSeries.from_list([K.scalar(7)] + [K.zero()] * 8)
     w = biduality_transform(v, 0, 8)
     assert w.coeff(0) == K.scalar(7)
     assert all(w.coeff(i).is_zero() for i in range(1, 9))
@@ -153,13 +153,13 @@ def test_biduality_involution(gauss5, laurent):
     rng = random.Random(25)
     for field in (gauss5, laurent):
         for _ in range(10):
-            v = PairingVector(tuple(random_scalar(field, rng, deg=2)
-                                    for _ in range(9)))
+            v = TruncSeries.from_list(random_scalar(field, rng, deg=2)
+                                      for _ in range(9))
             w = biduality_transform(biduality_transform(v, 0, 8), 0, 8)
             assert all((w.coeff(i) - v.coeff(i)).is_zero() for i in range(9))
 
 
 def test_biduality_zero(gauss5):
-    v = PairingVector(tuple(gauss5.zero() for _ in range(9)))
+    v = TruncSeries.from_list([gauss5.zero()] * 9)
     w = biduality_transform(v, 0, 8)
     assert all(c.is_zero() for c in w.coeffs)
