@@ -36,6 +36,30 @@ SCHEMA_VERSION = 1
 # The precision of a job whose --precision leaves a key out.
 DEFAULT_PRECISION = PrecisionCtx(Fraction(10), 64, 100)
 
+# Cap on the target precision N.  A Hensel split gains about its radius
+# gap per step on digits that grow as p^(N + 12), so its time grows about
+# as N^2: `decompose` on T^2 - (1/5)*T + x (gap 1) takes 1.1 s at N=200,
+# 5.5 s at N=400 and 8 s at N=500 (d=48, enough max_iter; one process).
+# README, golden and test inputs use N <= 80.
+MAX_N = 500
+
+# Cap on the degree cap d.  Bivariate Gauss digits fill up to (d+1)^2 / 2
+# monomials: `multi_decompose` on a conjugated criterion-8 module takes
+# 0.15 s at d=28, 2.1 s at d=56 and 14 s at d=112.  Inputs use d <= 64.
+MAX_D = 128
+
+# Cap on max_iter.  A split stops at its target or at its first step that
+# gains nothing, so the cap only bounds slow contractions: a gap of 1/2
+# needs 2N steps, 1000 at N = MAX_N.  Inputs use max_iter <= 100.
+MAX_ITER = 1000
+
+# Cap on the module dimension (the --op degree, the size of each --mat).
+# The exact cyclic-vector solve and radius oracle grow steeply with it:
+# `radii` on a dense random module (Gauss p=5, entries 0, 1, 2, x, 1/5,
+# x/5) takes 0.6 s at dimension 8, 7.9 s at 12 and 34 s at 14.  Inputs
+# have dimension <= 3.
+MAX_DIM = 12
+
 
 @dataclass
 class JobSpec:
@@ -96,6 +120,9 @@ def _parse_precision(text: str) -> PrecisionCtx:
                 opts[key] = int(val)
             else:
                 raise ParseError(f"unknown precision option {key!r}")
+        for key, cap in (("N", MAX_N), ("d", MAX_D), ("max_iter", MAX_ITER)):
+            if opts.get(key, 0) > cap:
+                raise ParseError(f"precision option {key} above {cap}")
         return replace(DEFAULT_PRECISION, **opts)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(str(exc)) from exc
@@ -166,7 +193,12 @@ def parse_job(argv: list) -> JobSpec:
 def _build_module(job: JobSpec) -> DiffModule:
     field = job.field
     if job.op_text is not None:
-        return from_operator(parse_operator(job.op_text, field, job.deriv))
+        op = parse_operator(job.op_text, field, job.deriv)
+        if op.degree > MAX_DIM:
+            raise ParseError(f"operator degree above {MAX_DIM}")
+        return from_operator(op)
+    if any(t.count(";") + 1 > MAX_DIM for t in job.mat_texts):
+        raise ParseError(f"matrix size above {MAX_DIM}")
     rows = [parse_matrix(t, field) for t in job.mat_texts]
     dim = len(rows[0])
     if any(len(g) != dim for g in rows):

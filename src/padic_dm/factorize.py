@@ -6,11 +6,16 @@ carries the radii below the break (in log scale) and the left factor the
 rest.  The factorization is a contraction: initialize the right factor
 from the polygon truncation of the coefficients, then repeat
 
-    P = D * Q + R,    Q <- Q + i(d0^-1) * R,
+    P = D * Q + R,    Q <- Q + i(z) * R,
 
-with d0 the constant coefficient of D, which dominates D in the weighted
-norm at the break; the residual's weighted valuation must rise every step.
-Each step inverts the current d0 afresh (a doubling Newton inverse).
+with z an inverse of d0, the constant coefficient of D, which dominates D
+in the weighted norm at the break; the residual's weighted valuation must
+rise every step.  The correction needs z to match d0^-1 only to within
+the gap between the radii on either side of the break, not to N, so the
+iteration is a chord one: z is the inverse (a doubling Newton inverse) of
+the first step's d0, and d0 is inverted afresh only after a step that
+gained less than the gap (every exact-inverse step of the benchmark
+corpora gained at least the gap).
 A mirrored iteration (left division, correction multiplied by the inverse
 constant coefficient of the right cofactor from the right) produces the
 factorization with the low radii on the left, which is what exhibits the
@@ -48,15 +53,16 @@ from .twisted import (PiNormParams, TwistedPoly, divmod_left, divmod_right,
 
 
 def _split_groups(p: TwistedPoly, lv_break: LogVal):
-    """Partition the clipped radii of P across lv_break; NoGap if trivial."""
+    """Partition the clipped radii of P across lv_break; NoGap if trivial.
+    Returns (d_low, lv_t, gap), lv_t the middle of the gap between sides.
+    """
     prof = radii_from_polygon(p)
     low = {lv: m for lv, m in prof.entries if lv < lv_break}
     high = {lv: m for lv, m in prof.entries if lv >= lv_break}
     if not low or not high:
         raise NoGap(f"no radius split across lv {lv_break}")
-    d_low = sum(low.values())
-    lv_t = (max(low) + min(high)) / 2
-    return d_low, lv_t
+    gap = min(high) - max(low)
+    return sum(low.values()), max(low) + gap / 2, gap
 
 
 def _working_domain(p: TwistedPoly, ctx: PrecisionCtx) -> ApproxDomain:
@@ -86,18 +92,21 @@ def _check_factor_errs(ctx: PrecisionCtx, *polys: TwistedPoly):
                 raise PrecisionLoss("factor coefficient lost target precision")
 
 
-def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, ctx: PrecisionCtx,
-            right: bool):
+def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
+            ctx: PrecisionCtx, right: bool):
     """Contraction onto the monic factor Q of degree d_low.
 
-    Right: P = D*Q + R, Q <- Q + i(d0^-1) * R.  Left: P = Q*E + S,
-    Q <- Q + S * e0^-1.  Returns (cofactor, Q, res_lv).
+    Right: P = D*Q + R, Q <- Q + i(z) * R.  Left: P = Q*E + S,
+    Q <- Q + S * z.  Returns (cofactor, Q, res_lv).  Chord steps: z
+    inverts the cofactor's constant term d0 of the first step, and the
+    current d0 again after a step that gained less than the gap.  A z off
+    from d0^-1 at relative lv e gains about min(gap, e) per step.
     """
     divide = divmod_right if right else divmod_left
     params = PiNormParams(lv_t)
     target = LogVal(ctx.N)
     q = _init_low_factor(p, d_low)
-    prev = None
+    prev = zinv = None
     for step in range(ctx.max_iter + 1):
         cof, r = divide(p, q)
         res = pi_norm(r, params)
@@ -109,25 +118,29 @@ def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, ctx: PrecisionCtx,
                 f"residual lv {res} below target {ctx.N} after {step} steps")
         if prev is not None and not res > prev:
             raise IterationBudget(f"residual stalled at lv {res}")
+        if zinv is None or res - prev < gap:
+            c0 = cof.coeff(0)
+            if c0.is_zero():
+                raise PrecisionLoss(
+                    "cofactor constant term vanished at precision")
+            zinv = c0.inverse()
         prev = res
-        c0 = cof.coeff(0)
-        if c0.is_zero():
-            raise PrecisionLoss("cofactor constant term vanished at precision")
-        zinv = c0.inverse()
         if right:
             q = q + r.scale_left(zinv)
         else:
             q = q + mul(r, TwistedPoly.constant(p.domain, p.deriv, zinv))
 
 
-def _hensel_right(p: TwistedPoly, d_low: int, lv_t: LogVal, ctx: PrecisionCtx):
+def _hensel_right(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
+                  ctx: PrecisionCtx):
     """P = D*Q + R iteration on the right factor.  Returns (D, Q, res_lv)."""
-    return _hensel(p, d_low, lv_t, ctx, right=True)
+    return _hensel(p, d_low, lv_t, gap, ctx, right=True)
 
 
-def _hensel_left(p: TwistedPoly, d_low: int, lv_t: LogVal, ctx: PrecisionCtx):
+def _hensel_left(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
+                 ctx: PrecisionCtx):
     """P = Q*E + S iteration on the left factor.  Returns (E, Q, res_lv)."""
-    return _hensel(p, d_low, lv_t, ctx, right=False)
+    return _hensel(p, d_low, lv_t, gap, ctx, right=False)
 
 
 def slope_factorize(p: TwistedPoly, lv_break: LogVal,
@@ -139,8 +152,8 @@ def slope_factorize(p: TwistedPoly, lv_break: LogVal,
     """
     if not p.is_monic():
         raise NotMonic("slope factorization needs a monic operator")
-    d_low, lv_t = _split_groups(p, lv_break)
-    d, q, _res = _hensel_right(reduce_operator(p, ctx), d_low, lv_t, ctx)
+    split = _split_groups(p, lv_break)
+    d, q, _res = _hensel_right(reduce_operator(p, ctx), *split, ctx)
     return d, q
 
 
@@ -186,8 +199,7 @@ def _right_chain(p: TwistedPoly, lvs: list,
     factors, residuals, tails = [], [], []
     rest = p
     for lv in lvs[:-1]:
-        d_low, lv_t = _split_groups(rest, lv)
-        d, rest, res = _hensel_right(rest, d_low, lv_t, ctx)
+        d, rest, res = _hensel_right(rest, *_split_groups(rest, lv), ctx)
         factors.append(d)
         residuals.append(res)
         tails.append(rest)
@@ -333,8 +345,7 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
     # decreasing filtration: left splits at every break (low radii)
     lows = []
     for i in range(1, k):
-        d_low, lv_t = _split_groups(pa, lvs[i - 1])
-        e, _q, res = _hensel_left(pa, d_low, lv_t, ctx)
+        e, _q, res = _hensel_left(pa, *_split_groups(pa, lvs[i - 1]), ctx)
         residuals.append(res)
         lows.append(e)  # B_i = span of T^b * e, b < d_low
 

@@ -113,28 +113,45 @@ def inverse(a: Matrix, domain) -> Matrix | None:
 
 
 def determinant(a: Matrix, domain):
-    """Division-free determinant (expansion over column subsets)."""
+    """Division-free determinant by Berkowitz's algorithm (S. Berkowitz,
+    Inform. Process. Lett. 18, 1984): O(n^4) ring operations, no pivots.
+
+    det(t I - A_k), the characteristic polynomial of the leading k x k
+    block, is t^k + c[0] t^(k-1) + ... + c[k-1].  Bordering A_k by the
+    column u, the row w and the corner a multiplies its coefficient vector
+    by the lower-triangular Toeplitz matrix with first column 1, col[0],
+    col[1], ... = 1, -a, -w u, -w A_k u, ..., -w A_k^(k-1) u.  The leading
+    1 is kept implicit, so nothing is multiplied by one.  Then
+    det A = (-1)^n c[n-1].
+    """
     n = len(a)
     if n == 0:
         return domain.one()
-    prev = {(j,): a[0][j] for j in range(n)}
-    for r in range(1, n):
-        cur = {}
-        for cols, minor in prev.items():
-            if minor.is_zero():
-                continue
-            for j in range(n):
-                if j in cols:
-                    continue
-                key = tuple(sorted(cols + (j,)))
-                sign = 1 if sum(1 for c in cols if c > j) % 2 == 0 else -1
-                term = minor * a[r][j]
-                if sign < 0:
-                    term = -term
-                cur[key] = cur.get(key, domain.zero()) + term
-        prev = cur
-    full = tuple(range(n))
-    return prev.get(full, domain.zero())
+    c = []
+    for k in range(n):
+        w = a[k][:k]
+        v = [a[i][k] for i in range(k)]
+        col = [-a[k][k]]
+        for i in range(k):
+            if i:
+                v = [_dot(r, v) for r in a[:k]]
+            col.append(-_dot(w, v))
+        new = []
+        for i in range(k + 1):
+            acc = col[i] if i == k else c[i] + col[i]
+            if i:
+                acc = acc + _dot(col[i - 1::-1], c)
+            new.append(acc)
+        c = new
+    return c[-1] if n % 2 == 0 else -c[-1]
+
+
+def _dot(u: list, v: list):
+    """Sum of u[i] * v[i] over the shorter length (at least one term)."""
+    acc = u[0] * v[0]
+    for x, y in zip(u[1:], v[1:]):
+        acc = acc + x * y
+    return acc
 
 
 def is_invertible(a: Matrix, domain) -> bool:

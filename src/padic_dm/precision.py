@@ -260,6 +260,7 @@ class ApproxScalar:
         err = self.err_lv - 2 * v
         mono0 = (0,) * f.nvars
         u0 = self.coeffs.get(mono0, 0)
+        top = ctx.d
         if f.kind == GAUSS:
             # _normalize leaves digits mod p^(err_lv - v) with gcd prime to
             # p; the inverse also needs the constant term to be a p-unit
@@ -268,16 +269,18 @@ class ApproxScalar:
                 raise NotExpandable("constant term not a unit mod p")
             z = {mono0: pow(u0, -1, mod)}
         else:
-            # _normalize put a nonzero digit at exponent 0
+            # _normalize put a nonzero digit at exponent 0; it drops every
+            # digit of the inverse at or above z^(err_lv - v)
             mod = None
+            top = min(top, self.err_lv - v - 1)
             z = {mono0: Fraction(1) / u0}
         # Newton z <- z(2 - uz): z is exact below degree D, so one step
         # makes it exact below 2D; each step works at cap 2D - 1.  Over Q
-        # the inverse truncated at degree d is unique, so the Laurent
+        # the inverse truncated at degree top is unique, so the Laurent
         # digits are those of the power-series recurrence.
         D = 1
-        while D <= ctx.d:
-            cap = min(2 * D, ctx.d + 1) - 1
+        while D <= top:
+            cap = min(2 * D, top + 1) - 1
             uz = _polymul(self.coeffs, z, mod, cap, f.nvars)
             e = {m: -c for m, c in uz.items()}
             e[mono0] = e.get(mono0, 0) + 2

@@ -288,3 +288,121 @@ def test_unstable_span_fails_stability_certificate(gauss5, monkeypatch):
     monkeypatch.setattr(factorize, "_span_columns", corrupted)
     with pytest.raises(CertificateFailure, match="stability_ok': False"):
         decompose(m, 0, CTX)
+
+
+# -- the chord contraction ------------------------------------------------
+
+
+def _fresh_hensel(p, d_low, lv_t, ctx, right):
+    """Reference contraction: the constant term of the cofactor is inverted
+    afresh at every step."""
+    from padic_dm.factorize import _init_low_factor
+    from padic_dm.twisted import divmod_left, divmod_right
+    params = PiNormParams(lv_t)
+    q = _init_low_factor(p, d_low)
+    for _ in range(ctx.max_iter + 1):
+        cof, r = (divmod_right if right else divmod_left)(p, q)
+        res = pi_norm(r, params)
+        if res >= LogVal(ctx.N):
+            return cof, q, res
+        zinv = cof.coeff(0).inverse()
+        if right:
+            q = q + r.scale_left(zinv)
+        else:
+            q = q + mul(r, TwistedPoly.constant(p.domain, p.deriv, zinv))
+    raise AssertionError("reference contraction did not reach N")
+
+
+def _splits(text, field, ctx):
+    """Every split of the operator at one of its breaks, as the arguments
+    of ``factorize._hensel`` before ``ctx``."""
+    from padic_dm.factorize import _split_groups, reduce_operator
+    p = reduce_operator(parse_operator(text, field), ctx)
+    lvs = sorted(radii_from_polygon(p).as_dict(), reverse=True)
+    assert len(lvs) > 1
+    return [(p, *_split_groups(p, lv)) for lv in lvs[:-1]]
+
+
+def _same_at(n, a, b):
+    return a.degree == b.degree and all(
+        (x - y).truncate_err(n).is_zero() for x, y in zip(a.coeffs, b.coeffs))
+
+
+def _count_cofactor_inversions(monkeypatch, right, perturb=None):
+    """Patch the contraction so that each inversion of a cofactor's constant
+    term is recorded by step (and the first one optionally perturbed)."""
+    from padic_dm import factorize
+    from padic_dm.precision import ApproxScalar
+    name = "divmod_right" if right else "divmod_left"
+    divide, inverse = getattr(factorize, name), ApproxScalar.inverse
+    cofs, steps = [], []
+
+    def recorded(p, q):
+        out = divide(p, q)
+        cofs.append(out[0])
+        return out
+
+    def counted(self):
+        z = inverse(self)
+        if cofs and self is cofs[-1].coeff(0):
+            steps.append(len(cofs) - 1)
+            if perturb is not None and len(steps) == 1:
+                z = perturb(z)
+        return z
+
+    monkeypatch.setattr(factorize, name, recorded)
+    monkeypatch.setattr(ApproxScalar, "inverse", counted)
+    return steps
+
+
+CHORD_CASES = [   # field, operator, degree cap d (Laurent: a window > N)
+    ("gauss5", "T^2 - (1/5)*T + x", 32),
+    ("gauss5", "T^2 - (1/125)*T + x", 32),
+    ("gauss5", "(T - 1/25)*(T - 1/5)*(T - x)", 32),
+    ("gauss5xy", "T^2 - (1/5 + y)*T + x*y", 24),
+    ("laurent", "T^2 - (1/z^3)*T + 1/z", 64),
+    ("laurent", "T^3 - (1/z^4)*T^2 + (1/z)*T + 1", 64),
+]
+
+
+@pytest.mark.parametrize("right", [True, False], ids=["right", "left"])
+@pytest.mark.parametrize("field,text,d", CHORD_CASES)
+def test_chord_matches_fresh_inverse(request, field, text, d, right):
+    from padic_dm.factorize import _hensel
+    ctx = PrecisionCtx(Fraction(30), d=d, max_iter=100)
+    for p, d_low, lv_t, gap in _splits(text, request.getfixturevalue(field),
+                                       ctx):
+        cof, q, res = _hensel(p, d_low, lv_t, gap, ctx, right)
+        ref_cof, ref_q, ref_res = _fresh_hensel(p, d_low, lv_t, ctx, right)
+        assert res >= LogVal(30) and ref_res >= LogVal(30)
+        assert _same_at(30, q, ref_q) and _same_at(30, cof, ref_cof)
+
+
+@pytest.mark.parametrize("right", [True, False], ids=["right", "left"])
+def test_chord_inverts_the_cofactor_a_few_times(gauss5, monkeypatch, right):
+    # a fresh inverse per step would make 49 inversions in these 50 steps
+    from padic_dm.factorize import _hensel
+    ctx = PrecisionCtx(Fraction(80), d=48, max_iter=100)
+    (split,) = _splits("T^2 - (1/5)*T + x", gauss5, ctx)
+    steps = _count_cofactor_inversions(monkeypatch, right)
+    _cof, _q, res = _hensel(*split, ctx, right)
+    assert res >= LogVal(80)
+    assert 1 <= len(steps) <= 3
+
+
+@pytest.mark.parametrize("right", [True, False], ids=["right", "left"])
+def test_chord_refreshes_a_stale_inverse(gauss5, monkeypatch, right):
+    """The first z is off at lv gap - 1 = 2, so the step it makes gains 2
+    where the gap is 3: the next step inverts afresh, and the factors are
+    those of the unperturbed contraction."""
+    from padic_dm.factorize import _hensel
+    ctx = PrecisionCtx(Fraction(40), d=32, max_iter=100)
+    (split,) = _splits("T^2 - (1/125)*T + x", gauss5, ctx)
+    assert split[3] == LogVal(3)
+    cof, q, _res = _hensel(*split, ctx, right)
+    steps = _count_cofactor_inversions(monkeypatch, right,
+                                       perturb=lambda z: z + z * 25)
+    stale_cof, stale_q, res = _hensel(*split, ctx, right)
+    assert steps == [0, 1]
+    assert res >= LogVal(40)
+    assert _same_at(40, q, stale_q) and _same_at(40, cof, stale_cof)

@@ -323,17 +323,24 @@ def test_bivariate_kronecker_matches_schoolbook(monkeypatch, seed, top_a,
 
 
 def _full_cap_inverse(u):
-    """Reference Gauss inverse: ceil(log2(d + 1)) + 1 Newton steps, every
-    one at the full degree cap d."""
+    """Reference inverse: ceil(log2(d + 1)) + 1 Newton steps, every one at
+    the full degree cap d (Gauss digits mod p^(err_lv - v), exact Laurent
+    digits)."""
     f, ctx = u.field, u.ctx
     v = int(u.val_exact().value)
-    mod = f.p ** (u.err_lv - v)
     mono0 = (0,) * f.nvars
-    z = {mono0: pow(u.coeffs[mono0], -1, mod)}
+    if f.kind == "gauss":
+        mod = f.p ** (u.err_lv - v)
+        z = {mono0: pow(u.coeffs[mono0], -1, mod)}
+    else:
+        mod = None
+        z = {mono0: Fraction(1) / u.coeffs[mono0]}
     for _ in range(max(1, math.ceil(math.log2(ctx.d + 1)) + 1)):
         uz = _polymul(u.coeffs, z, mod, ctx.d, f.nvars)
-        e = {m: (-c) % mod for m, c in uz.items()}
-        e[mono0] = (e.get(mono0, 0) + 2) % mod
+        e = {m: -c for m, c in uz.items()}
+        e[mono0] = e.get(mono0, 0) + 2
+        if mod is not None:
+            e = {m: c % mod for m, c in e.items()}
         z = _polymul(z, e, mod, ctx.d, f.nvars)
     return ApproxScalar(f, ctx, -v, z, u.err_lv - 2 * v)
 
@@ -397,6 +404,35 @@ def test_laurent_inverse_matches_recurrence(laurent, d, fractions):
     assert inv.coeffs == ref.coeffs
     assert (inv.shift, inv.err_lv) == (ref.shift, ref.err_lv)
     assert (u * inv - 1).is_precision_zero()
+
+
+@pytest.mark.parametrize("d", [1, 7, 32, 48])
+@pytest.mark.parametrize("window", [1, 2, 5, 17, 33, 60])
+def test_laurent_inverse_stops_at_its_window(laurent, monkeypatch, d,
+                                             window):
+    """Only the digits below z^(err_lv - v) of a Laurent inverse survive
+    the normal form, so Newton stops there: the same digits, shift and
+    err_lv as at the full cap d, from products capped below the window."""
+    ctx = PrecisionCtx(Fraction(10), d=d)
+    rng = random.Random(100 * d + window)
+    shift = rng.choice([-3, 0, 2])
+    coeffs = {(k,): Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+              for k in range(1, d + 1)}
+    coeffs[(0,)] = Fraction(rng.randint(1, 9), rng.randint(1, 7))
+    u = ApproxScalar(laurent, ctx, shift, coeffs, shift + window)
+    caps = []
+
+    def capped(a, b, mod, dcap, nvars):
+        caps.append(dcap)
+        return _polymul(a, b, mod, dcap, nvars)
+
+    monkeypatch.setattr(precision, "_polymul", capped)
+    inv = u.inverse()
+    monkeypatch.undo()
+    ref = _full_cap_inverse(u)
+    assert inv.coeffs == ref.coeffs
+    assert (inv.shift, inv.err_lv) == (ref.shift, ref.err_lv)
+    assert max(caps, default=0) == min(d, window - 1)
 
 
 def _scanned_val(x):
