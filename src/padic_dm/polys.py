@@ -101,9 +101,10 @@ def p_mul_uni(a: dict, b: dict, dcap: int) -> dict:
     1.2x as long) and the packed product wins by 1.3x from 8 to 15 pairs,
     2.7x from 32 to 63 and 7x from 128 to 255; the ``Fraction`` digits of
     the ``decompose`` corpus give the same crossover (0.7x below 8 pairs,
-    1.3x at 8 to 15).  Its ``int`` digits would favour the loop up to
-    about 128 pairs, but the ~490 such products of a pass cost only
-    ~8 ms more on the packed path, so one threshold serves both.  On 65 x 65
+    1.3x at 8 to 15).  Its ``int`` digits (Gauss digits and Laurent
+    numerators) favour the loop up to about 256 pairs, but the ~1400 such
+    products of a pass cost only ~23 ms more on the packed path, so one
+    threshold serves both.  On 65 x 65
     dense terms the packed product is 8x (4-digit rationals) to 44x
     (binomial coefficients) faster.  Zero results are dropped.
     """
@@ -274,8 +275,9 @@ def _kronecker(a: dict, b: dict, dcap: int) -> dict:
     (bivariate ones after ``precision._weighted``) by Kronecker
     substitution.
 
-    Both digit vectors become integers (``Fraction`` digits over one common
-    denominator) and are evaluated at 2^k, so one product of Python ints
+    Both digit vectors become integers (``ApproxScalar`` digits are ints;
+    the ``Fraction`` coefficients of exact ``p_mul`` are put over one
+    common denominator) and are evaluated at 2^k, so one product of ints
     does the whole convolution.  Each output digit is a sum of at most
     min(len a, len b) products, so |c| < 2^(k-1) for a slot width of
     bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 2, rounded up
@@ -308,7 +310,8 @@ def _kronecker(a: dict, b: dict, dcap: int) -> dict:
 
 def _int_digits(d: dict, lo: int, n: int) -> tuple:
     """Dense integer digits of d at exponents lo .. lo+n-1, and the common
-    denominator that scaled them (None when every digit is an int)."""
+    denominator that scaled them: None when every digit is an int (every
+    ``ApproxScalar`` digit is); ``Fraction``s come from exact ``p_mul``."""
     dense = [0] * n
     for (e,), c in d.items():
         if e - lo < n:

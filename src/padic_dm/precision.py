@@ -5,11 +5,11 @@ An ``ApproxScalar`` is a truncated expansion of a field element:
 * Gauss model: p^shift * (polynomial in the variables with integer
   coefficients reduced mod p^mod_exp), capped at total degree ctx.d.
 * Laurent model: z^shift * (polynomial in z with exact rational
-  coefficients), window of ctx.d + 1 digits.  Digits are ``Fraction``s
-  (``int``s where a caller supplied them), never floats: every operation,
-  inverse included, keeps them exact.
+  coefficients), window of ctx.d + 1 digits, as ``int`` numerators over
+  one positive ``int`` ``den`` (Gauss: ``den`` = 1): sums bring operands
+  to one denominator, products multiply them; no gcd per digit.
 
-Digits are stored as dicts from exponent tuples to coefficients.  Products
+Digits are stored as dicts from exponent tuples to ``int``s.  Products
 go through ``_conv``: univariate operands (both models) go through the
 dispatcher of exact products, ``polys.p_mul_uni``: monomial scaling when
 one side has a single term, else Kronecker substitution (one product of
@@ -18,29 +18,33 @@ operands with many term pairs under the degree cap d go through the same
 packed product after the weighting x^i y^j -> t^(i*(d+1) + j*(d+2)),
 which keeps the total-degree cap exact; sparser ones keep the pairwise
 loop (see ``_conv`` for the threshold).  Both models invert by the same
-Newton iteration, which doubles the degree below which it is exact at
-every step.
+Newton iteration on integer numerators, which doubles the degree below
+which it is exact at every step.
 
 Every value is kept in a normal form: ``_normalize`` divides the
 valuation of the digits out into ``shift`` (Gauss: the digits have gcd
-prime to p; Laurent: a digit sits at exponent 0), and nothing else writes
-``coeffs`` or ``shift``.  So ``val_exact`` of a nonzero value is its shift.
+prime to p; Laurent: a digit sits at exponent 0, gcd(den, digits) = 1),
+and nothing else writes ``coeffs``, ``den`` or ``shift``.  So
+``val_exact`` of a nonzero value is its shift.
 
 ``reduce_scalar`` takes an exact scalar to its truncation by one route
 in both models: the numerator's digits times the Newton inverse of the
 denominator, through ``_polymul``.  The ``Scalar`` canonical form makes
-the denominator a primitive integer polynomial, so the valuation is read
-off the numerator's content (Gauss: its p-power is the shift and its unit
-part multiplies the digits) or off the lowest exponents (Laurent), and a
-constant denominator is 1 and needs no inverse.
+the denominator a primitive integer polynomial, and ``polys.p_primitive``
+splits the numerator into its content and int digits.  The valuation is
+read off the content (Gauss: its p-power is the shift, its unit part
+scales the digits) or the lowest exponents (Laurent: the content's
+numerator scales the digits, its denominator is ``den``); a constant
+denominator needs no inverse.
 
 ``err_lv`` is a lower bound for lv(true - represented) in the p-adic
-(resp. z-adic) direction; every operation propagates it.  The total-degree
-cap of the Gauss model is a ring quotient, not an error term: results are
-classes modulo monomials of degree > ctx.d, and callers pick d large enough
-that quotient effects stay below the target precision for their inputs
-(factorization certificates re-measure residuals, they never trust the
-iteration alone).
+(resp. z-adic) direction; every operation propagates it, and an exact
+operand c loses nothing of it in ``x + c`` or ``x * c`` (``_coerce``).
+The total-degree cap of the Gauss model is a ring quotient, not an error
+term: results are classes modulo monomials of degree > ctx.d, and callers
+pick d large enough that quotient effects stay below the target precision
+for their inputs (factorization certificates re-measure residuals, they
+never trust the iteration alone).
 
 The ``ExactDomain`` / ``ApproxDomain`` pair lets the twisted-polynomial and
 module layers run the same algorithms over exact scalars or truncations.
@@ -91,15 +95,16 @@ class PrecisionCtx:
 class ApproxScalar:
     """A truncated expansion with a valuation offset and an error bound."""
 
-    __slots__ = ("field", "ctx", "shift", "coeffs", "err_lv")
+    __slots__ = ("field", "ctx", "shift", "coeffs", "err_lv", "den")
 
     def __init__(self, field: FieldSpec, ctx: PrecisionCtx, shift: int,
-                 coeffs: dict, err_lv: int):
+                 coeffs: dict, err_lv: int, den: int = 1):
         self.field = field
         self.ctx = ctx
         self.shift = shift
         self.coeffs = coeffs
         self.err_lv = err_lv
+        self.den = den
         self._normalize()
 
     # -- representation upkeep ------------------------------------------
@@ -129,16 +134,22 @@ class ApproxScalar:
                     self.coeffs = {m: c // q for m, c in cc.items()}
                     self.shift += strip
         else:
-            cc = {}
-            for m, c in self.coeffs.items():
-                if m[0] <= self.ctx.d and self.shift + m[0] < self.err_lv and c:
-                    cc[m] = c
+            top = min(self.ctx.d, self.err_lv - self.shift - 1)
+            cc = {m: c for m, c in self.coeffs.items() if c and m[0] <= top}
+            try:
+                g = math.gcd(self.den, *cc.values())
+            except TypeError:   # rational digits: clear their denominators
+                k = math.lcm(*[c.denominator for c in cc.values()])
+                cc = {m: int(c * k) for m, c in cc.items()}
+                self.den *= k
+                g = math.gcd(self.den, *cc.values())
+            g = -g if self.den < 0 else g
+            strip = 0 if (0,) in cc else min(cc, default=(0,))[0]
+            if g != 1 or strip:
+                cc = {(m[0] - strip,): c // g for m, c in cc.items()}
+                self.den //= g
+                self.shift += strip
             self.coeffs = cc
-            if cc:
-                strip = min(m[0] for m in cc)
-                if strip:
-                    self.coeffs = {(m[0] - strip,): c for m, c in cc.items()}
-                    self.shift += strip
 
     # -- queries -----------------------------------------------------------
 
@@ -178,12 +189,16 @@ class ApproxScalar:
             if other.field != self.field:
                 raise FieldMismatch("mixed fields in approximate arithmetic")
             return other
-        if isinstance(other, Scalar):
-            return reduce_scalar(other, self.ctx, err_target=self.err_lv + 4)
         if isinstance(other, (int, Fraction)):
-            return reduce_scalar(self.field.scalar(other), self.ctx,
-                                 err_target=self.err_lv + 4)
-        return NotImplemented
+            other = self.field.scalar(other)
+        if not isinstance(other, Scalar):
+            return NotImplemented
+        # an exact c reduced at err_lv + max(0, v(c) - shift) makes x + c
+        # and x * c keep err_lv and v(c) + err_lv: nothing is lost
+        f = self.field
+        v = P.p_min_vp(other.num, f.p) if f.kind == GAUSS and other.num else 0
+        return reduce_scalar(other, self.ctx,
+                             err_target=self.err_lv + max(0, v - self.shift))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -199,18 +214,21 @@ class ApproxScalar:
             for m, c in o.coeffs.items():
                 cc[m] = cc.get(m, 0) + c * pb
             return ApproxScalar(f, self.ctx, s, cc, err)
-        err = min(err, s + self.ctx.d + 1)
-        cc = {(m[0] + self.shift - s,): c for m, c in self.coeffs.items()}
-        for m, c in o.coeffs.items():
-            k = (m[0] + o.shift - s,)
-            cc[k] = cc.get(k, 0) + c
-        return ApproxScalar(f, self.ctx, s, cc, err)
+        den = math.lcm(self.den, o.den)   # each operand scaled to it once
+        ka, kb = den // self.den, den // o.den
+        ea, eb = self.shift - s, o.shift - s
+        cc = {(m[0] + ea,): c * ka for m, c in self.coeffs.items()}
+        for (e,), c in o.coeffs.items():
+            cc[e + eb,] = cc.get((e + eb,), 0) + c * kb
+        return ApproxScalar(f, self.ctx, s, cc, min(err, s + self.ctx.d + 1),
+                            den)
 
     __radd__ = __add__
 
     def __neg__(self):
         return ApproxScalar(self.field, self.ctx, self.shift,
-                            {m: -c for m, c in self.coeffs.items()}, self.err_lv)
+                            {m: -c for m, c in self.coeffs.items()},
+                            self.err_lv, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -239,7 +257,7 @@ class ApproxScalar:
         if f.kind != GAUSS:
             err = min(err, s + self.ctx.d + 1)
         cc = _conv(self.coeffs, o.coeffs, self.ctx.d, f.nvars)
-        return ApproxScalar(f, self.ctx, s, cc, err)
+        return ApproxScalar(f, self.ctx, s, cc, err, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -267,26 +285,33 @@ class ApproxScalar:
             mod = f.p ** (self.err_lv - v)
             if u0 % f.p == 0:
                 raise NotExpandable("constant term not a unit mod p")
-            z = {mono0: pow(u0, -1, mod)}
+            z, dz = {mono0: pow(u0, -1, mod)}, 1
         else:
             # _normalize put a nonzero digit at exponent 0; it drops every
             # digit of the inverse at or above z^(err_lv - v)
             mod = None
             top = min(top, self.err_lv - v - 1)
-            z = {mono0: Fraction(1) / u0}
-        # Newton z <- z(2 - uz): z is exact below degree D, so one step
-        # makes it exact below 2D; each step works at cap 2D - 1.  Over Q
-        # the inverse truncated at degree top is unique, so the Laurent
-        # digits are those of the power-series recurrence.
+            z, dz = {mono0: 1}, u0
+        # Newton w <- w(2 - Uw) on w = z/dz ~ 1/U, U the digits (u = U/den):
+        # z <- z(2dz - Uz), dz <- dz^2, then gcd(dz, z) divided out, which
+        # keeps Laurent numerators near the size of the digits.  w is exact
+        # below degree D, so one step makes it exact below 2D; each step
+        # works at cap 2D - 1.  Over Q the inverse truncated at degree top
+        # is unique, so the Laurent digits are those of the power-series
+        # recurrence.
         D = 1
         while D <= top:
             cap = min(2 * D, top + 1) - 1
             uz = _polymul(self.coeffs, z, mod, cap, f.nvars)
             e = {m: -c for m, c in uz.items()}
-            e[mono0] = e.get(mono0, 0) + 2
+            e[mono0] = e.get(mono0, 0) + 2 * dz
             z = _polymul(z, e, mod, cap, f.nvars)
+            dz = dz * dz
+            if (g := math.gcd(dz, *z.values())) > 1:
+                z, dz = {m: c // g for m, c in z.items()}, dz // g
             D = cap + 1
-        return ApproxScalar(f, ctx, -v, z, err)
+        z = {m: c * self.den for m, c in z.items()}   # 1/u = den/U
+        return ApproxScalar(f, ctx, -v, z, err, dz)
 
     def truncate_err(self, err: int, degree: int | None = None) -> "ApproxScalar":
         """Round down to a smaller error bound and/or degree window.
@@ -303,7 +328,7 @@ class ApproxScalar:
         if degree is not None:
             cc = {m: c for m, c in cc.items() if sum(m) <= degree}
         return ApproxScalar(self.field, self.ctx, self.shift,
-                            dict(cc), min(err, self.err_lv))
+                            dict(cc), min(err, self.err_lv), self.den)
 
     def derive(self, j: int = 0) -> "ApproxScalar":
         f = self.field
@@ -320,7 +345,8 @@ class ApproxScalar:
             e = self.shift + m[0]
             if e:
                 cc[m] = c * e
-        return ApproxScalar(f, self.ctx, self.shift - 1, cc, self.err_lv - 1)
+        return ApproxScalar(f, self.ctx, self.shift - 1, cc, self.err_lv - 1,
+                            self.den)
 
     def __eq__(self, other):
         # equality at precision: the difference is indistinguishable from 0
@@ -344,16 +370,10 @@ class ApproxScalar:
                 c = c if c <= mod // 2 else c - mod
                 num[m] = Fraction(c) * scale
             return Scalar(f, num)
-        num = {}
-        den = P.p_const(1, 1)
-        if self.shift < 0:
-            den = {(-self.shift,): Fraction(1)}
-            for m, c in self.coeffs.items():
-                num[m] = Fraction(c)
-        else:
-            for m, c in self.coeffs.items():
-                num[(m[0] + self.shift,)] = Fraction(c)
-        return Scalar(f, num, den)
+        s = self.shift
+        num = {(m[0] + max(s, 0),): Fraction(c, self.den)
+               for m, c in self.coeffs.items()}
+        return Scalar(f, num, {(max(-s, 0),): Fraction(1)})
 
     def __repr__(self):
         v = self.val_exact()
@@ -466,14 +486,15 @@ def reduce_scalar(x: Scalar, ctx: PrecisionCtx, err_target: int | None = None) -
         err_target = ctx.working_err()
     if x.is_zero():
         return ApproxScalar(f, ctx, 0, {}, err_target)
+    scale, num = P.p_primitive(x.num)
     if f.kind == GAUSS:
-        content, num = P.p_primitive(x.num)
-        shift = P.p_frac_vp(content, f.p)
+        shift = P.p_frac_vp(scale, f.p)
+        scale /= Fraction(f.p) ** shift   # the content's p-unit part
         den, err = x.den, err_target
     else:
-        a, b = P.p_min_exp(x.num, 0), P.p_min_exp(x.den, 0)
+        a, b = P.p_min_exp(num, 0), P.p_min_exp(x.den, 0)
         shift = a - b
-        num, den = P.p_shift(x.num, (a,)), P.p_shift(x.den, (b,))
+        num, den = P.p_shift(num, (a,)), P.p_shift(x.den, (b,))
         err = min(err_target, shift + ctx.d + 1)   # the window of d + 1 digits
     if err <= shift:
         return ApproxScalar(f, ctx, shift, {}, err_target)
@@ -481,18 +502,18 @@ def reduce_scalar(x: Scalar, ctx: PrecisionCtx, err_target: int | None = None) -
     if f.kind == GAUSS:
         # fold the p-unit part of the content into the digits
         mod = f.p ** (err - shift)
-        unit = content / Fraction(f.p) ** shift
-        unit = unit.numerator * pow(unit.denominator, -1, mod)
-        num = {m: c * unit % mod for m, c in num.items()}
+        scale = Fraction(scale.numerator * pow(scale.denominator, -1, mod))
+    num = {m: c * scale.numerator for m, c in num.items()}
     if P.p_is_const(den):
-        return ApproxScalar(f, ctx, shift, num, err)
+        return ApproxScalar(f, ctx, shift, num, err, scale.denominator)
     den = {m: c.numerator for m, c in den.items()}
     if f.kind == GAUSS and den.get((0,) * f.nvars, 0) % f.p == 0:
         raise NotExpandable(
             "denominator is not a unit of the approximation ring")
     inv = ApproxScalar(f, ctx, 0, den, err - shift).inverse()
     return ApproxScalar(f, ctx, shift,
-                        _polymul(num, inv.coeffs, mod, ctx.d, f.nvars), err)
+                        _polymul(num, inv.coeffs, mod, ctx.d, f.nvars), err,
+                        scale.denominator * inv.den)
 
 
 # -- coefficient domains ------------------------------------------------------

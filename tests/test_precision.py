@@ -16,6 +16,27 @@ from padic_dm.precision import _conv, _polymul
 from conftest import schoolbook
 
 
+def _digits(x):
+    """Rational digits of an ApproxScalar: its int numerators over ``den``."""
+    return {m: Fraction(c, x.den) for m, c in x.coeffs.items()}
+
+
+def _assert_normal_form(x):
+    """int digits over one positive int den with gcd(den, digits) = 1, and
+    the valuation in the shift (Gauss: den 1 and digits of gcd prime to p;
+    Laurent: a digit at exponent 0)."""
+    assert type(x.den) is int and x.den > 0
+    assert all(type(c) is int and c for c in x.coeffs.values())
+    if not x.coeffs:
+        assert x.den == 1
+    elif x.field.kind == "gauss":
+        assert x.den == 1
+        assert math.gcd(*x.coeffs.values()) % x.field.p != 0
+    else:
+        assert math.gcd(x.den, *x.coeffs.values()) == 1
+        assert (0,) in x.coeffs
+
+
 def test_reduce_one(gauss5):
     r = reduce_scalar(gauss5.one(), PrecisionCtx(3), err_target=3)
     assert r.lift() == gauss5.one()
@@ -111,9 +132,10 @@ def test_laurent_inverse_of_int_digits_is_exact(laurent):
     u = ApproxScalar(laurent, PrecisionCtx(4, d=4), 0, {(0,): 3, (1,): 1}, 5)
     inv = u.inverse()
     # 1/(3 + z) = sum_k (-1)^k z^k / 3^(k+1), as exact rationals
-    assert inv.coeffs == {(k,): Fraction((-1) ** k, 3 ** (k + 1))
-                          for k in range(5)}
-    assert all(type(c) is Fraction for c in inv.coeffs.values())
+    assert _digits(inv) == {(k,): Fraction((-1) ** k, 3 ** (k + 1))
+                            for k in range(5)}
+    # exact numerators over one exact denominator, never floats
+    assert all(type(c) is int for c in (*inv.coeffs.values(), inv.den))
     assert (u * inv - 1).is_precision_zero()
 
 
@@ -192,7 +214,8 @@ def _reduced(route, x, ctx, err_target):
         r = route(x, ctx, err_target)
     except NotExpandable as exc:
         return "not-expandable", str(exc)
-    return r.shift, r.coeffs, r.err_lv
+    _assert_normal_form(r)
+    return r.shift, _digits(r), r.err_lv
 
 
 # Denominators by kind: constant (the canonical form moves them into the
@@ -325,18 +348,18 @@ def test_bivariate_kronecker_matches_schoolbook(monkeypatch, seed, top_a,
 def _full_cap_inverse(u):
     """Reference inverse: ceil(log2(d + 1)) + 1 Newton steps, every one at
     the full degree cap d (Gauss digits mod p^(err_lv - v), exact Laurent
-    digits)."""
+    rational digits)."""
     f, ctx = u.field, u.ctx
     v = int(u.val_exact().value)
     mono0 = (0,) * f.nvars
     if f.kind == "gauss":
-        mod = f.p ** (u.err_lv - v)
-        z = {mono0: pow(u.coeffs[mono0], -1, mod)}
+        mod, digits = f.p ** (u.err_lv - v), u.coeffs
+        z = {mono0: pow(digits[mono0], -1, mod)}
     else:
-        mod = None
-        z = {mono0: Fraction(1) / u.coeffs[mono0]}
+        mod, digits = None, _digits(u)
+        z = {mono0: 1 / digits[mono0]}
     for _ in range(max(1, math.ceil(math.log2(ctx.d + 1)) + 1)):
-        uz = _polymul(u.coeffs, z, mod, ctx.d, f.nvars)
+        uz = _polymul(digits, z, mod, ctx.d, f.nvars)
         e = {m: -c for m, c in uz.items()}
         e[mono0] = e.get(mono0, 0) + 2
         if mod is not None:
@@ -361,25 +384,8 @@ def test_gauss_inverse_matches_full_cap_newton(nvars, d):
     u = ApproxScalar(K, ctx, shift, coeffs, err)
     inv, ref = u.inverse(), _full_cap_inverse(u)
     assert inv.coeffs == ref.coeffs
-    assert (inv.shift, inv.err_lv) == (ref.shift, ref.err_lv)
+    assert (inv.shift, inv.err_lv, inv.den) == (ref.shift, ref.err_lv, 1)
     assert (u * inv - 1).is_precision_zero()
-
-
-def _recurrence_inverse(u):
-    """Reference Laurent inverse: the O(d^2) power-series recurrence
-    inv_k = -(sum_{i=1..k} u_i inv_{k-i}) / u_0 over exact rationals."""
-    ctx = u.ctx
-    c = {m[0]: x for m, x in u.coeffs.items()}
-    inv = [Fraction(0)] * (ctx.d + 1)
-    inv[0] = Fraction(1) / c[0]
-    for k in range(1, ctx.d + 1):
-        acc = Fraction(0)
-        for i in range(1, k + 1):
-            if i in c:
-                acc += c[i] * inv[k - i]
-        inv[k] = -acc / c[0]
-    cc = {(k,): x for k, x in enumerate(inv) if x}
-    return ApproxScalar(u.field, ctx, -u.shift, cc, u.err_lv - 2 * u.shift)
 
 
 @pytest.mark.parametrize("fractions", [False, True], ids=["int", "Fraction"])
@@ -400,9 +406,10 @@ def test_laurent_inverse_matches_recurrence(laurent, d, fractions):
                                                      rng.randint(1, 7))
                                           if fractions else rng.randint(1, 9))
     u = ApproxScalar(laurent, ctx, shift, coeffs, err)
-    inv, ref = u.inverse(), _recurrence_inverse(u)
-    assert inv.coeffs == ref.coeffs
-    assert (inv.shift, inv.err_lv) == (ref.shift, ref.err_lv)
+    assert _digits(u) == {m: c for m, c in coeffs.items() if c}
+    inv = u.inverse()
+    # digits, shift and err_lv of the power-series recurrence
+    assert _ref(inv) == _ref_inverse(_ref(u), d)
     assert (u * inv - 1).is_precision_zero()
 
 
@@ -430,7 +437,7 @@ def test_laurent_inverse_stops_at_its_window(laurent, monkeypatch, d,
     inv = u.inverse()
     monkeypatch.undo()
     ref = _full_cap_inverse(u)
-    assert inv.coeffs == ref.coeffs
+    assert _digits(inv) == _digits(ref)
     assert (inv.shift, inv.err_lv) == (ref.shift, ref.err_lv)
     assert max(caps, default=0) == min(d, window - 1)
 
@@ -475,31 +482,142 @@ def raw_values(draw):
 @settings(max_examples=300, deadline=None)
 def test_normal_form_carries_the_valuation(x):
     assert x.val_exact() == _scanned_val(x)
-    if not x.coeffs:
-        return
-    if x.field.kind == "gauss":
-        assert math.gcd(*x.coeffs.values()) % x.field.p != 0
-    else:
-        assert (0,) in x.coeffs
+    _assert_normal_form(x)
 
 
 @given(raw_values())
 @settings(max_examples=300, deadline=None)
 def test_times_one_keeps_the_representation(x):
-    """x * 1 == x in digits, shift and err_lv, which twisted.mul relies on
-    when it skips its multiplications by comb(h, j) == 1, for every x of
-    valuation >= -4.  Laurent values are taken with err_lv <= shift + d + 1,
-    the window every Laurent operation keeps.  Below valuation -4 the +4
-    guard on the coerced 1 makes x * 1 coarser: the same digits at a lower
-    err_lv, so skipping the product never loses precision."""
+    """x * 1 == x in digits, den, shift and err_lv for every valuation,
+    which twisted.mul relies on when it skips its multiplications by
+    comb(h, j) == 1: an exact constant loses nothing.  Laurent values are
+    taken with err_lv <= shift + d + 1, the window every Laurent operation
+    keeps."""
     if x.field.kind == "laurent" and x.err_lv > x.shift + x.ctx.d + 1:
         x = x.truncate_err(x.shift + x.ctx.d + 1)
     if not x.coeffs:
         return
     y = x * 1
-    if x.shift >= -4:
-        assert (y.coeffs, y.shift, y.err_lv) == (x.coeffs, x.shift, x.err_lv)
-    else:
-        assert y.err_lv < x.err_lv
-        t = x.truncate_err(y.err_lv)
-        assert (y.coeffs, y.shift) == (t.coeffs, t.shift)
+    assert (y.coeffs, y.den, y.shift, y.err_lv) == (x.coeffs, x.den, x.shift,
+                                                     x.err_lv)
+
+
+# -- Laurent values against a Fraction-digit reference ------------------------
+#
+# A reference value is (shift, {exponent: Fraction digit}, err_lv): the
+# Laurent model as it was with one ``Fraction`` per digit.  Each function
+# below is that model's operation; ``ApproxScalar`` must give the same
+# rational digits, shift and err_lv, in its normal form.
+
+
+def _ref(x):
+    return x.shift, {m[0]: c for m, c in _digits(x).items()}, x.err_lv
+
+
+def _ref_normal(shift, digits, err, d):
+    """Keep the digits at exponents <= d below z^(err - shift); move the
+    lowest one to exponent 0."""
+    dd = {e: c for e, c in digits.items() if c and e <= d and shift + e < err}
+    lo = min(dd, default=0)
+    return shift + lo, {e - lo: c for e, c in dd.items()}, err
+
+
+def _ref_add(a, b, d):
+    s = min(a[0], b[0])
+    out = {}
+    for shift, digits, _err in (a, b):
+        for e, c in digits.items():
+            out[e + shift - s] = out.get(e + shift - s, 0) + c
+    return _ref_normal(s, out, min(a[2], b[2], s + d + 1), d)
+
+
+def _ref_neg(a):
+    return a[0], {e: -c for e, c in a[1].items()}, a[2]
+
+
+def _ref_mul(a, b, d):
+    s, err = a[0] + b[0], a[2] + b[2]
+    if a[1]:
+        err = min(err, a[0] + b[2])
+    if b[1]:
+        err = min(err, b[0] + a[2])
+    out = {}
+    for ea, ca in a[1].items():
+        for eb, cb in b[1].items():
+            if ea + eb <= d:
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return _ref_normal(s, out, min(err, s + d + 1), d)
+
+
+def _ref_inverse(a, d):
+    """The O(d^2) power-series recurrence inv_k = -(sum_{i=1..k} u_i
+    inv_{k-i}) / u_0 over exact rationals, on the window of the inverse."""
+    v, digits, err = a
+    top = min(d, err - v - 1)
+    inv = {0: 1 / digits[0]}
+    for k in range(1, top + 1):
+        inv[k] = -sum(digits.get(i, 0) * inv[k - i]
+                      for i in range(1, k + 1)) / digits[0]
+    return _ref_normal(-v, inv, err - 2 * v, d)
+
+
+def _ref_derive(a, d):
+    v, digits, err = a
+    return _ref_normal(v - 1, {e: c * (v + e) for e, c in digits.items()},
+                       err - 1, d)
+
+
+def _ref_lift(a, field):
+    z = field.var(0)
+    return sum((field.scalar(c) * z ** (a[0] + e) for e, c in a[1].items()),
+               field.zero())
+
+
+@st.composite
+def laurent_cases(draw):
+    """Two Laurent values from raw rational digits (small and ~60-bit
+    numerators and denominators), a degree cap d in 1..12, a nonzero exact
+    constant and a new error bound."""
+    d = draw(st.integers(1, 12))
+    num = st.one_of(st.integers(-9, 9), st.integers(-2 ** 60, 2 ** 60))
+    den = st.one_of(st.integers(1, 12), st.integers(1, 2 ** 60))
+    digit = st.builds(Fraction, num, den)
+
+    def raw():
+        shift = draw(st.integers(-6, 4))
+        digits = draw(st.dictionaries(st.integers(0, d + 2), digit,
+                                      max_size=8))
+        return shift, digits, shift + draw(st.integers(-1, d + 3))
+
+    constant = draw(digit.filter(bool))
+    return d, raw(), raw(), constant, draw(st.integers(-8, 16))
+
+
+@given(laurent_cases())
+@example((3, (0, {0: Fraction(1, 2), 1: Fraction(1, 3)}, 4),
+          (-2, {0: Fraction(-2, 3), 2: Fraction(4, 9)}, 1), Fraction(3, 2), 2))
+@settings(max_examples=300, deadline=None)
+def test_laurent_ops_match_fraction_reference(laurent, case):
+    d, a, b, c, t = case
+    ctx = PrecisionCtx(Fraction(10), d=d)
+    x, y = (ApproxScalar(laurent, ctx, s, {(e,): v for e, v in g.items()},
+                         err) for s, g, err in (a, b))
+    rx, ry = _ref_normal(*a, d), _ref_normal(*b, d)
+    checks = [(x, rx), (y, ry),
+              (x + y, _ref_add(rx, ry, d)),
+              (x - y, _ref_add(rx, _ref_neg(ry), d)),
+              (-x, _ref_neg(rx)),
+              (x * y, _ref_mul(rx, ry, d)),
+              (x.derive(0), _ref_derive(rx, d)),
+              (x.truncate_err(t), _ref_normal(rx[0], rx[1], min(t, rx[2]), d))]
+    if x.coeffs:
+        checks.append((x.inverse(), _ref_inverse(rx, d)))
+    if x.coeffs and x.err_lv <= x.shift + d + 1:
+        # an exact constant keeps the bound of x in a sum and a product
+        checks.append((x * c, _ref_normal(rx[0], {e: v * c for e, v in
+                                                  rx[1].items()}, rx[2], d)))
+        checks.append((x + c, _ref_add(rx, (0, {0: c}, math.inf), d)))
+    for got, want in checks:
+        _assert_normal_form(got)
+        assert _ref(got) == want
+    assert x.lift() == _ref_lift(rx, laurent)
