@@ -8,8 +8,8 @@ cyclic vectors, duals and brute-force spectral estimates all live here.
 
 Over exact scalars the recurrence runs on integer numerators over one
 common denominator (``action_numerators``): G_k = H_k / delta^k, where
-delta is the lcm of the denominators of G_1 and both delta and
-B = delta G_1 are scaled to integer coefficients.  Then H_0 = I and
+delta is the lcm of the integer polynomial denominators of G_1 and
+B = delta G_1.  Then H_0 = I and
 H_{k+1} = delta d_j(H_k) + (B - k d_j(delta) I) H_k, with no gcd per
 step.  The Gauss and Laurent valuations are multiplicative, so
 lv(G_k) = lv(H_k) - k lv(delta).
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import islice
-from math import gcd, lcm
+from math import gcd
 
 from .errors import FieldMismatch, IntegrabilityError, NotMonic, SearchExhausted
 from .logval import INF, LogVal
@@ -178,38 +178,32 @@ def from_operator(p: TwistedPoly) -> DiffModule:
 
 
 def _integer_form(g1: la.Matrix, nvars: int) -> tuple:
-    """(delta, B) with G_1 = B / delta and ``int`` coefficients throughout.
-
-    delta is the lcm of the denominators of G_1's entries; delta and
-    B = delta G_1 are then scaled by the lcm of their coefficient
-    denominators.  A canonical single-term denominator is a monomial x^e,
-    so it divides by an exponent shift and takes no gcd.
+    """(delta, B) with G_1 = B / delta and ``int`` coefficients throughout:
+    delta is the lcm in Z[x] of the denominators of G_1's entries, so
+    their integer contents enter it through the content gcd, and
+    B = delta G_1.  A single-term divisor c x^e divides by an exponent
+    shift and an integer division, and takes no polynomial gcd.
     """
     def quo(a, den):
         if len(den) == 1:
-            return P.p_shift(a, next(iter(den)))
+            ((e, c),) = den.items()
+            return {m: v // c for m, v in P.p_shift(a, e).items()}
         return P.p_divexact(a, den, nvars)
 
     delta = P.p_const(nvars, 1)
     for row in g1:
         for e in row:
-            if P.p_is_const(e.den) or e.den == delta:
+            if e.den == delta:
                 continue
             if len(delta) == 1 or len(e.den) == 1:
-                g = {P.p_mono_gcd(delta, e.den): 1}
+                g = {P.p_mono_gcd(delta, e.den):
+                     gcd(*delta.values(), *e.den.values())}
             else:
                 g = P.p_gcd(delta, e.den, nvars)
             delta = P.p_mul(delta, quo(e.den, g))
-    b = [[e.num if e.den == delta else P.p_mul(e.num, quo(delta, e.den))
-          for e in row] for row in g1]
-    scale = lcm(*[c.denominator for a in (delta, *(e for row in b for e in row))
-                  for c in a.values()])
-
-    def whole(a):
-        return {mono: c.numerator * (scale // c.denominator)
-                for mono, c in a.items()}
-
-    return whole(delta), [[whole(e) for e in row] for row in b]
+    return delta, [[e.num if e.den == delta
+                    else P.p_mul(e.num, quo(delta, e.den)) for e in row]
+                   for row in g1]
 
 
 def action_numerators(m: DiffModule, j: int) -> tuple:
@@ -264,9 +258,7 @@ def action_numerators(m: DiffModule, j: int) -> tuple:
 
 def _scalar_matrix(field, h: la.Matrix, den: P.Poly) -> la.Matrix:
     """G_k = H_k / den (den = delta^k) as a matrix of ``Scalar``s."""
-    fden = {mono: Fraction(c) for mono, c in den.items()}
-    return [[Scalar(field, {mono: Fraction(c) for mono, c in e.items()}, fden)
-             for e in row] for row in h]
+    return [[Scalar(field, e, den) for e in row] for row in h]
 
 
 def action_matrices(m: DiffModule, j: int):
@@ -422,7 +414,7 @@ def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstima
     else:
         if field.kind == GAUSS:
             def lv(a):
-                return P.p_int_vp(gcd(*a.values()), field.p)
+                return P.p_min_vp(a, field.p)
         else:
             def lv(a):
                 return P.p_min_exp(a, 0)

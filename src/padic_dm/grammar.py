@@ -33,12 +33,12 @@ MAX_DEGREE = 512
 MAX_SCALAR_DEGREE = 64
 
 # Cap on the bit length of every integer literal and of the numerator and
-# denominator of every coefficient of a parsed polynomial, checked with
-# the degree cap.  Reports print the input's coefficients (``dual_mats``)
-# and quotients and short products of them (monic forms, cyclic
-# operators), and Python refuses to print an int of more than 4300
-# decimal digits.  2048 bits are 617 digits, so a product of up to six
-# capped integers still prints.
+# denominator of every rational coefficient a parsed scalar prints
+# (``Scalar.rational_parts``), checked with the degree cap.  Reports print
+# the input's coefficients (``dual_mats``) and quotients and short products
+# of them (monic forms, cyclic operators), and Python refuses to print an
+# int of more than 4300 decimal digits.  2048 bits are 617 digits, so a
+# product of up to six capped integers still prints.
 MAX_HEIGHT_BITS = 2048
 
 
@@ -226,7 +226,7 @@ def _ppow(a: list, e: int, pos: int) -> list:
 
 def _capped(a: list, pos: int) -> list:
     for c in a:
-        for poly in (c.num, c.den):
+        for poly in c.rational_parts():
             if max(map(sum, poly), default=0) > MAX_SCALAR_DEGREE:
                 raise ParseError(
                     f"coefficient degree above {MAX_SCALAR_DEGREE}", pos)

@@ -1,23 +1,23 @@
-"""Internal multivariate polynomials over Q.
+"""Internal multivariate polynomials over Z.
 
 A polynomial in n variables is a dict mapping exponent tuples of length n
-to nonzero ``Fraction`` coefficients; {} is the zero polynomial.  This is
-plumbing for the scalar field layer: only the handful of operations the
-field needs, no general polynomial API.
+to nonzero ``int`` coefficients; {} is the zero polynomial.  A field
+element is a fraction of two such polynomials (``scalarfield.Scalar``), so
+Python integers are the one coefficient type.  This is plumbing for the
+scalar field layer: only the handful of operations the field needs, no
+general polynomial API.
 
 Univariate products, here and in ``precision._conv``, go through one
 dispatcher (``p_mul_uni``): Kronecker substitution (``_kronecker``) from
 ``MUL_KRONECKER_PAIRS`` term pairs on, the pairwise loop below.  The gcd
 of two polynomials of which one is a single term c*x^e is the monomial
 ``p_mono_gcd``, and dividing by it is the exponent shift ``p_shift``; the
-remaining gcds (``p_gcd``) and exact divisions (``p_divexact``) evaluate
-the integer primitive parts at powers of two, on Python integers only.
+remaining gcds (``p_gcd``, on primitive parts) and exact divisions
+(``p_divexact``) evaluate their operands at powers of two.
 """
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from math import gcd as int_gcd
 from operator import add
 
@@ -27,17 +27,16 @@ Poly = dict
 # Univariate products with at least this many term pairs go through
 # ``_kronecker``, the others through the pairwise loop (``p_mul_uni``
 # gives the measurement behind the value).
-MUL_KRONECKER_PAIRS = 8
+MUL_KRONECKER_PAIRS = 192
 
 
-def p_const(nvars: int, c) -> Poly:
-    c = Fraction(c)
-    return {} if c == 0 else {(0,) * nvars: c}
+def p_const(nvars: int, c: int) -> Poly:
+    return {(0,) * nvars: c} if c else {}
 
 def p_var(nvars: int, i: int) -> Poly:
     e = [0] * nvars
     e[i] = 1
-    return {tuple(e): Fraction(1)}
+    return {tuple(e): 1}
 
 def p_is_const(a: Poly) -> bool:
     return not any(map(any, a))
@@ -89,24 +88,22 @@ def p_mul(a: Poly, b: Poly) -> Poly:
 
 def p_mul_uni(a: dict, b: dict, dcap: int) -> dict:
     """Terms of degree <= dcap of the product of two nonzero univariate
-    polynomials or digit dicts (``Fraction`` or ``int`` coefficients):
-    the one univariate product of ``p_mul`` and ``precision._conv``.
+    polynomials or digit dicts: the one univariate product of ``p_mul``
+    and ``precision._conv``.
 
     A single-term operand scales the other in one pass; at least
     ``MUL_KRONECKER_PAIRS`` term pairs go through ``_kronecker``, fewer
-    through the pairwise loop.  Measured in one process, loop against
-    packed product by pair count: on the 1535 multi-term products of the
-    ``radii`` benchmark corpus (seed 202, ``Fraction`` coefficients, 2 to
-    400 pairs) the loop is ahead below 8 pairs (the packed product takes
-    1.2x as long) and the packed product wins by 1.3x from 8 to 15 pairs,
-    2.7x from 32 to 63 and 7x from 128 to 255; the ``Fraction`` digits of
-    the ``decompose`` corpus give the same crossover (0.7x below 8 pairs,
-    1.3x at 8 to 15).  Its ``int`` digits (Gauss digits and Laurent
-    numerators) favour the loop up to about 256 pairs, but the ~1400 such
-    products of a pass cost only ~23 ms more on the packed path, so one
-    threshold serves both.  On 65 x 65
-    dense terms the packed product is 8x (4-digit rationals) to 44x
-    (binomial coefficients) faster.  Zero results are dropped.
+    through the pairwise loop.  Loop time over packed time by pair count,
+    replaying the multi-term products of one pass (corpus 202, one
+    process) of the ``radii`` (4137 products) and ``decompose`` (4593)
+    benchmarks:
+
+        pairs       4-7  8-15  16-31  32-63  64-127  128-191  192-255  256-383
+        radii      0.17  0.21   0.27   0.40    0.53     0.66     1.57     1.93
+        decompose  0.18  0.25   0.35   0.50    0.62     0.84     1.13     1.31
+
+    and 3.5 on the 2056 ``decompose`` products of 384 pairs or more.
+    Zero results are dropped.
     """
     if len(b) == 1:
         a, b = b, a
@@ -129,12 +126,6 @@ def p_mul_uni(a: dict, b: dict, dcap: int) -> dict:
                     out.pop(m, None)
     return out
 
-def p_scale(a: Poly, c) -> Poly:
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {m: cc * c for m, cc in a.items()}
-
 def p_derive(a: Poly, var: int) -> Poly:
     out: Poly = {}
     for m, c in a.items():
@@ -152,19 +143,11 @@ def p_min_exp(a: Poly, var: int) -> int:
     return min((m[var] for m in a), default=-1)
 
 
-def p_content(a: Poly) -> Fraction:
-    """Positive rational c with a/c integer-coefficient and primitive."""
-    if not a:
-        return Fraction(1)
-    return Fraction(int_gcd(*[c.numerator for c in a.values()]),
-                    math.lcm(*[c.denominator for c in a.values()]))
-
-
 def p_primitive(a: Poly) -> tuple:
-    """The content c of a, and a/c as a polynomial with int coefficients."""
-    c = p_content(a)
-    return c, {m: v.numerator * (c.denominator // v.denominator) // c.numerator
-               for m, v in a.items()}
+    """The content c > 0 of a nonzero a (the gcd of its coefficients), and
+    the primitive part a/c."""
+    c = int_gcd(*a.values())
+    return c, a if c == 1 else {m: v // c for m, v in a.items()}
 
 
 def p_int_vp(n: int, p: int) -> int:
@@ -176,13 +159,9 @@ def p_int_vp(n: int, p: int) -> int:
     return v
 
 
-def p_frac_vp(c: Fraction, p: int) -> int:
-    return p_int_vp(c.numerator, p) - p_int_vp(c.denominator, p)
-
-
 def p_min_vp(a: Poly, p: int) -> int:
-    """Gauss valuation: min over coefficients of the p-adic valuation."""
-    return min(p_frac_vp(c, p) for c in a.values())
+    """Gauss valuation of a nonzero a: the p-adic valuation of its content."""
+    return p_int_vp(int_gcd(*a.values()), p)
 
 
 def p_mono_gcd(a: Poly, b: Poly) -> Mono:
@@ -197,21 +176,21 @@ def p_shift(a: Poly, e: Mono) -> Poly:
 
 
 def p_gcd(a: Poly, b: Poly, nvars: int) -> Poly:
-    """A gcd of a and b, with integer ``Fraction`` coefficients."""
+    """A gcd of a and b in Z[x]: the gcd of the contents times a gcd of
+    the primitive parts."""
     if not a or not b:
         return dict(a or b)
-    return {m: Fraction(c) for m, c in _gcd_heu(a, b).items()}
+    return _gcd_heu(a, b)
 
 
 def p_divexact(a: Poly, g: Poly, nvars: int) -> Poly:
-    """Exact division a/g; ArithmeticError when g does not divide a."""
+    """Exact division a/g in Z[x]; ArithmeticError when g does not divide a."""
     if not a:
         return {}
-    (ca, ia), (cg, ig) = p_primitive(a), p_primitive(g)
-    q = _quo(ia, ig)
+    q = _quo(a, g)
     if q is None:
         raise ArithmeticError("inexact polynomial division")
-    return p_scale(q, ca / cg)
+    return q
 
 
 # Integer polynomials are solved one variable down: the last variable is set
@@ -225,7 +204,7 @@ def p_divexact(a: Poly, g: Poly, nvars: int) -> Poly:
 def _gcd_heu(a: dict, b: dict) -> dict:
     """A gcd of two nonzero polynomials, with integer coefficients."""
     (ca, a), (cb, b) = p_primitive(a), p_primitive(b)
-    c = int_gcd(ca.numerator, cb.numerator)
+    c = int_gcd(ca, cb)
     if () in a:
         return {(): c}
     k = max(map(abs, (*a.values(), *b.values()))).bit_length() + 2
@@ -271,14 +250,12 @@ def _rebuild(a: dict, k: int) -> dict:
 
 
 def _kronecker(a: dict, b: dict, dcap: int) -> dict:
-    """Truncated product of univariate polynomials or digit dicts
+    """Truncated product of univariate int polynomials or digit dicts
     (bivariate ones after ``precision._weighted``) by Kronecker
     substitution.
 
-    Both digit vectors become integers (``ApproxScalar`` digits are ints;
-    the ``Fraction`` coefficients of exact ``p_mul`` are put over one
-    common denominator) and are evaluated at 2^k, so one product of ints
-    does the whole convolution.  Each output digit is a sum of at most
+    Both digit vectors are evaluated at 2^k, so one product of ints does
+    the whole convolution.  Each output digit is a sum of at most
     min(len a, len b) products, so |c| < 2^(k-1) for a slot width of
     bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 2, rounded up
     to whole bytes; adding 2^(k-1) to every slot makes the slots
@@ -289,8 +266,8 @@ def _kronecker(a: dict, b: dict, dcap: int) -> dict:
     top = dcap - loa - lob
     if top < 0:
         return {}
-    da, dena = _int_digits(a, loa, min(top, hia - loa) + 1)
-    db, denb = _int_digits(b, lob, min(top, hib - lob) + 1)
+    da = _dense(a, loa, min(top, hia - loa) + 1)
+    db = _dense(b, lob, min(top, hib - lob) + 1)
     kb = (_bits(da) + _bits(db) + min(len(a), len(b)).bit_length() + 2 + 7) >> 3
     n = min(top + 1, len(da) + len(db) - 1)
     nbytes = n * kb
@@ -302,24 +279,16 @@ def _kronecker(a: dict, b: dict, dcap: int) -> dict:
     digits = [frombytes(buf[i:i + kb], "little") - half
               for i in range(0, nbytes, kb)]
     lo = loa + lob
-    if dena is None and denb is None:
-        return {(lo + i,): c for i, c in enumerate(digits) if c}
-    den = (dena or 1) * (denb or 1)
-    return {(lo + i,): Fraction(c, den) for i, c in enumerate(digits) if c}
+    return {(lo + i,): c for i, c in enumerate(digits) if c}
 
 
-def _int_digits(d: dict, lo: int, n: int) -> tuple:
-    """Dense integer digits of d at exponents lo .. lo+n-1, and the common
-    denominator that scaled them: None when every digit is an int (every
-    ``ApproxScalar`` digit is); ``Fraction``s come from exact ``p_mul``."""
+def _dense(d: dict, lo: int, n: int) -> list:
+    """The digits of d at exponents lo .. lo+n-1, zeros included."""
     dense = [0] * n
     for (e,), c in d.items():
         if e - lo < n:
             dense[e - lo] = c
-    if all(type(c) is int for c in d.values()):
-        return dense, None
-    den = math.lcm(*[c.denominator for c in dense])
-    return [c.numerator * (den // c.denominator) for c in dense], den
+    return dense
 
 
 def _bits(digits: list) -> int:

@@ -29,13 +29,12 @@ and nothing else writes ``coeffs``, ``den`` or ``shift``.  So
 
 ``reduce_scalar`` takes an exact scalar to its truncation by one route
 in both models: the numerator's digits times the Newton inverse of the
-denominator, through ``_polymul``.  The ``Scalar`` canonical form makes
-the denominator a primitive integer polynomial, and ``polys.p_primitive``
-splits the numerator into its content and int digits.  The valuation is
-read off the content (Gauss: its p-power is the shift, its unit part
-scales the digits) or the lowest exponents (Laurent: the content's
-numerator scales the digits, its denominator is ``den``); a constant
-denominator needs no inverse.
+denominator, through ``_polymul``.  A ``Scalar`` holds num and den with
+int coefficients, so the shift is read off them directly: the p-adic
+valuations of their contents (Gauss, which divides those powers of p
+out) or their lowest exponents (Laurent).  A constant denominator needs
+no inverse: it becomes ``den`` (Laurent) or is inverted mod the digit
+modulus (Gauss).
 
 ``err_lv`` is a lower bound for lv(true - represented) in the p-adic
 (resp. z-adic) direction; every operation propagates it, and an exact
@@ -136,13 +135,7 @@ class ApproxScalar:
         else:
             top = min(self.ctx.d, self.err_lv - self.shift - 1)
             cc = {m: c for m, c in self.coeffs.items() if c and m[0] <= top}
-            try:
-                g = math.gcd(self.den, *cc.values())
-            except TypeError:   # rational digits: clear their denominators
-                k = math.lcm(*[c.denominator for c in cc.values()])
-                cc = {m: int(c * k) for m, c in cc.items()}
-                self.den *= k
-                g = math.gcd(self.den, *cc.values())
+            g = math.gcd(self.den, *cc.values())
             g = -g if self.den < 0 else g
             strip = 0 if (0,) in cc else min(cc, default=(0,))[0]
             if g != 1 or strip:
@@ -196,7 +189,9 @@ class ApproxScalar:
         # an exact c reduced at err_lv + max(0, v(c) - shift) makes x + c
         # and x * c keep err_lv and v(c) + err_lv: nothing is lost
         f = self.field
-        v = P.p_min_vp(other.num, f.p) if f.kind == GAUSS and other.num else 0
+        v = 0
+        if f.kind == GAUSS and other.num:
+            v = P.p_min_vp(other.num, f.p) - P.p_min_vp(other.den, f.p)
         return reduce_scalar(other, self.ctx,
                              err_target=self.err_lv + max(0, v - self.shift))
 
@@ -361,19 +356,14 @@ class ApproxScalar:
 
     def lift(self) -> Scalar:
         """Exact scalar represented by the truncation (centered digits)."""
-        f = self.field
+        f, s = self.field, self.shift
         if f.kind == GAUSS:
-            mod = f.p ** max(self._mod_exp, 1)
-            scale = Fraction(f.p) ** self.shift
-            num = {}
-            for m, c in self.coeffs.items():
-                c = c if c <= mod // 2 else c - mod
-                num[m] = Fraction(c) * scale
-            return Scalar(f, num)
-        s = self.shift
-        num = {(m[0] + max(s, 0),): Fraction(c, self.den)
-               for m, c in self.coeffs.items()}
-        return Scalar(f, num, {(max(-s, 0),): Fraction(1)})
+            mod, q = f.p ** max(self._mod_exp, 1), f.p ** max(s, 0)
+            num = {m: (c if c <= mod // 2 else c - mod) * q
+                   for m, c in self.coeffs.items()}
+            return Scalar(f, num, P.p_const(f.nvars, f.p ** max(-s, 0)))
+        num = {(m[0] + max(s, 0),): c for m, c in self.coeffs.items()}
+        return Scalar(f, num, {(max(-s, 0),): self.den})
 
     def __repr__(self):
         v = self.val_exact()
@@ -412,8 +402,7 @@ def _conv(a: dict, b: dict, dcap: int, nvars: int) -> dict:
     pairs).  ``KRONECKER_PAIRS`` = 2^14 leaves the few products between
     2^13 and 2^14 pairs on the loop.
 
-    Results are exact: ``int`` digits stay ``int``; ``Fraction`` digits
-    give ``Fraction`` digits.  Zero digits may be dropped or kept.
+    Results are exact ``int`` digits.  Zero digits may be dropped or kept.
     """
     if not a or not b:
         return {}
@@ -486,34 +475,34 @@ def reduce_scalar(x: Scalar, ctx: PrecisionCtx, err_target: int | None = None) -
         err_target = ctx.working_err()
     if x.is_zero():
         return ApproxScalar(f, ctx, 0, {}, err_target)
-    scale, num = P.p_primitive(x.num)
     if f.kind == GAUSS:
-        shift = P.p_frac_vp(scale, f.p)
-        scale /= Fraction(f.p) ** shift   # the content's p-unit part
-        den, err = x.den, err_target
+        a, b = P.p_min_vp(x.num, f.p), P.p_min_vp(x.den, f.p)
+        pa, pb = f.p ** a, f.p ** b
+        num = {m: c // pa for m, c in x.num.items()}
+        den = {m: c // pb for m, c in x.den.items()}
+        err = err_target
     else:
-        a, b = P.p_min_exp(num, 0), P.p_min_exp(x.den, 0)
-        shift = a - b
-        num, den = P.p_shift(num, (a,)), P.p_shift(x.den, (b,))
-        err = min(err_target, shift + ctx.d + 1)   # the window of d + 1 digits
+        a, b = P.p_min_exp(x.num, 0), P.p_min_exp(x.den, 0)
+        num, den = P.p_shift(x.num, (a,)), P.p_shift(x.den, (b,))
+        err = min(err_target, a - b + ctx.d + 1)   # the window of d + 1 digits
+    shift = a - b
     if err <= shift:
         return ApproxScalar(f, ctx, shift, {}, err_target)
-    mod = None
-    if f.kind == GAUSS:
-        # fold the p-unit part of the content into the digits
-        mod = f.p ** (err - shift)
-        scale = Fraction(scale.numerator * pow(scale.denominator, -1, mod))
-    num = {m: c * scale.numerator for m, c in num.items()}
+    mod = f.p ** (err - shift) if f.kind == GAUSS else None
     if P.p_is_const(den):
-        return ApproxScalar(f, ctx, shift, num, err, scale.denominator)
-    den = {m: c.numerator for m, c in den.items()}
+        (c,) = den.values()
+        if mod is None:
+            return ApproxScalar(f, ctx, shift, num, err, c)
+        c = pow(c, -1, mod)
+        return ApproxScalar(f, ctx, shift, {m: v * c for m, v in num.items()},
+                            err)
     if f.kind == GAUSS and den.get((0,) * f.nvars, 0) % f.p == 0:
         raise NotExpandable(
             "denominator is not a unit of the approximation ring")
     inv = ApproxScalar(f, ctx, 0, den, err - shift).inverse()
     return ApproxScalar(f, ctx, shift,
                         _polymul(num, inv.coeffs, mod, ctx.d, f.nvars), err,
-                        scale.denominator * inv.den)
+                        inv.den)
 
 
 # -- coefficient domains ------------------------------------------------------

@@ -9,12 +9,11 @@ Two computable field models are provided:
   order of vanishing at z = 0 (v(z) = 1), with derivation d/dz.  The residue
   field has characteristic 0.
 
-A ``Scalar`` is a reduced fraction of polynomials over Q.  All arithmetic is
+A ``Scalar`` is a reduced fraction of polynomials over Z.  All arithmetic is
 exact, and skips the work the operands' shape makes dead: zero operands,
-shared or constant denominators and single-term gcds (see ``Scalar`` and
-``_reduce``).  Absolute values appear only through ``LogVal``
-(lv(x) = -log_B |x|, so lv is the valuation itself under the
-normalizations above).  Values are
+shared denominators and single-term gcds (see ``Scalar`` and ``_reduce``).
+Absolute values appear only through ``LogVal`` (lv(x) = -log_B |x|, so lv
+is the valuation itself under the normalizations above).  Values are
 immutable and every operation is a pure function.
 """
 
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import FieldMismatch
 from .logval import INF, LogVal
@@ -133,7 +132,9 @@ class FieldSpec:
             if value.field != self:
                 raise FieldMismatch("scalar from a different field")
             return value
-        return Scalar(self, P.p_const(self.nvars, Fraction(value)))
+        q = Fraction(value)
+        return Scalar(self, P.p_const(self.nvars, q.numerator),
+                      P.p_const(self.nvars, q.denominator))
 
     def zero(self) -> "Scalar":
         return self.scalar(0)
@@ -147,16 +148,18 @@ class FieldSpec:
 
 
 class Scalar:
-    """An exact element of a ``FieldSpec``: a reduced num/den pair.
+    """An exact element of a ``FieldSpec``: a reduced num/den pair of
+    polynomials with ``int`` coefficients.
 
-    Canonical form: gcd(num, den) = 1, den is primitive (integer
-    coefficients with gcd 1) with a positive leading coefficient, and is 1
-    whenever it is constant.  The form is unique, so the short routes give
-    the same scalar as the long ones: ``+`` returns a zero operand's
-    partner and adds numerators over a shared denominator; ``*`` returns a
-    zero operand (a product with denominator 1 is one copy in
-    ``polys.p_mul``); ``derive`` of a scalar with denominator 1 derives
-    the numerator only.
+    Canonical form: gcd(num, den) = 1 over Q, the coefficients of num and
+    den together have gcd 1, and den's leading coefficient (by
+    ``polys.p_sort_key``) is positive; 0 is {} over 1.  So 3/(2x) is
+    (3, 2x) and x/6 + 1/4 is (2x + 3, 12).  The form is unique, so the
+    short routes give the same scalar as the long ones: ``+`` returns a
+    zero operand's partner and adds numerators over a shared denominator;
+    ``*`` returns a zero operand (a product with denominator 1 is one copy
+    in ``polys.p_mul``); ``derive`` of a scalar with a constant
+    denominator derives the numerator only.
     """
 
     __slots__ = ("field", "num", "den")
@@ -292,7 +295,7 @@ class Scalar:
         self.field._check_deriv(j)
         dn = P.p_derive(self.num, j)
         if P.p_is_const(self.den):
-            return Scalar(self.field, dn)
+            return Scalar(self.field, dn, self.den)
         dd = P.p_derive(self.den, j)
         num = P.p_sub(P.p_mul(dn, self.den), P.p_mul(self.num, dd))
         return Scalar(self.field, num, P.p_mul(self.den, self.den))
@@ -302,29 +305,33 @@ class Scalar:
     def __repr__(self):
         return f"Scalar({self})"
 
+    def rational_parts(self) -> tuple:
+        """(num/c, den/c), c the content of den: rational coefficients
+        over a primitive denominator, the form ``str`` prints."""
+        c = gcd(*self.den.values())
+        return ({m: Fraction(v, c) for m, v in self.num.items()},
+                {m: v // c for m, v in self.den.items()})
+
     def __str__(self):
         names = self.field.variables
-        ns = P.p_to_str(self.num, names)
-        if P.p_is_const(self.den):
+        num, den = self.rational_parts()
+        ns = P.p_to_str(num, names)
+        if P.p_is_const(den):
             return ns
-        return f"({ns})/({P.p_to_str(self.den, names)})"
+        return f"({ns})/({P.p_to_str(den, names)})"
 
 
 def _reduce(num: P.Poly, den: P.Poly, nvars: int):
     """Canonicalize a fraction of polynomials.
 
-    A zero numerator or a constant denominator needs no gcd.  When num or
-    den is a single term, the gcd is the monomial ``P.p_mono_gcd`` and is
-    divided out by an exponent shift; only the remaining gcds take
-    ``P.p_gcd`` and two ``P.p_divexact``, which work on Python integers.
+    When num or den is a single term (a constant den included), the gcd
+    is the monomial ``P.p_mono_gcd`` and is divided out by an exponent
+    shift; only the remaining gcds take ``P.p_gcd`` and two
+    ``P.p_divexact``.  The joint content and the sign of den's leading
+    coefficient are divided out last.
     """
     if not num:
         return {}, P.p_const(nvars, 1)
-    if P.p_is_const(den):
-        c = next(iter(den.values()))
-        if c != 1:
-            num = P.p_scale(num, Fraction(1) / c)
-        return num, P.p_const(nvars, 1)
     if len(num) == 1 or len(den) == 1:
         e = P.p_mono_gcd(num, den)
         if any(e):
@@ -334,14 +341,10 @@ def _reduce(num: P.Poly, den: P.Poly, nvars: int):
         if not P.p_is_const(g):
             num = P.p_divexact(num, g, nvars)
             den = P.p_divexact(den, g, nvars)
-    if P.p_is_const(den):
-        return _reduce(num, den, nvars)
-    # make the denominator primitive with positive content
-    c = P.p_content(den)
-    lead = den[max(den, key=P.p_sort_key)]
-    if lead < 0:
+    c = gcd(*den.values(), *num.values())
+    if den[max(den, key=P.p_sort_key)] < 0:
         c = -c
     if c != 1:
-        num = P.p_scale(num, Fraction(1) / c)
-        den = P.p_scale(den, Fraction(1) / c)
+        num = {m: v // c for m, v in num.items()}
+        den = {m: v // c for m, v in den.items()}
     return num, den

@@ -220,6 +220,15 @@ def test_main_radii_on_degree_64_coefficient(capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
 
 
+def test_main_height_cap_reads_printed_coefficients(capsys):
+    # x/3^1000 + 1/2^1500 prints rationals of at most 1585 bits, under the
+    # cap, though it is stored over the 3085-bit denominator 2^1500 * 3^1000
+    argv = ["--field", "gauss:p=5:vars=x", "--cmd", "radii",
+            "--op", "T + x/((3^500)^2) + 1/((2^500)^3)"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
 def test_main_unwritable_out(capsys, tmp_path):
     out = tmp_path / "missing" / "report.json"
     assert main(job_args("--out", str(out))) == 1

@@ -3,7 +3,9 @@
 ``diffmod.action_numerators`` runs G_{k+1} = d_j(G_k) + G_1 G_k as
 G_k = H_k / delta^k on ``int``-coefficient polynomials, and the oracle reads
 lv(G_k) = lv(H_k) - k lv(delta).  The reference below takes the same steps
-on reduced ``Scalar`` fractions, one operation at a time.
+on reduced ``Scalar`` fractions: each entry of G_{k+1} is one ``Scalar``,
+the sum of ``Scalar`` derivatives and products over the lcm of their
+denominators.
 """
 
 import random
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padic_dm import (INF, DiffModule, ExactDomain, FieldSpec, iterate_G,
-                      spectral_radius_bruteforce)
+                      polys as P, spectral_radius_bruteforce)
 from padic_dm.diffmod import RadiusEstimate, action_matrices
 from padic_dm.scalarfield import Scalar
 
@@ -23,33 +25,43 @@ FIELDS = (FieldSpec.gauss(5, ("x",)), FieldSpec.gauss(5, ("x", "y")),
           FieldSpec.laurent("z"))
 
 
+def scalar_sum(terms, field):
+    """The sum of ``Scalar``s, reduced once: their numerators over a common
+    multiple of the denominators, grown as common * den / g for a common
+    divisor g (which need not be the greatest).  Pairwise ``+`` would take
+    a gcd of a numerator and a product of denominators per term."""
+    nv = field.nvars
+    terms = [x for x in terms if x]
+    common = P.p_const(nv, 1)
+    for x in terms:
+        g = P.p_gcd(common, x.den, nv)
+        common = P.p_mul(common, P.p_divexact(x.den, g, nv))
+    num = {}
+    for x in terms:
+        num = P.p_add(num, P.p_mul(x.num, P.p_divexact(common, x.den, nv)))
+    return Scalar(field, num, common)
+
+
 def reference_G(m, j, kmax):
     """G_0 .. G_kmax, stepped on ``Scalar``s."""
-    g1 = m.mat(j)
-    n = m.dim
-    one, zero = m.field.one(), m.field.zero()
+    g1, n, f = m.mat(j), m.dim, m.field
+    one, zero = f.one(), f.zero()
     acc = [[one if a == b else zero for b in range(n)] for a in range(n)]
     out = [acc]
     for _ in range(kmax):
-        nxt = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                e = acc[a][b].derive(j)
-                for t in range(n):
-                    e = e + g1[a][t] * acc[t][b]
-                row.append(e)
-            nxt.append(row)
-        acc = nxt
+        acc = [[scalar_sum([acc[a][b].derive(j)]
+                           + [g1[a][t] * acc[t][b] for t in range(n)], f)
+                for b in range(n)] for a in range(n)]
         out.append(acc)
     return out
 
 
-def reference_estimate(m, j, kmax):
-    field = m.field
+def reference_estimate(field, j, gs):
+    """The oracle's estimate read off G_0 .. G_kmax."""
+    kmax = len(gs) - 1
     lo = max(1, (kmax + 1) // 2)
     per_step = []
-    for k, g in enumerate(reference_G(m, j, kmax)):
+    for k, g in enumerate(gs):
         if k < lo:
             continue
         vk = min(e.val() for row in g for e in row)
@@ -104,7 +116,7 @@ def test_numerator_recurrence_matches_scalar_steps(mj, kmax, k):
     assert list(islice(action_matrices(m, j), kmax + 1)) == ref[:kmax + 1]
     assert iterate_G(m, j, k) == ref[k]
     assert spectral_radius_bruteforce(m, j, kmax) == \
-        reference_estimate(m, j, kmax)
+        reference_estimate(m.field, j, ref[:kmax + 1])
 
 
 def corpus_modules():

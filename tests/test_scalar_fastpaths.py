@@ -1,15 +1,18 @@
 """Exact scalar arithmetic against a reference that always takes the long
 route: full cross products, and every gcd through sympy (independent of
-``polys.p_gcd``); and ``polys`` products, gcds and exact quotients on their
-own."""
+``polys.p_gcd``); the canonical form and ``int`` coefficients of every
+scalar the library builds; and ``polys`` products, gcds and exact quotients
+on their own."""
 
+import math
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from padic_dm import FieldSpec, polys as P
+from padic_dm import (ApproxScalar, FieldSpec, PrecisionCtx, parse_scalar,
+                      polys as P)
 from padic_dm.scalarfield import Scalar
 
 from conftest import schoolbook
@@ -25,8 +28,7 @@ def sympy_cofactors(num, den, nvars):
     R = rings.ring([f"v{i}" for i in range(nvars)], QQ)[0]
 
     def to_sympy(a):
-        return R.from_dict({m: QQ(c.numerator, c.denominator)
-                            for m, c in a.items()})
+        return R.from_dict({m: QQ(c) for m, c in a.items()})
 
     _, cn, cd = to_sympy(num).cofactors(to_sympy(den))
     return tuple({tuple(m): Fraction(int(c.numerator), int(c.denominator))
@@ -34,18 +36,18 @@ def sympy_cofactors(num, den, nvars):
 
 
 def ref_reduce(num, den, nvars):
-    """Canonical form with every gcd taken by sympy."""
+    """Canonical form with every gcd taken by sympy: its rational cofactors
+    divided by their joint rational content, negated when den's leading
+    coefficient is negative."""
     if not num:
         return {}, P.p_const(nvars, 1)
-    if not P.p_is_const(den):
-        num, den = sympy_cofactors(num, den, nvars)
-    if P.p_is_const(den):
-        c = next(iter(den.values()))
-        return P.p_scale(num, 1 / c), P.p_const(nvars, 1)
-    c = P.p_content(den)
+    num, den = sympy_cofactors(num, den, nvars)
+    qs = [*num.values(), *den.values()]
+    c = Fraction(math.gcd(*[q.numerator for q in qs]),
+                 math.lcm(*[q.denominator for q in qs]))
     if den[max(den, key=P.p_sort_key)] < 0:
         c = -c
-    return P.p_scale(num, 1 / c), P.p_scale(den, 1 / c)
+    return tuple({m: int(q / c) for m, q in a.items()} for a in (num, den))
 
 
 def ref_add(a, b, nvars):
@@ -63,7 +65,7 @@ def ref_derive(a, j, nvars):
     return ref_reduce(num, schoolbook(a[1], a[1]), nvars)
 
 
-coeffs = st.fractions(min_value=-20, max_value=20, max_denominator=6).filter(bool)
+coeffs = st.integers(-20, 20).filter(bool)
 
 
 @st.composite
@@ -76,14 +78,16 @@ def polys(draw, nvars, kind):
     if kind == "mono":
         return {draw(exps): draw(coeffs)}
     terms = draw(st.dictionaries(exps, coeffs, min_size=2, max_size=4))
-    return P.p_mul(terms, {draw(exps): Fraction(1)})
+    return P.p_mul(terms, {draw(exps): 1})
 
 
 @st.composite
 def operand_pairs(draw):
     """(field, a, b): numerators zero, single-term or general; the
     denominators constant, single-term, general, or one denominator shared
-    by both (with a + b then sharing a factor with it)."""
+    by both (with a + b then sharing a factor with it).  Coefficients are
+    nonzero ints in -20..20, so constant denominators other than +-1 and
+    negative leading coefficients are drawn."""
     field = draw(st.sampled_from(FIELDS))
     n = field.nvars
     kinds = st.sampled_from(["zero", "const", "mono", "general"])
@@ -111,9 +115,10 @@ def same(x, ref):
 
 @given(operand_pairs())
 @settings(max_examples=300, deadline=None)
-@example((FIELDS[2], Scalar(FIELDS[2], {(1, 2): Fraction(3)}),
-          Scalar(FIELDS[2], {(0, 0): Fraction(1)},
-                 {(2, 1): Fraction(1), (1, 3): Fraction(2)})))
+@example((FIELDS[2], Scalar(FIELDS[2], {(1, 2): 3}),
+          Scalar(FIELDS[2], {(0, 0): 1}, {(2, 1): 1, (1, 3): 2})))
+@example((FIELDS[0], Scalar(FIELDS[0], {(1,): 4}, {(0,): -6}),
+          Scalar(FIELDS[0], {(0,): 3}, {(2,): -2, (0,): 4})))
 def test_fast_paths_match_sympy_reference(args):
     field, a, b = args
     n = field.nvars
@@ -138,6 +143,46 @@ def univariate_pairs(draw):
     return poly(), poly()
 
 
+def assert_canonical(x):
+    """int coefficients; gcd(num, den) = 1 over Q; joint content 1; den's
+    leading coefficient positive; zero is {} over 1."""
+    num, den = x.num, x.den
+    assert all(type(c) is int and c for c in (*num.values(), *den.values()))
+    assert den and math.gcd(*num.values(), *den.values()) == 1
+    assert den[max(den, key=P.p_sort_key)] > 0
+    if num:
+        assert P.p_is_const(P.p_gcd(num, den, x.field.nvars))
+    else:
+        assert den == P.p_const(x.field.nvars, 1)
+
+
+@st.composite
+def truncations(draw, field):
+    """An ApproxScalar of int digits (a Laurent one over an int den)."""
+    mono = st.tuples(*[st.integers(0, 4)] * field.nvars)
+    digits = draw(st.dictionaries(mono, st.integers(-10 ** 6, 10 ** 6),
+                                  max_size=5))
+    shift = draw(st.integers(-3, 3))
+    den = 1 if field.kind == "gauss" else draw(st.integers(1, 50))
+    return ApproxScalar(field, PrecisionCtx(Fraction(10), d=4), shift, digits,
+                        shift + draw(st.integers(0, 8)), den)
+
+
+@given(operand_pairs(), st.fractions(max_denominator=10 ** 6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_scalar_is_canonical_with_int_coefficients(args, q, data):
+    field, a, b = args
+    parsed = parse_scalar(str(a), field)
+    assert parsed == a
+    made = [a, b, a + b, a - b, -a, a * b, field.scalar(q), field.scalar(7),
+            parsed, data.draw(truncations(field)).lift()]
+    made += [a.derive(j) for j in range(field.nderiv)]
+    if b:
+        made.append(a / b)
+    for x in made:
+        assert_canonical(x)
+
+
 @given(univariate_pairs())
 @settings(max_examples=200, deadline=None)
 def test_p_mul_matches_schoolbook(ab):
@@ -145,17 +190,17 @@ def test_p_mul_matches_schoolbook(ab):
     assert P.p_mul(a, b) == schoolbook(a, b)
 
 
-@pytest.mark.parametrize("na, nb, packed", [(8, 8, True), (2, 3, False)])
+@pytest.mark.parametrize("na, nb, packed", [(16, 12, True), (19, 10, False),
+                                             (2, 3, False)])
 def test_p_mul_selects_kronecker_by_pair_count(na, nb, packed):
-    a = {(i,): Fraction(i + 1, 3) for i in range(na)}
-    b = {(i,): Fraction(-1, i + 2) for i in range(nb)}
+    a = {(i,): i + 1 for i in range(na)}
+    b = {(i,): -3 * i - 2 for i in range(nb)}
     with mock.patch.object(P, "_kronecker", wraps=P._kronecker) as spy:
         assert P.p_mul(a, b) == schoolbook(a, b)
     assert spy.called == packed
 
 
-heights = st.builds(Fraction, st.integers(-10**12, 10**12).filter(bool),
-                    st.integers(1, 10**6))
+heights = st.integers(-10**18, 10**18).filter(bool)
 
 
 @st.composite
@@ -175,18 +220,18 @@ def gcd_cases(draw):
 
 
 def dense(n, top):
-    return {(i,): Fraction((-1) ** i * (i + 1) ** 3, i % 7 + 1)
-            for i in range(n)} | {(n,): Fraction(top)}
+    return {(i,): (-1) ** i * (i + 1) ** 3 * (i % 7 + 1)
+            for i in range(n)} | {(n,): top}
 
 
 def power(a, e):
-    out = {(0,) * len(next(iter(a))): Fraction(1)}
+    out = {(0,) * len(next(iter(a))): 1}
     for _ in range(e):
         out = P.p_mul(out, a)
     return out
 
 
-X1, ONE1 = {(1,): Fraction(1)}, {(0,): Fraction(1)}
+X1, ONE1 = {(1,): 1}, {(0,): 1}
 
 
 @given(gcd_cases())
@@ -196,7 +241,7 @@ X1, ONE1 = {(1,): Fraction(1)}, {(0,): Fraction(1)}
 # (x - 1)^8 * (1 + x + x^2 + x^3)^8 = (x^4 - 1)^8: the quotient's
 # coefficients are ~100 times those of the product
 @example((1, power(P.p_sub(X1, ONE1), 8),
-          power({(i,): Fraction(1) for i in range(4)}, 8), ONE1))
+          power({(i,): 1 for i in range(4)}, 8), ONE1))
 def test_gcd_and_divexact_on_products(case):
     n, g, u, v = case
     a, b = P.p_mul(g, u), P.p_mul(g, v)
@@ -218,8 +263,8 @@ def test_gcd_rejects_unlucky_evaluations():
     be rejected because it does not divide 2^s*x - y."""
     for s in range(1, 7):
         for j in range(1, 31):
-            a = {(1, 0): Fraction(2 ** s), (0, 1): Fraction(-1)}
-            b = {(1, 0): Fraction(1), (0, 0): Fraction(-2 ** j)}
+            a = {(1, 0): 2 ** s, (0, 1): -1}
+            b = {(1, 0): 1, (0, 0): -2 ** j}
             assert P.p_is_const(P.p_gcd(a, b, 2))
 
 

@@ -109,9 +109,10 @@ def test_canonical_form(gauss5):
     x = K.var(0)
     a = (x * x - 1) / (x - 1)
     assert a == x + 1
-    # denominator is primitive with positive content
+    # the common factor and the joint integer content are divided out
     b = (x + 1) / (K.scalar(2) * x + 2)
     assert b == K.one() / 2
+    assert (b.num, b.den) == ({(0,): 1}, {(0,): 2})
 
 
 def test_field_mismatch(gauss5, laurent):
