@@ -282,7 +282,7 @@ def _run_decompose(job: JobSpec) -> tuple[dict, bool]:
     rep = check_rationality(prof, field)
     result = {
         "profile": _profile_payload(prof, field),
-        "decomposition": dec.to_jsonable(field, _display_err(job.precision)),
+        "decomposition": dec.to_jsonable(_display_err(job.precision)),
         "rationality": rep.to_jsonable(),
     }
     return result, dec.certificate.ok and rep.ok
@@ -301,7 +301,7 @@ def _run_multi_decompose(job: JobSpec) -> tuple[dict, bool]:
         rep = check_rationality(multi.marginal(pos, j), field)
         rationality[field.variables[j]] = rep.to_jsonable()
     derr = _display_err(job.precision)
-    result = {"decomposition": dec.to_jsonable(field, derr),
+    result = {"decomposition": dec.to_jsonable(derr),
               "rationality": rationality}
     return result, dec.certificate.ok
 
@@ -336,8 +336,7 @@ def _run_verify(job: JobSpec) -> tuple[dict, bool]:
     ok = rep.ok
     if len(prof.entries) > 1:
         dec = decompose(m, job.deriv, job.precision)
-        result["decomposition"] = dec.to_jsonable(field,
-                                                  _display_err(job.precision))
+        result["decomposition"] = dec.to_jsonable(_display_err(job.precision))
         ok = ok and dec.certificate.ok
     dm = dual(m)
     result["dual_profile_equal"] = profile(dm, job.deriv, check=False) == prof

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import combinations, islice
 from math import gcd
 
 from .errors import FieldMismatch, IntegrabilityError, NotMonic, SearchExhausted
@@ -58,17 +58,13 @@ class DiffModule:
             self._check_integrability()
 
     def _check_integrability(self):
-        idx = self.derivations
-        for a in idx:
-            for b in idx:
-                if a >= b:
-                    continue
-                ga, gb = self.mats[a], self.mats[b]
-                lhs = la.mat_add(la.mat_derive(gb, a), la.mat_mul(gb, ga))
-                rhs = la.mat_add(la.mat_derive(ga, b), la.mat_mul(ga, gb))
-                if not la.mat_equal(lhs, rhs):
-                    raise IntegrabilityError(
-                        f"operators for derivations {a} and {b} do not commute")
+        """T_a T_b = T_b T_a on the basis: d_a(G_b) + G_a G_b equals
+        d_b(G_a) + G_b G_a for every pair of carried derivations."""
+        for a, b in combinations(self.derivations, 2):
+            if not la.mat_equal(self.act(a, self.mats[b]),
+                                self.act(b, self.mats[a])):
+                raise IntegrabilityError(
+                    f"operators for derivations {a} and {b} do not commute")
 
     @property
     def field(self):
@@ -95,18 +91,17 @@ class DiffModule:
             out[i] = acc
         return out
 
+    def act(self, j: int, x: la.Matrix) -> la.Matrix:
+        """d_j(x) + G_j x: T_j applied to each column of x."""
+        return la.from_columns([self.apply_T(j, col) for col in la.columns(x)])
+
     def change_basis(self, w: la.Matrix) -> "DiffModule":
         """Gauge transform: columns of w are the new basis in old coordinates."""
         winv = la.inverse(w, self.domain)
         if winv is None:
             raise ValueError("basis matrix is not invertible")
-        mats = []
-        for j, g in enumerate(self.mats):
-            if g is None:
-                mats.append(None)
-                continue
-            mats.append(la.mat_mul(winv, la.mat_add(la.mat_derive(w, j),
-                                                    la.mat_mul(g, w))))
+        mats = [None if g is None else la.mat_mul(winv, self.act(j, w))
+                for j, g in enumerate(self.mats)]
         return DiffModule(self.domain, self.dim, mats, _checked=True)
 
     def map_domain(self, domain) -> "DiffModule":
@@ -143,15 +138,10 @@ class ModuleMorphism:
                 raise ValueError("matrix does not intertwine the actions")
 
     def is_intertwining(self) -> bool:
-        for j in self.source.derivations:
-            if j not in self.target.derivations:
-                continue
-            lhs = la.mat_mul(self.matrix, self.source.mat(j))
-            rhs = la.mat_add(la.mat_derive(self.matrix, j),
-                             la.mat_mul(self.target.mat(j), self.matrix))
-            if not la.mat_equal(lhs, rhs):
-                return False
-        return True
+        return all(la.mat_equal(la.mat_mul(self.matrix, self.source.mat(j)),
+                                self.target.act(j, self.matrix))
+                   for j in self.source.derivations
+                   if j in self.target.derivations)
 
 
 # -- constructions -------------------------------------------------------------
@@ -188,7 +178,7 @@ def _integer_form(g1: la.Matrix, nvars: int) -> tuple:
         if len(den) == 1:
             ((e, c),) = den.items()
             return {m: v // c for m, v in P.p_shift(a, e).items()}
-        return P.p_divexact(a, den, nvars)
+        return P.p_divexact(a, den)
 
     delta = P.p_const(nvars, 1)
     for row in g1:
@@ -196,11 +186,11 @@ def _integer_form(g1: la.Matrix, nvars: int) -> tuple:
             if e.den == delta:
                 continue
             if len(delta) == 1 or len(e.den) == 1:
-                g = {P.p_mono_gcd(delta, e.den):
-                     gcd(*delta.values(), *e.den.values())}
+                cofactor = quo(e.den, {P.p_mono_gcd(delta, e.den):
+                                       gcd(*delta.values(), *e.den.values())})
             else:
-                g = P.p_gcd(delta, e.den, nvars)
-            delta = P.p_mul(delta, quo(e.den, g))
+                cofactor = P.p_gcd(delta, e.den)[2]
+            delta = P.p_mul(delta, cofactor)
     return delta, [[e.num if e.den == delta
                     else P.p_mul(e.num, quo(delta, e.den)) for e in row]
                    for row in g1]
@@ -394,6 +384,12 @@ class RadiusEstimate:
     spread: Fraction
     window: tuple[int, int]
 
+    @staticmethod
+    def of(samples: list, window: tuple[int, int]) -> "RadiusEstimate":
+        """The largest of the per-step estimates, with their spread."""
+        vals = [e.value for e in samples]
+        return RadiusEstimate(max(samples), max(vals) - min(vals), window)
+
 
 def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstimate:
     """Estimate lv of omega / max(|d_j|_sp, limsup |G_k|^{1/k}).
@@ -409,7 +405,7 @@ def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstima
     lo = max(1, (kmax + 1) // 2)
     delta, hs = action_numerators(m, j)
     if delta is None:
-        def size(h, k):
+        def size(h, _k):
             return min((e.val() for row in h for e in row), default=INF)
     else:
         if field.kind == GAUSS:
@@ -430,7 +426,4 @@ def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstima
         vk = size(h, k)
         ratio = vk / k if not vk.is_infinite else INF
         per_step.append(lv_omega - min(dsp, ratio))
-    est = max(per_step)
-    finite = [e.value for e in per_step]
-    spread = max(finite) - min(finite)
-    return RadiusEstimate(est, spread, (lo, kmax))
+    return RadiusEstimate.of(per_step, (lo, kmax))

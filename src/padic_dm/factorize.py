@@ -230,11 +230,11 @@ class Component:
 
 @dataclass(frozen=True)
 class Certificate:
-    dims_ok: bool
-    purity_ok: bool
-    profile_ok: bool
-    direct_sum_ok: bool
-    residuals: tuple
+    dims_ok: bool = True
+    purity_ok: bool = True
+    profile_ok: bool = True
+    direct_sum_ok: bool = True
+    residuals: tuple = ()
     stability_ok: bool = True
     marginals_ok: bool = True
 
@@ -265,7 +265,7 @@ class Decomposition:
     def keys(self) -> list:
         return [c.key for c in self.components]
 
-    def to_jsonable(self, field=None, display_err: int | None = None) -> dict:
+    def to_jsonable(self, display_err: int | None = None) -> dict:
         comps = []
         for c in self.components:
             key = ([str(x) for x in c.key] if isinstance(c.key, tuple)
@@ -299,8 +299,7 @@ def _span_columns(poly_tail: TwistedPoly, n: int) -> list:
 def _pure_single(m: DiffModule, lv: LogVal, p: TwistedPoly) -> Decomposition:
     dom = m.domain
     comp = Component(lv, m, la.identity(dom, m.dim), p, dom.is_exact)
-    cert = Certificate(True, True, True, True, ())
-    return Decomposition((comp,), m.dim, cert)
+    return Decomposition((comp,), m.dim, Certificate())
 
 
 def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
@@ -315,7 +314,7 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
     turn.
     """
     if m.dim == 0:
-        return Decomposition((), 0, Certificate(True, True, True, True, ()))
+        return Decomposition((), 0, Certificate())
     failures = []
     for p, cbasis in islice(cyclic_presentations(m, j), 6):
         try:
@@ -472,7 +471,7 @@ def multi_decompose(m: DiffModule, ctx: PrecisionCtx) -> Decomposition:
     """
     derivs = m.derivations
     if m.dim == 0:
-        return Decomposition((), 0, Certificate(True, True, True, True, ()))
+        return Decomposition((), 0, Certificate())
     comps, residuals = _multi_rec(m, ctx, list(derivs))
     dims_ok = sum(c.dim for c in comps) == m.dim
     keys: dict = {}
@@ -484,7 +483,7 @@ def multi_decompose(m: DiffModule, ctx: PrecisionCtx) -> Decomposition:
         single = profile(m, j, check=False)
         if multi_prof.marginal(pos, j) != single:
             marginals_ok = False
-    cert = Certificate(dims_ok, True, True, True, tuple(residuals),
+    cert = Certificate(dims_ok, residuals=tuple(residuals),
                        marginals_ok=marginals_ok)
     if not cert.ok:
         raise CertificateFailure("multi-decomposition certificate failed")

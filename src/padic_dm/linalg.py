@@ -22,10 +22,6 @@ def zeros(domain, n: int, m: int) -> Matrix:
     return [[domain.zero() for _ in range(m)] for _ in range(n)]
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
@@ -35,26 +31,12 @@ def mat_neg(a: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = a[i][0] * b[0][j]
-            for t in range(1, k):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    cols = columns(b)
+    return [[dot(row, col) for col in cols] for row in a]
 
 
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
-
-
-def mat_derive(a: Matrix, j: int) -> Matrix:
-    return [[x.derive(j) for x in row] for row in a]
 
 
 def mat_equal(a: Matrix, b: Matrix) -> bool:
@@ -82,6 +64,23 @@ def _pivot_row(rows: Matrix, col: int, start: int) -> int | None:
     return best
 
 
+def _eliminate(rows: Matrix, c: int, r: int) -> bool:
+    """One Gauss-Jordan step in place: bring an invertible pivot of column
+    c (from row r down) to row r, normalise it to 1 and clear the rest of
+    the column.  False, with rows untouched, when there is no pivot."""
+    piv = _pivot_row(rows, c, r)
+    if piv is None:
+        return False
+    rows[r], rows[piv] = rows[piv], rows[r]
+    inv = rows[r][c].inverse()
+    rows[r] = [x * inv for x in rows[r]]
+    for i in range(len(rows)):
+        if i != r and not rows[i][c].is_zero():
+            f = rows[i][c]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+    return True
+
+
 def _gauss_jordan(a: Matrix, b: Matrix, m: int) -> Matrix | None:
     """Gauss-Jordan elimination on the first m columns of [a | b].
 
@@ -90,16 +89,8 @@ def _gauss_jordan(a: Matrix, b: Matrix, m: int) -> Matrix | None:
     """
     aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
     for c in range(m):
-        piv = _pivot_row(aug, c, c)
-        if piv is None:
+        if not _eliminate(aug, c, c):
             return None
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c].inverse()
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(len(aug)):
-            if i != c and not aug[i][c].is_zero():
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
     return [row[m:] for row in aug[:m]]
 
 
@@ -134,20 +125,21 @@ def determinant(a: Matrix, domain):
         col = [-a[k][k]]
         for i in range(k):
             if i:
-                v = [_dot(r, v) for r in a[:k]]
-            col.append(-_dot(w, v))
+                v = [dot(r, v) for r in a[:k]]
+            col.append(-dot(w, v))
         new = []
         for i in range(k + 1):
             acc = col[i] if i == k else c[i] + col[i]
             if i:
-                acc = acc + _dot(col[i - 1::-1], c)
+                acc = acc + dot(col[i - 1::-1], c)
             new.append(acc)
         c = new
     return c[-1] if n % 2 == 0 else -c[-1]
 
 
-def _dot(u: list, v: list):
-    """Sum of u[i] * v[i] over the shorter length (at least one term)."""
+def dot(u: list, v: list):
+    """Sum of u[i] * v[i] over the shorter length (at least one term),
+    added left to right: truncated sums clamp err_lv, so the order shows."""
     acc = u[0] * v[0]
     for x, y in zip(u[1:], v[1:]):
         acc = acc + x * y
@@ -185,16 +177,8 @@ def nullspace(a: Matrix, domain) -> list:
     pivots: dict[int, int] = {}
     r = 0
     for c in range(m):
-        piv = _pivot_row(rows, c, r)
-        if piv is None:
+        if not _eliminate(rows, c, r):
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots[c] = r
         r += 1
         if r == n:

@@ -13,7 +13,8 @@ dispatcher (``p_mul_uni``): Kronecker substitution (``_kronecker``) from
 of two polynomials of which one is a single term c*x^e is the monomial
 ``p_mono_gcd``, and dividing by it is the exponent shift ``p_shift``; the
 remaining gcds (``p_gcd``, on primitive parts) and exact divisions
-(``p_divexact``) evaluate their operands at powers of two.
+(``p_divexact``) evaluate their operands at powers of two.  ``p_gcd``
+returns g with the cofactors a/g and b/g, which it computes to accept g.
 """
 
 from __future__ import annotations
@@ -175,15 +176,13 @@ def p_shift(a: Poly, e: Mono) -> Poly:
     return {tuple(x - y for x, y in zip(m, e)): c for m, c in a.items()}
 
 
-def p_gcd(a: Poly, b: Poly, nvars: int) -> Poly:
-    """A gcd of a and b in Z[x]: the gcd of the contents times a gcd of
-    the primitive parts."""
-    if not a or not b:
-        return dict(a or b)
+def p_gcd(a: Poly, b: Poly) -> tuple:
+    """(g, a/g, b/g) for nonzero a and b, g a gcd of a and b in Z[x]: the
+    gcd of the contents times a gcd of the primitive parts."""
     return _gcd_heu(a, b)
 
 
-def p_divexact(a: Poly, g: Poly, nvars: int) -> Poly:
+def p_divexact(a: Poly, g: Poly) -> Poly:
     """Exact division a/g in Z[x]; ArithmeticError when g does not divide a."""
     if not a:
         return {}
@@ -201,18 +200,24 @@ def p_divexact(a: Poly, g: Poly, nvars: int) -> Poly:
 # inputs (their norms and cofactor resultants; the unlucky values of y are
 # finitely many), so doubling k ends; every candidate is checked by product.
 
-def _gcd_heu(a: dict, b: dict) -> dict:
-    """A gcd of two nonzero polynomials, with integer coefficients."""
+def _gcd_heu(a: dict, b: dict) -> tuple:
+    """(g, a/g, b/g): a gcd g of two nonzero polynomials with integer
+    coefficients, and its cofactors."""
     (ca, a), (cb, b) = p_primitive(a), p_primitive(b)
     c = int_gcd(ca, cb)
-    if () in a:
-        return {(): c}
-    k = max(map(abs, (*a.values(), *b.values()))).bit_length() + 2
-    while True:
-        g = p_primitive(_rebuild(_gcd_heu(_eval(a, k), _eval(b, k)), k))[1]
-        if _quo(a, g) is not None and _quo(b, g) is not None:
-            return {m: c * v for m, v in g.items()}
-        k += k
+    g, qa, qb = {(): 1}, a, b
+    if () not in a:
+        k = max(map(abs, (*a.values(), *b.values()))).bit_length() + 2
+        while True:
+            g = p_primitive(_rebuild(_gcd_heu(_eval(a, k), _eval(b, k))[0],
+                                     k))[1]
+            qa = _quo(a, g)
+            qb = qa and _quo(b, g)
+            if qb:
+                break
+            k += k
+    return tuple({m: s * v for m, v in q.items()}
+                 for s, q in ((c, g), (ca // c, qa), (cb // c, qb)))
 
 
 def _quo(a: dict, g: dict) -> dict | None:

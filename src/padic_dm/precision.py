@@ -24,8 +24,8 @@ which it is exact at every step.
 Every value is kept in a normal form: ``_normalize`` divides the
 valuation of the digits out into ``shift`` (Gauss: the digits have gcd
 prime to p; Laurent: a digit sits at exponent 0, gcd(den, digits) = 1),
-and nothing else writes ``coeffs``, ``den`` or ``shift``.  So
-``val_exact`` of a nonzero value is its shift.
+and nothing else writes ``coeffs``, ``den`` or ``shift``.  So ``val``
+of a nonzero value is its shift.
 
 ``reduce_scalar`` takes an exact scalar to its truncation by one route
 in both models: the numerator's digits times the Newton inverse of the
@@ -146,24 +146,17 @@ class ApproxScalar:
 
     # -- queries -----------------------------------------------------------
 
-    def is_precision_zero(self) -> bool:
+    def is_zero(self) -> bool:
         """True when the representation is indistinguishable from 0."""
         return not self.coeffs
-
-    is_zero = is_precision_zero
 
     def is_exact(self) -> bool:
         return False
 
-    def val_exact(self) -> LogVal | None:
-        """Valuation of the representation (the shift, by the normal form);
-        None when zero at precision."""
-        return LogVal(self.shift) if self.coeffs else None
-
     def val(self) -> LogVal:
-        """Valuation, with precision-zero values reported at err_lv."""
-        v = self.val_exact()
-        return LogVal(self.err_lv) if v is None else v
+        """Valuation of the representation (the shift, by the normal form);
+        err_lv for values that are zero at precision."""
+        return LogVal(self.shift if self.coeffs else self.err_lv)
 
     def is_invertible(self) -> bool:
         """Whether the inverse is representable in the approximation ring.
@@ -329,12 +322,8 @@ class ApproxScalar:
         f = self.field
         f._check_deriv(j)
         if f.kind == GAUSS:
-            cc: dict = {}
-            for m, c in self.coeffs.items():
-                if m[j]:
-                    m2 = m[:j] + (m[j] - 1,) + m[j + 1:]
-                    cc[m2] = cc.get(m2, 0) + c * m[j]
-            return ApproxScalar(f, self.ctx, self.shift, cc, self.err_lv)
+            return ApproxScalar(f, self.ctx, self.shift,
+                                P.p_derive(self.coeffs, j), self.err_lv)
         cc = {}
         for m, c in self.coeffs.items():
             e = self.shift + m[0]
@@ -348,7 +337,7 @@ class ApproxScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return (self - o).is_precision_zero()
+        return (self - o).is_zero()
 
     __hash__ = None
 
@@ -366,8 +355,7 @@ class ApproxScalar:
         return Scalar(f, num, {(max(-s, 0),): self.den})
 
     def __repr__(self):
-        v = self.val_exact()
-        return (f"ApproxScalar(lv~{v if v is not None else '>=' + str(self.err_lv)},"
+        return (f"ApproxScalar(lv~{'' if self.coeffs else '>='}{self.val()},"
                 f" err>={self.err_lv})")
 
     def __str__(self):

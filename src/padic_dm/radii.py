@@ -31,6 +31,11 @@ class RadiusProfile:
 
     Invariants: multiplicities sum to ``dim``; every lv lies at or above
     lv_rK of the derivation; support size is at most ``dim``.
+
+    ``boundary_clipped`` says that one slope of the cyclic operator the
+    profile was read from lies exactly at lv_dsp.  Clipped slopes are not
+    invariants of the module, so the flag can depend on the cyclic vector;
+    equality of profiles ignores it.
     """
 
     entries: tuple          # ((LogVal, int), ...) sorted ascending by lv

@@ -326,9 +326,9 @@ def _reduce(num: P.Poly, den: P.Poly, nvars: int):
 
     When num or den is a single term (a constant den included), the gcd
     is the monomial ``P.p_mono_gcd`` and is divided out by an exponent
-    shift; only the remaining gcds take ``P.p_gcd`` and two
-    ``P.p_divexact``.  The joint content and the sign of den's leading
-    coefficient are divided out last.
+    shift; only the remaining gcds take ``P.p_gcd``, whose cofactors are
+    the reduced num and den.  The joint content and the sign of den's
+    leading coefficient are divided out last.
     """
     if not num:
         return {}, P.p_const(nvars, 1)
@@ -337,10 +337,7 @@ def _reduce(num: P.Poly, den: P.Poly, nvars: int):
         if any(e):
             num, den = P.p_shift(num, e), P.p_shift(den, e)
     else:
-        g = P.p_gcd(num, den, nvars)
-        if not P.p_is_const(g):
-            num = P.p_divexact(num, g, nvars)
-            den = P.p_divexact(den, g, nvars)
+        _, num, den = P.p_gcd(num, den)
     c = gcd(*den.values(), *num.values())
     if den[max(den, key=P.p_sort_key)] < 0:
         c = -c

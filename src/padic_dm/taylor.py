@@ -14,6 +14,7 @@ from itertools import islice
 
 from .errors import AllZero
 from .diffmod import DiffModule, RadiusEstimate, action_matrices
+from .linalg import dot
 from .scalarfield import Scalar
 
 
@@ -47,13 +48,8 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         n = min(self.order, other.order)
-        out = []
-        for i in range(n + 1):
-            acc = self.coeffs[0] * other.coeffs[i]
-            for k in range(1, i + 1):
-                acc = acc + self.coeffs[k] * other.coeffs[i - k]
-            out.append(acc)
-        return TruncSeries(tuple(out), n)
+        return TruncSeries(tuple(dot(self.coeffs[:i + 1], other.coeffs[i::-1])
+                                 for i in range(n + 1)), n)
 
     def derive_x(self) -> "TruncSeries":
         """Formal d/dX: order drops by one."""
@@ -131,9 +127,7 @@ def hadamard_radius(s: TruncSeries, window: tuple[int, int]) -> RadiusEstimate:
         samples.append(-(a.val() / i))
     if not samples:
         raise AllZero("all coefficients vanish in the window")
-    est = max(samples)
-    vals = [e.value for e in samples]
-    return RadiusEstimate(est, max(vals) - min(vals), window)
+    return RadiusEstimate.of(samples, window)
 
 
 def dual_pairing(m: DiffModule, x: list, s: list, n: int,
@@ -149,10 +143,7 @@ def dual_pairing(m: DiffModule, x: list, s: list, n: int,
         if i:
             w = m.apply_T(j, w)
             fact *= i
-        acc = s[0] * w[0]
-        for t in range(1, m.dim):
-            acc = acc + s[t] * w[t]
-        out.append(acc / fact)
+        out.append(dot(s, w) / fact)
     return TruncSeries(tuple(out), n)
 
 

@@ -327,10 +327,7 @@ def newton_polygon(p: TwistedPoly) -> NewtonPolygon:
     for i, c in enumerate(p.coeffs):
         if c.is_zero():
             continue
-        v = c.val() if c.is_exact() else c.val_exact()
-        if v is None:
-            continue  # indistinguishable from zero at precision
-        pts.append((i, v.value))
+        pts.append((i, c.val().value))
     # monic: the point (degree, 0) is present
     at_zero = pts[0][0]
     hull = _lower_hull(pts)

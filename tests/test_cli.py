@@ -89,6 +89,34 @@ def test_run_multi_decompose():
     assert keys == [("1/4", "5/4"), ("5/4", "1/4")]
 
 
+FLAT_DEN = "(x*y^2 - x - 1)"
+FLAT_MATS = (f"0,(-y)/{FLAT_DEN};0,(y^2 - 1)/{FLAT_DEN}",
+             f"(x*y)/{FLAT_DEN},(-x^2 - x)/{FLAT_DEN};"
+             f"(-1)/{FLAT_DEN},(x*y)/{FLAT_DEN}")
+
+
+def _transposed(mat):
+    rows = [row.split(",") for row in mat.split(";")]
+    return ";".join(",".join(col) for col in zip(*rows))
+
+
+def test_multi_decompose_flat_module_and_its_transpose(capsys):
+    # a gauge transform of the trivial module over x, y: flat, with action
+    # matrices that do not commute; the transposed pair is not flat
+    def argv(mats):
+        return ["--field", "gauss:p=5:vars=x,y", "--cmd", "multi-decompose",
+                "--mat", mats[0], "--mat", mats[1],
+                "--precision", "N=10,d=28"]
+
+    assert main(argv(FLAT_MATS)) == 0
+    comps = json.loads(capsys.readouterr().out)["result"]["decomposition"][
+        "components"]
+    assert [(c["key"], c["operator"]) for c in comps] == [
+        (["1/4", "1/4"], "(1)*T^2")]
+    assert main(argv([_transposed(m) for m in FLAT_MATS])) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "integrability"
+
+
 def test_run_dual_and_verify():
     report, code = run(parse_job(
         ["--field", "gauss:p=5:vars=x", "--cmd", "dual", "--mat", "1/5,0;0,x"]))

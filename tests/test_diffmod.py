@@ -141,6 +141,15 @@ def test_integrability(gauss5xy):
     with pytest.raises(IntegrabilityError):
         DiffModule(ExactDomain(K), 2, [[[y, z], [z, z]],
                                        [[z, z], [x * x, z]]])
+    # a gauge transform of the trivial module is flat, and its matrices do
+    # not commute: d_a(G_b) + G_a G_b = d_b(G_a) + G_b G_a holds only in
+    # this order, so the transposed pair is not flat
+    dom = ExactDomain(K)
+    trivial = DiffModule(dom, 2, [la.zeros(dom, 2, 2)] * 2)
+    mats = trivial.change_basis([[one, x * y], [y, one + x]]).mats
+    DiffModule(dom, 2, mats)
+    with pytest.raises(IntegrabilityError):
+        DiffModule(dom, 2, [la.transpose(g) for g in mats])
 
 
 def test_morphism_intertwining(gauss5):

@@ -1,5 +1,6 @@
-"""Dead-definition guard: every function and class defined in the package
-is referred to somewhere in ``src/``, ``tests/`` or ``perfbench/``.
+"""Dead-definition guards: every function and class defined in the package
+is referred to somewhere in ``src/``, ``tests/`` or ``perfbench/``, and
+every parameter of a package function is read in its body.
 
 A reference is a name, an attribute, an imported name, or a string
 constant spelling an identifier (the benchmark tracer names the functions
@@ -51,3 +52,28 @@ def test_every_definition_is_referenced():
             for path, tree in _trees("src/padic_dm")
             for name, line in _definitions(tree) if name not in used]
     assert not dead, "defined but never referenced:\n" + "\n".join(dead)
+
+
+def _unread_parameters(tree):
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or (node.name.startswith("__") and node.name.endswith("__"))):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                  *filter(None, (a.vararg, a.kwarg))]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for arg in params:
+            name = arg.arg
+            if name in ("self", "cls") or name.startswith("_"):
+                continue
+            if name not in read:
+                yield node.name, name, node.lineno
+
+
+def test_every_parameter_is_read():
+    unread = [f"{path.relative_to(ROOT)}:{line} {func}({name})"
+              for path, tree in _trees("src/padic_dm")
+              for func, name, line in _unread_parameters(tree)]
+    assert not unread, "parameters never read:\n" + "\n".join(unread)

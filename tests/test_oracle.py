@@ -30,15 +30,14 @@ def scalar_sum(terms, field):
     multiple of the denominators, grown as common * den / g for a common
     divisor g (which need not be the greatest).  Pairwise ``+`` would take
     a gcd of a numerator and a product of denominators per term."""
-    nv = field.nvars
     terms = [x for x in terms if x]
-    common = P.p_const(nv, 1)
+    common = P.p_const(field.nvars, 1)
     for x in terms:
-        g = P.p_gcd(common, x.den, nv)
-        common = P.p_mul(common, P.p_divexact(x.den, g, nv))
+        g = P.p_gcd(common, x.den)[0]
+        common = P.p_mul(common, P.p_divexact(x.den, g))
     num = {}
     for x in terms:
-        num = P.p_add(num, P.p_mul(x.num, P.p_divexact(common, x.den, nv)))
+        num = P.p_add(num, P.p_mul(x.num, P.p_divexact(common, x.den)))
     return Scalar(field, num, common)
 
 

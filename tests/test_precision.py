@@ -94,11 +94,11 @@ def test_arithmetic_and_inverse(gauss5):
     dom = ApproxDomain(K, ctx, 12)
     a = dom.coerce(K.scalar(7))
     b = dom.coerce(K.var(0) + 2)
-    assert ((a + b) - a - b).is_precision_zero()
-    assert (a * b - b * a).is_precision_zero()
+    assert ((a + b) - a - b).is_zero()
+    assert (a * b - b * a).is_zero()
     inv = b.inverse()
-    assert (b * inv - 1).is_precision_zero()
-    assert (a / a - 1).is_precision_zero()
+    assert (b * inv - 1).is_zero()
+    assert (a / a - 1).is_zero()
 
 
 def test_derive_tracks_error(gauss5, laurent):
@@ -124,17 +124,16 @@ def test_truncate_err(gauss5):
     K = gauss5
     ctx = PrecisionCtx(Fraction(10), d=8)
     small = reduce_scalar(K.scalar(5) ** 6, ctx, err_target=20)
-    assert not small.is_precision_zero()
-    assert small.truncate_err(6).is_precision_zero()
-    assert not small.truncate_err(7).is_precision_zero()
+    assert not small.is_zero()
+    assert small.truncate_err(6).is_zero()
+    assert not small.truncate_err(7).is_zero()
 
 
 def test_precision_zero_val_floor(gauss5):
     ctx = PrecisionCtx(Fraction(4), d=8)
     r = reduce_scalar(gauss5.zero(), ctx, err_target=4)
-    assert r.is_precision_zero()
+    assert r.is_zero()
     assert r.val() == LogVal(4)
-    assert r.val_exact() is None
 
 
 def test_laurent_inverse_of_int_digits_is_exact(laurent):
@@ -145,7 +144,7 @@ def test_laurent_inverse_of_int_digits_is_exact(laurent):
                             for k in range(5)}
     # exact numerators over one exact denominator, never floats
     assert all(type(c) is int for c in (*inv.coeffs.values(), inv.den))
-    assert (u * inv - 1).is_precision_zero()
+    assert (u * inv - 1).is_zero()
 
 
 def _split_padic(poly, p):
@@ -356,7 +355,7 @@ def _full_cap_inverse(u):
     the full degree cap d (Gauss digits mod p^(err_lv - v); exact Laurent
     rational digits, multiplied by ``schoolbook``)."""
     f, ctx = u.field, u.ctx
-    v = int(u.val_exact().value)
+    v = int(u.val().value)
     mono0 = (0,) * f.nvars
     if f.kind == "gauss":
         mod, digits = f.p ** (u.err_lv - v), u.coeffs
@@ -398,7 +397,7 @@ def test_gauss_inverse_matches_full_cap_newton(nvars, d):
     inv, ref = u.inverse(), _full_cap_inverse(u)
     assert inv.coeffs == ref.coeffs
     assert (inv.shift, inv.err_lv, inv.den) == (ref.shift, ref.err_lv, 1)
-    assert (u * inv - 1).is_precision_zero()
+    assert (u * inv - 1).is_zero()
 
 
 @pytest.mark.parametrize("fractions", [False, True], ids=["int", "Fraction"])
@@ -423,7 +422,7 @@ def test_laurent_inverse_matches_recurrence(laurent, d, fractions):
     inv = u.inverse()
     # digits, shift and err_lv of the power-series recurrence
     assert _ref(inv) == _ref_inverse(_ref(u), d)
-    assert (u * inv - 1).is_precision_zero()
+    assert (u * inv - 1).is_zero()
 
 
 @pytest.mark.parametrize("d", [1, 7, 32, 48])
@@ -457,9 +456,10 @@ def test_laurent_inverse_stops_at_its_window(laurent, monkeypatch, d,
 
 def _scanned_val(x):
     """Valuation read off every digit, as before the normal form was
-    trusted: min v_p over the digits (Gauss), lowest exponent (Laurent)."""
+    trusted: min v_p over the digits (Gauss), lowest exponent (Laurent);
+    err_lv when there are none."""
     if not x.coeffs:
-        return None
+        return LogVal(x.err_lv)
     if x.field.kind == "gauss":
         return LogVal(x.shift + min(P.p_int_vp(c, x.field.p)
                                     for c in x.coeffs.values()))
@@ -494,7 +494,7 @@ def raw_values(draw):
 @given(raw_values())
 @settings(max_examples=300, deadline=None)
 def test_normal_form_carries_the_valuation(x):
-    assert x.val_exact() == _scanned_val(x)
+    assert x.val() == _scanned_val(x)
     _assert_normal_form(x)
 
 
