@@ -18,6 +18,14 @@ from padic_dm.cli import parse_job, run
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+# Block modules of the benchmark's decompose corpora (gauss#15 of seed 202,
+# gauss#13 of seed 203).  The first cyclic candidate of each is not
+# expandable, so each decomposition is built from the second.  Of these
+# two candidates, only the second of CLIP_LATER and only the first of
+# CLIP_FIRST has a polygon slope at lv_dsp (``boundary_clipped``).
+CLIP_LATER = "5,0,0;-370*x + 739,375,0;0,0,1/25"
+CLIP_FIRST = "125,0,0;0,3/125,0;0,0,375"
+
 JOBS = {
     "readme-radii": ["--field", "gauss:p=5:vars=x", "--cmd", "radii",
                      "--op", "T^2 - (1/5)*T + x"],
@@ -44,6 +52,20 @@ JOBS = {
     "radii-gauss-bivariate": ["--field", "gauss:p=5:vars=x,y", "--cmd", "radii",
                               "--mat", "1/(5*x+1),x;0,1/5",
                               "--mat", "0,0;0,0"],
+    "decompose-gauss-clip-later": ["--field", "gauss:p=5:vars=x",
+                                   "--cmd", "decompose",
+                                   "--mat", CLIP_LATER,
+                                   "--precision", "N=10,d=48,max_iter=80"],
+    "verify-gauss-clip-later": ["--field", "gauss:p=5:vars=x",
+                                "--cmd", "verify", "--mat", CLIP_LATER,
+                                "--precision", "N=10,d=48,max_iter=80"],
+    "decompose-gauss-clip-first": ["--field", "gauss:p=5:vars=x",
+                                   "--cmd", "decompose",
+                                   "--mat", CLIP_FIRST,
+                                   "--precision", "N=10,d=48,max_iter=80"],
+    "verify-gauss-clip-first": ["--field", "gauss:p=5:vars=x",
+                                "--cmd", "verify", "--mat", CLIP_FIRST,
+                                "--precision", "N=10,d=48,max_iter=80"],
 }
 
 
