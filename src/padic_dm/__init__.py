@@ -14,10 +14,11 @@ from .twisted import (NewtonPolygon, PiNormParams, TwistedPoly,
                       check_condition_c, divmod_left, divmod_right, monicize,
                       mul, mul_relation, newton_polygon, pi_norm)
 from .diffmod import (DiffModule, ModuleMorphism, RadiusEstimate,
-                      cyclic_data, cyclic_vector, direct_sum, dual,
-                      from_operator, iterate_G, spectral_radius_bruteforce)
+                      cyclic_data, direct_sum, dual, from_operator,
+                      iterate_G, spectral_radius_bruteforce)
 from .radii import (MultiRadiusProfile, RadiusProfile, RationalityReport,
-                    check_rationality, profile, radii_from_polygon)
+                    check_profile, check_rationality, profile,
+                    radii_from_polygon)
 from .factorize import (Certificate, Component, Decomposition,
                         SlopeFactorization, decompose, factor_by_radii,
                         multi_decompose, reduce_operator, slope_factorize)
@@ -38,7 +39,7 @@ __all__ = [
     "Scalar", "SearchExhausted", "SlopeFactorization", "StabilityFailure",
     "TruncSeries", "TwistedPoly", "ZeroDegree", "ZeroPolynomial",
     "biduality_transform", "check_condition_c",
-    "check_rationality", "cyclic_data", "cyclic_vector", "decompose",
+    "check_profile", "check_rationality", "cyclic_data", "decompose",
     "direct_sum", "divmod_left", "divmod_right", "dual",
     "dual_pairing", "factor_by_radii", "from_operator", "hadamard_radius",
     "iterate_G", "matrix_str", "monicize", "mul", "mul_relation",

@@ -27,7 +27,7 @@ from .diffmod import DiffModule, dual, from_operator, spectral_radius_bruteforce
 from .factorize import decompose, multi_decompose
 from .grammar import matrix_str, parse_matrix, parse_operator
 from .precision import ExactDomain, PrecisionCtx
-from .radii import (MultiRadiusProfile, RadiusProfile, check_rationality,
+from .radii import (RadiusProfile, check_profile, check_rationality,
                     profile)
 from .scalarfield import FieldSpec
 
@@ -218,11 +218,6 @@ def _profile_payload(prof: RadiusProfile, field) -> dict:
     return payload
 
 
-def _estimate_payload(est) -> dict:
-    return {"lv": str(est.lv), "spread": str(est.spread),
-            "window": list(est.window)}
-
-
 def run(job: JobSpec) -> tuple[dict, int]:
     """Execute a job; returns (report, exit_code)."""
     field = job.field
@@ -260,45 +255,46 @@ def run(job: JobSpec) -> tuple[dict, int]:
     return report, code
 
 
-def _run_radii(job: JobSpec) -> tuple[dict, bool]:
+def _checked_profile(m: DiffModule, job: JobSpec, prof: RadiusProfile,
+                     kmax: int) -> tuple[dict, bool]:
+    """Report prof, the oracle estimate of order kmax that it is checked
+    against, and its rationality; the flag is the rationality verdict."""
     field = job.field
-    m = _build_module(job)
-    prof = profile(m, job.deriv)
-    est = spectral_radius_bruteforce(m, job.deriv, kmax=24)
+    est = spectral_radius_bruteforce(m, job.deriv, kmax=kmax)
+    check_profile(prof, est, field)
     rep = check_rationality(prof, field)
-    result = {
+    return {
         "profile": _profile_payload(prof, field),
-        "spectral_estimate": _estimate_payload(est),
+        "spectral_estimate": {"lv": str(est.lv), "spread": str(est.spread),
+                              "window": list(est.window)},
         "rationality": rep.to_jsonable(),
-    }
-    return result, rep.ok
+    }, rep.ok
+
+
+def _run_radii(job: JobSpec) -> tuple[dict, bool]:
+    m = _build_module(job)
+    return _checked_profile(m, job, profile(m, job.deriv, check=False), 24)
 
 
 def _run_decompose(job: JobSpec) -> tuple[dict, bool]:
     field = job.field
     m = _build_module(job)
     dec = decompose(m, job.deriv, job.precision)
-    prof = profile(m, job.deriv, check=False)
-    rep = check_rationality(prof, field)
-    result = {
-        "profile": _profile_payload(prof, field),
+    rep = check_rationality(dec.profile, field)
+    return {
+        "profile": _profile_payload(dec.profile, field),
         "decomposition": dec.to_jsonable(_display_err(job.precision)),
         "rationality": rep.to_jsonable(),
-    }
-    return result, dec.certificate.ok and rep.ok
+    }, dec.certificate.ok and rep.ok
 
 
 def _run_multi_decompose(job: JobSpec) -> tuple[dict, bool]:
     field = job.field
     m = _build_module(job)
     dec = multi_decompose(m, job.precision)
-    keys: dict = {}
-    for c in dec.components:
-        keys[c.key] = keys.get(c.key, 0) + c.dim
-    multi = MultiRadiusProfile.from_dict(keys, dec.dim)
     rationality = {}
     for pos, j in enumerate(m.derivations):
-        rep = check_rationality(multi.marginal(pos, j), field)
+        rep = check_rationality(dec.profile.marginal(pos, j), field)
         rationality[field.variables[j]] = rep.to_jsonable()
     derr = _display_err(job.precision)
     result = {"decomposition": dec.to_jsonable(derr),
@@ -321,27 +317,16 @@ def _run_dual(job: JobSpec) -> tuple[dict, bool]:
 
 
 def _run_verify(job: JobSpec) -> tuple[dict, bool]:
-    """Full pipeline: profile, oracle agreement, rationality, and (when the
-    profile splits) decomposition certificates."""
-    field = job.field
+    """Full pipeline: decomposition, then its profile's oracle check,
+    rationality and dual; a split decomposition is reported too."""
     m = _build_module(job)
-    prof = profile(m, job.deriv)  # includes the brute-force cross-check
-    est = spectral_radius_bruteforce(m, job.deriv, kmax=30)
-    rep = check_rationality(prof, field)
-    result = {
-        "profile": _profile_payload(prof, field),
-        "spectral_estimate": _estimate_payload(est),
-        "rationality": rep.to_jsonable(),
-    }
-    ok = rep.ok
-    if len(prof.entries) > 1:
-        dec = decompose(m, job.deriv, job.precision)
+    dec = decompose(m, job.deriv, job.precision)
+    result, ok = _checked_profile(m, job, dec.profile, 30)
+    if len(dec.components) > 1:
         result["decomposition"] = dec.to_jsonable(_display_err(job.precision))
-        ok = ok and dec.certificate.ok
-    dm = dual(m)
-    result["dual_profile_equal"] = profile(dm, job.deriv, check=False) == prof
-    ok = ok and result["dual_profile_equal"]
-    return result, ok
+    dprof = profile(dual(m), job.deriv, check=False)
+    result["dual_profile_equal"] = dprof == dec.profile
+    return result, ok and dec.certificate.ok and result["dual_profile_equal"]
 
 
 def _display_err(ctx: PrecisionCtx) -> int:

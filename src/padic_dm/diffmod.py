@@ -365,10 +365,6 @@ def cyclic_data(m: DiffModule, j: int) -> tuple[TwistedPoly, la.Matrix]:
     raise SearchExhausted("no cyclic vector found within the candidate budget")
 
 
-def cyclic_vector(m: DiffModule, j: int) -> TwistedPoly:
-    return cyclic_data(m, j)[0]
-
-
 # -- brute-force spectral estimates ------------------------------------------------
 
 

@@ -44,7 +44,8 @@ from . import linalg as la
 from .diffmod import (DiffModule, cyclic_presentations, from_operator,
                       spectral_radius_bruteforce)
 from .precision import ApproxDomain, PrecisionCtx, domain_of
-from .radii import MultiRadiusProfile, profile, radii_from_polygon
+from .radii import (MultiRadiusProfile, RadiusProfile, profile,
+                    radii_from_polygon)
 from .twisted import (PiNormParams, TwistedPoly, divmod_left, divmod_right,
                       mul, pi_norm)
 
@@ -258,9 +259,13 @@ class Certificate:
 
 @dataclass(frozen=True)
 class Decomposition:
+    """Components, their certificate, and the profile certified: that of
+    the split cyclic operator, or of the keys over several derivations."""
+
     components: tuple
     dim: int
     certificate: Certificate
+    profile: RadiusProfile | MultiRadiusProfile
 
     def keys(self) -> list:
         return [c.key for c in self.components]
@@ -296,12 +301,6 @@ def _span_columns(poly_tail: TwistedPoly, n: int) -> list:
     return cols
 
 
-def _pure_single(m: DiffModule, lv: LogVal, p: TwistedPoly) -> Decomposition:
-    dom = m.domain
-    comp = Component(lv, m, la.identity(dom, m.dim), p, dom.is_exact)
-    return Decomposition((comp,), m.dim, Certificate())
-
-
 def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
     """Radius decomposition of M with respect to derivation j.
 
@@ -314,7 +313,8 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
     turn.
     """
     if m.dim == 0:
-        return Decomposition((), 0, Certificate())
+        return Decomposition((), 0, Certificate(),
+                             RadiusProfile.from_dict({}, 0, j))
     failures = []
     for p, cbasis in islice(cyclic_presentations(m, j), 6):
         try:
@@ -332,7 +332,9 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
     prof = radii_from_polygon(p)
     lvs = sorted(prof.as_dict(), reverse=True)
     if len(lvs) == 1:
-        return _pure_single(m, lvs[0], p)
+        dom = m.domain
+        comp = Component(lvs[0], m, la.identity(dom, m.dim), p, dom.is_exact)
+        return Decomposition((comp,), m.dim, Certificate(), prof)
     mults = [prof.multiplicity(lv) for lv in lvs]
     n, k = m.dim, len(lvs)
 
@@ -408,7 +410,7 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
     if not cert.ok:
         raise CertificateFailure(f"decomposition certificate failed: "
                                  f"{cert.to_jsonable()}")
-    return Decomposition(tuple(comps), n, cert)
+    return Decomposition(tuple(comps), n, cert, prof)
 
 
 # -- multi-derivation decomposition ------------------------------------------
@@ -471,7 +473,8 @@ def multi_decompose(m: DiffModule, ctx: PrecisionCtx) -> Decomposition:
     """
     derivs = m.derivations
     if m.dim == 0:
-        return Decomposition((), 0, Certificate())
+        return Decomposition((), 0, Certificate(),
+                             MultiRadiusProfile.from_dict({}, 0))
     comps, residuals = _multi_rec(m, ctx, list(derivs))
     dims_ok = sum(c.dim for c in comps) == m.dim
     keys: dict = {}
@@ -487,7 +490,7 @@ def multi_decompose(m: DiffModule, ctx: PrecisionCtx) -> Decomposition:
                        marginals_ok=marginals_ok)
     if not cert.ok:
         raise CertificateFailure("multi-decomposition certificate failed")
-    return Decomposition(tuple(comps), m.dim, cert)
+    return Decomposition(tuple(comps), m.dim, cert, multi_prof)
 
 
 def _multi_rec(m: DiffModule, ctx: PrecisionCtx, derivs: list):

@@ -19,9 +19,10 @@ from .logval import LogVal
 from .diffmod import DiffModule, cyclic_data, spectral_radius_bruteforce
 from .twisted import TwistedPoly, newton_polygon
 
-# Order of the brute-force spectral estimate that ``profile`` checks its
-# maximal radius against.  It is passed to the oracle positionally, where
-# a tracer counting oracle steps reads it.
+# Order of the brute-force spectral estimate that ``profile(check=True)``
+# checks its maximal radius against (the CLI checks against the estimate
+# it reports instead).  It is passed to the oracle positionally, where a
+# tracer counting oracle steps reads it.
 CHECK_KMAX = 20
 
 
@@ -34,8 +35,9 @@ class RadiusProfile:
 
     ``boundary_clipped`` says that one slope of the cyclic operator the
     profile was read from lies exactly at lv_dsp.  Clipped slopes are not
-    invariants of the module, so the flag can depend on the cyclic vector;
-    equality of profiles ignores it.
+    invariants of the module, so the flag can depend on the cyclic vector
+    (``profile`` reads the first candidate, ``Decomposition.profile`` the
+    one that was split); equality of profiles ignores it.
     """
 
     entries: tuple          # ((LogVal, int), ...) sorted ascending by lv
@@ -144,23 +146,34 @@ def radii_from_polygon(p: TwistedPoly) -> RadiusProfile:
 def profile(m: DiffModule, j: int, check: bool = True) -> RadiusProfile:
     """Radius profile of a module: cyclic vector, then polygon radii.
 
-    With ``check`` the maximal-lv entry is cross-validated against the
-    brute-force spectral estimate within its reported spread (plus the
-    factorial wobble allowance); disagreement raises CertificateFailure.
+    With ``check`` the profile is checked (``check_profile``) against the
+    brute-force spectral estimate of order CHECK_KMAX.
     """
     if m.dim == 0:
         return RadiusProfile.from_dict({}, 0, j)
     p, _ = cyclic_data(m, j)
     prof = radii_from_polygon(p)
     if check:
-        est = spectral_radius_bruteforce(m, j, CHECK_KMAX)
-        tol = est.spread + Fraction(1, 2) + m.field.lv_omega.value
-        got = prof.max_lv()
-        if abs(got.value - est.lv.value) > tol:
-            raise CertificateFailure(
-                f"polygon radius {got} disagrees with brute-force {est.lv} "
-                f"(spread {est.spread})")
+        check_profile(prof, spectral_radius_bruteforce(m, j, CHECK_KMAX),
+                      m.field)
     return prof
+
+
+def check_profile(prof: RadiusProfile, est, fld) -> None:
+    """Cross-validate the maximal-lv entry against a brute-force estimate.
+
+    The two must agree within the estimate's spread plus the factorial
+    wobble allowance; disagreement raises CertificateFailure.  An empty
+    profile passes.
+    """
+    if not prof.entries:
+        return
+    tol = est.spread + Fraction(1, 2) + fld.lv_omega.value
+    got = prof.max_lv()
+    if abs(got.value - est.lv.value) > tol:
+        raise CertificateFailure(
+            f"polygon radius {got} disagrees with brute-force {est.lv} "
+            f"(spread {est.spread})")
 
 
 @dataclass(frozen=True)

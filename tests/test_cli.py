@@ -2,13 +2,16 @@
 
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
-from padic_dm import ParseError
-from padic_dm.cli import main, parse_job, run
+from padic_dm import ParseError, cli, diffmod, factorize, radii
+from padic_dm.cli import COMMANDS, main, parse_job, run
 from padic_dm.grammar import (matrix_str, parse_matrix, parse_operator,
                               parse_scalar)
+
+from test_golden_reports import JOBS
 
 
 def job_args(*extra):
@@ -126,6 +129,97 @@ def test_run_dual_and_verify():
          "--mat", "1/5,0;0,x", "--precision", "N=10,d=32"]))
     assert code2 == 0 and report2["ok"]
     assert "decomposition" in report2["result"]
+
+
+# The derivation and the oracle's lv for the zero module over each field.
+EMPTY_FIELDS = {"gauss:p=5:vars=x": ("x", "1/4"), "laurent:z": ("z", "1")}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("field", sorted(EMPTY_FIELDS))
+def test_zero_module(field, command):
+    # the operator 1 presents the zero module: its profile is empty, and
+    # radii and verify print the oracle estimate beside it
+    var, lv = EMPTY_FIELDS[field]
+    report, code = run(parse_job(["--field", field, "--cmd", command,
+                                  "--op", "1"]))
+    assert code == 0 and report["ok"]
+    empty = {"derivation": var, "dim": 0, "entries": [],
+             "note": "lv strings are authoritative; decimals are display only"}
+    rationality = {"advisory_ok": True, "entries": [], "ok": True}
+    certificate = {"dims_ok": True, "direct_sum_ok": True,
+                   "marginals_ok": True, "ok": True, "profile_ok": True,
+                   "purity_ok": True, "residual_lv": [], "stability_ok": True}
+    decomposition = {"certificate": certificate, "components": [], "dim": 0}
+
+    def estimate(lo, hi):
+        return {"lv": lv, "spread": "0", "window": [lo, hi]}
+
+    want = {
+        "radii": {"profile": empty, "rationality": rationality,
+                  "spectral_estimate": estimate(12, 24)},
+        "decompose": {"decomposition": decomposition, "profile": empty,
+                      "rationality": rationality},
+        "multi-decompose": {"decomposition": decomposition,
+                            "rationality": {var: rationality}},
+        "dual": {"dual_mats": [""], "dual_profile": empty, "profile": empty,
+                 "profiles_equal": True},
+        "verify": {"dual_profile_equal": True, "profile": empty,
+                   "rationality": rationality,
+                   "spectral_estimate": estimate(15, 30)},
+    }
+    assert report["result"] == want[command]
+
+
+@pytest.mark.parametrize("name, presentations, oracle_steps", [
+    ("readme-radii", 1, 24),
+    ("readme-decompose", 1, 20),
+    ("readme-verify", 6, 50),
+])
+def test_each_fact_is_computed_once(monkeypatch, name, presentations,
+                                    oracle_steps):
+    # presentations: cyclic candidates drawn; oracle steps: the sum of kmax
+    # over every brute-force run.  radii presents the module once and runs
+    # the oracle once; decompose presents it once for the decomposition and
+    # its profile, and runs the oracle on each of its two components
+    # (kmax 10); verify adds one oracle run (kmax 30) and the dual's
+    # presentation.
+    counts = {"presentations": 0, "oracle_steps": 0}
+    schedule = diffmod._candidate_schedule
+    oracle = diffmod.spectral_radius_bruteforce
+
+    def counted_schedule(m, j):
+        for vec in schedule(m, j):
+            counts["presentations"] += 1
+            yield vec
+
+    def counted_oracle(m, j, kmax):
+        counts["oracle_steps"] += kmax
+        return oracle(m, j, kmax)
+
+    monkeypatch.setattr(diffmod, "_candidate_schedule", counted_schedule)
+    for module in (cli, radii, factorize):
+        monkeypatch.setattr(module, "spectral_radius_bruteforce",
+                            counted_oracle)
+    _report, code = run(parse_job(JOBS[name]))
+    assert code == 0
+    assert counts == {"presentations": presentations,
+                      "oracle_steps": oracle_steps}
+
+
+@pytest.mark.parametrize("name", ["readme-radii", "readme-verify"])
+def test_cli_checks_the_estimate_it_reports(monkeypatch, name):
+    # an oracle estimate 2 above the truth disagrees with the profile
+    oracle = cli.spectral_radius_bruteforce
+
+    def shifted(m, j, kmax):
+        est = oracle(m, j, kmax)
+        return replace(est, lv=est.lv + 2)
+
+    monkeypatch.setattr(cli, "spectral_radius_bruteforce", shifted)
+    report, code = run(parse_job(JOBS[name]))
+    assert code == 2
+    assert report["error"]["code"] == "certificate-failure"
 
 
 def test_determinism():

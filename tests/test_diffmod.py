@@ -7,7 +7,7 @@ import pytest
 
 from padic_dm import (DiffModule, ExactDomain, FieldMismatch, IntegrabilityError,
                       LogVal, ModuleMorphism, NotMonic, TwistedPoly,
-                      cyclic_data, cyclic_vector, direct_sum, divmod_right,
+                      cyclic_data, direct_sum, divmod_right,
                       dual, from_operator, iterate_G, linalg as la,
                       spectral_radius_bruteforce)
 
@@ -54,7 +54,7 @@ def test_cyclic_scalar(gauss5):
     K = gauss5
     x = K.var(0)
     m = scalar_module(K, x)
-    p = cyclic_vector(m, 0)
+    p, _ = cyclic_data(m, 0)
     assert p == TwistedPoly.from_list(ExactDomain(K), 0, [-x, 1])
 
 
@@ -63,7 +63,7 @@ def test_cyclic_equal_blocks(gauss5):
     K = gauss5
     c = K.one() / 5
     m = direct_sum(scalar_module(K, c), scalar_module(K, c))
-    p = cyclic_vector(m, 0)
+    p, _ = cyclic_data(m, 0)
     assert p.degree == 2
 
 

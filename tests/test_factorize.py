@@ -7,14 +7,15 @@ from fractions import Fraction
 import pytest
 
 from padic_dm import (ApproxDomain, CertificateFailure, DiffModule,
-                      ExactDomain, IterationBudget, LogVal, NoGap,
-                      PiNormParams, PrecisionCtx, StabilityFailure,
-                      TwistedPoly, decompose, direct_sum, factor_by_radii,
-                      from_operator, linalg as la, mul, multi_decompose,
-                      parse_operator, pi_norm, profile, radii_from_polygon,
-                      slope_factorize)
+                      ExactDomain, IterationBudget, LogVal,
+                      MultiRadiusProfile, NoGap, PiNormParams, PrecisionCtx,
+                      StabilityFailure, TwistedPoly, decompose, direct_sum,
+                      factor_by_radii, from_operator, linalg as la, mul,
+                      multi_decompose, parse_matrix, parse_operator, pi_norm,
+                      profile, radii_from_polygon, slope_factorize)
 
 from conftest import block_module, unimodular_conjugator
+from test_golden_reports import CLIP_FIRST, CLIP_LATER
 
 
 CTX = PrecisionCtx(Fraction(10), d=48, max_iter=80)
@@ -119,6 +120,19 @@ def test_decompose_zero_dim(gauss5):
     m = DiffModule(ExactDomain(gauss5), 0, [[]])
     dec = decompose(m, 0, CTX)
     assert dec.components == () and dec.certificate.ok
+    assert dec.profile.entries == () and dec.profile.dim == 0
+
+
+@pytest.mark.parametrize("mat, clipped", [(CLIP_LATER, True),
+                                          (CLIP_FIRST, False)])
+def test_decomposition_carries_its_operators_profile(gauss5, mat, clipped):
+    # the first cyclic candidate of each module is not expandable, and the
+    # profile comes from the second one, which the decomposition splits
+    m = DiffModule(ExactDomain(gauss5), 3, [parse_matrix(mat, gauss5)])
+    dec = decompose(m, 0, CTX)
+    assert dec.profile == profile(m, 0, check=False)
+    assert dec.profile.boundary_clipped is clipped
+    assert profile(m, 0, check=False).boundary_clipped is not clipped
 
 
 def test_decompose_profile_conservation(gauss5):
@@ -163,6 +177,8 @@ def test_multi_decompose_example(gauss5xy):
     assert keys == [("1/4", "5/4"), ("5/4", "1/4")]
     assert all(c.dim == 1 for c in dec.components)
     assert dec.certificate.ok
+    assert dec.profile == MultiRadiusProfile.from_dict(
+        {(lv("1/4"), lv("5/4")): 1, (lv("5/4"), lv("1/4")): 1}, 2)
 
 
 def test_multi_decompose_trivial(gauss5xy):

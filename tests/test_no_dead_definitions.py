@@ -1,6 +1,7 @@
 """Dead-definition guards: every function and class defined in the package
-is referred to somewhere in ``src/``, ``tests/`` or ``perfbench/``, and
-every parameter of a package function is read in its body.
+is referred to somewhere in ``src/``, ``tests/`` or ``perfbench/``, every
+parameter of a package function is read in its body, and every
+module-level import of the package is used.
 
 A reference is a name, an attribute, an imported name, or a string
 constant spelling an identifier (the benchmark tracer names the functions
@@ -77,3 +78,31 @@ def test_every_parameter_is_read():
               for path, tree in _trees("src/padic_dm")
               for func, name, line in _unread_parameters(tree)]
     assert not unread, "parameters never read:\n" + "\n".join(unread)
+
+
+def _unused_imports(tree):
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            exported = {e.value for e in node.value.elts}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name not in used and name not in exported:
+                yield name, node.lineno
+
+
+def test_every_import_is_used():
+    """The project runs no linter, so this stands in for an unused-import
+    check: a module-level import must be read in its module or exported
+    in its ``__all__``."""
+    unused = [f"{path.relative_to(ROOT)}:{line} {name}"
+              for path, tree in _trees("src/padic_dm")
+              for name, line in _unused_imports(tree)]
+    assert not unused, "imported but never used:\n" + "\n".join(unused)

@@ -1,13 +1,15 @@
 """Radius profiles: polygon route, oracle agreement, rationality."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from padic_dm import (DiffModule, ExactDomain, LogVal, NotMonic, RadiusProfile,
-                      TwistedPoly, ZeroPolynomial, check_rationality,
-                      direct_sum, dual, profile, radii_from_polygon)
+from padic_dm import (CertificateFailure, DiffModule, ExactDomain, LogVal,
+                      NotMonic, RadiusProfile, TwistedPoly, ZeroPolynomial,
+                      check_profile, check_rationality, direct_sum, dual,
+                      profile, radii_from_polygon, spectral_radius_bruteforce)
 
 from conftest import block_module
 
@@ -92,6 +94,22 @@ def test_check_rationality(gauss5):
     assert rep2.ok and rep2.entries[0][2] == "skipped-boundary"
     empty = RadiusProfile.from_dict({}, 0, 0)
     assert check_rationality(empty, gauss5).ok
+
+
+def test_check_profile(gauss5):
+    # the maximal radius 9/4 agrees with the oracle; an estimate shifted
+    # by 2 does not, and the empty profile passes against any estimate
+    K = gauss5
+    dom = ExactDomain(K)
+    m = direct_sum(DiffModule(dom, 1, [[[K.one() / 5]]]),
+                   DiffModule(dom, 1, [[[K.one() / 25]]]))
+    prof = profile(m, 0, check=False)
+    est = spectral_radius_bruteforce(m, 0, 20)
+    check_profile(prof, est, K)
+    shifted = replace(est, lv=est.lv + 2)
+    with pytest.raises(CertificateFailure):
+        check_profile(prof, shifted, K)
+    check_profile(RadiusProfile.from_dict({}, 0, 0), shifted, K)
 
 
 def test_laurent_profiles(laurent):
