@@ -26,6 +26,13 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CLIP_LATER = "5,0,0;-370*x + 739,375,0;0,0,1/25"
 CLIP_FIRST = "125,0,0;0,3/125,0;0,0,375"
 
+# A dense 8 x 8 Gauss module, entries drawn by random.Random(0) from 0, 1,
+# 2, x, 1/5 and x/5: its cyclic presentation solves a full Krylov system.
+DENSE_8 = ("x,x,0,2,1/5,x,x,2;x,2,1/5,1,1/5,1,2,1;0,1/5,2,1/5,x/5,1/5,1,2;"
+           "0,x/5,0,x/5,2,x,1/5,0;2,x,2,1/5,x/5,1,1/5,x;"
+           "x,1/5,2,0,1/5,0,0,x/5;x,x/5,x/5,x/5,0,1/5,x,2;"
+           "1,x/5,2,x/5,0,1,1/5,1")
+
 JOBS = {
     "readme-radii": ["--field", "gauss:p=5:vars=x", "--cmd", "radii",
                      "--op", "T^2 - (1/5)*T + x"],
@@ -52,6 +59,8 @@ JOBS = {
     "radii-gauss-bivariate": ["--field", "gauss:p=5:vars=x,y", "--cmd", "radii",
                               "--mat", "1/(5*x+1),x;0,1/5",
                               "--mat", "0,0;0,0"],
+    "radii-gauss-dense-8x8": ["--field", "gauss:p=5:vars=x", "--cmd", "radii",
+                              "--mat", DENSE_8],
     "decompose-gauss-clip-later": ["--field", "gauss:p=5:vars=x",
                                    "--cmd", "decompose",
                                    "--mat", CLIP_LATER,
