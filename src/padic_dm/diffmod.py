@@ -12,7 +12,10 @@ delta is the lcm of the integer polynomial denominators of G_1 and
 B = delta G_1.  Then H_0 = I and
 H_{k+1} = delta d_j(H_k) + (B - k d_j(delta) I) H_k, with no gcd per
 step.  The Gauss and Laurent valuations are multiplicative, so
-lv(G_k) = lv(H_k) - k lv(delta).
+lv(G_k) = lv(H_k) - k lv(delta).  The Krylov columns of a cyclic-vector
+candidate v share that recurrence, started at v instead of I: T^k v is
+u_k / delta^k, and ``cyclic_presentations`` solves for P on the u_k by
+fraction-free elimination before it builds any ``Scalar``.
 
 A module built from a single twisted polynomial carries only that
 derivation's matrix; modules over multi-derivation fields must satisfy the
@@ -196,16 +199,20 @@ def _integer_form(g1: la.Matrix, nvars: int) -> tuple:
                    for row in g1]
 
 
-def action_numerators(m: DiffModule, j: int) -> tuple:
-    """The G_k recurrence: (delta, iterator over H_0 = I, H_1, H_2, ...)
-    with G_k = H_k / delta^k the matrix of the k-fold T_j action.
+def action_numerators(m: DiffModule, j: int,
+                      start: la.Matrix | None = None) -> tuple:
+    """The G_k recurrence: (delta, iterator over H_0, H_1, H_2, ...) with
+    H_k / delta^k = T_j^k applied to each column of H_0 = ``start``.
 
-    Over an exact domain, delta and the entries of H_k are polynomial
-    dicts with ``int`` coefficients (B = delta G_1, see ``_integer_form``)
-    and H_{k+1} = delta d_j(H_k) + (B - k d_j(delta) I) H_k, which builds
-    no ``Scalar`` and takes no gcd; both valuations are multiplicative, so
-    lv(G_k) = lv(H_k) - k lv(delta).  Over an ``ApproxDomain``, delta is
-    None (read 1) and H_k = G_k is stepped as d_j(G_k) + G_1 G_k.
+    The default start is I, which makes G_k = H_k / delta^k the matrix of
+    the k-fold T_j action.  Over an exact domain, delta, ``start`` (the
+    numerators of a block with polynomial entries) and the entries of H_k
+    are polynomial dicts with ``int`` coefficients, B = delta G_1 (see
+    ``_integer_form``) and H_{k+1} = delta d_j(H_k) + (B - k d_j(delta) I)
+    H_k, which builds no ``Scalar`` and takes no gcd; both valuations are
+    multiplicative, so lv(G_k) = lv(H_k) - k lv(delta).  Over an
+    ``ApproxDomain``, delta is None (read 1) and H_k = G_k is stepped as
+    d_j(G_k) + G_1 G_k.
     """
     n = m.dim
     if m.domain.is_exact:
@@ -227,7 +234,9 @@ def action_numerators(m: DiffModule, j: int) -> tuple:
     scaled = delta is not None and delta != one
 
     def steps():
-        h = [[one if i == t else zero for t in range(n)] for i in range(n)]
+        h = start
+        if h is None:
+            h = [[one if i == t else zero for t in range(n)] for i in range(n)]
         k = 0
         while True:
             yield h
@@ -343,20 +352,45 @@ def cyclic_presentations(m: DiffModule, j: int):
 
     P is monic with K<T_j>/(P) isomorphic to (M, T_j); the columns of C
     are v, T v, ..., T^{m-1} v for the cyclic vector v that produced P.
+
+    Over an exact domain the candidates have polynomial entries, so
+    T^k v = u_k / delta^k with u_k the G_k recurrence started at v
+    (``action_numerators``).  With U = [u_0 .. u_{m-1}], P's low
+    coefficients are -y_k / delta^(m-k), where U y = u_m is solved by
+    fraction-free Gauss-Jordan on the integer polynomials
+    (``linalg.solve_fraction_free``); no ``Scalar`` is built before a
+    candidate is accepted.  Over an ``ApproxDomain`` the columns come from
+    ``apply_T`` and the solve is the valuation-pivoted ``linalg.solve``.
     """
     if m.dim == 0:
         raise ValueError("cyclic vector of the zero module")
+    n, dom = m.dim, m.domain
     for v in _candidate_schedule(m, j):
-        cols = [v]
-        for _ in range(m.dim - 1):
-            cols.append(m.apply_T(j, cols[-1]))
-        cmat = la.from_columns(cols)
-        top = m.apply_T(j, cols[-1])
-        sol = la.solve(cmat, la.from_columns([top]))
-        if sol is None:
-            continue
-        coeffs = [-sol[i][0] for i in range(m.dim)] + [m.domain.one()]
-        yield TwistedPoly(m.domain, j, coeffs), cmat
+        if not dom.is_exact:
+            cols = [v]
+            for _ in range(n - 1):
+                cols.append(m.apply_T(j, cols[-1]))
+            cmat = la.from_columns(cols)
+            sol = la.solve(cmat, la.from_columns([m.apply_T(j, cols[-1])]))
+            if sol is None:
+                continue
+            coeffs = [-sol[i][0] for i in range(n)]
+        else:
+            delta, us = action_numerators(m, j, [[e.num] for e in v])
+            us = [[e for (e,) in u] for u in islice(us, n + 1)]
+            sol = la.solve_fraction_free(la.from_columns(us[:n]), us[n])
+            if sol is None:
+                continue
+            y, det = sol
+            field = m.field
+            pows = [P.p_const(field.nvars, 1)]
+            for _ in range(n):
+                pows.append(P.p_mul(pows[-1], delta))
+            coeffs = [Scalar(field, P.p_neg(y[k]), P.p_mul(det, pows[n - k]))
+                      for k in range(n)]
+            cmat = [[Scalar(field, u[i], pows[k]) for k, u in enumerate(us[:n])]
+                    for i in range(n)]
+        yield TwistedPoly(dom, j, coeffs + [dom.one()]), cmat
 
 
 def cyclic_data(m: DiffModule, j: int) -> tuple[TwistedPoly, la.Matrix]:

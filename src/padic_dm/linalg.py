@@ -3,12 +3,19 @@
 Matrices are plain lists of rows.  The element type only needs ring
 arithmetic, ``is_zero`` (exact zero, or zero at working precision) and
 ``val()`` for pivot selection; both ``Scalar`` and ``ApproxScalar``
-qualify.  Everything is fraction-free-by-division Gaussian elimination at
-desk scale; pivots are chosen with minimal valuation (largest absolute
-value), which is what keeps eliminations stable over truncated scalars.
+qualify.  Solves, inverses and kernels are Gauss-Jordan elimination at
+desk scale that divides by each pivot; pivots are chosen with minimal
+valuation (largest absolute value), which is what keeps eliminations
+stable over truncated scalars.  Two routines divide by nothing but exact
+quotients: ``determinant`` (Berkowitz) and ``solve_fraction_free``, which
+solves over integer polynomials (``polys`` dicts) by Bareiss's
+integer-preserving steps and leaves the one division by the determinant
+to the caller.
 """
 
 from __future__ import annotations
+
+from . import polys as P
 
 Matrix = list
 
@@ -97,6 +104,39 @@ def _gauss_jordan(a: Matrix, b: Matrix, m: int) -> Matrix | None:
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
     """Solve a X = b for square invertible a; None when singular."""
     return _gauss_jordan(a, b, len(a))
+
+
+def solve_fraction_free(a: Matrix, b: list) -> tuple | None:
+    """Solve a x = b for square a over Z[x]: (r, det) with x = r / det,
+    or None when a is singular.
+
+    Entries are ``polys`` dicts.  Fraction-free Gauss-Jordan (E. H. Bareiss,
+    Math. Comp. 22, 1968): step k replaces every entry right of column k
+    outside the pivot row by (a_kk a_ic - a_ik a_kc) / p, p the previous
+    pivot.  Each entry is then a minor of [a | b], so the division is
+    exact, and after the last step every row reads det x_i = r_i.
+    """
+    n = len(a)
+    rows = [list(ra) + [rb] for ra, rb in zip(a, b)]
+    prev = None
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        top = rows[k]
+        pk = top[k]
+        for i, row in enumerate(rows):
+            if i == k:
+                continue
+            f = row[k]
+            for c in range(k + 1, n + 1):
+                e = P.p_mul(pk, row[c])
+                if f:
+                    e = P.p_sub(e, P.p_mul(f, top[c]))
+                row[c] = e if prev is None else P.p_divexact(e, prev)
+        prev = pk
+    return [row[n] for row in rows], prev
 
 
 def inverse(a: Matrix, domain) -> Matrix | None:
