@@ -192,6 +192,29 @@ class ApproxScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
+        if not o.coeffs and self._absorbs(o):
+            return self
+        if not self.coeffs and o._absorbs(self):
+            return o
+        return self._add(o)
+
+    __radd__ = __add__
+
+    def _absorbs(self, o: "ApproxScalar") -> bool:
+        """Whether self + o is self for an o with no digits: the sum keeps
+        err_lv (o's is no lower, nor, in the Laurent model, is the window
+        min(shift_a, shift_b) + d + 1) and the shift (self has digits, or
+        o's shift is no lower)."""
+        if o.err_lv < self.err_lv:
+            return False
+        if self.field.kind != GAUSS and \
+                self.err_lv > min(self.shift, o.shift) + self.ctx.d + 1:
+            return False
+        return bool(self.coeffs) or o.shift >= self.shift
+
+    def _add(self, o: "ApproxScalar") -> "ApproxScalar":
+        """The sum by the general route: both operands at the lower shift
+        (and, Laurent, over the lcm of the denominators), then normalized."""
         f = self.field
         s = min(self.shift, o.shift)
         err = min(self.err_lv, o.err_lv)
@@ -210,8 +233,6 @@ class ApproxScalar:
             cc[e + eb,] = cc.get((e + eb,), 0) + c * kb
         return ApproxScalar(f, self.ctx, s, cc, min(err, s + self.ctx.d + 1),
                             den)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return ApproxScalar(self.field, self.ctx, self.shift,

@@ -471,11 +471,18 @@ def raw_values(draw):
     """An ApproxScalar built from unnormalized parts: random shift, digits
     (Gauss: signed multiples of random powers of p, some above the degree
     cap) and err_lv, on Gauss in one or two variables or on Laurent."""
-    kind = draw(st.sampled_from(["gauss1", "gauss2", "laurent"]))
-    field = {"gauss1": FieldSpec.gauss(5, ("x",)),
-             "gauss2": FieldSpec.gauss(5, ("x", "y")),
-             "laurent": FieldSpec.laurent("z")}[kind]
-    d = draw(st.integers(1, 6))
+    field, d = draw(fields_and_caps())
+    return _draw_raw(draw, field, d)
+
+
+def fields_and_caps():
+    return st.tuples(st.sampled_from([FieldSpec.gauss(5, ("x",)),
+                                      FieldSpec.gauss(5, ("x", "y")),
+                                      FieldSpec.laurent("z")]),
+                     st.integers(1, 6))
+
+
+def _draw_raw(draw, field, d, digits=None):
     shift = draw(st.integers(-6, 4))
     err = shift + draw(st.integers(-1, 12))
     mono = st.tuples(*[st.integers(0, d + 2)] * field.nvars)
@@ -486,9 +493,20 @@ def raw_values(draw):
         digit = st.one_of(st.integers(-9, 9),
                           st.builds(Fraction, st.integers(-9, 9),
                                     st.integers(1, 9)))
-    coeffs = draw(st.dictionaries(mono, digit, max_size=8))
+    if digits is None:
+        digits = st.dictionaries(mono, digit, max_size=8)
+    coeffs = draw(digits)
     build = ApproxScalar if field.kind == "gauss" else _laurent
     return build(field, PrecisionCtx(Fraction(10), d=d), shift, coeffs, err)
+
+
+@st.composite
+def sum_operands(draw):
+    """Two raw values of one field and degree cap, the second one with no
+    digits in about half of the cases."""
+    field, d = draw(fields_and_caps())
+    empty = st.just({}) if draw(st.booleans()) else None
+    return _draw_raw(draw, field, d), _draw_raw(draw, field, d, empty)
 
 
 @given(raw_values())
@@ -513,6 +531,26 @@ def test_times_one_keeps_the_representation(x):
     y = x * 1
     assert (y.coeffs, y.den, y.shift, y.err_lv) == (x.coeffs, x.den, x.shift,
                                                      x.err_lv)
+
+
+@given(sum_operands())
+@settings(max_examples=300, deadline=None)
+def test_sum_with_an_empty_operand_takes_the_general_result(ab):
+    """``+`` returns an operand without digits' partner only when the
+    general route gives the same shift, digits, den and err_lv."""
+    a, b = ab
+    for x, y in ((a, b), (b, a)):
+        want = x._add(y)
+        got = x + y
+        assert (got.shift, got.coeffs, got.den, got.err_lv) == \
+            (want.shift, want.coeffs, want.den, want.err_lv)
+
+
+def test_sum_with_zero_returns_the_other_operand(gauss5, laurent):
+    for field in (gauss5, laurent):
+        dom = ApproxDomain(field, PrecisionCtx(Fraction(10), d=8), 10)
+        x = dom.coerce(field.var(0) + 1)
+        assert x + dom.zero() is x and dom.zero() + x is x
 
 
 # -- Laurent values against a Fraction-digit reference ------------------------
