@@ -482,7 +482,7 @@ def fields_and_caps():
                      st.integers(1, 6))
 
 
-def _draw_raw(draw, field, d, digits=None):
+def _draw_raw(draw, field, d, empty=False):
     shift = draw(st.integers(-6, 4))
     err = shift + draw(st.integers(-1, 12))
     mono = st.tuples(*[st.integers(0, d + 2)] * field.nvars)
@@ -493,9 +493,7 @@ def _draw_raw(draw, field, d, digits=None):
         digit = st.one_of(st.integers(-9, 9),
                           st.builds(Fraction, st.integers(-9, 9),
                                     st.integers(1, 9)))
-    if digits is None:
-        digits = st.dictionaries(mono, digit, max_size=8)
-    coeffs = draw(digits)
+    coeffs = {} if empty else draw(st.dictionaries(mono, digit, max_size=8))
     build = ApproxScalar if field.kind == "gauss" else _laurent
     return build(field, PrecisionCtx(Fraction(10), d=d), shift, coeffs, err)
 
@@ -505,8 +503,8 @@ def sum_operands(draw):
     """Two raw values of one field and degree cap, the second one with no
     digits in about half of the cases."""
     field, d = draw(fields_and_caps())
-    empty = st.just({}) if draw(st.booleans()) else None
-    return _draw_raw(draw, field, d), _draw_raw(draw, field, d, empty)
+    return (_draw_raw(draw, field, d),
+            _draw_raw(draw, field, d, empty=draw(st.booleans())))
 
 
 @given(raw_values())
@@ -536,8 +534,9 @@ def test_times_one_keeps_the_representation(x):
 @given(sum_operands())
 @settings(max_examples=300, deadline=None)
 def test_sum_with_an_empty_operand_takes_the_general_result(ab):
-    """``+`` returns an operand without digits' partner only when the
-    general route gives the same shift, digits, den and err_lv."""
+    """With an operand that has no digits, ``+`` gives the general route's
+    shift, digits, den and err_lv: it returns the partner only where they
+    agree."""
     a, b = ab
     for x, y in ((a, b), (b, a)):
         want = x._add(y)
