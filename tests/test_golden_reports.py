@@ -61,6 +61,13 @@ JOBS = {
                               "--mat", "0,0;0,0"],
     "radii-gauss-dense-8x8": ["--field", "gauss:p=5:vars=x", "--cmd", "radii",
                               "--mat", DENSE_8],
+    # A pole on |x| = 1: the common denominator x - 2 is a unit, so no
+    # power of T can pass the oracle's clip.
+    "radii-gauss-unit-pole": ["--field", "gauss:p=5:vars=x", "--cmd", "radii",
+                              "--op", "T^2 - T + 1/(x-2)"],
+    # Common denominator z^3: the oracle steps, and every step is read.
+    "radii-laurent-z3": ["--field", "laurent:z", "--cmd", "radii",
+                         "--mat", "1/(z^3),z;0,1/z"],
     "decompose-gauss-clip-later": ["--field", "gauss:p=5:vars=x",
                                    "--cmd", "decompose",
                                    "--mat", CLIP_LATER,
