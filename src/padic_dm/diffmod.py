@@ -17,6 +17,13 @@ candidate v share that recurrence, started at v instead of I: T^k v is
 u_k / delta^k, and ``cyclic_presentations`` solves for P on the u_k by
 fraction-free elimination before it builds any ``Scalar``.
 
+The brute-force oracle reads lv(H_k) only below k (lv(delta) + lv_dsp),
+so it steps H_k reduced below E = kmax (lv(delta) + lv_dsp): mod p^E over
+the Gauss model, which commutes with d_j, and without the terms of
+z-degree >= E over the Laurent model, where each derivative is multiplied
+back up by delta.  When E <= 0 it steps nothing, since no H_k can pass the
+clip (see ``spectral_radius_bruteforce``).
+
 A module built from a single twisted polynomial carries only that
 derivation's matrix; modules over multi-derivation fields must satisfy the
 integrability identity pairwise, which is enforced on construction.
@@ -201,8 +208,9 @@ def _integer_form(g1: la.Matrix, nvars: int) -> tuple:
 
 def action_numerators(m: DiffModule, j: int,
                       start: la.Matrix | None = None) -> tuple:
-    """The G_k recurrence: (delta, iterator over H_0, H_1, H_2, ...) with
-    H_k / delta^k = T_j^k applied to each column of H_0 = ``start``.
+    """The G_k recurrence: (delta, steps), where ``steps(trim=None)``
+    iterates H_0, H_1, H_2, ... with H_k / delta^k = T_j^k applied to each
+    column of H_0 = ``start``.
 
     The default start is I, which makes G_k = H_k / delta^k the matrix of
     the k-fold T_j action.  Over an exact domain, delta, ``start`` (the
@@ -210,9 +218,11 @@ def action_numerators(m: DiffModule, j: int,
     are polynomial dicts with ``int`` coefficients, B = delta G_1 (see
     ``_integer_form``) and H_{k+1} = delta d_j(H_k) + (B - k d_j(delta) I)
     H_k, which builds no ``Scalar`` and takes no gcd; both valuations are
-    multiplicative, so lv(G_k) = lv(H_k) - k lv(delta).  Over an
-    ``ApproxDomain``, delta is None (read 1) and H_k = G_k is stepped as
-    d_j(G_k) + G_1 G_k.
+    multiplicative, so lv(G_k) = lv(H_k) - k lv(delta).  ``trim``, a map
+    on such polynomials, is applied to every H_k after H_0;
+    ``spectral_radius_bruteforce`` says when the trimmed steps stay
+    exact.  Over an ``ApproxDomain``, delta is None (read 1) and
+    H_k = G_k is stepped as d_j(G_k) + G_1 G_k.
     """
     n = m.dim
     if m.domain.is_exact:
@@ -233,7 +243,7 @@ def action_numerators(m: DiffModule, j: int,
             return e.derive(j)
     scaled = delta is not None and delta != one
 
-    def steps():
+    def steps(trim=None):
         h = start
         if h is None:
             h = [[one if i == t else zero for t in range(n)] for i in range(n)]
@@ -250,9 +260,11 @@ def action_numerators(m: DiffModule, j: int,
                       for i, row in enumerate(b)]
             h = [[plus(d[i][t], reduce(plus, map(times, bk[i], col)))
                   for t, col in enumerate(zip(*h))] for i in range(n)]
+            if trim is not None:
+                h = [[trim(e) for e in row] for row in h]
             k += 1
 
-    return delta, steps()
+    return delta, steps
 
 
 def _scalar_matrix(field, h: la.Matrix, den: P.Poly) -> la.Matrix:
@@ -263,7 +275,8 @@ def _scalar_matrix(field, h: la.Matrix, den: P.Poly) -> la.Matrix:
 def action_matrices(m: DiffModule, j: int):
     """Yield G_0 = I, G_1, G_2, ...: the matrices of the k-fold T_j action,
     each built from its numerator (``action_numerators``)."""
-    delta, hs = action_numerators(m, j)
+    delta, steps = action_numerators(m, j)
+    hs = steps()
     if delta is None:
         yield from hs
         return
@@ -277,8 +290,8 @@ def iterate_G(m: DiffModule, j: int, k: int) -> la.Matrix:
     """Matrix of the k-fold T_j action on the chosen basis."""
     if k < 0:
         raise ValueError("negative power")
-    delta, hs = action_numerators(m, j)
-    h = next(islice(hs, k, None))
+    delta, steps = action_numerators(m, j)
+    h = next(islice(steps(), k, None))
     if delta is None:
         return h
     return _scalar_matrix(m.field, h,
@@ -376,8 +389,8 @@ def cyclic_presentations(m: DiffModule, j: int):
                 continue
             coeffs = [-sol[i][0] for i in range(n)]
         else:
-            delta, us = action_numerators(m, j, [[e.num] for e in v])
-            us = [[e for (e,) in u] for u in islice(us, n + 1)]
+            delta, steps = action_numerators(m, j, [[e.num] for e in v])
+            us = [[e for (e,) in u] for u in islice(steps(), n + 1)]
             sol = la.solve_fraction_free(la.from_columns(us[:n]), us[n])
             if sol is None:
                 continue
@@ -421,11 +434,44 @@ class RadiusEstimate:
         return RadiusEstimate(max(samples), max(vals) - min(vals), window)
 
 
+def _trim(field, edge: int):
+    """The map that keeps the part of an int polynomial read below
+    ``edge``: its coefficients mod p^edge (Gauss), or its terms of z-degree
+    below ``edge`` (Laurent)."""
+    if field.kind == GAUSS:
+        q = field.p ** edge
+        return lambda a: {mono: r for mono, c in a.items() if (r := c % q)}
+    return lambda a: {mono: c for mono, c in a.items() if mono[0] < edge}
+
+
 def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstimate:
     """Estimate lv of omega / max(|d_j|_sp, limsup |G_k|^{1/k}).
 
     Uses the minimum entrywise valuation as matrix size and a tail window
-    k in [kmax/2, kmax]; the result is clipped to lie in [lv_rK, ...).
+    k in [kmax/2, kmax]; step k gives lv_omega - min(lv_dsp, lv(G_k)/k), so
+    the result is clipped to lie in [lv_rK, ...).
+
+    Over an exact domain lv(G_k) = lv(H_k) - k lv(delta)
+    (``action_numerators``), and step k reads lv(H_k) only where it lies
+    below k (lv(delta) + lv_dsp); from there up the clip returns lv_dsp.
+    With E = kmax (lv(delta) + lv_dsp), an integer, the recurrence is
+    stepped on H_k reduced so that every valuation below E stays exact,
+    and a reduced entry that vanishes has lv >= E, which the clip reads as
+    lv_dsp too.
+
+    * Gauss (lv_dsp = 0): the int coefficients of every H_k are reduced
+      mod p^E.  Z[x] -> (Z/p^E)[x] is a ring map that commutes
+      with d_j, so H_k mod p^E is exact at every step.
+    * Laurent (lv_dsp = -1): the terms of z-degree >= E are dropped.  If
+      H_k and its truncation differ only in degrees >= E, then so do the
+      two H_{k+1}: B, d(delta) and delta have no negative powers, and the
+      one derivative is multiplied by delta, which gives back at least
+      the degree it took (lv(delta) >= 2 whenever E > 0).
+    * If E <= 0, no H_k can pass the clip: every step of the window gives
+      lv_omega - lv_dsp, with spread 0, and nothing is stepped.
+
+    Each bound is tight: at k = kmax a valuation of H_k of exactly E - 1
+    is read.  Over an ``ApproxDomain`` G_k is stepped as it is.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -433,8 +479,10 @@ def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstima
     lv_omega = field.lv_omega
     dsp = field.lv_dsp(j)
     lo = max(1, (kmax + 1) // 2)
-    delta, hs = action_numerators(m, j)
+    delta, steps = action_numerators(m, j)
     if delta is None:
+        hs = steps()
+
         def size(h, _k):
             return min((e.val() for row in h for e in row), default=INF)
     else:
@@ -445,6 +493,10 @@ def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstima
             def lv(a):
                 return P.p_min_exp(a, 0)
         lv_delta = lv(delta)
+        edge = int(kmax * (lv_delta + dsp.value))
+        if edge <= 0:
+            return RadiusEstimate.of([lv_omega - dsp], (lo, kmax))
+        hs = steps(_trim(field, edge))
 
         def size(h, k):
             vs = [lv(e) for row in h for e in row if e]
