@@ -460,8 +460,8 @@ def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstima
     lv_dsp too.
 
     * Gauss (lv_dsp = 0): the int coefficients of every H_k are reduced
-      mod p^E.  Z[x] -> (Z/p^E)[x] is a ring map that commutes
-      with d_j, so H_k mod p^E is exact at every step.
+      mod p^E.  Z[x] -> (Z/p^E)[x] is a ring map that commutes with d_j,
+      so H_k mod p^E is exact at every step.
     * Laurent (lv_dsp = -1): the terms of z-degree >= E are dropped.  If
       H_k and its truncation differ only in degrees >= E, then so do the
       two H_{k+1}: B, d(delta) and delta have no negative powers, and the
@@ -470,8 +470,9 @@ def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstima
     * If E <= 0, no H_k can pass the clip: every step of the window gives
       lv_omega - lv_dsp, with spread 0, and nothing is stepped.
 
-    Each bound is tight: at k = kmax a valuation of H_k of exactly E - 1
-    is read.  Over an ``ApproxDomain`` G_k is stepped as it is.
+    Each bound is tight: a valuation E - 1 of H_kmax can set the estimate
+    (``tests/test_oracle.py`` pins one module per bound).  Over an
+    ``ApproxDomain`` G_k is stepped as it is.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")

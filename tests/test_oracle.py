@@ -180,8 +180,9 @@ def test_oracle_builds_no_scalar_per_step(monkeypatch, m):
 
 
 # The bounded-oracle draws: per field, its uniformizer and its poles on
-# the unit circle (units of the norm, like x - 2).  A module whose
-# uniformizer power is 0 (Gauss) or at most 1 (Laurent) takes the shortcut.
+# the unit circle (units of the norm, like x - 2).  A uniformizer power of
+# 0 (Gauss) or at most 1 (Laurent) always gives the shortcut; higher
+# powers can step.
 BOUNDED = (
     (FIELDS[0], "5", ["x - 2", "x^2 + 2", "x + 1"]),
     (FIELDS[1], "5", ["x - 2", "y - 2", "x + y + 3"]),
