@@ -175,6 +175,7 @@ def test_zero_module(field, command):
     ("readme-radii", 1, 24),
     ("readme-decompose", 1, 20),
     ("readme-verify", 6, 50),
+    ("readme-multi-decompose", 13, 40),
 ])
 def test_each_fact_is_computed_once(monkeypatch, name, presentations,
                                     oracle_steps):
@@ -183,7 +184,10 @@ def test_each_fact_is_computed_once(monkeypatch, name, presentations,
     # the oracle once; decompose presents it once for the decomposition and
     # its profile, and runs the oracle on each of its two components
     # (kmax 10); verify adds one oracle run (kmax 30) and the dual's
-    # presentation.
+    # presentation.  multi-decompose decomposes once per derivation (6
+    # candidates for x, 5 for y, each decomposition running the oracle on
+    # its two components) and presents each of its two joint components
+    # once; its marginals are read off the two decompositions.
     counts = {"presentations": 0, "oracle_steps": 0}
     schedule = diffmod._candidate_schedule
     oracle = diffmod.spectral_radius_bruteforce
@@ -218,6 +222,24 @@ def test_cli_checks_the_estimate_it_reports(monkeypatch, name):
 
     monkeypatch.setattr(cli, "spectral_radius_bruteforce", shifted)
     report, code = run(parse_job(JOBS[name]))
+    assert code == 2
+    assert report["error"]["code"] == "certificate-failure"
+
+
+def test_multi_decompose_certifies_its_intersections(monkeypatch):
+    # an intersection that drops its column leaves a component uncovered
+    intersect = factorize.la.intersect_spans
+    dropped = []
+
+    def lossy(u_cols, v_cols, domain):
+        out = intersect(u_cols, v_cols, domain)
+        if out and not dropped:
+            dropped.append(out.pop())
+        return out
+
+    monkeypatch.setattr(factorize.la, "intersect_spans", lossy)
+    report, code = run(parse_job(JOBS["readme-multi-decompose"]))
+    assert dropped
     assert code == 2
     assert report["error"]["code"] == "certificate-failure"
 

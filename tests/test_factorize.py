@@ -166,6 +166,20 @@ def test_iteration_budget(gauss5):
     assert err.value.attempts[-1] == ("iteration-budget", str(err.value))
 
 
+def test_working_precision_reaches_the_target(gauss5):
+    # _working_domain adds 3 * span = 39 to the working error here; with
+    # 27 or less (2 * span = 26) the lifted factors of this split miss
+    # N = 20, and d = 96 keeps the degree cap out of the way
+    p = parse_operator("T^5 + ((1+5*x)/5^13)*T^4 + (2/5^13)*T^3"
+                       " + ((1+5*x)/5^7)*T^2 + ((1+5*x)/5^13)*T + x/5^3",
+                       gauss5, 0)
+    ctx = PrecisionCtx(Fraction(20), d=96, max_iter=80)
+    breaks = sorted(radii_from_polygon(p).as_dict(), reverse=True)
+    q_high, q_low = slope_factorize(p, breaks[0], ctx)
+    mid = (breaks[0] + breaks[1]) / 2
+    assert exact_residual_lv(p, q_high, q_low, mid) >= LogVal(20)
+
+
 def test_multi_decompose_example(gauss5xy):
     K = gauss5xy
     dom = ExactDomain(K)
@@ -211,6 +225,58 @@ def test_multi_decompose_conjugated(gauss5xy):
             marg[c.key[pos]] = marg.get(c.key[pos], 0) + c.dim
         single = profile(m, j, check=False)
         assert marg == dict(single.entries)
+
+
+def _diagonal(field, *diags):
+    """Module with T_j = diag(diags[j]) / 5, entries 0 or 1."""
+    one, z = field.one(), field.zero()
+    n = len(diags[0])
+    return DiffModule(ExactDomain(field), n,
+                      [[[one / 5 if i == k and d[i] else z for k in range(n)]
+                        for i in range(n)] for d in diags])
+
+
+def _supports(dec):
+    """Key -> the coordinates on which the component's embedding lives."""
+    return {tuple(str(k) for k in c.key):
+            tuple(not all(e.is_zero() for e in row) for row in c.embedding)
+            for c in dec.components}
+
+
+@pytest.mark.parametrize("diags", [((1, 0), (0, 1)), ((1, 1, 0), (0, 0, 1))],
+                         ids=["criterion-8", "multiplicity-2"])
+def test_multi_decompose_ignores_derivation_order(gauss5xy, diags):
+    # constant entries: swapping the matrices swaps the derivations
+    ctx = PrecisionCtx(Fraction(10), d=28, max_iter=80)
+    dec = multi_decompose(_diagonal(gauss5xy, *diags), ctx)
+    swapped = multi_decompose(_diagonal(gauss5xy, *diags[::-1]), ctx)
+    assert _supports(swapped) == {key[::-1]: rows
+                                  for key, rows in _supports(dec).items()}
+    assert sorted(c.dim for c in swapped.components) == \
+        sorted(c.dim for c in dec.components)
+
+
+def test_multi_decompose_one_derivation(laurent):
+    # nothing to intersect: the components are decompose's own
+    m = DiffModule(ExactDomain(laurent), 2,
+                   [parse_matrix("1/(z^3),z;0,1", laurent)])
+    single = decompose(m, 0, CTX)
+    dec = multi_decompose(m, CTX)
+    assert [(c.key, str(c.operator), c.exact) for c in dec.components] == \
+        [((c.key,), str(c.operator), c.exact) for c in single.components]
+
+
+def test_multi_decompose_proper_intersection(gauss5xy):
+    # T_x = diag(1,1,0)/5, T_y = diag(1,0,1)/5: the (5/4, 5/4) component
+    # e_0 is a proper subspace of both single components that hold it
+    ctx = PrecisionCtx(Fraction(10), d=28, max_iter=80)
+    dec = multi_decompose(_diagonal(gauss5xy, (1, 1, 0), (1, 0, 1)), ctx)
+    assert _supports(dec) == {("5/4", "5/4"): (True, False, False),
+                              ("5/4", "1/4"): (False, True, False),
+                              ("1/4", "5/4"): (False, False, True)}
+    assert [str(c.operator) for c in dec.components] == \
+        ["(1)*T + (-1/5)", "(1)*T", "(1)*T + (-1/5)"]
+    assert dec.certificate.ok
 
 
 def test_laurent_decompose(laurent):
