@@ -19,8 +19,6 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import math
-
 from .errors import (CertificateFailure, IterationBudget, NoGap, OutputError,
                      PadicDMError, ParseError, PrecisionLoss)
 from .diffmod import DiffModule, dual, from_operator, spectral_radius_bruteforce
@@ -286,7 +284,7 @@ def _run_decompose(job: JobSpec) -> tuple[dict, bool]:
     rep = check_rationality(dec.profile, field)
     return {
         "profile": _profile_payload(dec.profile, field),
-        "decomposition": dec.to_jsonable(_display_err(job.precision)),
+        "decomposition": dec.to_jsonable(job.precision.target_err),
         "rationality": rep.to_jsonable(),
     }, dec.certificate.ok and rep.ok
 
@@ -299,8 +297,7 @@ def _run_multi_decompose(job: JobSpec) -> tuple[dict, bool]:
     for pos, j in enumerate(m.derivations):
         rep = check_rationality(dec.profile.marginal(pos, j), field)
         rationality[field.variables[j]] = rep.to_jsonable()
-    derr = _display_err(job.precision)
-    result = {"decomposition": dec.to_jsonable(derr),
+    result = {"decomposition": dec.to_jsonable(job.precision.target_err),
               "rationality": rationality}
     return result, dec.certificate.ok
 
@@ -326,14 +323,10 @@ def _run_verify(job: JobSpec) -> tuple[dict, bool]:
     dec = decompose(m, job.deriv, job.precision)
     result, ok = _checked_profile(m, job, dec.profile, 30)
     if len(dec.components) > 1:
-        result["decomposition"] = dec.to_jsonable(_display_err(job.precision))
+        result["decomposition"] = dec.to_jsonable(job.precision.target_err)
     dprof = profile(dual(m), job.deriv, check=False)
     result["dual_profile_equal"] = dprof == dec.profile
     return result, ok and dec.certificate.ok and result["dual_profile_equal"]
-
-
-def _display_err(ctx: PrecisionCtx) -> int:
-    return math.ceil(ctx.N)
 
 
 # The --cmd values, each with the function that runs it.

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 from itertools import islice, product
 
 from .errors import (CertificateFailure, IterationBudget, NoGap, NotExpandable,
-                     NotMonic, PrecisionLoss, StabilityFailure)
+                     NotMonic, PrecisionLoss, SearchExhausted, StabilityFailure)
 from .logval import LogVal
 from . import linalg as la
 from .diffmod import (DiffModule, cyclic_data, cyclic_presentations,
@@ -89,13 +89,6 @@ def _init_low_factor(p: TwistedPoly, d_low: int) -> TwistedPoly:
                        [inv * p.coeff(i) for i in range(d_low)] + [p.domain.one()])
 
 
-def _check_factor_errs(ctx: PrecisionCtx, *polys: TwistedPoly):
-    for q in polys:
-        for c in q.coeffs:
-            if c.err_lv < ctx.N:
-                raise PrecisionLoss("factor coefficient lost target precision")
-
-
 def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
             ctx: PrecisionCtx, right: bool):
     """Contraction onto the monic factor Q of degree d_low.
@@ -115,7 +108,8 @@ def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
         cof, r = divide(p, q)
         res = pi_norm(r, params)
         if res >= target:
-            _check_factor_errs(ctx, cof, q)
+            if any(c.err_lv < ctx.N for f in (cof, q) for c in f.coeffs):
+                raise PrecisionLoss("factor coefficient lost target precision")
             return cof, q, res
         if step == ctx.max_iter:
             raise IterationBudget(
@@ -304,6 +298,67 @@ def _span_columns(poly_tail: TwistedPoly, n: int) -> list:
     return cols
 
 
+def _quotient(cols: list, ctx: PrecisionCtx, n: int,
+              band: bool = False) -> list:
+    """Columns (or rows) over an n-dimensional module, in the certificate
+    quotient of both decompositions: error ctx.target_err, no monomials
+    above the watermark d - (2n + 10), where derivatives leave the cap's
+    truncation junk.  ``band``: containment is judged n + 4 degrees lower
+    still, as products of watermark-truncated values make junk above it."""
+    mark = ctx.d - (2 * n + 10)
+    if mark < 2:
+        raise PrecisionLoss(
+            f"degree cap d={ctx.d} too small for dimension {n}")
+    if band:
+        mark -= n + 4
+    return [[e.truncate_err(ctx.target_err, mark) for e in col]
+            for col in cols]
+
+
+def _intersect(spans: list, adom, ctx: PrecisionCtx, n: int) -> tuple:
+    """Basis, in the quotient, of the meet of the spans short of all of M,
+    taken in turn: a meet of the full dimension of the basis so far keeps
+    that basis.  Also returns the domain of the linear algebra: ``adom``,
+    or for None that of the first span's image."""
+    spans = [_quotient(s, ctx, n) for s in spans if len(s) < n]
+    cols = spans[0]
+    adom = adom or domain_of(cols[0][0])
+    for span in spans[1:]:
+        # scaled like its second argument, the basis so far
+        both = _quotient(la.intersect_spans(span, cols, adom), ctx, n)
+        if len(both) < len(cols):
+            cols = both
+    return cols, adom
+
+
+def _restrict(m: DiffModule, u_cols: list, adom, ctx: PrecisionCtx) -> DiffModule:
+    """Module structure induced on the span of u_cols, for every derivation.
+
+    u_cols lie in the certificate quotient, as ``_intersect``'s bases do;
+    their images are taken there too, and a residual that survives in its
+    containment band raises StabilityFailure.
+    """
+    ma = m if not m.domain.is_exact else m.map_domain(adom)
+    u = la.from_columns(u_cols)
+    mats = []
+    for j in range(ma.field.nderiv):
+        if ma.mats[j] is None:
+            mats.append(None)
+            continue
+        w = la.from_columns(
+            _quotient([ma.apply_T(j, col) for col in u_cols], ctx, ma.dim))
+        sol = la.solve_in_span(u, w)
+        if sol is None:
+            raise StabilityFailure("embedding basis rank-deficient at precision")
+        x, residual = sol
+        rest = _quotient(residual, ctx, ma.dim, band=True)
+        if any(not e.is_zero() for row in rest for e in row):
+            raise StabilityFailure(
+                f"component basis not stable under derivation {j} at precision")
+        mats.append(x)
+    return DiffModule(adom, len(u_cols), mats, _checked=True)
+
+
 def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
     """Radius decomposition of M with respect to derivation j.
 
@@ -313,7 +368,7 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
     fails; cyclic-vector candidates are retried on expandability or
     precision failures.  When every candidate fails, the last exception is
     raised with ``attempts`` listing the (code, message) of each failure in
-    turn.
+    turn; SearchExhausted, with no attempts, when there is no candidate.
     """
     if m.dim == 0:
         return Decomposition((), 0, Certificate(),
@@ -325,6 +380,9 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
         except (NotExpandable, PrecisionLoss, IterationBudget,
                 CertificateFailure) as exc:
             failures.append(exc)
+    if not failures:
+        raise SearchExhausted(
+            "no cyclic vector found within the candidate budget")
     exc = failures[-1]
     exc.attempts = tuple((e.code, str(e)) for e in failures)
     raise exc
@@ -347,28 +405,18 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
     residuals = list(chain.residual_lv)
 
     # decreasing filtration: left splits at every break (low radii)
-    lows = []
+    lows = [None]
     for i in range(1, k):
         e, _q, res = _hensel_left(pa, *_split_groups(pa, lvs[i - 1]), ctx)
         residuals.append(res)
-        lows.append(e)  # B_i = span of T^b * e, b < d_low
-
-    # rank and intersection decisions happen in the target-precision
-    # quotient, where quantities below lv N are genuine zeros and the
-    # leakage band above the degree watermark is discarded
-    errn = math.ceil(ctx.N)
-    mark = _watermark(ctx, n)
+        lows.append(e)
+    highs = list(chain.tails) + [None]
+    # component c is B_c, spanned by T^b * lows[c], meet A_c, by T^a *
+    # highs[c] (None: all of M); ranks are decided in ``_quotient``
     spans = []
     for c in range(k):
-        if c == 0:
-            cols = _span_columns(chain.tails[0], n)
-        elif c == k - 1:
-            cols = _span_columns(lows[k - 2], n)
-        else:
-            a_cols = _round_cols(_span_columns(chain.tails[c], n), errn, mark)
-            b_cols = _round_cols(_span_columns(lows[c - 1], n), errn, mark)
-            cols = la.intersect_spans(a_cols, b_cols, adom)
-        cols = _round_cols(cols, errn, mark)
+        cols, _ = _intersect([_span_columns(f, n) for f in (lows[c], highs[c])
+                              if f is not None], adom, ctx, n)
         if len(cols) != mults[c]:
             raise CertificateFailure(
                 f"component for lv {lvs[c]} has rank {len(cols)}, "
@@ -396,8 +444,7 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
         embedding = la.mat_mul(camb, la.from_columns(spans[c]))
         comps.append(Component(lvs[c], cmod, embedding, f, False))
     profile_ok = recomposed == prof.as_dict()
-    stacked = la.from_columns(
-        _round_cols([col for cols in spans for col in cols], errn))
+    stacked = la.from_columns([col for cols in spans for col in cols])
     direct_sum_ok = la.is_invertible(stacked, adom)
     # each span must be a submodule of the cyclic presentation K<T>/K<T>pa
     companion = from_operator(pa)
@@ -417,53 +464,6 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
 
 
 # -- multi-derivation decomposition ------------------------------------------
-
-
-def _round_cols(cols: list, err: int, degree: int | None = None) -> list:
-    return [[e.truncate_err(err, degree) for e in col] for col in cols]
-
-
-def _watermark(ctx: PrecisionCtx, n: int) -> int:
-    """Reliable degree window: below the band polluted by cap leakage."""
-    mark = ctx.d - (2 * n + 10)
-    if mark < 2:
-        raise PrecisionLoss(
-            f"degree cap d={ctx.d} too small for dimension {n}")
-    return mark
-
-
-def _restrict(m: DiffModule, u_cols: list, adom, ctx: PrecisionCtx) -> DiffModule:
-    """Module structure induced on the span of u_cols, for every derivation.
-
-    Containment is decided in the target-precision quotient (below the
-    degree watermark); a residual that survives there raises
-    StabilityFailure.
-    """
-    ma = m if not m.domain.is_exact else m.map_domain(adom)
-    errn = math.ceil(ctx.N)
-    mark = _watermark(ctx, ma.dim)
-    u_cols = _round_cols(u_cols, errn, mark)
-    u = la.from_columns(u_cols)
-    mats = []
-    for j in range(ma.field.nderiv):
-        if ma.mats[j] is None:
-            mats.append(None)
-            continue
-        w = la.from_columns([_round_cols([ma.apply_T(j, col)], errn, mark)[0]
-                             for col in u_cols])
-        sol = la.solve_in_span(u, w)
-        if sol is None:
-            raise StabilityFailure("embedding basis rank-deficient at precision")
-        x, residual = sol
-        # products of watermark-truncated values regenerate junk above the
-        # mark; containment is judged strictly below it
-        test_mark = mark - ma.dim - 4
-        if any(not e.truncate_err(errn, test_mark).is_zero()
-               for row in residual for e in row):
-            raise StabilityFailure(
-                f"component basis not stable under derivation {j} at precision")
-        mats.append(x)
-    return DiffModule(adom, len(u_cols), mats, _checked=True)
 
 
 def multi_decompose(m: DiffModule, ctx: PrecisionCtx) -> Decomposition:
@@ -510,15 +510,8 @@ def _multi_rec(m: DiffModule, decs: list, ctx: PrecisionCtx) -> list:
         if all(c.dim == m.dim for c in choice[:-1]):
             out.append(replace(choice[-1], key=key))
             continue
-        errn, mark = math.ceil(ctx.N), _watermark(ctx, m.dim)
-        spans = [_round_cols(la.columns(c.embedding), errn, mark)
-                 for c in choice if c.dim < m.dim]
-        cols, adom = spans[0], domain_of(spans[0][0][0])
-        for span in spans[1:]:
-            # scaled like its second argument, the basis so far
-            both = _round_cols(la.intersect_spans(span, cols, adom), errn, mark)
-            if len(both) < len(cols):
-                cols = both
+        cols, adom = _intersect([la.columns(c.embedding) for c in choice],
+                                None, ctx, m.dim)
         if cols:
             sub = _restrict(m, cols, adom, ctx)
             out.append(Component(key, sub, la.from_columns(cols),

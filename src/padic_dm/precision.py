@@ -62,6 +62,9 @@ from .scalarfield import GAUSS, FieldSpec, Scalar
 from . import polys as P
 from .polys import _kronecker
 
+# Digits kept beyond ceil(N) (and factorize's 3 * span).  Measured need
+# is 1: at 0 test_working_precision_reaches_the_target fails, at 1 tier-1
+# and the benchmark corpora pass; the other 11 are margin.
 DEFAULT_GUARD = 12
 
 # Bivariate products with at least this many term pairs of total degree
@@ -87,8 +90,13 @@ class PrecisionCtx:
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
 
+    @property
+    def target_err(self) -> int:
+        """ceil(N): the error that results are certified and printed at."""
+        return math.ceil(self.N)
+
     def working_err(self, extra: int = 0) -> int:
-        return math.ceil(self.N) + DEFAULT_GUARD + max(0, extra)
+        return self.target_err + DEFAULT_GUARD + max(0, extra)
 
 
 class ApproxScalar:
@@ -175,10 +183,9 @@ class ApproxScalar:
             if other.field != self.field:
                 raise FieldMismatch("mixed fields in approximate arithmetic")
             return other
-        if isinstance(other, (int, Fraction)):
-            other = self.field.scalar(other)
-        if not isinstance(other, Scalar):
+        if not isinstance(other, (int, Fraction, Scalar)):
             return NotImplemented
+        other = self.field.scalar(other)   # FieldMismatch for another field
         # an exact c reduced at err_lv + max(0, v(c) - shift) makes x + c
         # and x * c keep err_lv and v(c) + err_lv: nothing is lost
         f = self.field

@@ -244,6 +244,15 @@ def test_multi_decompose_certifies_its_intersections(monkeypatch):
     assert report["error"]["code"] == "certificate-failure"
 
 
+def test_decompose_without_candidates_exits_as_search_exhausted(monkeypatch):
+    monkeypatch.setattr(factorize, "cyclic_presentations",
+                        lambda m, j: iter(()))
+    report, code = run(parse_job(JOBS["readme-decompose"]))
+    assert code == 1
+    assert report["error"]["code"] == "search-exhausted"
+    assert "attempts" not in report["error"]
+
+
 def test_determinism():
     args = job_args()
     r1, _ = run(parse_job(args))

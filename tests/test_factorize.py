@@ -9,10 +9,11 @@ import pytest
 from padic_dm import (ApproxDomain, CertificateFailure, DiffModule,
                       ExactDomain, IterationBudget, LogVal,
                       MultiRadiusProfile, NoGap, PiNormParams, PrecisionCtx,
-                      StabilityFailure, TwistedPoly, decompose, direct_sum,
-                      factor_by_radii, from_operator, linalg as la, mul,
-                      multi_decompose, parse_matrix, parse_operator, pi_norm,
-                      profile, radii_from_polygon, slope_factorize)
+                      SearchExhausted, StabilityFailure, TwistedPoly,
+                      decompose, direct_sum, factor_by_radii, from_operator,
+                      linalg as la, mul, multi_decompose, parse_matrix,
+                      parse_operator, pi_norm, profile, radii_from_polygon,
+                      slope_factorize)
 
 from conftest import block_module, unimodular_conjugator
 from test_golden_reports import CLIP_FIRST, CLIP_LATER
@@ -166,18 +167,33 @@ def test_iteration_budget(gauss5):
     assert err.value.attempts[-1] == ("iteration-budget", str(err.value))
 
 
+def test_decompose_without_candidates_exhausts_the_search(gauss5,
+                                                          monkeypatch):
+    from padic_dm import factorize
+    m = from_operator(parse_operator("T^2 - (1/5)*T + x", gauss5))
+    monkeypatch.setattr(factorize, "cyclic_presentations",
+                        lambda m, j: iter(()))
+    with pytest.raises(SearchExhausted) as err:
+        decompose(m, 0, CTX)
+    assert err.value.attempts == ()
+
+
 def test_working_precision_reaches_the_target(gauss5):
-    # _working_domain adds 3 * span = 39 to the working error here; with
-    # 27 or less (2 * span = 26) the lifted factors of this split miss
-    # N = 20, and d = 96 keeps the degree cap out of the way
-    p = parse_operator("T^5 + ((1+5*x)/5^13)*T^4 + (2/5^13)*T^3"
-                       " + ((1+5*x)/5^7)*T^2 + ((1+5*x)/5^13)*T + x/5^3",
-                       gauss5, 0)
-    ctx = PrecisionCtx(Fraction(20), d=96, max_iter=80)
-    breaks = sorted(radii_from_polygon(p).as_dict(), reverse=True)
-    q_high, q_low = slope_factorize(p, breaks[0], ctx)
-    mid = (breaks[0] + breaks[1]) / 2
-    assert exact_residual_lv(p, q_high, q_low, mid) >= LogVal(20)
+    # span 13: _working_domain adds 3 * span = 39 to the working error;
+    # with 27 or less (2 * span = 26) the lifted factors miss N = 20.
+    # span 1: with precision.DEFAULT_GUARD at 0 (and 3 * span = 3) the
+    # residual is 39/4 < N = 10; so is the first one's, at N = 20.
+    # d = 96 keeps the degree cap out of the way
+    cases = [("T^5 + ((1+5*x)/5^13)*T^4 + (2/5^13)*T^3"
+              " + ((1+5*x)/5^7)*T^2 + ((1+5*x)/5^13)*T + x/5^3", 20),
+             ("T^4 + (1/5)*T^3 + 5*x*T^2 + 2*T + 125", 10)]
+    for text, n in cases:
+        p = parse_operator(text, gauss5, 0)
+        ctx = PrecisionCtx(Fraction(n), d=96, max_iter=80)
+        breaks = sorted(radii_from_polygon(p).as_dict(), reverse=True)
+        q_high, q_low = slope_factorize(p, breaks[0], ctx)
+        mid = (breaks[0] + breaks[1]) / 2
+        assert exact_residual_lv(p, q_high, q_low, mid) >= LogVal(n)
 
 
 def test_multi_decompose_example(gauss5xy):
@@ -304,6 +320,43 @@ def test_restrict_rejects_unstable_span(gauss5xy):
     assert stable.dim == 1 and stable.mats[1][0][0] == adom.one()
     with pytest.raises(StabilityFailure, match="not stable under derivation"):
         _restrict(m, [[adom.one(), adom.zero()]], adom, CTX)
+
+
+@pytest.mark.parametrize("job", ["readme-decompose", "three-radii",
+                                 "readme-multi-decompose"])
+def test_restrict_receives_columns_in_the_quotient(gauss5, monkeypatch, job):
+    # _restrict does not map its columns into the certificate quotient: each
+    # caller hands it spans that _intersect already took there
+    from padic_dm import cli, factorize
+    from test_golden_reports import JOBS
+    restrict, intersect = factorize._restrict, factorize.la.intersect_spans
+    seen, intersections = [], []
+
+    def recording(m, u_cols, adom, ctx):
+        seen.append((m.dim, u_cols, ctx))
+        return restrict(m, u_cols, adom, ctx)
+
+    def counting(u_cols, v_cols, domain):
+        intersections.append(len(u_cols))
+        return intersect(u_cols, v_cols, domain)
+
+    monkeypatch.setattr(factorize, "_restrict", recording)
+    monkeypatch.setattr(factorize.la, "intersect_spans", counting)
+    if job == "three-radii":
+        # lv 9/4, 5/4 and 1/4: the 5/4 component is B_1 meet A_1
+        m, _ = block_module(gauss5, random.Random(5), [-2, -1, 0])
+        dec = decompose(m, 0, CTX)
+        assert dec.certificate.ok and len(dec.components) == 3
+        assert intersections
+    else:
+        _report, code = cli.run(cli.parse_job(JOBS[job]))
+        assert code == 0
+    assert seen
+    for n, u_cols, ctx in seen:
+        for col, qcol in zip(u_cols, factorize._quotient(u_cols, ctx, n)):
+            for e, q in zip(col, qcol):
+                assert (q.shift, q.coeffs, q.den, q.err_lv) == \
+                    (e.shift, e.coeffs, e.den, e.err_lv)
 
 
 def test_corrupted_chain_factor_fails_certificate(gauss5, monkeypatch):

@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from padic_dm import (ApproxDomain, ApproxScalar, FieldSpec, NotExpandable,
-                      PrecisionCtx, LogVal, Scalar, parse_scalar, polys as P,
-                      precision, reduce_scalar)
+from padic_dm import (ApproxDomain, ApproxScalar, FieldMismatch, FieldSpec,
+                      NotExpandable, PrecisionCtx, LogVal, Scalar,
+                      parse_scalar, polys as P, precision, reduce_scalar)
 from padic_dm.precision import _conv, _polymul
 
 from conftest import schoolbook
@@ -127,6 +127,26 @@ def test_truncate_err(gauss5):
     assert not small.is_zero()
     assert small.truncate_err(6).is_zero()
     assert not small.truncate_err(7).is_zero()
+
+
+@pytest.mark.parametrize("other", [FieldSpec.gauss(7).scalar(2),
+                                   FieldSpec.laurent().var(0),
+                                   FieldSpec.gauss(5, "y").scalar(2)],
+                         ids=["gauss7", "laurent", "gauss5y"])
+@pytest.mark.parametrize("op", [
+    lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b,
+    lambda a, b: a / b, lambda a, b: b + a, lambda a, b: b - a,
+    lambda a, b: b * a, lambda a, b: b / a, lambda a, b: a == b,
+    lambda a, b: b == a],
+    ids=["add", "sub", "mul", "div", "radd", "rsub", "rmul", "rdiv", "eq",
+         "req"])
+def test_exact_operand_of_another_field_is_rejected(other, op):
+    # reduced in its own field and combined digit by digit, an exact
+    # scalar of another field would give 3 + 2 = 5 over Q_7, 3 + z = 8
+    a = ApproxDomain(FieldSpec.gauss(5), PrecisionCtx(10, d=16), 10).coerce(3)
+    with pytest.raises(FieldMismatch):
+        op(a, other)
+    assert a + FieldSpec.gauss(5).scalar(2) == 5
 
 
 def test_precision_zero_val_floor(gauss5):
