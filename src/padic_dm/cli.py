@@ -284,7 +284,7 @@ def _run_decompose(job: JobSpec) -> tuple[dict, bool]:
     rep = check_rationality(dec.profile, field)
     return {
         "profile": _profile_payload(dec.profile, field),
-        "decomposition": dec.to_jsonable(job.precision.target_err),
+        "decomposition": dec.to_jsonable(),
         "rationality": rep.to_jsonable(),
     }, dec.certificate.ok and rep.ok
 
@@ -297,7 +297,7 @@ def _run_multi_decompose(job: JobSpec) -> tuple[dict, bool]:
     for pos, j in enumerate(m.derivations):
         rep = check_rationality(dec.profile.marginal(pos, j), field)
         rationality[field.variables[j]] = rep.to_jsonable()
-    result = {"decomposition": dec.to_jsonable(job.precision.target_err),
+    result = {"decomposition": dec.to_jsonable(),
               "rationality": rationality}
     return result, dec.certificate.ok
 
@@ -323,7 +323,7 @@ def _run_verify(job: JobSpec) -> tuple[dict, bool]:
     dec = decompose(m, job.deriv, job.precision)
     result, ok = _checked_profile(m, job, dec.profile, 30)
     if len(dec.components) > 1:
-        result["decomposition"] = dec.to_jsonable(job.precision.target_err)
+        result["decomposition"] = dec.to_jsonable()
     dprof = profile(dual(m), job.deriv, check=False)
     result["dual_profile_equal"] = dprof == dec.profile
     return result, ok and dec.certificate.ok and result["dual_profile_equal"]

@@ -15,7 +15,9 @@ step.  The Gauss and Laurent valuations are multiplicative, so
 lv(G_k) = lv(H_k) - k lv(delta).  The Krylov columns of a cyclic-vector
 candidate v share that recurrence, started at v instead of I: T^k v is
 u_k / delta^k, and ``cyclic_presentations`` solves for P on the u_k by
-fraction-free elimination before it builds any ``Scalar``.
+fraction-free elimination before it builds any ``Scalar``.  Over
+truncated scalars every step of both is ``DiffModule.act``, the one T_j
+action.
 
 The brute-force oracle reads lv(H_k) only below k (lv(delta) + lv_dsp),
 so it steps H_k reduced below E = kmax (lv(delta) + lv_dsp): mod p^E over
@@ -31,12 +33,11 @@ integrability identity pairwise, which is enforced on construction.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice
 from math import gcd
 
 from .errors import FieldMismatch, IntegrabilityError, NotMonic, SearchExhausted
@@ -208,9 +209,9 @@ def _integer_form(g1: la.Matrix, nvars: int) -> tuple:
 
 def action_numerators(m: DiffModule, j: int,
                       start: la.Matrix | None = None) -> tuple:
-    """The G_k recurrence: (delta, steps), where ``steps(trim=None)``
-    iterates H_0, H_1, H_2, ... with H_k / delta^k = T_j^k applied to each
-    column of H_0 = ``start``.
+    """The G_k recurrence: (delta, steps), where ``steps()`` iterates H_0,
+    H_1, H_2, ... with H_k / delta^k = T_j^k applied to each column of
+    H_0 = ``start``.
 
     The default start is I, which makes G_k = H_k / delta^k the matrix of
     the k-fold T_j action.  Over an exact domain, delta, ``start`` (the
@@ -218,47 +219,41 @@ def action_numerators(m: DiffModule, j: int,
     are polynomial dicts with ``int`` coefficients, B = delta G_1 (see
     ``_integer_form``) and H_{k+1} = delta d_j(H_k) + (B - k d_j(delta) I)
     H_k, which builds no ``Scalar`` and takes no gcd; both valuations are
-    multiplicative, so lv(G_k) = lv(H_k) - k lv(delta).  ``trim``, a map
-    on such polynomials, is applied to every H_k after H_0;
-    ``spectral_radius_bruteforce`` says when the trimmed steps stay
-    exact.  Over an ``ApproxDomain``, delta is None (read 1) and
-    H_k = G_k is stepped as d_j(G_k) + G_1 G_k.
+    multiplicative, so lv(G_k) = lv(H_k) - k lv(delta).  There
+    ``steps(trim)`` applies ``trim``, a map on such polynomials, to every
+    H_k after H_0; ``spectral_radius_bruteforce`` says when the trimmed
+    steps stay exact.  Over an ``ApproxDomain``, delta is None (read 1)
+    and H_{k+1} = T_j H_k is ``DiffModule.act``.
     """
     n = m.dim
-    if m.domain.is_exact:
-        nvars = m.field.nvars
-        delta, b = _integer_form(m.mat(j), nvars)
-        ddelta = P.p_derive(delta, j)
-        zero, one = {}, {(0,) * nvars: 1}
-        plus, times = P.p_add, P.p_mul
-
-        def derive(e):
-            return P.p_derive(e, j)
-    else:
-        delta, b, ddelta = None, m.mat(j), {}
-        zero, one = m.domain.zero(), m.domain.one()
-        plus, times = operator.add, operator.mul
-
-        def derive(e):
-            return e.derive(j)
-    scaled = delta is not None and delta != one
+    if not m.domain.is_exact:
+        def steps():
+            h = la.identity(m.domain, n) if start is None else start
+            while True:
+                yield h
+                h = m.act(j, h)
+        return None, steps
+    one = P.p_const(m.field.nvars, 1)
+    delta, b = _integer_form(m.mat(j), m.field.nvars)
+    ddelta = P.p_derive(delta, j)
+    scaled = delta != one
 
     def steps(trim=None):
         h = start
         if h is None:
-            h = [[one if i == t else zero for t in range(n)] for i in range(n)]
+            h = [[one if i == t else {} for t in range(n)] for i in range(n)]
         k = 0
         while True:
             yield h
-            d = [[derive(e) for e in row] for row in h]
+            d = [[P.p_derive(e, j) for e in row] for row in h]
             if scaled:
-                d = [[times(delta, e) for e in row] for row in d]
+                d = [[P.p_mul(delta, e) for e in row] for row in d]
             bk = b
             if ddelta and k:
                 kd = {mono: -k * c for mono, c in ddelta.items()}
-                bk = [[plus(e, kd) if i == t else e for t, e in enumerate(row)]
-                      for i, row in enumerate(b)]
-            h = [[plus(d[i][t], reduce(plus, map(times, bk[i], col)))
+                bk = [[P.p_add(e, kd) if i == t else e
+                       for t, e in enumerate(row)] for i, row in enumerate(b)]
+            h = [[P.p_add(d[i][t], reduce(P.p_add, map(P.p_mul, bk[i], col)))
                   for t, col in enumerate(zip(*h))] for i in range(n)]
             if trim is not None:
                 h = [[trim(e) for e in row] for row in h]
@@ -366,39 +361,37 @@ def cyclic_presentations(m: DiffModule, j: int):
     P is monic with K<T_j>/(P) isomorphic to (M, T_j); the columns of C
     are v, T v, ..., T^{m-1} v for the cyclic vector v that produced P.
 
-    Over an exact domain the candidates have polynomial entries, so
-    T^k v = u_k / delta^k with u_k the G_k recurrence started at v
-    (``action_numerators``).  With U = [u_0 .. u_{m-1}], P's low
+    The columns are the G_k recurrence started at v
+    (``action_numerators``).  Over an ``ApproxDomain`` they come from
+    ``DiffModule.act`` and the solve is the valuation-pivoted
+    ``linalg.solve``.  Over an exact domain the candidates have polynomial
+    entries, so T^k v = u_k / delta^k; with U = [u_0 .. u_{m-1}], P's low
     coefficients are -y_k / delta^(m-k), where U y = u_m is solved by
     fraction-free Gauss-Jordan on the integer polynomials
     (``linalg.solve_fraction_free``); no ``Scalar`` is built before a
-    candidate is accepted.  Over an ``ApproxDomain`` the columns come from
-    ``apply_T`` and the solve is the valuation-pivoted ``linalg.solve``.
+    candidate is accepted.
     """
     if m.dim == 0:
         raise ValueError("cyclic vector of the zero module")
     n, dom = m.dim, m.domain
     for v in _candidate_schedule(m, j):
-        if not dom.is_exact:
-            cols = [v]
-            for _ in range(n - 1):
-                cols.append(m.apply_T(j, cols[-1]))
-            cmat = la.from_columns(cols)
-            sol = la.solve(cmat, la.from_columns([m.apply_T(j, cols[-1])]))
+        start = [[e.num if dom.is_exact else e] for e in v]
+        delta, steps = action_numerators(m, j, start)
+        us = [[e for (e,) in u] for u in islice(steps(), n + 1)]
+        if delta is None:
+            cmat = la.from_columns(us[:n])
+            sol = la.solve(cmat, la.from_columns(us[n:]))
             if sol is None:
                 continue
             coeffs = [-sol[i][0] for i in range(n)]
         else:
-            delta, steps = action_numerators(m, j, [[e.num] for e in v])
-            us = [[e for (e,) in u] for u in islice(steps(), n + 1)]
             sol = la.solve_fraction_free(la.from_columns(us[:n]), us[n])
             if sol is None:
                 continue
             y, det = sol
             field = m.field
-            pows = [P.p_const(field.nvars, 1)]
-            for _ in range(n):
-                pows.append(P.p_mul(pows[-1], delta))
+            pows = list(accumulate([delta] * n, P.p_mul,
+                                   initial=P.p_const(field.nvars, 1)))
             coeffs = [Scalar(field, P.p_neg(y[k]), P.p_mul(det, pows[n - k]))
                       for k in range(n)]
             cmat = [[Scalar(field, u[i], pows[k]) for k, u in enumerate(us[:n])]

@@ -218,12 +218,15 @@ class Component:
     key: object            # LogVal, or tuple of LogVal for multi keys
     module: DiffModule
     embedding: la.Matrix
-    operator: TwistedPoly | None
-    exact: bool
+    operator: TwistedPoly
 
     @property
     def dim(self) -> int:
         return self.module.dim
+
+    @property
+    def exact(self) -> bool:
+        return self.module.domain.is_exact
 
 
 @dataclass(frozen=True)
@@ -267,20 +270,18 @@ class Decomposition:
     def keys(self) -> list:
         return [c.key for c in self.components]
 
-    def to_jsonable(self, display_err: int | None = None) -> dict:
+    def to_jsonable(self) -> dict:
+        """Approximate operators print their digits below ceil(N)."""
         comps = []
         for c in self.components:
             key = ([str(x) for x in c.key] if isinstance(c.key, tuple)
                    else str(c.key))
-            entry = {"key": key, "dim": c.dim, "exact": c.exact}
-            if c.operator is not None:
-                op = c.operator
-                if display_err is not None and not op.domain.is_exact:
-                    op = TwistedPoly(op.domain, op.deriv,
-                                     [q.truncate_err(display_err)
-                                      for q in op.coeffs])
-                entry["operator"] = str(op.lift_exact())
-            comps.append(entry)
+            op = c.operator
+            if not op.domain.is_exact:
+                op = TwistedPoly(op.domain, op.deriv, [
+                    q.truncate_err(op.domain.ctx.target_err) for q in op.coeffs])
+            comps.append({"key": key, "dim": c.dim, "exact": c.exact,
+                          "operator": str(op.lift_exact())})
         return {
             "components": comps,
             "dim": self.dim,
@@ -394,7 +395,7 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
     lvs = sorted(prof.as_dict(), reverse=True)
     if len(lvs) == 1:
         dom = m.domain
-        comp = Component(lvs[0], m, la.identity(dom, m.dim), p, dom.is_exact)
+        comp = Component(lvs[0], m, la.identity(dom, m.dim), p)
         return Decomposition((comp,), m.dim, Certificate(), prof)
     mults = [prof.multiplicity(lv) for lv in lvs]
     n, k = m.dim, len(lvs)
@@ -442,7 +443,7 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
         if abs(est.lv.value - lvs[c].value) > tol:
             purity_ok = False
         embedding = la.mat_mul(camb, la.from_columns(spans[c]))
-        comps.append(Component(lvs[c], cmod, embedding, f, False))
+        comps.append(Component(lvs[c], cmod, embedding, f))
     profile_ok = recomposed == prof.as_dict()
     stacked = la.from_columns([col for cols in spans for col in cols])
     direct_sum_ok = la.is_invertible(stacked, adom)
@@ -500,20 +501,28 @@ def _multi_rec(m: DiffModule, decs: list, ctx: PrecisionCtx) -> list:
     """Nonzero intersections of one component of each decomposition.
 
     A single-component decomposition is all of M and takes no part; when
-    only the last one is left, its component is kept as it is.  Otherwise
-    an intersection keeps the basis so far when it has its full dimension,
-    and is presented once, by its restriction and the last derivation.
+    only the last one is left, its components are kept as they are.  Else
+    an intersection keeps the basis so far when it has its full dimension;
+    once the dimensions add up to dim M (else CertificateFailure), each is
+    presented by its restriction and the last derivation.
     """
-    out = []
+    *firsts, last = decs
+    if all(len(d.components) == 1 for d in firsts):
+        head = tuple(d.components[0].key for d in firsts)
+        return [replace(c, key=head + (c.key,)) for c in last.components]
+    meets = []
     for choice in product(*(d.components for d in decs)):
-        key = tuple(c.key for c in choice)
-        if all(c.dim == m.dim for c in choice[:-1]):
-            out.append(replace(choice[-1], key=key))
-            continue
         cols, adom = _intersect([la.columns(c.embedding) for c in choice],
                                 None, ctx, m.dim)
         if cols:
-            sub = _restrict(m, cols, adom, ctx)
-            out.append(Component(key, sub, la.from_columns(cols),
-                                 cyclic_data(sub, m.derivations[-1])[0], False))
+            meets.append((tuple(c.key for c in choice), cols, adom))
+    dims = [len(cols) for _key, cols, _adom in meets]
+    if sum(dims) != m.dim:
+        raise CertificateFailure(
+            f"intersection dimensions {dims} do not add up to {m.dim}")
+    out = []
+    for key, cols, adom in meets:
+        sub = _restrict(m, cols, adom, ctx)
+        out.append(Component(key, sub, la.from_columns(cols),
+                             cyclic_data(sub, m.derivations[-1])[0]))
     return out

@@ -7,28 +7,30 @@ Python integers are the one coefficient type.  This is plumbing for the
 scalar field layer: only the handful of operations the field needs, no
 general polynomial API.
 
-Univariate products, here and in ``precision._conv``, go through one
-dispatcher (``p_mul_uni``): Kronecker substitution (``_kronecker``) from
-``MUL_KRONECKER_PAIRS`` term pairs on, the pairwise loop below.  The gcd
-of two polynomials of which one is a single term c*x^e is the monomial
-``p_mono_gcd``, and dividing by it is the exponent shift ``p_shift``; the
-remaining gcds (``p_gcd``, on primitive parts) and exact divisions
-(``p_divexact``) evaluate their operands at powers of two.  ``p_gcd``
-returns g with the cofactors a/g and b/g, which it computes to accept g.
+Products, here and in ``precision._conv``, have one routine per arity
+(``p_mul_uni``, ``p_mul_bi``), and balanced base-2^k digits one reader
+(``_unpack``).  The gcd of two polynomials of which one is a single term
+c*x^e is the monomial ``p_mono_gcd``, and dividing by it is the exponent
+shift ``p_shift``; the remaining gcds (``p_gcd``, on primitive parts) and
+exact divisions (``p_divexact``) evaluate their operands at powers of
+two.  ``p_gcd`` returns g with the cofactors a/g and b/g, which it
+computes to accept g.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import gcd as int_gcd
 from operator import add
 
 Mono = tuple
 Poly = dict
 
-# Univariate products with at least this many term pairs go through
-# ``_kronecker``, the others through the pairwise loop (``p_mul_uni``
-# gives the measurement behind the value).
+# Univariate (bivariate) products with at least this many term pairs of
+# degree <= dcap go through ``_kronecker``, the others through the
+# pairwise loop; ``p_mul_uni`` (``p_mul_bi``) gives the measurement.
 MUL_KRONECKER_PAIRS = 192
+KRONECKER_PAIRS = 2 ** 14
 
 
 def p_const(nvars: int, c: int) -> Poly:
@@ -63,7 +65,8 @@ def p_mul(a: Poly, b: Poly) -> Poly:
 
     A single-term operand c*x^e scales the other in one pass (a shift
     alone when c = 1); other univariate operands go through
-    ``p_mul_uni``, multivariate ones through the pairwise loop.
+    ``p_mul_uni``, bivariate ones through ``p_mul_bi`` capped at the sum
+    of their total degrees, which keeps every term.
     """
     if not a or not b:
         return {}
@@ -76,16 +79,8 @@ def p_mul(a: Poly, b: Poly) -> Poly:
         return {tuple(map(add, ma, mb)): ca * cb for mb, cb in b.items()}
     if len(next(iter(a))) == 1:
         return p_mul_uni(a, b, max(a)[0] + max(b)[0])
-    out: Poly = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(map(add, ma, mb))
-            s = out.get(m, 0) + ca * cb
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-    return out
+    out = p_mul_bi(a, b, max(map(sum, a)) + max(map(sum, b)))
+    return {m: c for m, c in out.items() if c}
 
 def p_mul_uni(a: dict, b: dict, dcap: int) -> dict:
     """Terms of degree <= dcap of the product of two nonzero univariate
@@ -126,6 +121,72 @@ def p_mul_uni(a: dict, b: dict, dcap: int) -> dict:
                 else:
                     out.pop(m, None)
     return out
+
+def p_mul_bi(a: dict, b: dict, dcap: int) -> dict:
+    """Terms of total degree <= dcap of the product of two nonzero
+    bivariate polynomials or digit dicts: the one bivariate product of
+    ``p_mul`` and ``precision._conv``.  Zero digits may be kept.
+
+    From ``KRONECKER_PAIRS`` term pairs of total degree <= dcap
+    (``_pairs``) on, ``_kronecker`` multiplies the weighted operands
+    (``_weighted``) below cap (dcap+1)^2 - 1, and an output exponent e maps
+    back to x^(k-j) y^j for k, j = divmod(e, dcap + 1); fewer pairs go
+    through the pairwise loop, with b scanned in degree order.  The pair
+    count is the work of the loop; the packed product costs about
+    (dcap+1)^2 slots, half of them empty, whatever the operands.  On the
+    bivariate products of the ``multi-decompose`` benchmark (d = 28,
+    digits of ~86 bits, one process), the loop was faster below 2^13
+    pairs (the packed product took 1.4x to 20x as long: sparse operands
+    pay for every slot of the triangle), the packed product won from
+    about 2^13.25 pairs on, by 1.2x to 1.8x up to 2^15 and by 2.0x on
+    dense 435-term triangles (~36k pairs).  ``KRONECKER_PAIRS`` = 2^14
+    leaves the few products between 2^13 and 2^14 pairs on the loop.
+    """
+    bi = sorted(((sum(m), m, c) for m, c in b.items()))
+    if _pairs(a, bi, dcap) >= KRONECKER_PAIRS:
+        w = dcap + 1
+        prod = _kronecker(_weighted(a, w), _weighted(b, w), w * w - 1)
+        out = {}
+        for (e,), c in prod.items():
+            k, j = divmod(e, w)
+            out[(k - j, j)] = c
+        return out
+    out = {}
+    get = out.get
+    for ma, ca in a.items():
+        rem = dcap - sum(ma)
+        ma0, ma1 = ma
+        for db, mb, cb in bi:
+            if db > rem:
+                break
+            m = (ma0 + mb[0], ma1 + mb[1])
+            out[m] = get(m, 0) + ca * cb
+    return out
+
+
+def _pairs(a: dict, bi: list, dcap: int) -> int:
+    """Number of term pairs (one of a, one of b) of total degree <= dcap,
+    read off the two total-degree histograms; ``bi`` is b as sorted
+    (degree, monomial, digit) triples."""
+    hist = [0] * (dcap + 1)
+    for db, _m, _c in bi:
+        if db > dcap:
+            break
+        hist[db] += 1
+    upto = list(accumulate(hist))   # upto[t]: terms of b of degree <= t
+    return sum(upto[dcap - da] for m in a if (da := sum(m)) <= dcap)
+
+
+def _weighted(d: dict, w: int) -> dict:
+    """x^i y^j -> t^(i*w + j*(w+1)) = t^((i+j)*w + j), for w = dcap + 1.
+
+    A term of total degree K <= dcap sits in slot K*w + j with j <= K < w,
+    so a product of such terms, if its degree K stays <= dcap, lands in
+    slot K*w + j without carrying into the next degree; every product of
+    degree > dcap lands at or above w^2, so the cap w^2 - 1 drops exactly
+    those.
+    """
+    return {(i * w + j * (w + 1),): c for (i, j), c in d.items()}
 
 def p_derive(a: Poly, var: int) -> Poly:
     out: Poly = {}
@@ -194,11 +255,12 @@ def p_divexact(a: Poly, g: Poly) -> Poly:
 
 # Integer polynomials are solved one variable down: the last variable is set
 # to 2^k (``_eval``) and the answer is read back from balanced base-2^k
-# digits (``_rebuild``).  ``_quo`` sizes k by Mignotte's bound on factors of
-# a, 2^(sum of the degrees of a) * |a|_2.  The heuristic gcd of Char, Geddes
-# and Gonnet (GCDHEU, 1989) is exact once 2^k exceeds a bound fixed by the
-# inputs (their norms and cofactor resultants; the unlucky values of y are
-# finitely many), so doubling k ends; every candidate is checked by product.
+# digits (``_rebuild``), k a whole number of bytes.  ``_quo`` sizes k by
+# Mignotte's bound on factors of a, 2^(sum of the degrees of a) * |a|_2.
+# The heuristic gcd of Char, Geddes and Gonnet (GCDHEU, 1989) is exact once
+# 2^k exceeds a bound fixed by the inputs (their norms and cofactor
+# resultants; the unlucky values of y are finitely many), so doubling k
+# ends; every candidate is checked by product.
 
 def _gcd_heu(a: dict, b: dict) -> tuple:
     """(g, a/g, b/g): a gcd g of two nonzero polynomials with integer
@@ -207,7 +269,8 @@ def _gcd_heu(a: dict, b: dict) -> tuple:
     c = int_gcd(ca, cb)
     g, qa, qb = {(): 1}, a, b
     if () not in a:
-        k = max(map(abs, (*a.values(), *b.values()))).bit_length() + 2
+        k = _whole_bytes(
+            max(map(abs, (*a.values(), *b.values()))).bit_length() + 2)
         while True:
             g = p_primitive(_rebuild(_gcd_heu(_eval(a, k), _eval(b, k))[0],
                                      k))[1]
@@ -228,13 +291,18 @@ def _quo(a: dict, g: dict) -> dict | None:
         q, r = divmod(a[()], g[()])
         return None if r else {(): q}
     bound = max(map(abs, a.values())) * len(a)
-    k = sum(map(max, zip(*a))) + bound.bit_length() + 1
+    k = _whole_bytes(sum(map(max, zip(*a))) + bound.bit_length() + 1)
     q = _quo(_eval(a, k), _eval(g, k))
     q = q and _rebuild(q, k)
     return q if q and p_mul(g, q) == a else None
 
 
+def _whole_bytes(k: int) -> int:
+    return (k + 7) & ~7
+
+
 def _eval(a: dict, k: int) -> dict:
+    # shift-and-add: unlucky gcd candidates overflow slots of k bits
     out: dict = {}
     for m, c in a.items():
         out[m[:-1]] = out.get(m[:-1], 0) + (c << k * m[-1])
@@ -242,29 +310,39 @@ def _eval(a: dict, k: int) -> dict:
 
 
 def _rebuild(a: dict, k: int) -> dict:
+    """The inverse of ``_eval`` on balanced base-2^k digits, k in whole
+    bytes.  A top digit at slot t makes |v| > 2^(kt-2), so
+    (v.bit_length() + 1) // k + 1 slots hold v."""
     out = {}
-    half = 1 << (k - 1)
     for m, v in a.items():
-        e = 0
-        while v:
-            v, d = divmod(v + half, 1 << k)
-            if d != half:
-                out[m + (e,)] = d - half
-            e += 1
+        n = (abs(v).bit_length() + 1) // k + 1
+        for e, d in enumerate(_unpack(v, k >> 3, n)):
+            if d:
+                out[m + (e,)] = d
     return out
+
+
+def _unpack(x: int, kb: int, n: int) -> list:
+    """The n lowest digits of x in [-2^(k-1), 2^(k-1)), k = 8*kb: adding
+    2^(k-1) to every slot makes them the bytes of x + bias mod 2^(kn)."""
+    nbytes = n * kb
+    bias = int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")
+    buf = ((x + bias) & ((1 << (nbytes << 3)) - 1)).to_bytes(nbytes, "little")
+    half = 1 << ((kb << 3) - 1)
+    frombytes = int.from_bytes
+    return [frombytes(buf[i:i + kb], "little") - half
+            for i in range(0, nbytes, kb)]
 
 
 def _kronecker(a: dict, b: dict, dcap: int) -> dict:
     """Truncated product of univariate int polynomials or digit dicts
-    (bivariate ones after ``precision._weighted``) by Kronecker
-    substitution.
+    (bivariate ones after ``_weighted``) by Kronecker substitution.
 
     Both digit vectors are evaluated at 2^k, so one product of ints does
     the whole convolution.  Each output digit is a sum of at most
     min(len a, len b) products, so |c| < 2^(k-1) for a slot width of
     bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 2, rounded up
-    to whole bytes; adding 2^(k-1) to every slot makes the slots
-    non-negative, so they unpack exactly from the bytes of the product.
+    to whole bytes, and ``_unpack`` reads the digits exactly.
     """
     loa, hia = min(a)[0], max(a)[0]
     lob, hib = min(b)[0], max(b)[0]
@@ -275,14 +353,7 @@ def _kronecker(a: dict, b: dict, dcap: int) -> dict:
     db = _dense(b, lob, min(top, hib - lob) + 1)
     kb = (_bits(da) + _bits(db) + min(len(a), len(b)).bit_length() + 2 + 7) >> 3
     n = min(top + 1, len(da) + len(db) - 1)
-    nbytes = n * kb
-    bias = int.from_bytes((bytes(kb - 1) + b"\x80") * n, "little")
-    prod = _pack(da, kb) * _pack(db, kb) + bias
-    buf = (prod & ((1 << (nbytes << 3)) - 1)).to_bytes(nbytes, "little")
-    half = 1 << ((kb << 3) - 1)
-    frombytes = int.from_bytes
-    digits = [frombytes(buf[i:i + kb], "little") - half
-              for i in range(0, nbytes, kb)]
+    digits = _unpack(_pack(da, kb) * _pack(db, kb), kb, n)
     lo = loa + lob
     return {(lo + i,): c for i, c in enumerate(digits) if c}
 

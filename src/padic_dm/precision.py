@@ -10,16 +10,10 @@ An ``ApproxScalar`` is a truncated expansion of a field element:
   to one denominator, products multiply them; no gcd per digit.
 
 Digits are stored as dicts from exponent tuples to ``int``s.  Products
-go through ``_conv``: univariate operands (both models) go through the
-dispatcher of exact products, ``polys.p_mul_uni``: monomial scaling when
-one side has a single term, else Kronecker substitution (one product of
-packed Python ints) or, for few term pairs, the pairwise loop.  Bivariate
-operands with many term pairs under the degree cap d go through the same
-packed product after the weighting x^i y^j -> t^(i*(d+1) + j*(d+2)),
-which keeps the total-degree cap exact; sparser ones keep the pairwise
-loop (see ``_conv`` for the threshold).  Both models invert by the same
-Newton iteration on integer numerators, which doubles the degree below
-which it is exact at every step.
+(``_conv``) are those of exact scalars, one per arity, truncated at the
+degree cap d: ``polys.p_mul_uni`` (both models) and ``polys.p_mul_bi``.
+Both models invert by the same Newton iteration on integer numerators,
+which doubles the degree below which it is exact at every step.
 
 Every value is kept in a normal form: ``_normalize`` divides the
 valuation of the digits out into ``shift`` (Gauss: the digits have gcd
@@ -54,23 +48,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from .errors import FieldMismatch, NotExpandable, PrecisionLoss
 from .logval import LogVal
 from .scalarfield import GAUSS, FieldSpec, Scalar
 from . import polys as P
-from .polys import _kronecker
 
 # Digits kept beyond ceil(N) (and factorize's 3 * span).  Measured need
 # is 1: at 0 test_working_precision_reaches_the_target fails, at 1 tier-1
 # and the benchmark corpora pass; the other 11 are margin.
 DEFAULT_GUARD = 12
-
-# Bivariate products with at least this many term pairs of total degree
-# <= d go through Kronecker substitution, the others through the pairwise
-# loop (``_conv`` gives the measurement behind the value).
-KRONECKER_PAIRS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -391,84 +378,13 @@ class ApproxScalar:
 
 
 def _conv(a: dict, b: dict, dcap: int, nvars: int) -> dict:
-    """Truncated product of two digit dicts: the terms of degree <= dcap.
-
-    The path depends only on the operands' shape:
-
-    * univariate: ``polys.p_mul_uni``, shared with exact products:
-      monomial scaling for a single-term operand, Kronecker substitution
-      (``_kronecker``) from ``polys.MUL_KRONECKER_PAIRS`` term pairs on,
-      the pairwise loop below;
-    * bivariate with at least ``KRONECKER_PAIRS`` truncated pairs: the
-      same ``_kronecker`` on weighted exponents (``_weighted``), with cap
-      (dcap+1)^2 - 1; an output exponent e maps back to x^(k-j) y^j for
-      k, j = divmod(e, dcap + 1);
-    * bivariate otherwise: the pairwise loop, with b scanned in degree
-      order for early exit.
-
-    The branch is picked by the count of term pairs of total degree
-    <= dcap (``_pairs``), which is the work of the loop; the packed
-    product costs about (dcap+1)^2 slots, half of them empty, whatever
-    the operands.  On the bivariate products of the ``multi-decompose``
-    benchmark (d = 28, digits of ~86 bits, one process), the loop was
-    faster below 2^13 pairs (the packed product took 1.4x to 20x as
-    long: sparse operands spread over the whole triangle pay for every
-    slot), the packed product won from about 2^13.25 pairs on, by 1.2x
-    to 1.8x up to 2^15 and by 2.0x on dense 435-term triangles (~36k
-    pairs).  ``KRONECKER_PAIRS`` = 2^14 leaves the few products between
-    2^13 and 2^14 pairs on the loop.
-
-    Results are exact ``int`` digits.  Zero digits may be dropped or kept.
-    """
+    """The terms of degree <= dcap of a * b; zero digits may be kept.  The
+    benchmark tracer counts the terms of ``__mul__``'s products here."""
     if not a or not b:
         return {}
     if nvars == 1:
         return P.p_mul_uni(a, b, dcap)
-    bi = sorted(((sum(m), m, c) for m, c in b.items()))
-    if _pairs(a, bi, dcap) >= KRONECKER_PAIRS:
-        w = dcap + 1
-        prod = _kronecker(_weighted(a, w), _weighted(b, w), w * w - 1)
-        out = {}
-        for (e,), c in prod.items():
-            k, j = divmod(e, w)
-            out[(k - j, j)] = c
-        return out
-    out = {}
-    get = out.get
-    for ma, ca in a.items():
-        rem = dcap - sum(ma)
-        ma0, ma1 = ma
-        for db, mb, cb in bi:
-            if db > rem:
-                break
-            m = (ma0 + mb[0], ma1 + mb[1])
-            out[m] = get(m, 0) + ca * cb
-    return out
-
-
-def _pairs(a: dict, bi: list, dcap: int) -> int:
-    """Number of term pairs (one of a, one of b) of total degree <= dcap,
-    read off the two total-degree histograms; ``bi`` is b as sorted
-    (degree, monomial, digit) triples."""
-    hist = [0] * (dcap + 1)
-    for db, _m, _c in bi:
-        if db > dcap:
-            break
-        hist[db] += 1
-    upto = list(accumulate(hist))   # upto[t]: terms of b of degree <= t
-    return sum(upto[dcap - da] for m in a if (da := sum(m)) <= dcap)
-
-
-def _weighted(d: dict, w: int) -> dict:
-    """x^i y^j -> t^(i*w + j*(w+1)) = t^((i+j)*w + j), for w = dcap + 1.
-
-    A term of total degree K <= dcap sits in slot K*w + j with j <= K < w,
-    so a product of such terms, if its degree K stays <= dcap, lands in
-    slot K*w + j without carrying into the next degree; every product of
-    degree > dcap lands at or above w^2, so the cap w^2 - 1 drops exactly
-    those.
-    """
-    return {(i * w + j * (w + 1),): c for (i, j), c in d.items()}
+    return P.p_mul_bi(a, b, dcap)
 
 
 def _polymul(a: dict, b: dict, mod: int | None, dcap: int, nvars: int) -> dict:

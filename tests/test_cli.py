@@ -11,6 +11,7 @@ from padic_dm.cli import COMMANDS, main, parse_job, run
 from padic_dm.grammar import (matrix_str, parse_matrix, parse_operator,
                               parse_scalar)
 
+from test_factorize import overstated_meet
 from test_golden_reports import JOBS
 
 
@@ -240,6 +241,17 @@ def test_multi_decompose_certifies_its_intersections(monkeypatch):
     monkeypatch.setattr(factorize.la, "intersect_spans", lossy)
     report, code = run(parse_job(JOBS["readme-multi-decompose"]))
     assert dropped
+    assert code == 2
+    assert report["error"]["code"] == "certificate-failure"
+
+
+def test_multi_decompose_overstated_intersections_exit_as_certificate_failure(
+        gauss5xy):
+    m = overstated_meet(gauss5xy)
+    report, code = run(parse_job(
+        ["--field", "gauss:p=5:vars=x,y", "--cmd", "multi-decompose",
+         "--mat", matrix_str(m.mat(0)), "--mat", matrix_str(m.mat(1)),
+         "--precision", "N=10,d=28"]))
     assert code == 2
     assert report["error"]["code"] == "certificate-failure"
 

@@ -295,6 +295,27 @@ def test_multi_decompose_proper_intersection(gauss5xy):
     assert dec.certificate.ok
 
 
+def overstated_meet(field):
+    """The module of ``test_multi_decompose_proper_intersection`` conjugated
+    by [[1,2+x,0],[0,1,0],[0,0,1]] [[1,0,0],[0,1,0],[1+y,0,1]]: at N = 10
+    and d = 28 its intersections of single components come out of
+    dimensions 2, 1, 1 and 0, four for a 3-dimensional module."""
+    x, y = field.var(0), field.var(1)
+    z, one = field.zero(), field.one()
+    w = la.mat_mul([[one, 2 + x, z], [z, one, z], [z, z, one]],
+                   [[one, z, z], [z, one, z], [1 + y, z, one]])
+    return _diagonal(field, (1, 1, 0), (1, 0, 1)).change_basis(w)
+
+
+def test_multi_decompose_rejects_overstated_intersections(gauss5xy):
+    # checked before any intersection is presented: presenting the
+    # overstated one exhausted the cyclic-vector search instead
+    with pytest.raises(CertificateFailure,
+                       match=r"dimensions \[2, 1, 1\] do not add up to 3"):
+        multi_decompose(overstated_meet(gauss5xy),
+                        PrecisionCtx(Fraction(10), d=28))
+
+
 def test_laurent_decompose(laurent):
     L = laurent
     dom = ExactDomain(L)

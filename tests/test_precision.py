@@ -316,17 +316,22 @@ def conv_operands(draw):
 @example(({(0, 0): 2, (1, 0): -1}, {(0, 1): 3, (0, 0): 1}, 0, 2), True)
 @settings(max_examples=300, deadline=None)
 def test_conv_matches_schoolbook(case, packed):
-    """``packed`` sends multi-term cases through the Kronecker branch."""
+    """``packed`` sends multi-term cases through the Kronecker branch, of
+    ``_conv`` and of the exact product ``P.p_mul``, which shares it: with
+    no degree cap, and no zero coefficients in its result."""
     a, b, dcap, nvars = case
-    thresholds = precision.KRONECKER_PAIRS, P.MUL_KRONECKER_PAIRS
+    a_poly, b_poly = ({m: c for m, c in d.items() if c} for d in (a, b))
+    thresholds = P.KRONECKER_PAIRS, P.MUL_KRONECKER_PAIRS
     if packed:
-        precision.KRONECKER_PAIRS = P.MUL_KRONECKER_PAIRS = 0
+        P.KRONECKER_PAIRS = P.MUL_KRONECKER_PAIRS = 0
     try:
         got = _conv(a, b, dcap, nvars)
+        exact = P.p_mul(a_poly, b_poly)
     finally:
-        precision.KRONECKER_PAIRS, P.MUL_KRONECKER_PAIRS = thresholds
+        P.KRONECKER_PAIRS, P.MUL_KRONECKER_PAIRS = thresholds
     assert {m: c for m, c in got.items() if c} == schoolbook(a, b, dcap)
     assert all(type(c) is int for c in got.values())
+    assert exact == schoolbook(a, b)
 
 
 def _triangle(rng, top, keep, bits):
@@ -357,13 +362,13 @@ def test_bivariate_kronecker_matches_schoolbook(monkeypatch, seed, top_a,
     b = _triangle(rng, top_b, keep_b, bits)
     if 0 in (top_a, top_b):
         # a constant operand never has enough pairs for the packed product
-        monkeypatch.setattr(precision, "KRONECKER_PAIRS", 0)
+        monkeypatch.setattr(P, "KRONECKER_PAIRS", 0)
     else:
         bi = sorted((sum(m), m, c) for m, c in b.items())
-        assert precision._pairs(a, bi, dcap) >= precision.KRONECKER_PAIRS
+        assert P._pairs(a, bi, dcap) >= P.KRONECKER_PAIRS
     calls = []
-    kronecker = precision._kronecker
-    monkeypatch.setattr(precision, "_kronecker",
+    kronecker = P._kronecker
+    monkeypatch.setattr(P, "_kronecker",
                         lambda *args: calls.append(1) or kronecker(*args))
     got = _conv(a, b, dcap, 2)
     assert calls

@@ -1,12 +1,18 @@
 """Property-based checks for the algebraic laws."""
 
 from fractions import Fraction
+from functools import reduce
 
 from hypothesis import given, settings, strategies as st
 
-from padic_dm import INF, FieldSpec, LogVal, TruncSeries, biduality_transform
+from padic_dm import (INF, DiffModule, ExactDomain, FieldSpec, LogVal,
+                      TruncSeries, biduality_transform, direct_sum, dual,
+                      linalg as la, profile)
+
+from conftest import uniformizer
 
 K5 = FieldSpec.gauss(5, ("x",))
+BLOCK_FIELDS = [K5, FieldSpec.gauss(5, ("x", "y")), FieldSpec.laurent("z")]
 
 rationals = st.fractions(min_value=-100, max_value=100,
                          max_denominator=64)
@@ -51,3 +57,53 @@ def test_biduality_involution_property(coeffs):
     v = TruncSeries.from_list(coeffs)
     w = biduality_transform(biduality_transform(v, 0, 8), 0, 8)
     assert all((w.coeff(i) - v.coeff(i)).is_zero() for i in range(9))
+
+
+def shears(draw, field, n):
+    """A product of up to 3 shears I + c pi^e x E_it (det 1), x the first
+    variable, c in -3..3, e in -1..1: pi^-1 makes the d(W) term of the
+    gauge transform as large as the blocks."""
+    dom, pi = ExactDomain(field), uniformizer(field)
+    w = la.identity(dom, n)
+    idx = st.integers(0, n - 1)
+    for i, t, c, e in draw(st.lists(st.tuples(idx, idx, st.integers(-3, 3),
+                                              st.integers(-1, 1)),
+                                    max_size=3)):
+        if i != t:
+            shear = la.identity(dom, n)
+            shear[i][t] = c * pi ** e * field.var(0)
+            w = la.mat_mul(w, shear)
+    return w
+
+
+@st.composite
+def gauged_modules(draw):
+    """(m, w): a direct sum of 1 to 3 rank-1 blocks [pi^k u], u in 1..3,
+    one constant per derivation, gauge transformed by ``shears``; and
+    another product of ``shears`` w."""
+    field = draw(st.sampled_from(BLOCK_FIELDS))
+    block = st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)),
+                     min_size=field.nderiv, max_size=field.nderiv)
+    blocks = draw(st.lists(block, min_size=1, max_size=3))
+    pi, dom = uniformizer(field), ExactDomain(field)
+    m = reduce(direct_sum, [DiffModule(dom, 1, [[[pi ** k * u]] for k, u in b])
+                            for b in blocks])
+    n = len(blocks)
+    return m.change_basis(shears(draw, field, n)), shears(draw, field, n)
+
+
+@given(gauged_modules())
+@settings(max_examples=20, deadline=None)
+def test_profile_is_gauge_invariant(case):
+    m, w = case
+    gauged = m.change_basis(w)
+    for j in m.derivations:
+        assert profile(gauged, j) == profile(m, j)
+
+
+@given(gauged_modules())
+@settings(max_examples=20, deadline=None)
+def test_profile_is_dual_invariant(case):
+    m, _w = case
+    for j in m.derivations:
+        assert profile(dual(m), j) == profile(m, j)

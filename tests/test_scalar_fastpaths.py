@@ -274,3 +274,32 @@ def test_divexact_rejects_divisors_at_the_evaluation_point():
     for c in range(2, 1 << 10):
         with pytest.raises(ArithmeticError):
             P.p_divexact(P.p_add(X1, ONE1), P.p_sub(X1, P.p_const(1, c)))
+
+
+@st.composite
+def balanced_polys(draw):
+    """(k, a): k a whole number of bytes, and a signed bivariate polynomial
+    whose coefficients are balanced base-2^k digits, in [-2^(k-1), 2^(k-1))
+    with both ends drawn often."""
+    k = draw(st.sampled_from([8, 16, 40]))
+    half = 1 << (k - 1)
+    digit = st.one_of(st.sampled_from([-half, half - 1, -1, 1]),
+                      st.integers(-half, half - 1)).filter(bool)
+    exps = st.tuples(st.integers(0, 4), st.integers(0, 6))
+    return k, draw(st.dictionaries(exps, digit, max_size=8))
+
+
+@given(balanced_polys())
+# 32767 = -1 - 128*2^8 + 2^16: three slots for a 15-bit value
+@example((8, {(0, 0): -1, (0, 1): -128, (0, 2): 1}))
+@example((8, {(2, 0): 127, (2, 1): -128, (0, 5): -128, (0, 6): -1}))
+@settings(max_examples=200, deadline=None)
+def test_rebuild_reads_back_evaluations(case):
+    k, a = case
+    assert P._rebuild(P._eval(a, k), k) == a
+
+
+def test_rebuild_carries_the_upper_half_digit():
+    # 2^(k-1) is no balanced digit: it reads back as -2^(k-1) plus a carry
+    assert P._rebuild(P._eval({(0, 0): 128}, 8), 8) == {(0, 0): -128,
+                                                        (0, 1): 1}
