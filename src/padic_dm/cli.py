@@ -7,8 +7,8 @@ encoding) apart from the timing field; decimal renderings are included for
 display only and are marked non-authoritative.
 
 Exit codes: 0 all certificates pass, 1 parse or input error (or an
-unwritable --out), 2 certificate failure, 3 precision or iteration budget
-abort.
+unwritable --out), 2 certificate, gap or stability failure, 3 precision or
+iteration budget abort.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (CertificateFailure, IterationBudget, NoGap, OutputError,
-                     PadicDMError, ParseError, PrecisionLoss)
+                     PadicDMError, ParseError, PrecisionLoss,
+                     StabilityFailure)
 from .diffmod import DiffModule, dual, from_operator, spectral_radius_bruteforce
 from .factorize import decompose, multi_decompose
 from .grammar import matrix_str, parse_matrix, parse_operator
@@ -32,7 +33,7 @@ from .scalarfield import FieldSpec
 SCHEMA_VERSION = 1
 
 # The precision of a job whose --precision leaves a key out.
-DEFAULT_PRECISION = PrecisionCtx(Fraction(10), 64, 100)
+DEFAULT_PRECISION = PrecisionCtx(Fraction(10))
 
 # Cap on the target precision N.  A Hensel split gains about its radius
 # gap per step on digits that grow as p^(N + 12), so its time grows about
@@ -248,7 +249,7 @@ def run(job: JobSpec) -> tuple[dict, int]:
                                            for c, msg in exc.attempts]
         if isinstance(exc, (IterationBudget, PrecisionLoss)):
             code = 3
-        elif isinstance(exc, (CertificateFailure, NoGap)):
+        elif isinstance(exc, (CertificateFailure, NoGap, StabilityFailure)):
             code = 2
         else:
             code = 1

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, islice
-from math import gcd
 
 from .errors import FieldMismatch, IntegrabilityError, NotMonic, SearchExhausted
 from .logval import INF, LogVal
@@ -182,28 +181,16 @@ def _integer_form(g1: la.Matrix, nvars: int) -> tuple:
     """(delta, B) with G_1 = B / delta and ``int`` coefficients throughout:
     delta is the lcm in Z[x] of the denominators of G_1's entries, so
     their integer contents enter it through the content gcd, and
-    B = delta G_1.  A single-term divisor c x^e divides by an exponent
-    shift and an integer division, and takes no polynomial gcd.
+    B = delta G_1.  A single-term gcd or divisor takes the monomial
+    shortcut of ``P.p_gcd`` and ``P.p_divexact``.
     """
-    def quo(a, den):
-        if len(den) == 1:
-            ((e, c),) = den.items()
-            return {m: v // c for m, v in P.p_shift(a, e).items()}
-        return P.p_divexact(a, den)
-
     delta = P.p_const(nvars, 1)
     for row in g1:
         for e in row:
-            if e.den == delta:
-                continue
-            if len(delta) == 1 or len(e.den) == 1:
-                cofactor = quo(e.den, {P.p_mono_gcd(delta, e.den):
-                                       gcd(*delta.values(), *e.den.values())})
-            else:
-                cofactor = P.p_gcd(delta, e.den)[2]
-            delta = P.p_mul(delta, cofactor)
-    return delta, [[e.num if e.den == delta
-                    else P.p_mul(e.num, quo(delta, e.den)) for e in row]
+            if e.den != delta:
+                delta = P.p_mul(delta, P.p_gcd(delta, e.den)[2])
+    return delta, [[e.num if e.den == delta else
+                    P.p_mul(e.num, P.p_divexact(delta, e.den)) for e in row]
                    for row in g1]
 
 
@@ -262,11 +249,6 @@ def action_numerators(m: DiffModule, j: int,
     return delta, steps
 
 
-def _scalar_matrix(field, h: la.Matrix, den: P.Poly) -> la.Matrix:
-    """G_k = H_k / den (den = delta^k) as a matrix of ``Scalar``s."""
-    return [[Scalar(field, e, den) for e in row] for row in h]
-
-
 def action_matrices(m: DiffModule, j: int):
     """Yield G_0 = I, G_1, G_2, ...: the matrices of the k-fold T_j action,
     each built from its numerator (``action_numerators``)."""
@@ -277,20 +259,13 @@ def action_matrices(m: DiffModule, j: int):
         return
     den = {(0,) * m.field.nvars: 1}
     for h in hs:
-        yield _scalar_matrix(m.field, h, den)
+        yield [[Scalar(m.field, e, den) for e in row] for row in h]
         den = P.p_mul(den, delta)
 
 
 def iterate_G(m: DiffModule, j: int, k: int) -> la.Matrix:
     """Matrix of the k-fold T_j action on the chosen basis."""
-    if k < 0:
-        raise ValueError("negative power")
-    delta, steps = action_numerators(m, j)
-    h = next(islice(steps(), k, None))
-    if delta is None:
-        return h
-    return _scalar_matrix(m.field, h,
-                          reduce(P.p_mul, [delta] * k, {(0,) * m.field.nvars: 1}))
+    return next(islice(action_matrices(m, j), k, None))
 
 
 def dual(m: DiffModule) -> DiffModule:
@@ -480,20 +455,14 @@ def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstima
         def size(h, _k):
             return min((e.val() for row in h for e in row), default=INF)
     else:
-        if field.kind == GAUSS:
-            def lv(a):
-                return P.p_min_vp(a, field.p)
-        else:
-            def lv(a):
-                return P.p_min_exp(a, 0)
-        lv_delta = lv(delta)
+        lv_delta = field.poly_val(delta)
         edge = int(kmax * (lv_delta + dsp.value))
         if edge <= 0:
             return RadiusEstimate.of([lv_omega - dsp], (lo, kmax))
         hs = steps(_trim(field, edge))
 
         def size(h, k):
-            vs = [lv(e) for row in h for e in row if e]
+            vs = [field.poly_val(e) for row in h for e in row if e]
             return LogVal(min(vs) - k * lv_delta) if vs else INF
     per_step = []
     for k, h in enumerate(islice(hs, kmax + 1)):

@@ -37,8 +37,9 @@ import math
 from dataclasses import dataclass, replace
 from itertools import islice, product
 
-from .errors import (CertificateFailure, IterationBudget, NoGap, NotExpandable,
-                     NotMonic, PrecisionLoss, SearchExhausted, StabilityFailure)
+from .errors import (CertificateFailure, FieldMismatch, IterationBudget, NoGap,
+                     NotExpandable, NotMonic, PrecisionLoss, SearchExhausted,
+                     StabilityFailure)
 from .logval import LogVal
 from . import linalg as la
 from .diffmod import (DiffModule, cyclic_data, cyclic_presentations,
@@ -267,9 +268,6 @@ class Decomposition:
     certificate: Certificate
     profile: RadiusProfile | MultiRadiusProfile
 
-    def keys(self) -> list:
-        return [c.key for c in self.components]
-
     def to_jsonable(self) -> dict:
         """Approximate operators print their digits below ceil(N)."""
         comps = []
@@ -370,7 +368,10 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
     precision failures.  When every candidate fails, the last exception is
     raised with ``attempts`` listing the (code, message) of each failure in
     turn; SearchExhausted, with no attempts, when there is no candidate.
+    FieldMismatch when M carries no matrix for derivation j.
     """
+    if j not in m.derivations:
+        raise FieldMismatch(f"module carries no structure for derivation {j}")
     if m.dim == 0:
         return Decomposition((), 0, Certificate(),
                              RadiusProfile.from_dict({}, 0, j))
@@ -476,8 +477,10 @@ def multi_decompose(m: DiffModule, ctx: PrecisionCtx) -> Decomposition:
     caller's precision.  Every intersection must be stable under every
     derivation (``_restrict``), and the marginals of the keys must
     reproduce each decomposition's profile, so the intersections exhaust
-    each decomposition.
+    each decomposition.  FieldMismatch when M carries no derivation.
     """
+    if not m.derivations:
+        raise FieldMismatch("module carries no derivation to decompose by")
     if m.dim == 0:
         return Decomposition((), 0, Certificate(),
                              MultiRadiusProfile.from_dict({}, 0))

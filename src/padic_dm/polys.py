@@ -9,12 +9,12 @@ general polynomial API.
 
 Products, here and in ``precision._conv``, have one routine per arity
 (``p_mul_uni``, ``p_mul_bi``), and balanced base-2^k digits one reader
-(``_unpack``).  The gcd of two polynomials of which one is a single term
-c*x^e is the monomial ``p_mono_gcd``, and dividing by it is the exponent
-shift ``p_shift``; the remaining gcds (``p_gcd``, on primitive parts) and
-exact divisions (``p_divexact``) evaluate their operands at powers of
-two.  ``p_gcd`` returns g with the cofactors a/g and b/g, which it
-computes to accept g.
+(``_unpack``).  ``p_gcd`` returns a gcd g with the cofactors a/g and b/g,
+whose coefficients have no common factor.  When a or b is a single term
+c*x^e, g is x^(``p_mono_gcd``) times the gcd of all their coefficients,
+and ``p_divexact`` divides by such a g with an exponent shift and an int
+division; the other gcds (on primitive parts) and exact divisions
+evaluate their operands at powers of two.
 """
 
 from __future__ import annotations
@@ -239,7 +239,11 @@ def p_shift(a: Poly, e: Mono) -> Poly:
 
 def p_gcd(a: Poly, b: Poly) -> tuple:
     """(g, a/g, b/g) for nonzero a and b, g a gcd of a and b in Z[x]: the
-    gcd of the contents times a gcd of the primitive parts."""
+    gcd of the contents times a gcd of the primitive parts.  The two
+    cofactors together have content 1."""
+    if len(a) == 1 or len(b) == 1:
+        g = {p_mono_gcd(a, b): int_gcd(*a.values(), *b.values())}
+        return g, p_divexact(a, g), p_divexact(b, g)
     return _gcd_heu(a, b)
 
 
@@ -247,6 +251,15 @@ def p_divexact(a: Poly, g: Poly) -> Poly:
     """Exact division a/g in Z[x]; ArithmeticError when g does not divide a."""
     if not a:
         return {}
+    if len(g) == 1:
+        ((e, c),) = g.items()
+        if c == 1 and not any(e):
+            return a
+        if any(v % c for v in a.values()) or \
+                any(x < y for m in a for x, y in zip(m, e)):
+            raise ArithmeticError("inexact polynomial division")
+        q = p_shift(a, e)
+        return q if c == 1 else {m: v // c for m, v in q.items()}
     q = _quo(a, g)
     if q is None:
         raise ArithmeticError("inexact polynomial division")

@@ -24,11 +24,11 @@ of a nonzero value is its shift.
 ``reduce_scalar`` takes an exact scalar to its truncation by one route
 in both models: the numerator's digits times the Newton inverse of the
 denominator, through ``_polymul``.  A ``Scalar`` holds num and den with
-int coefficients, so the shift is read off them directly: the p-adic
-valuations of their contents (Gauss, which divides those powers of p
-out) or their lowest exponents (Laurent).  A constant denominator needs
-no inverse: it becomes ``den`` (Laurent) or is inverted mod the digit
-modulus (Gauss).
+int coefficients, so the shift is read off them directly by
+``FieldSpec.poly_val``: the p-adic valuations of their contents (Gauss,
+which divides those powers of p out) or their lowest exponents
+(Laurent).  A constant denominator needs no inverse: it becomes ``den``
+(Laurent) or is inverted mod the digit modulus (Gauss).
 
 ``err_lv`` is a lower bound for lv(true - represented) in the p-adic
 (resp. z-adic) direction; every operation propagates it, and an exact
@@ -122,7 +122,7 @@ class ApproxScalar:
                         cc[m] = c
             self.coeffs = cc
             if cc:
-                strip = P.p_int_vp(math.gcd(*cc.values()), self.field.p)
+                strip = self.field.poly_val(cc)
                 if strip:
                     q = self.field.p ** strip
                     self.coeffs = {m: c // q for m, c in cc.items()}
@@ -144,9 +144,6 @@ class ApproxScalar:
     def is_zero(self) -> bool:
         """True when the representation is indistinguishable from 0."""
         return not self.coeffs
-
-    def is_exact(self) -> bool:
-        return False
 
     def val(self) -> LogVal:
         """Valuation of the representation (the shift, by the normal form);
@@ -178,7 +175,7 @@ class ApproxScalar:
         f = self.field
         v = 0
         if f.kind == GAUSS and other.num:
-            v = P.p_min_vp(other.num, f.p) - P.p_min_vp(other.den, f.p)
+            v = f.poly_val(other.num) - f.poly_val(other.den)
         return reduce_scalar(other, self.ctx,
                              err_target=self.err_lv + max(0, v - self.shift))
 
@@ -407,14 +404,13 @@ def reduce_scalar(x: Scalar, ctx: PrecisionCtx, err_target: int | None = None) -
         err_target = ctx.working_err()
     if x.is_zero():
         return ApproxScalar(f, ctx, 0, {}, err_target)
+    a, b = f.poly_val(x.num), f.poly_val(x.den)
     if f.kind == GAUSS:
-        a, b = P.p_min_vp(x.num, f.p), P.p_min_vp(x.den, f.p)
         pa, pb = f.p ** a, f.p ** b
         num = {m: c // pa for m, c in x.num.items()}
         den = {m: c // pb for m, c in x.den.items()}
         err = err_target
     else:
-        a, b = P.p_min_exp(x.num, 0), P.p_min_exp(x.den, 0)
         num, den = P.p_shift(x.num, (a,)), P.p_shift(x.den, (b,))
         err = min(err_target, a - b + ctx.d + 1)   # the window of d + 1 digits
     shift = a - b

@@ -83,13 +83,11 @@ class RadiusProfile:
     def __hash__(self):
         return hash((self.entries, self.dim))
 
-    def to_jsonable(self, field=None) -> dict:
-        deriv_name = (field.variables[self.deriv] if field is not None
-                      else str(self.deriv))
+    def to_jsonable(self, field) -> dict:
         out = {
             "entries": [{"lv": str(lv), "mult": m} for lv, m in self.entries],
             "dim": self.dim,
-            "derivation": deriv_name,
+            "derivation": field.variables[self.deriv],
         }
         if self.boundary_clipped:
             # some root norm equals the derivation norm exactly; its clip

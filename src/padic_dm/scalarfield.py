@@ -11,7 +11,7 @@ Two computable field models are provided:
 
 A ``Scalar`` is a reduced fraction of polynomials over Z.  All arithmetic is
 exact, and skips the work the operands' shape makes dead: zero operands,
-shared denominators and single-term gcds (see ``Scalar`` and ``_reduce``).
+shared denominators (see ``Scalar``) and single-term gcds (``polys.p_gcd``).
 Absolute values appear only through ``LogVal`` (lv(x) = -log_B |x|, so lv
 is the valuation itself under the normalizations above).  Values are
 immutable and every operation is a pure function.
@@ -41,7 +41,9 @@ class FieldSpec:
 
     ``kind`` is ``"gauss"`` or ``"laurent"``; ``p`` is the prime for the
     Gauss model (None for Laurent); ``variables`` names the variables,
-    distinct identifiers, one derivation per variable.
+    distinct identifiers, one derivation per variable.  ``poly_val`` is
+    the model's valuation on int polynomials, the one that ``Scalar.val``,
+    truncation (``precision``) and the brute-force oracle read.
     """
 
     kind: str
@@ -121,6 +123,13 @@ class FieldSpec:
             n //= p
         return LogVal(Fraction(i - s, p - 1))
 
+    def poly_val(self, a: P.Poly) -> int:
+        """lv of a nonzero int polynomial: the p-adic valuation of its
+        content (Gauss), or its lowest exponent (Laurent)."""
+        if self.kind == GAUSS:
+            return P.p_min_vp(a, self.p)
+        return P.p_min_exp(a, 0)
+
     def _check_deriv(self, j: int):
         if not 0 <= j < self.nderiv:
             raise ValueError(f"derivation index {j} out of range")
@@ -181,9 +190,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return not self.num
-
-    def is_exact(self) -> bool:
-        return True
 
     def __bool__(self):
         return not self.is_zero()
@@ -285,10 +291,7 @@ class Scalar:
         if self.is_zero():
             return INF
         f = self.field
-        if f.kind == GAUSS:
-            return LogVal(P.p_min_vp(self.num, f.p) - P.p_min_vp(self.den, f.p))
-        j = 0
-        return LogVal(P.p_min_exp(self.num, j) - P.p_min_exp(self.den, j))
+        return LogVal(f.poly_val(self.num) - f.poly_val(self.den))
 
     def derive(self, j: int = 0) -> "Scalar":
         """Quotient-rule derivative with respect to variable j."""
@@ -324,24 +327,13 @@ class Scalar:
 def _reduce(num: P.Poly, den: P.Poly, nvars: int):
     """Canonicalize a fraction of polynomials.
 
-    When num or den is a single term (a constant den included), the gcd
-    is the monomial ``P.p_mono_gcd`` and is divided out by an exponent
-    shift; only the remaining gcds take ``P.p_gcd``, whose cofactors are
-    the reduced num and den.  The joint content and the sign of den's
-    leading coefficient are divided out last.
+    ``P.p_gcd`` divides out the gcd (a single-term num or den, a constant
+    den included, by its monomial shortcut), and its cofactors have
+    content 1; the sign of den's leading coefficient is divided out last.
     """
     if not num:
         return {}, P.p_const(nvars, 1)
-    if len(num) == 1 or len(den) == 1:
-        e = P.p_mono_gcd(num, den)
-        if any(e):
-            num, den = P.p_shift(num, e), P.p_shift(den, e)
-    else:
-        _, num, den = P.p_gcd(num, den)
-    c = gcd(*den.values(), *num.values())
+    _, num, den = P.p_gcd(num, den)
     if den[max(den, key=P.p_sort_key)] < 0:
-        c = -c
-    if c != 1:
-        num = {m: v // c for m, v in num.items()}
-        den = {m: v // c for m, v in den.items()}
+        num, den = P.p_neg(num), P.p_neg(den)
     return num, den

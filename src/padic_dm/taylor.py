@@ -40,12 +40,6 @@ class TruncSeries:
         return TruncSeries(tuple(a + b for a, b in
                                  zip(self.coeffs[:n + 1], other.coeffs[:n + 1])), n)
 
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(tuple(-a for a in self.coeffs), self.order)
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        return self + (-other)
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         n = min(self.order, other.order)
         return TruncSeries(tuple(dot(self.coeffs[:i + 1], other.coeffs[i::-1])
@@ -58,12 +52,6 @@ class TruncSeries:
 
     def truncate(self, order: int) -> "TruncSeries":
         return TruncSeries(self.coeffs[:order + 1], min(self.order, order))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def to_jsonable(self) -> dict:
-        return {"coeffs": [str(c) for c in self.coeffs], "N": self.order}
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):

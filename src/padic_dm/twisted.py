@@ -276,7 +276,7 @@ def pi_norm(p: TwistedPoly, params: PiNormParams) -> LogVal:
     field = p.domain.field
     best = INF
     for i, c in enumerate(p.coeffs):
-        if c.is_zero() and c.is_exact():
+        if c.is_zero() and p.domain.is_exact:
             continue
         term = field.lv_factorial(i) + c.val() - params.lv_t * i
         if term < best:

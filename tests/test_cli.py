@@ -6,7 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from padic_dm import ParseError, cli, diffmod, factorize, radii
+from padic_dm import (ParseError, StabilityFailure, cli, diffmod, factorize,
+                      radii)
 from padic_dm.cli import COMMANDS, main, parse_job, run
 from padic_dm.grammar import (matrix_str, parse_matrix, parse_operator,
                               parse_scalar)
@@ -254,6 +255,16 @@ def test_multi_decompose_overstated_intersections_exit_as_certificate_failure(
          "--precision", "N=10,d=28"]))
     assert code == 2
     assert report["error"]["code"] == "certificate-failure"
+
+
+def test_stability_failure_exits_2(monkeypatch):
+    def unstable(m, decs, ctx):
+        raise StabilityFailure("component not stable at precision")
+
+    monkeypatch.setattr(factorize, "_multi_rec", unstable)
+    report, code = run(parse_job(JOBS["readme-multi-decompose"]))
+    assert code == 2
+    assert report["error"]["code"] == "stability-failure"
 
 
 def test_decompose_without_candidates_exits_as_search_exhausted(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from padic_dm import (ApproxDomain, CertificateFailure, DiffModule,
-                      ExactDomain, IterationBudget, LogVal,
+                      ExactDomain, FieldMismatch, IterationBudget, LogVal,
                       MultiRadiusProfile, NoGap, PiNormParams, PrecisionCtx,
                       SearchExhausted, StabilityFailure, TwistedPoly,
                       decompose, direct_sum, factor_by_radii, from_operator,
@@ -280,6 +280,17 @@ def test_multi_decompose_one_derivation(laurent):
     dec = multi_decompose(m, CTX)
     assert [(c.key, str(c.operator), c.exact) for c in dec.components] == \
         [((c.key,), str(c.operator), c.exact) for c in single.components]
+
+
+def test_decompositions_need_the_derivation_they_split(gauss5xy):
+    # a module without the asked-for structure is a typed error up front
+    dom = ExactDomain(gauss5xy)
+    with pytest.raises(FieldMismatch):
+        multi_decompose(DiffModule(dom, 1, [None, None]), CTX)
+    only_x = DiffModule(dom, 1, [[[gauss5xy.var(0)]], None])
+    with pytest.raises(FieldMismatch):
+        decompose(only_x, 1, CTX)
+    assert decompose(only_x, 0, CTX).dim == 1
 
 
 def test_multi_decompose_proper_intersection(gauss5xy):

@@ -3,13 +3,15 @@
 from fractions import Fraction
 from functools import reduce
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from padic_dm import (INF, DiffModule, ExactDomain, FieldSpec, LogVal,
-                      TruncSeries, biduality_transform, direct_sum, dual,
-                      linalg as la, profile)
+                      PrecisionCtx, TruncSeries, biduality_transform,
+                      decompose, direct_sum, dual, linalg as la, profile)
 
 from conftest import uniformizer
+from test_acceptance import GAUSS, LAURENT, block_corpus
 
 K5 = FieldSpec.gauss(5, ("x",))
 BLOCK_FIELDS = [K5, FieldSpec.gauss(5, ("x", "y")), FieldSpec.laurent("z")]
@@ -77,11 +79,12 @@ def shears(draw, field, n):
 
 
 @st.composite
-def gauged_modules(draw):
+def gauged_modules(draw, field=None):
     """(m, w): a direct sum of 1 to 3 rank-1 blocks [pi^k u], u in 1..3,
     one constant per derivation, gauge transformed by ``shears``; and
-    another product of ``shears`` w."""
-    field = draw(st.sampled_from(BLOCK_FIELDS))
+    another product of ``shears`` w.  The field is drawn unless given."""
+    if field is None:
+        field = draw(st.sampled_from(BLOCK_FIELDS))
     block = st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 3)),
                      min_size=field.nderiv, max_size=field.nderiv)
     blocks = draw(st.lists(block, min_size=1, max_size=3))
@@ -107,3 +110,29 @@ def test_profile_is_dual_invariant(case):
     m, _w = case
     for j in m.derivations:
         assert profile(dual(m), j) == profile(m, j)
+
+
+@st.composite
+def module_pairs(draw):
+    field = draw(st.sampled_from(BLOCK_FIELDS))
+    return draw(gauged_modules(field))[0], draw(gauged_modules(field))[0]
+
+
+@given(module_pairs())
+@settings(max_examples=20, deadline=None)
+def test_profile_is_additive_on_direct_sums(case):
+    a, b = case
+    for j in a.derivations:
+        assert profile(direct_sum(a, b), j) == \
+            profile(a, j).union(profile(b, j))
+
+
+@pytest.mark.parametrize("field", [GAUSS, LAURENT], ids=["gauss", "laurent"])
+def test_decompose_keys_do_not_depend_on_precision(field):
+    # N vs 2N and d vs 2d give the same components on block modules
+    ctxs = [PrecisionCtx(Fraction(10), d=48), PrecisionCtx(Fraction(20), d=48),
+            PrecisionCtx(Fraction(10), d=96)]
+    for m, _expected in block_corpus(field)[:8]:
+        dims = [sorted((c.key, c.dim) for c in decompose(m, 0, ctx).components)
+                for ctx in ctxs]
+        assert dims[1] == dims[0] and dims[2] == dims[0]
