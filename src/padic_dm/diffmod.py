@@ -20,11 +20,12 @@ truncated scalars every step of both is ``DiffModule.act``, the one T_j
 action.
 
 The brute-force oracle reads lv(H_k) only below k (lv(delta) + lv_dsp),
-so it steps H_k reduced below E = kmax (lv(delta) + lv_dsp): mod p^E over
-the Gauss model, which commutes with d_j, and without the terms of
-z-degree >= E over the Laurent model, where each derivative is multiplied
-back up by delta.  When E <= 0 it steps nothing, since no H_k can pass the
-clip (see ``spectral_radius_bruteforce``).
+so it steps H_k truncated below pi^E, E = kmax (lv(delta) + lv_dsp), by
+the field's one truncation rule ``FieldSpec.pi_trunc``: mod p^E over the
+Gauss model, which commutes with d_j, and without the terms of z-degree
+>= E over the Laurent model, where each derivative is multiplied back up
+by delta.  When E <= 0 it steps nothing, since no H_k can pass the clip
+(see ``spectral_radius_bruteforce``).
 
 A module built from a single twisted polynomial carries only that
 derivation's matrix; modules over multi-derivation fields must satisfy the
@@ -43,7 +44,7 @@ from .errors import FieldMismatch, IntegrabilityError, NotMonic, SearchExhausted
 from .logval import INF, LogVal
 from . import linalg as la
 from . import polys as P
-from .scalarfield import GAUSS, Scalar
+from .scalarfield import Scalar
 from .twisted import TwistedPoly
 
 
@@ -85,9 +86,11 @@ class DiffModule:
         return tuple(j for j, g in enumerate(self.mats) if g is not None)
 
     def mat(self, j: int) -> la.Matrix:
-        g = self.mats[j]
+        """G_j; FieldMismatch when the module carries no derivation j."""
+        g = self.mats[j] if 0 <= j < len(self.mats) else None
         if g is None:
-            raise ValueError(f"module carries no structure for derivation {j}")
+            raise FieldMismatch(
+                f"module carries no structure for derivation {j}")
         return g
 
     def apply_T(self, j: int, vec: list) -> list:
@@ -402,16 +405,6 @@ class RadiusEstimate:
         return RadiusEstimate(max(samples), max(vals) - min(vals), window)
 
 
-def _trim(field, edge: int):
-    """The map that keeps the part of an int polynomial read below
-    ``edge``: its coefficients mod p^edge (Gauss), or its terms of z-degree
-    below ``edge`` (Laurent)."""
-    if field.kind == GAUSS:
-        q = field.p ** edge
-        return lambda a: {mono: r for mono, c in a.items() if (r := c % q)}
-    return lambda a: {mono: c for mono, c in a.items() if mono[0] < edge}
-
-
 def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstimate:
     """Estimate lv of omega / max(|d_j|_sp, limsup |G_k|^{1/k}).
 
@@ -423,9 +416,9 @@ def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstima
     (``action_numerators``), and step k reads lv(H_k) only where it lies
     below k (lv(delta) + lv_dsp); from there up the clip returns lv_dsp.
     With E = kmax (lv(delta) + lv_dsp), an integer, the recurrence is
-    stepped on H_k reduced so that every valuation below E stays exact,
-    and a reduced entry that vanishes has lv >= E, which the clip reads as
-    lv_dsp too.
+    stepped on H_k truncated below pi^E (``FieldSpec.pi_trunc``), so that
+    every valuation below E stays exact, and a truncated entry that
+    vanishes has lv >= E, which the clip reads as lv_dsp too.
 
     * Gauss (lv_dsp = 0): the int coefficients of every H_k are reduced
       mod p^E.  Z[x] -> (Z/p^E)[x] is a ring map that commutes with d_j,
@@ -459,7 +452,7 @@ def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstima
         edge = int(kmax * (lv_delta + dsp.value))
         if edge <= 0:
             return RadiusEstimate.of([lv_omega - dsp], (lo, kmax))
-        hs = steps(_trim(field, edge))
+        hs = steps(lambda a: field.pi_trunc(a, edge))
 
         def size(h, k):
             vs = [field.poly_val(e) for row in h for e in row if e]

@@ -504,14 +504,21 @@ def _multi_rec(m: DiffModule, decs: list, ctx: PrecisionCtx) -> list:
     """Nonzero intersections of one component of each decomposition.
 
     A single-component decomposition is all of M and takes no part; when
-    only the last one is left, its components are kept as they are.  Else
-    an intersection keeps the basis so far when it has its full dimension;
-    once the dimensions add up to dim M (else CertificateFailure), each is
-    presented by its restriction and the last derivation.
+    only the last one is left, its components are kept as they are
+    presented, once each is certified stable under every derivation
+    (``_restrict``, else StabilityFailure).  Else an intersection keeps the
+    basis so far when it has its full dimension; once the dimensions add
+    up to dim M (else CertificateFailure), each is presented by its
+    restriction and the last derivation.
     """
     *firsts, last = decs
     if all(len(d.components) == 1 for d in firsts):
         head = tuple(d.components[0].key for d in firsts)
+        if firsts and len(last.components) > 1:
+            for c in last.components:
+                cols, adom = _intersect([la.columns(c.embedding)], None, ctx,
+                                        m.dim)
+                _restrict(m, cols, adom, ctx)
         return [replace(c, key=head + (c.key,)) for c in last.components]
     meets = []
     for choice in product(*(d.components for d in decs)):

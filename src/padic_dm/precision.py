@@ -1,43 +1,38 @@
 """Finite-precision images of scalars, with explicit error tracking.
 
-An ``ApproxScalar`` is a truncated expansion of a field element:
+An ``ApproxScalar`` is pi^shift times digits known below pi^(err_lv -
+shift), pi the uniformizer: p (Gauss) or z (Laurent).  Both models keep
+digits by one rule, ``FieldSpec.pi_trunc``: a Gauss digit c while
+v_p(c) < err_lv - shift, a Laurent monomial z^m while m < err_lv - shift,
+and no monomial of total degree > ctx.d; ``FieldSpec.pi_shift`` moves
+digits by powers of pi.  Digits are dicts from exponent tuples to ``int``s
+over one positive ``int`` ``den``: 1 for Gauss (ints mod p^k); for the
+rational Laurent digits, sums bring operands to one denominator and
+products multiply them, with no gcd per digit.
 
-* Gauss model: p^shift * (polynomial in the variables with integer
-  coefficients reduced mod p^mod_exp), capped at total degree ctx.d.
-* Laurent model: z^shift * (polynomial in z with exact rational
-  coefficients), window of ctx.d + 1 digits, as ``int`` numerators over
-  one positive ``int`` ``den`` (Gauss: ``den`` = 1): sums bring operands
-  to one denominator, products multiply them; no gcd per digit.
+``_normalize`` keeps every value in a normal form, and nothing else writes
+``coeffs``, ``den`` or ``shift``: the digits truncated, gcd(den, digits)
+divided out and their valuation (``FieldSpec.poly_val``) moved into the
+shift.  So ``val`` of a nonzero value is its shift, and it is invertible
+when its constant digit is nonzero below pi.  Products (``_conv``) are
+those of exact scalars truncated at d, one per arity.  Both models invert
+by one Newton iteration on integer numerators, which doubles the degree
+below which it is exact at every step; only its start depends on the
+digit ring.  ``reduce_scalar`` maps an exact scalar by one route: num and
+den lose their valuations, and num is multiplied by the Newton inverse of
+den, unless den is constant: it becomes ``den`` (Laurent) or is inverted
+mod p^k (Gauss).
 
-Digits are stored as dicts from exponent tuples to ``int``s.  Products
-(``_conv``) are those of exact scalars, one per arity, truncated at the
-degree cap d: ``polys.p_mul_uni`` (both models) and ``polys.p_mul_bi``.
-Both models invert by the same Newton iteration on integer numerators,
-which doubles the degree below which it is exact at every step.
-
-Every value is kept in a normal form: ``_normalize`` divides the
-valuation of the digits out into ``shift`` (Gauss: the digits have gcd
-prime to p; Laurent: a digit sits at exponent 0, gcd(den, digits) = 1),
-and nothing else writes ``coeffs``, ``den`` or ``shift``.  So ``val``
-of a nonzero value is its shift.
-
-``reduce_scalar`` takes an exact scalar to its truncation by one route
-in both models: the numerator's digits times the Newton inverse of the
-denominator, through ``_polymul``.  A ``Scalar`` holds num and den with
-int coefficients, so the shift is read off them directly by
-``FieldSpec.poly_val``: the p-adic valuations of their contents (Gauss,
-which divides those powers of p out) or their lowest exponents
-(Laurent).  A constant denominator needs no inverse: it becomes ``den``
-(Laurent) or is inverted mod the digit modulus (Gauss).
-
-``err_lv`` is a lower bound for lv(true - represented) in the p-adic
-(resp. z-adic) direction; every operation propagates it, and an exact
-operand c loses nothing of it in ``x + c`` or ``x * c`` (``_coerce``).
-The total-degree cap of the Gauss model is a ring quotient, not an error
-term: results are classes modulo monomials of degree > ctx.d, and callers
-pick d large enough that quotient effects stay below the target precision
-for their inputs (factorization certificates re-measure residuals, they
-never trust the iteration alone).
+``err_lv`` is a lower bound for lv(true - represented) in the pi-adic
+direction; every operation propagates it, and an exact operand c loses
+nothing of it in ``x + c`` or ``x * c`` (``_coerce``).  The d + 1 Laurent
+digits bound it by shift + d + 1 (``_window``).  The Gauss degree cap is
+still not an error term but a ring quotient: results are classes modulo
+monomials of degree > d, products respect it, and derivatives leak its
+truncation one degree down per application.  Callers pick d large enough
+that quotient effects stay below the target precision for their inputs
+(factorization certificates re-measure residuals, never trusting the
+iteration alone).
 
 The ``ExactDomain`` / ``ApproxDomain`` pair lets the twisted-polynomial and
 module layers run the same algorithms over exact scalars or truncations.
@@ -108,36 +103,18 @@ class ApproxScalar:
         return self.err_lv - self.shift
 
     def _normalize(self):
-        if self.field.kind == GAUSS:
-            me = self._mod_exp
-            if me <= 0:
-                self.coeffs = {}
-                return
-            mod = self.field.p ** me
-            cc = {}
-            for m, c in self.coeffs.items():
-                if sum(m) <= self.ctx.d:
-                    c %= mod
-                    if c:
-                        cc[m] = c
-            self.coeffs = cc
-            if cc:
-                strip = self.field.poly_val(cc)
-                if strip:
-                    q = self.field.p ** strip
-                    self.coeffs = {m: c // q for m, c in cc.items()}
-                    self.shift += strip
-        else:
-            top = min(self.ctx.d, self.err_lv - self.shift - 1)
-            cc = {m: c for m, c in self.coeffs.items() if c and m[0] <= top}
+        f = self.field
+        cc = f.pi_trunc(self.coeffs, self._mod_exp, self.ctx.d)
+        if self.den != 1:   # Laurent: gcd(den, digits) = 1, den > 0
             g = math.gcd(self.den, *cc.values())
             g = -g if self.den < 0 else g
-            strip = 0 if (0,) in cc else min(cc, default=(0,))[0]
-            if g != 1 or strip:
-                cc = {(m[0] - strip,): c // g for m, c in cc.items()}
+            if g != 1:
+                cc = {m: c // g for m, c in cc.items()}
                 self.den //= g
-                self.shift += strip
-            self.coeffs = cc
+        if cc and (strip := f.poly_val(cc)):
+            cc = f.pi_shift(cc, -strip)
+            self.shift += strip
+        self.coeffs = cc
 
     # -- queries -----------------------------------------------------------
 
@@ -156,9 +133,7 @@ class ApproxScalar:
         The truncation ring is not a field: a Gauss-model value like x has
         valuation 0 but no expandable inverse.
         """
-        if self.field.kind != GAUSS:
-            return bool(self.coeffs)
-        return self.coeffs.get((0,) * self.field.nvars, 0) % self.field.p != 0
+        return _is_unit(self.field, self.coeffs)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -198,32 +173,28 @@ class ApproxScalar:
         o's shift is no lower)."""
         if o.err_lv < self.err_lv:
             return False
-        if self.field.kind != GAUSS and \
-                self.err_lv > min(self.shift, o.shift) + self.ctx.d + 1:
+        if _window(self.field, self.ctx, self.err_lv,
+                   min(self.shift, o.shift)) < self.err_lv:
             return False
         return bool(self.coeffs) or o.shift >= self.shift
 
     def _add(self, o: "ApproxScalar") -> "ApproxScalar":
         """The sum by the general route: both operands at the lower shift
-        (and, Laurent, over the lcm of the denominators), then normalized."""
+        and over the lcm of the denominators, then normalized."""
         f = self.field
         s = min(self.shift, o.shift)
-        err = min(self.err_lv, o.err_lv)
-        if f.kind == GAUSS:
-            pa = f.p ** (self.shift - s)
-            pb = f.p ** (o.shift - s)
-            cc = {m: c * pa for m, c in self.coeffs.items()}
-            for m, c in o.coeffs.items():
-                cc[m] = cc.get(m, 0) + c * pb
-            return ApproxScalar(f, self.ctx, s, cc, err)
-        den = math.lcm(self.den, o.den)   # each operand scaled to it once
-        ka, kb = den // self.den, den // o.den
-        ea, eb = self.shift - s, o.shift - s
-        cc = {(m[0] + ea,): c * ka for m, c in self.coeffs.items()}
-        for (e,), c in o.coeffs.items():
-            cc[e + eb,] = cc.get((e + eb,), 0) + c * kb
-        return ApproxScalar(f, self.ctx, s, cc, min(err, s + self.ctx.d + 1),
-                            den)
+        a = f.pi_shift(self.coeffs, self.shift - s)
+        b = f.pi_shift(o.coeffs, o.shift - s)
+        den = math.lcm(self.den, o.den)
+        if den != 1:   # each operand scaled to den once
+            ka, kb = den // self.den, den // o.den
+            a = {m: c * ka for m, c in a.items()}
+            b = {m: c * kb for m, c in b.items()}
+        cc = dict(a)
+        for m, c in b.items():
+            cc[m] = cc.get(m, 0) + c
+        err = _window(f, self.ctx, min(self.err_lv, o.err_lv), s)
+        return ApproxScalar(f, self.ctx, s, cc, err, den)
 
     def __neg__(self):
         return ApproxScalar(self.field, self.ctx, self.shift,
@@ -253,9 +224,7 @@ class ApproxScalar:
             return o
         f = self.field
         s = self.shift + o.shift
-        err = self._err_of_product(o)
-        if f.kind != GAUSS:
-            err = min(err, s + self.ctx.d + 1)
+        err = _window(f, self.ctx, self._err_of_product(o), s)
         cc = _conv(self.coeffs, o.coeffs, self.ctx.d, f.nvars)
         return ApproxScalar(f, self.ctx, s, cc, err, self.den * o.den)
 
@@ -273,45 +242,43 @@ class ApproxScalar:
     def inverse(self) -> "ApproxScalar":
         if not self.coeffs:
             raise PrecisionLoss("inverse of a value that is zero at precision")
+        # _normalize leaves digits below pi^me with the valuation in the
+        # shift; the inverse also needs the constant digit to be a unit
+        if not _is_unit(self.field, self.coeffs):
+            raise NotExpandable("constant term not a unit mod p")
         f, ctx = self.field, self.ctx
-        v = self.shift
-        err = self.err_lv - 2 * v
+        v, me = self.shift, self._mod_exp
         mono0 = (0,) * f.nvars
-        u0 = self.coeffs.get(mono0, 0)
-        top = ctx.d
+        u0 = self.coeffs[mono0]
         if f.kind == GAUSS:
-            # _normalize leaves digits mod p^(err_lv - v) with gcd prime to
-            # p; the inverse also needs the constant term to be a p-unit
-            mod = f.p ** (self.err_lv - v)
-            if u0 % f.p == 0:
-                raise NotExpandable("constant term not a unit mod p")
-            z, dz = {mono0: pow(u0, -1, mod)}, 1
+            # digits mod p^me, over den 1: start from 1/u0 mod p^me
+            top = ctx.d
+            z, dz = {mono0: pow(u0, -1, f.p ** me)}, 1
         else:
-            # _normalize put a nonzero digit at exponent 0; it drops every
-            # digit of the inverse at or above z^(err_lv - v)
-            mod = None
-            top = min(top, self.err_lv - v - 1)
+            # rational digits: start from 1/u0, and stop below z^me, which
+            # _normalize drops
+            top = min(ctx.d, me - 1)
             z, dz = {mono0: 1}, u0
         # Newton w <- w(2 - Uw) on w = z/dz ~ 1/U, U the digits (u = U/den):
         # z <- z(2dz - Uz), dz <- dz^2, then gcd(dz, z) divided out, which
         # keeps Laurent numerators near the size of the digits.  w is exact
         # below degree D, so one step makes it exact below 2D; each step
-        # works at cap 2D - 1.  Over Q the inverse truncated at degree top
-        # is unique, so the Laurent digits are those of the power-series
-        # recurrence.
+        # works at cap 2D - 1, below pi^me.  Over Q the inverse truncated at
+        # degree top is unique, so the Laurent digits are those of the
+        # power-series recurrence.
         D = 1
         while D <= top:
             cap = min(2 * D, top + 1) - 1
-            uz = _polymul(self.coeffs, z, mod, cap, f.nvars)
+            uz = f.pi_trunc(_conv(self.coeffs, z, cap, f.nvars), me)
             e = {m: -c for m, c in uz.items()}
             e[mono0] = e.get(mono0, 0) + 2 * dz
-            z = _polymul(z, e, mod, cap, f.nvars)
+            z = f.pi_trunc(_conv(z, e, cap, f.nvars), me)
             dz = dz * dz
             if (g := math.gcd(dz, *z.values())) > 1:
                 z, dz = {m: c // g for m, c in z.items()}, dz // g
             D = cap + 1
         z = {m: c * self.den for m, c in z.items()}   # 1/u = den/U
-        return ApproxScalar(f, ctx, -v, z, err, dz)
+        return ApproxScalar(f, ctx, -v, z, self.err_lv - 2 * v, dz)
 
     def truncate_err(self, err: int, degree: int | None = None) -> "ApproxScalar":
         """Round down to a smaller error bound and/or degree window.
@@ -358,13 +325,12 @@ class ApproxScalar:
     def lift(self) -> Scalar:
         """Exact scalar represented by the truncation (centered digits)."""
         f, s = self.field, self.shift
+        num = self.coeffs
         if f.kind == GAUSS:
-            mod, q = f.p ** max(self._mod_exp, 1), f.p ** max(s, 0)
-            num = {m: (c if c <= mod // 2 else c - mod) * q
-                   for m, c in self.coeffs.items()}
-            return Scalar(f, num, P.p_const(f.nvars, f.p ** max(-s, 0)))
-        num = {(m[0] + max(s, 0),): c for m, c in self.coeffs.items()}
-        return Scalar(f, num, {(max(-s, 0),): self.den})
+            mod = f.p ** max(self._mod_exp, 1)
+            num = {m: c if c <= mod // 2 else c - mod for m, c in num.items()}
+        return Scalar(f, f.pi_shift(num, max(s, 0)),
+                      f.pi_shift(P.p_const(f.nvars, self.den), max(-s, 0)))
 
     def __repr__(self):
         return (f"ApproxScalar(lv~{'' if self.coeffs else '>='}{self.val()},"
@@ -384,12 +350,18 @@ def _conv(a: dict, b: dict, dcap: int, nvars: int) -> dict:
     return P.p_mul_bi(a, b, dcap)
 
 
-def _polymul(a: dict, b: dict, mod: int | None, dcap: int, nvars: int) -> dict:
-    """Truncated product, its digits reduced mod ``mod`` unless it is None."""
-    cc = _conv(a, b, dcap, nvars)
-    if mod is None:
-        return cc
-    return {m: r for m, c in cc.items() if (r := c % mod)}
+def _window(f: FieldSpec, ctx: PrecisionCtx, err: int, shift: int) -> int:
+    """err, capped at the window of a value of valuation ``shift``: the
+    d + 1 Laurent digits know nothing from z^(shift + d + 1) on.  The Gauss
+    degree cap is a quotient, not a window (module docstring)."""
+    return err if f.kind == GAUSS else min(err, shift + ctx.d + 1)
+
+
+def _is_unit(f: FieldSpec, digits: dict) -> bool:
+    """Whether the digits are a unit of the digit ring: their constant
+    digit is nonzero below pi."""
+    mono0 = (0,) * f.nvars
+    return bool(f.pi_trunc({mono0: digits.get(mono0, 0)}, 1))
 
 
 def reduce_scalar(x: Scalar, ctx: PrecisionCtx, err_target: int | None = None) -> ApproxScalar:
@@ -405,32 +377,24 @@ def reduce_scalar(x: Scalar, ctx: PrecisionCtx, err_target: int | None = None) -
     if x.is_zero():
         return ApproxScalar(f, ctx, 0, {}, err_target)
     a, b = f.poly_val(x.num), f.poly_val(x.den)
-    if f.kind == GAUSS:
-        pa, pb = f.p ** a, f.p ** b
-        num = {m: c // pa for m, c in x.num.items()}
-        den = {m: c // pb for m, c in x.den.items()}
-        err = err_target
-    else:
-        num, den = P.p_shift(x.num, (a,)), P.p_shift(x.den, (b,))
-        err = min(err_target, a - b + ctx.d + 1)   # the window of d + 1 digits
     shift = a - b
+    err = _window(f, ctx, err_target, shift)
     if err <= shift:
         return ApproxScalar(f, ctx, shift, {}, err_target)
-    mod = f.p ** (err - shift) if f.kind == GAUSS else None
+    num, den = f.pi_shift(x.num, -a), f.pi_shift(x.den, -b)
     if P.p_is_const(den):
         (c,) = den.values()
-        if mod is None:
-            return ApproxScalar(f, ctx, shift, num, err, c)
-        c = pow(c, -1, mod)
-        return ApproxScalar(f, ctx, shift, {m: v * c for m, v in num.items()},
-                            err)
-    if f.kind == GAUSS and den.get((0,) * f.nvars, 0) % f.p == 0:
+        if f.kind == GAUSS:   # a p-unit, inverted mod p^(err - shift)
+            c = pow(c, -1, f.p ** (err - shift))
+            num, c = {m: v * c for m, v in num.items()}, 1
+        return ApproxScalar(f, ctx, shift, num, err, c)
+    if not _is_unit(f, den):
         raise NotExpandable(
             "denominator is not a unit of the approximation ring")
+    # the product is truncated below pi^(err - shift) by the normal form
     inv = ApproxScalar(f, ctx, 0, den, err - shift).inverse()
-    return ApproxScalar(f, ctx, shift,
-                        _polymul(num, inv.coeffs, mod, ctx.d, f.nvars), err,
-                        inv.den)
+    return ApproxScalar(f, ctx, shift, _conv(num, inv.coeffs, ctx.d, f.nvars),
+                        err, inv.den)
 
 
 # -- coefficient domains ------------------------------------------------------

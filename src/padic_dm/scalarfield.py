@@ -44,6 +44,8 @@ class FieldSpec:
     distinct identifiers, one derivation per variable.  ``poly_val`` is
     the model's valuation on int polynomials, the one that ``Scalar.val``,
     truncation (``precision``) and the brute-force oracle read.
+    ``pi_shift`` and ``pi_trunc`` multiply by and truncate at powers of
+    the uniformizer pi (p, or z): the one truncation rule of the digits.
     """
 
     kind: str
@@ -128,7 +130,37 @@ class FieldSpec:
         content (Gauss), or its lowest exponent (Laurent)."""
         if self.kind == GAUSS:
             return P.p_min_vp(a, self.p)
-        return P.p_min_exp(a, 0)
+        return 0 if (0,) in a else P.p_min_exp(a, 0)
+
+    def pi_shift(self, a: P.Poly, k: int) -> P.Poly:
+        """a * pi^k for the uniformizer pi: p (Gauss) or z (Laurent).  For
+        k < 0, pi^-k must divide a, and the division is exact: by p^-k, or
+        a shift of the z-exponent.  ``a`` itself for k = 0."""
+        if not k:
+            return a
+        if self.kind == GAUSS:
+            q = self.p ** abs(k)
+            if k > 0:
+                return {m: c * q for m, c in a.items()}
+            return {m: c // q for m, c in a.items()}
+        return {(m[0] + k,): c for m, c in a.items()}
+
+    def pi_trunc(self, a: P.Poly, k: int, d: int | None = None) -> P.Poly:
+        """The nonzero part of a below pi^k, in one pass: the digits mod p^k
+        (Gauss), or the terms of z-degree < k (Laurent).  With ``d``, only
+        the terms of total degree <= d are kept, too.  Both are ring maps
+        on polynomials; mod p^k also commutes with d/dx_j, which the degree
+        cap does not."""
+        if self.kind == GAUSS:
+            if k <= 0:
+                return {}
+            q = self.p ** k
+            if d is None:
+                return {m: r for m, c in a.items() if (r := c % q)}
+            return {m: r for m, c in a.items()
+                    if sum(m) <= d and (r := c % q)}
+        top = k if d is None else min(k, d + 1)
+        return {m: c for m, c in a.items() if c and m[0] < top}
 
     def _check_deriv(self, j: int):
         if not 0 <= j < self.nderiv:

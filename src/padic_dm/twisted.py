@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import NotMonic, ZeroPolynomial
+from .errors import FieldMismatch, NotMonic, ZeroPolynomial
 from .logval import INF, LogVal
 from .precision import ExactDomain
 
@@ -101,9 +101,9 @@ class TwistedPoly:
 
     def _check_compatible(self, other: "TwistedPoly"):
         if self.deriv != other.deriv:
-            raise ValueError("twisted polynomials for different derivations")
+            raise FieldMismatch("twisted polynomials for different derivations")
         if self.domain.field != other.domain.field:
-            raise ValueError("twisted polynomials over different fields")
+            raise FieldMismatch("twisted polynomials over different fields")
 
     # -- additive ring structure ---------------------------------------------
 

@@ -11,9 +11,10 @@ from padic_dm import (ApproxDomain, CertificateFailure, DiffModule,
                       MultiRadiusProfile, NoGap, PiNormParams, PrecisionCtx,
                       SearchExhausted, StabilityFailure, TwistedPoly,
                       decompose, direct_sum, factor_by_radii, from_operator,
-                      linalg as la, mul, multi_decompose, parse_matrix,
-                      parse_operator, pi_norm, profile, radii_from_polygon,
-                      slope_factorize)
+                      iterate_G, linalg as la, mul, multi_decompose,
+                      parse_matrix, parse_operator, pi_norm, profile,
+                      radii_from_polygon, slope_factorize,
+                      spectral_radius_bruteforce)
 
 from conftest import block_module, unimodular_conjugator
 from test_golden_reports import CLIP_FIRST, CLIP_LATER
@@ -291,6 +292,31 @@ def test_decompositions_need_the_derivation_they_split(gauss5xy):
     with pytest.raises(FieldMismatch):
         decompose(only_x, 1, CTX)
     assert decompose(only_x, 0, CTX).dim == 1
+    # the module itself refuses a derivation it does not carry, on every
+    # path that asks for it
+    with pytest.raises(FieldMismatch, match="derivation 1"):
+        profile(only_x, 1)
+    with pytest.raises(FieldMismatch, match="derivation 1"):
+        spectral_radius_bruteforce(only_x, 1, 4)
+    with pytest.raises(FieldMismatch, match="derivation 1"):
+        iterate_G(only_x, 1, 2)
+    with pytest.raises(FieldMismatch, match="derivation 2"):
+        iterate_G(only_x, 2, 2)
+
+
+@pytest.mark.parametrize("order", ["swap-first", "split-first"])
+def test_multi_decompose_certifies_kept_components(gauss5xy, order):
+    # T_x swaps the basis vectors (one radius), T_y = diag(1/5, 0) splits
+    # off e_0 and e_1, which T_x does not keep: unstable in either order,
+    # also when the split derivation comes last and its components are
+    # kept as presented
+    c = gauss5xy.scalar
+    swap = [[c(0), c(1)], [c(1), c(0)]]
+    split = [[c(Fraction(1, 5)), c(0)], [c(0), c(0)]]
+    mats = [swap, split] if order == "swap-first" else [split, swap]
+    m = DiffModule(ExactDomain(gauss5xy), 2, mats, _checked=True)
+    with pytest.raises(StabilityFailure, match="not stable under derivation"):
+        multi_decompose(m, PrecisionCtx(Fraction(10), d=28))
 
 
 def test_multi_decompose_proper_intersection(gauss5xy):

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from padic_dm import (INF, DiffModule, ExactDomain, FieldSpec, LogVal,
                       iterate_G, polys as P, spectral_radius_bruteforce)
-from padic_dm.diffmod import (RadiusEstimate, _trim, action_matrices,
+from padic_dm.diffmod import (RadiusEstimate, action_matrices,
                               action_numerators)
 from padic_dm.grammar import parse_matrix, parse_scalar
 from padic_dm.scalarfield import GAUSS, Scalar
@@ -236,4 +236,5 @@ def test_each_bound_reads_its_last_digit(name):
     assert min(lv(e) for row in h for e in row if e) == edge - 1
     est = spectral_radius_bruteforce(m, 0, kmax)
     assert est == numerator_estimate(m, 0, kmax)
-    assert est != numerator_estimate(m, 0, kmax, _trim(field, edge - 1))
+    assert est != numerator_estimate(m, 0, kmax,
+                                     lambda a: field.pi_trunc(a, edge - 1))

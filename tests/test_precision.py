@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from padic_dm import (ApproxDomain, ApproxScalar, FieldMismatch, FieldSpec,
                       NotExpandable, PrecisionCtx, LogVal, Scalar,
                       parse_scalar, polys as P, precision, reduce_scalar)
-from padic_dm.precision import _conv, _polymul
+from padic_dm.precision import _conv
 
 from conftest import schoolbook
 
@@ -200,7 +200,7 @@ def _gauss_route(x, ctx, err_target):
             "denominator is not a unit of the approximation ring")
     inv = ApproxScalar(f, ctx, 0, {m: c % mod for m, c in den.items()
                                    if sum(m) <= ctx.d}, me).inverse()
-    digits = _polymul(ncap, inv.coeffs, mod, ctx.d, f.nvars)
+    digits = f.pi_trunc(_conv(ncap, inv.coeffs, ctx.d, f.nvars), me)
     digits = {m: (c * rm) % mod for m, c in digits.items()}
     return ApproxScalar(f, ctx, shift + inv.shift, digits,
                         min(err_target, shift + inv.err_lv))
@@ -388,7 +388,7 @@ def _full_cap_inverse(u):
         build = ApproxScalar
 
         def mul(a, b):
-            return _polymul(a, b, mod, ctx.d, f.nvars)
+            return f.pi_trunc(_conv(a, b, ctx.d, f.nvars), u.err_lv - v)
     else:
         mod, digits = None, _digits(u)
         z = {mono0: 1 / digits[mono0]}
@@ -466,11 +466,11 @@ def test_laurent_inverse_stops_at_its_window(laurent, monkeypatch, d,
     u = _laurent(laurent, ctx, shift, coeffs, shift + window)
     caps = []
 
-    def capped(a, b, mod, dcap, nvars):
+    def capped(a, b, dcap, nvars):
         caps.append(dcap)
-        return _polymul(a, b, mod, dcap, nvars)
+        return _conv(a, b, dcap, nvars)
 
-    monkeypatch.setattr(precision, "_polymul", capped)
+    monkeypatch.setattr(precision, "_conv", capped)
     inv = u.inverse()
     monkeypatch.undo()
     ref = _full_cap_inverse(u)

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from padic_dm import FieldSpec, LogVal, INF, FieldMismatch, taylor_map
+from padic_dm import (FieldSpec, LogVal, INF, FieldMismatch, polys as P,
+                      taylor_map)
 
 from conftest import random_scalar
 
@@ -135,3 +137,64 @@ def test_logval_arithmetic():
     assert INF > b
     with pytest.raises(ValueError):
         _ = a - INF
+
+
+PI_FIELDS = (FieldSpec.gauss(5, ("x",)), FieldSpec.gauss(3, ("x", "y")),
+             FieldSpec.laurent("z"))
+
+
+@st.composite
+def int_polys(draw, field):
+    """A nonzero-coefficient int polynomial of the field: exponents up to 9,
+    coefficients from units to multiples of p^6 and ~100-bit ints."""
+    mono = st.tuples(*[st.integers(0, 9)] * field.nvars)
+    unit = st.integers(-10 ** 4, 10 ** 4).filter(bool)
+    coeff = st.one_of(unit, st.integers(-2 ** 100, 2 ** 100).filter(bool),
+                      st.builds(lambda e, c: (field.p or 2) ** e * c,
+                                st.integers(0, 6), unit))
+    return draw(st.dictionaries(mono, coeff, max_size=8))
+
+
+@st.composite
+def pi_cases(draw, fields=PI_FIELDS):
+    field = draw(st.sampled_from(fields))
+    return (field, draw(int_polys(field)), draw(int_polys(field)),
+            draw(st.integers(-1, 12)), draw(st.none() | st.integers(0, 12)))
+
+
+@given(pi_cases())
+@settings(max_examples=200, deadline=None)
+def test_pi_trunc_is_a_ring_map(case):
+    """Truncation below pi^k (and at degree d) commutes with products: the
+    property that the bounded oracle's trimmed steps rely on."""
+    field, a, b, k, d = case
+
+    def t(x):
+        return field.pi_trunc(x, k, d)
+
+    assert t(P.p_mul(a, b)) == t(P.p_mul(t(a), t(b)))
+    assert t(P.p_add(a, b)) == t(P.p_add(t(a), t(b)))
+    assert all(c for c in t(a).values())
+
+
+@given(pi_cases(PI_FIELDS[:2]), st.integers(0, 1))
+@settings(max_examples=150, deadline=None)
+def test_gauss_pi_trunc_commutes_with_derivation(case, j):
+    field, a, _b, k, _d = case
+    j %= field.nvars
+
+    def t(x):
+        return field.pi_trunc(x, k)
+
+    assert t(P.p_derive(a, j)) == t(P.p_derive(t(a), j))
+
+
+@given(pi_cases(), st.integers(-3, 6))
+@settings(max_examples=150, deadline=None)
+def test_pi_shift_moves_the_valuation(case, k):
+    """b = pi^3 a, so pi^k divides b for every k >= -3."""
+    field, a, _b, _k, _d = case
+    b = field.pi_shift(a, 3)
+    assert field.pi_shift(field.pi_shift(b, k), -k) == b
+    if a:
+        assert field.poly_val(field.pi_shift(b, k)) == field.poly_val(b) + k

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from padic_dm import (ApproxDomain, ExactDomain, LogVal, NotMonic,
-                      PiNormParams, PrecisionCtx, TwistedPoly, ZeroPolynomial,
-                      check_condition_c, divmod_left, divmod_right, monicize,
-                      mul, mul_relation, newton_polygon, pi_norm)
+from padic_dm import (ApproxDomain, ExactDomain, FieldMismatch, LogVal,
+                      NotMonic, PiNormParams, PrecisionCtx, TwistedPoly,
+                      ZeroPolynomial, check_condition_c, divmod_left,
+                      divmod_right, monicize, mul, mul_relation,
+                      newton_polygon, pi_norm)
 
 from conftest import random_twisted, uniformizer
 
@@ -24,6 +25,20 @@ def test_defining_relation(gauss5):
     prod = mul(T(K), c)
     assert prod.coeff(0) == K.one()       # the derivative of x
     assert prod.coeff(1) == x
+
+
+def test_mixed_operands_are_a_field_mismatch(gauss5, gauss5xy, laurent):
+    # operators for different derivations, or over different fields, do
+    # not combine: a typed error, not a bare ValueError
+    dom = ExactDomain(gauss5xy)
+    tx = TwistedPoly.t_power(dom, 0, 1)
+    ty = TwistedPoly.t_power(dom, 1, 1)
+    with pytest.raises(FieldMismatch, match="different derivations"):
+        tx + ty
+    with pytest.raises(FieldMismatch, match="different derivations"):
+        mul(tx, ty)
+    with pytest.raises(FieldMismatch, match="different fields"):
+        T(gauss5) - T(laurent)
 
 
 def test_mul_example(gauss5):
