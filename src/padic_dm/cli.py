@@ -6,9 +6,9 @@ requested pipeline and print a JSON report.  Reports are deterministic
 encoding) apart from the timing field; decimal renderings are included for
 display only and are marked non-authoritative.
 
-Exit codes: 0 all certificates pass, 1 parse or input error (or an
-unwritable --out), 2 certificate, gap or stability failure, 3 precision or
-iteration budget abort.
+Exit codes: 0 when every certificate passes; a report whose checks fail
+exits as a certificate failure (2), and a failure raised as an error
+exits with the ``exit_code`` its class declares in ``errors.py``.
 """
 
 from __future__ import annotations
@@ -18,10 +18,9 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import zip_longest
 
-from .errors import (CertificateFailure, IterationBudget, NoGap, OutputError,
-                     PadicDMError, ParseError, PrecisionLoss,
-                     StabilityFailure)
+from .errors import CertificateFailure, OutputError, PadicDMError, ParseError
 from .diffmod import DiffModule, dual, from_operator, spectral_radius_bruteforce
 from .factorize import decompose, multi_decompose
 from .grammar import matrix_str, parse_matrix, parse_operator
@@ -74,27 +73,43 @@ class JobSpec:
     out: str | None
 
 
+def _read_options(pairs, parsers: dict, what: str, repeatable=()) -> dict:
+    """Parse (key, text) pairs into {key: value}, one parser per key; a
+    text of None is a missing value, and a repeatable key gets a list."""
+    opts = {}
+    for key, text in pairs:
+        if key not in parsers:
+            raise ParseError(f"unknown {what} {key!r}")
+        if text is None:
+            raise ParseError(f"{what} {key} needs a value")
+        if key in opts and key not in repeatable:
+            raise ParseError(f"{what} {key} given twice")
+        value = parsers[key](text)
+        opts[key] = [*opts.get(key, []), value] if key in repeatable else value
+    return opts
+
+
+def _key_values(parts):
+    """(key, value) of each ``key=value`` part, value None without ``=``."""
+    for part in parts:
+        key, eq, value = part.partition("=")
+        yield key, value if eq else None
+
+
+# The gauss field options and the --precision keys, with their parsers.
+GAUSS_OPTIONS = {"p": int, "vars": lambda text: tuple(text.split(","))}
+PRECISION_OPTIONS = {"N": Fraction, "d": int, "max_iter": int}
+
+
 def _parse_field(text: str) -> FieldSpec:
     kind, *parts = text.split(":")
     try:
         if kind == "gauss":
-            p = None
-            variables = ("x",)
-            seen = set()
-            for part in parts:
-                key = part.partition("=")[0]
-                if key in seen:
-                    raise ParseError(f"field option {key} given twice")
-                seen.add(key)
-                if part.startswith("p="):
-                    p = int(part[2:])
-                elif part.startswith("vars="):
-                    variables = tuple(part[5:].split(","))
-                else:
-                    raise ParseError(f"unknown field option {part!r}")
-            if p is None:
+            opts = _read_options(_key_values(parts), GAUSS_OPTIONS,
+                                 "field option")
+            if "p" not in opts:
                 raise ParseError("gauss field needs p=<prime>")
-            field = FieldSpec.gauss(p, variables)
+            field = FieldSpec.gauss(opts["p"], opts.get("vars", ("x",)))
         elif kind == "laurent" and len(parts) <= 1:
             field = FieldSpec.laurent(*parts)
         else:
@@ -107,21 +122,10 @@ def _parse_field(text: str) -> FieldSpec:
 
 
 def _parse_precision(text: str) -> PrecisionCtx:
-    opts = {}
+    parts = filter(None, (part.strip() for part in text.split(",")))
     try:
-        for part in text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            key, _, val = part.partition("=")
-            if key in opts:
-                raise ParseError(f"precision option {key} given twice")
-            if key == "N":
-                opts[key] = Fraction(val)
-            elif key in ("d", "max_iter"):
-                opts[key] = int(val)
-            else:
-                raise ParseError(f"unknown precision option {key!r}")
+        opts = _read_options(_key_values(parts), PRECISION_OPTIONS,
+                             "precision option")
         for key, cap in (("N", MAX_N), ("d", MAX_D), ("max_iter", MAX_ITER)):
             if opts.get(key, 0) > cap:
                 raise ParseError(f"precision option {key} above {cap}")
@@ -130,47 +134,18 @@ def _parse_precision(text: str) -> PrecisionCtx:
         raise ParseError(str(exc)) from exc
 
 
+# The argv flags, each with the parser of its value; only --mat repeats.
+FLAGS = {"--field": _parse_field, "--cmd": str, "--op": str, "--mat": str,
+         "--deriv": str, "--precision": _parse_precision, "--out": str}
+
+
 def parse_job(argv: list) -> JobSpec:
-    field = None
-    command = None
-    op_text = None
-    mat_texts = []
-    deriv_name = None
-    precision = DEFAULT_PRECISION
-    out = None
-    i = 0
-    seen = set()
-
-    def need_value(flag):
-        nonlocal i
-        if i + 1 >= len(argv):
-            raise ParseError(f"flag {flag} needs a value")
-        if flag in seen:
-            raise ParseError(f"flag {flag} given twice")
-        if flag != "--mat":
-            seen.add(flag)
-        i_next = argv[i + 1]
-        i += 2
-        return i_next
-
-    while i < len(argv):
-        flag = argv[i]
-        if flag == "--field":
-            field = _parse_field(need_value(flag))
-        elif flag == "--cmd":
-            command = need_value(flag)
-        elif flag == "--op":
-            op_text = need_value(flag)
-        elif flag == "--mat":
-            mat_texts.append(need_value(flag))
-        elif flag == "--deriv":
-            deriv_name = need_value(flag)
-        elif flag == "--precision":
-            precision = _parse_precision(need_value(flag))
-        elif flag == "--out":
-            out = need_value(flag)
-        else:
-            raise ParseError(f"unknown flag {flag!r}")
+    opts = _read_options(zip_longest(argv[::2], argv[1::2]), FLAGS, "flag",
+                         repeatable={"--mat"})
+    field = opts.get("--field")
+    command = opts.get("--cmd")
+    op_text = opts.get("--op")
+    mat_texts = opts.get("--mat", [])
     if field is None:
         raise ParseError("missing --field")
     if command not in COMMANDS:
@@ -185,11 +160,14 @@ def parse_job(argv: list) -> JobSpec:
             and len(mat_texts) != field.nderiv:
         raise ParseError("multi-decompose needs one --mat per derivation")
     deriv = 0
+    deriv_name = opts.get("--deriv")
     if deriv_name is not None:
         if deriv_name not in field.variables:
             raise ParseError(f"unknown derivation {deriv_name!r}")
         deriv = field.variables.index(deriv_name)
-    return JobSpec(field, command, op_text, mat_texts, deriv, precision, out)
+    return JobSpec(field, command, op_text, mat_texts, deriv,
+                   opts.get("--precision", DEFAULT_PRECISION),
+                   opts.get("--out"))
 
 
 def _build_module(job: JobSpec) -> DiffModule:
@@ -234,25 +212,15 @@ def run(job: JobSpec) -> tuple[dict, int]:
                       "max_iter": job.precision.max_iter},
     }
     t0 = time.monotonic()
-    code = 0
     try:
         result, ok = COMMANDS[job.command](job)
         report["result"] = result
         report["ok"] = ok
-        if not ok:
-            code = 2
+        code = 0 if ok else CertificateFailure.exit_code
     except PadicDMError as exc:
         report["ok"] = False
-        report["error"] = {"code": exc.code, "message": str(exc)}
-        if exc.attempts:
-            report["error"]["attempts"] = [{"code": c, "message": msg}
-                                           for c, msg in exc.attempts]
-        if isinstance(exc, (IterationBudget, PrecisionLoss)):
-            code = 3
-        elif isinstance(exc, (CertificateFailure, NoGap, StabilityFailure)):
-            code = 2
-        else:
-            code = 1
+        report["error"] = _error_payload(exc)
+        code = exc.exit_code
     report["timing_ms"] = int(1000 * (time.monotonic() - t0))
     return report, code
 
@@ -354,11 +322,21 @@ def main(argv=None) -> int:
     return code
 
 
+def _error_payload(exc: PadicDMError) -> dict:
+    """A report's ``error`` object: the code, the message and, when the
+    raiser retried, every failed attempt."""
+    error = {"code": exc.code, "message": str(exc)}
+    if exc.attempts:
+        error["attempts"] = [{"code": c, "message": msg}
+                             for c, msg in exc.attempts]
+    return error
+
+
 def _print_error(exc: PadicDMError) -> int:
     report = {"schema": SCHEMA_VERSION, "ok": False,
-              "error": {"code": exc.code, "message": str(exc)}}
+              "error": _error_payload(exc)}
     print(json.dumps(report, sort_keys=True, indent=2))
-    return 1
+    return exc.exit_code
 
 
 if __name__ == "__main__":

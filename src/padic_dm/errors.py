@@ -1,7 +1,11 @@
 """Exception types shared across the package.
 
 Every error carries a stable machine-readable ``code`` so the CLI can
-serialize failures deterministically.
+serialize failures deterministically, and the ``exit_code`` the CLI exits
+with when it reports one: 1 by default (parse and input errors), 2 for a
+certificate, gap or stability failure, 3 for a precision or iteration
+budget abort.  These classes are the one table of exit statuses; the
+README lists it.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ class PadicDMError(Exception):
     """
 
     code = "error"
+    exit_code = 1
     attempts: tuple = ()
 
 
@@ -60,30 +65,35 @@ class NoGap(PadicDMError):
     """No Newton-polygon break separates the radii at the requested value."""
 
     code = "no-gap"
+    exit_code = 2
 
 
 class PrecisionLoss(PadicDMError):
     """A computation would drop below the requested valuation precision."""
 
     code = "precision-loss"
+    exit_code = 3
 
 
 class IterationBudget(PadicDMError):
     """A factorization iteration stalled or ran past its budget."""
 
     code = "iteration-budget"
+    exit_code = 3
 
 
 class CertificateFailure(PadicDMError):
     """A decomposition certificate check failed."""
 
     code = "certificate-failure"
+    exit_code = 2
 
 
 class StabilityFailure(PadicDMError):
     """A component is not stable under a sibling derivation at precision."""
 
     code = "stability-failure"
+    exit_code = 2
 
 
 class AllZero(PadicDMError):

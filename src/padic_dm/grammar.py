@@ -41,6 +41,13 @@ MAX_SCALAR_DEGREE = 64
 # product of up to six capped integers still prints.
 MAX_HEIGHT_BITS = 2048
 
+# Cap on nesting: open parentheses plus unary signs around a token.  The
+# recursive descent takes about six Python frames per parenthesis and two
+# per sign, so without a cap 200 parentheses or 600 signs overrun the
+# interpreter's default recursion limit of 1000 and end in a traceback.
+# README, golden and test inputs nest at most 2 deep.
+MAX_NESTING = 64
+
 
 def _tokenize(text: str):
     out = []
@@ -92,6 +99,7 @@ class _Expr:
         self.pos = 0
         self.field = field
         self.allow_t = allow_t
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.pos]
@@ -136,14 +144,21 @@ class _Expr:
             v = _capped(v, pos)
         return v
 
+    def nested(self, parse, pos: int) -> list:
+        """parse() one level deeper, within MAX_NESTING."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", pos)
+        v = parse()
+        self.depth -= 1
+        return v
+
     def unary(self) -> list:
         tok = self.peek()
-        if tok[0] == "-":
+        if tok[0] in ("-", "+"):
             self.take()
-            return _pneg(self.unary())
-        if tok[0] == "+":
-            self.take()
-            return self.unary()
+            v = self.nested(self.unary, tok[2])
+            return _pneg(v) if tok[0] == "-" else v
         return self.power()
 
     # power := atom ('^' int)?
@@ -178,7 +193,7 @@ class _Expr:
                 return [self.field.var(self.field.variables.index(val))]
             raise ParseError(f"unknown symbol {val!r}", pos)
         if kind == "(":
-            v = self.expr()
+            v = self.nested(self.expr, pos)
             self.take(")")
             return v
         raise ParseError(f"unexpected token {val!r}", pos)
@@ -249,13 +264,12 @@ def parse_operator(text: str, field: FieldSpec, deriv: int = 0) -> TwistedPoly:
 
 
 def parse_matrix(text: str, field: FieldSpec) -> list:
-    rows = []
-    for row_txt in text.split(";"):
-        row = [parse_scalar(e, field) for e in row_txt.split(",")]
-        rows.append(row)
+    """The square matrix of ``text``; its shape is checked before any entry
+    is parsed, so a wide row costs no parsing."""
+    rows = [row.split(",") for row in text.split(";")]
     if any(len(r) != len(rows) for r in rows):
         raise ParseError("matrix text is not square")
-    return rows
+    return [[parse_scalar(e, field) for e in r] for r in rows]
 
 
 def matrix_str(m: list) -> str:

@@ -232,7 +232,7 @@ def _divmod(p: TwistedPoly, q: TwistedPoly, right: bool):
     qlead_inv = q.leading().inverse()
     while not r.is_zero() and r.degree >= q.degree:
         k = r.degree - q.degree
-        a = r.leading() * qlead_inv if right else qlead_inv * r.leading()
+        a = r.leading() * qlead_inv
         term = TwistedPoly(p.domain, p.deriv,
                            [p.domain.zero()] * k + [a])
         d = d + term
@@ -310,8 +310,6 @@ class NewtonPolygon:
     Lengths plus ``at_zero`` sum to the degree.
     """
 
-    degree: int
-    vertices: tuple
     slopes: tuple
     at_zero: int
 
@@ -336,8 +334,7 @@ def newton_polygon(p: TwistedPoly) -> NewtonPolygon:
         sigma = Fraction(v2 - v1, i2 - i1)
         slopes.append((-sigma, i2 - i1))
     slopes.sort(key=lambda t: t[0])
-    verts = tuple((i, LogVal(v)) for i, v in hull)
-    return NewtonPolygon(p.degree, verts, tuple(slopes), at_zero)
+    return NewtonPolygon(tuple(slopes), at_zero)
 
 
 def _lower_hull(pts):

@@ -1,16 +1,18 @@
 """CLI: job parsing, report payloads, exit codes, round trips."""
 
 import json
+import re
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from padic_dm import (ParseError, StabilityFailure, cli, diffmod, factorize,
-                      radii)
+from padic_dm import (PadicDMError, ParseError, StabilityFailure, cli,
+                      diffmod, errors, factorize, grammar, radii)
 from padic_dm.cli import COMMANDS, main, parse_job, run
-from padic_dm.grammar import (matrix_str, parse_matrix, parse_operator,
-                              parse_scalar)
+from padic_dm.grammar import (MAX_NESTING, matrix_str, parse_matrix,
+                              parse_operator, parse_scalar)
 
 from test_factorize import overstated_meet
 from test_golden_reports import JOBS
@@ -19,6 +21,10 @@ from test_golden_reports import JOBS
 def job_args(*extra):
     return ["--field", "gauss:p=5:vars=x", "--cmd", "radii",
             "--op", "T^2 - (1/5)*T + x", *extra]
+
+
+def op_args(op):
+    return ["--field", "gauss:p=5:vars=x", "--cmd", "radii", "--op", op]
 
 
 def test_parse_job_basic():
@@ -40,6 +46,19 @@ def test_parse_job_multi():
                      "--mat", "0,0;0,1/5"])
     assert job.field.nderiv == 2
     assert len(job.mat_texts) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (job_args("--bogus"), "unknown flag '--bogus'"),
+    (job_args("--bogus", "x"), "unknown flag '--bogus'"),
+    (job_args("--out"), "flag --out needs a value"),
+    (job_args("--precision", "N=10,q=1"), "unknown precision option 'q'"),
+    (["--field", "gauss:p=5:q=1"], "unknown field option 'q'"),
+], ids=["unknown-last", "unknown-with-value", "no-value", "precision-key",
+        "field-option"])
+def test_parse_job_names_the_bad_key(argv, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse_job(argv)
 
 
 def test_parse_job_bad_field():
@@ -314,11 +333,11 @@ def test_main_bad_numbers_exit_as_json(capsys, args):
     ["--field", "laurent:T", "--cmd", "radii", "--op", "T"],
     ["--field", "gauss:p=5:vars=T", "--cmd", "radii", "--op", "T"],
     ["--field", "gauss:p=5:vars=x,T", "--cmd", "radii", "--op", "T"],
-    job_args("--op", "T + x^513"),
-    job_args("--op", "T + x^1000000000"),
-    job_args("--op", "T^1000000000"),
-    job_args("--op", "((x+1)^32)^32"),
-    job_args("--op", "T + (x+1)^512"),
+    op_args("T + x^513"),
+    op_args("T + x^1000000000"),
+    op_args("T^1000000000"),
+    op_args("((x+1)^32)^32"),
+    op_args("T + (x+1)^512"),
     ["--field", "laurent:z:p=5", "--cmd", "radii", "--op", "T"],
     ["--field", "laurent:", "--cmd", "radii", "--op", "T"],
     ["--field", "gauss:p=5:vars=1", "--cmd", "radii", "--op", "T"],
@@ -350,6 +369,10 @@ def test_main_bad_numbers_exit_as_json(capsys, args):
      "--mat", ";".join([",".join(["1/5"] * 13)] * 13)],
     ["--field", "gauss:p=5:vars=x,y", "--cmd", "multi-decompose",
      "--mat", ";".join(["0"] * 13), "--mat", "0"],
+    op_args("T + " + "(" * 200 + "x" + ")" * 200),
+    op_args("T + " + "-" * 1200 + "x"),
+    ["--field", "gauss:p=5:vars=x", "--cmd", "radii",
+     "--mat", ",".join(["x+1"] * 100000)],
 ], ids=["mat-sizes", "laurent-T", "gauss-T", "gauss-x-T", "exponent-513",
         "exponent-1e9", "operator-exponent-1e9", "nested-power-degree",
         "power-degree-512", "laurent-extra-part", "laurent-empty-var",
@@ -360,7 +383,8 @@ def test_main_bad_numbers_exit_as_json(capsys, args):
         "flag-precision-twice", "flag-out-twice", "literal-5000-digits",
         "dual-coefficient-height", "cap-N", "cap-N-fraction", "cap-d",
         "cap-max_iter", "cap-op-degree", "cap-mat-size",
-        "cap-mat-rows"])
+        "cap-mat-rows", "nested-200-parentheses", "nested-1200-signs",
+        "mat-row-100000-wide"])
 def test_main_bad_input_exits_as_json(capsys, argv):
     t0 = time.monotonic()
     assert main(argv) == 1
@@ -368,6 +392,20 @@ def test_main_bad_input_exits_as_json(capsys, argv):
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False
     assert report["error"]["code"] == "parse-error"
+
+
+def test_exit_codes_match_the_readme_table():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    table = {}
+    for line in readme.read_text().splitlines():
+        row = re.fullmatch(r"\| (\d) \| (.*) \|", line)
+        if row:
+            for code in re.findall(r"`([a-z-]+)`", row.group(2)):
+                table[code] = int(row.group(1))
+    declared = {cls.code: cls.exit_code for cls in vars(errors).values()
+                if isinstance(cls, type) and issubclass(cls, PadicDMError)}
+    assert len(declared) == 16
+    assert declared == table
 
 
 def test_main_not_expandable_exits_1(capsys):
@@ -437,6 +475,30 @@ def test_matrix_roundtrip(gauss5):
     m2 = parse_matrix(matrix_str(m), gauss5)
     assert all((a - b).is_zero() for ra, rb in zip(m, m2)
                for a, b in zip(ra, rb))
+
+
+def test_nesting_is_bounded(gauss5):
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_scalar(deepest, gauss5) == parse_scalar("x", gauss5)
+    assert parse_scalar("-" * MAX_NESTING + "x", gauss5) \
+        == parse_scalar("x", gauss5)
+    for text in ["(" + deepest + ")", "x + -" + "-+" * (MAX_NESTING // 2)
+                 + "x", "x * " + "(-" * MAX_NESTING + "x" + ")" * MAX_NESTING]:
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_operator(text, gauss5)
+    with pytest.raises(ParseError, match="nesting deeper") as err:
+        parse_matrix("1,0;0," + "(" * 100 + "1" + ")" * 100, gauss5)
+    assert err.value.position == MAX_NESTING
+
+
+def test_matrix_shape_is_checked_before_any_entry(monkeypatch, gauss5):
+    parsed = []
+    monkeypatch.setattr(grammar, "parse_scalar",
+                        lambda text, field: parsed.append(text))
+    for text in [",".join(["x+1"] * 20000), "1,0;0", "1;0"]:
+        with pytest.raises(ParseError, match="not square"):
+            parse_matrix(text, gauss5)
+    assert parsed == []
 
 
 def test_parse_errors_have_positions(gauss5):

@@ -1,6 +1,7 @@
 """Dead-definition guards: every function and class defined in the package
 is referred to somewhere in ``src/``, ``tests/`` or ``perfbench/``, every
-parameter of a package function is read in its body, and every
+annotated class field (a dataclass field) is read as an attribute there,
+every parameter of a package function is read in its body, and every
 module-level import of the package is used.
 
 A reference is a name, an attribute, an imported name, or a string
@@ -53,6 +54,29 @@ def test_every_definition_is_referenced():
             for path, tree in _trees("src/padic_dm")
             for name, line in _definitions(tree) if name not in used]
     assert not dead, "defined but never referenced:\n" + "\n".join(dead)
+
+
+def _fields(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)):
+                    yield node.name, stmt.target.id, stmt.lineno
+
+
+def test_every_field_is_read():
+    """A field that nothing reads is state the package builds for no one.
+    Reads are matched by attribute name alone, so a field sharing its name
+    with an attribute read elsewhere passes."""
+    read = {node.attr for _path, tree in _trees(*SEARCHED)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.relative_to(ROOT)}:{line} {cls}.{name}"
+              for path, tree in _trees("src/padic_dm")
+              for cls, name, line in _fields(tree) if name not in read]
+    assert not unread, "fields never read:\n" + "\n".join(unread)
 
 
 def _unread_parameters(tree):
