@@ -10,9 +10,9 @@ from .logval import INF, LogVal
 from .scalarfield import FieldSpec, Scalar
 from .precision import (ApproxDomain, ApproxScalar, ExactDomain, PrecisionCtx,
                         reduce_scalar)
-from .twisted import (NewtonPolygon, PiNormParams, TwistedPoly,
-                      check_condition_c, divmod_left, divmod_right, monicize,
-                      mul, mul_relation, newton_polygon, pi_norm)
+from .twisted import (NewtonPolygon, TwistedPoly, check_condition_c,
+                      divmod_left, divmod_right, monicize, mul, mul_relation,
+                      newton_polygon, pi_norm)
 from .diffmod import (DiffModule, ModuleMorphism, RadiusEstimate,
                       cyclic_data, direct_sum, dual, from_operator,
                       iterate_G, spectral_radius_bruteforce)
@@ -34,7 +34,7 @@ __all__ = [
     "IterationBudget", "LogVal", "ModuleMorphism", "MultiRadiusProfile",
     "NewtonPolygon", "NoGap", "NotExpandable", "NotMonic", "OutputError",
     "PadicDMError",
-    "ParseError", "PiNormParams", "PrecisionCtx",
+    "ParseError", "PrecisionCtx",
     "PrecisionLoss", "RadiusEstimate", "RadiusProfile", "RationalityReport",
     "Scalar", "SearchExhausted", "SlopeFactorization", "StabilityFailure",
     "TruncSeries", "TwistedPoly", "ZeroDegree", "ZeroPolynomial",

@@ -6,6 +6,10 @@ requested pipeline and print a JSON report.  Reports are deterministic
 encoding) apart from the timing field; decimal renderings are included for
 display only and are marked non-authoritative.
 
+This module alone owns the report schema: the library returns values, and
+the ``_*_payload`` functions below alone give them a JSON form, with the
+rule for the digits of a printed operator.
+
 Exit codes: 0 when every certificate passes; a report whose checks fail
 exits as a certificate failure (2), and a failure raised as an error
 exits with the ``exit_code`` its class declares in ``errors.py``.
@@ -16,18 +20,19 @@ from __future__ import annotations
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
 
 from .errors import CertificateFailure, OutputError, PadicDMError, ParseError
 from .diffmod import DiffModule, dual, from_operator, spectral_radius_bruteforce
-from .factorize import decompose, multi_decompose
+from .factorize import Decomposition, decompose, multi_decompose
 from .grammar import matrix_str, parse_matrix, parse_operator
 from .precision import ExactDomain, PrecisionCtx
-from .radii import (RadiusProfile, check_profile, check_rationality,
-                    profile)
+from .radii import (RadiusProfile, RationalityReport, check_profile,
+                    check_rationality, profile)
 from .scalarfield import FieldSpec
+from .twisted import TwistedPoly
 
 SCHEMA_VERSION = 1
 
@@ -50,6 +55,15 @@ MAX_D = 128
 # gains nothing, so the cap only bounds slow contractions: a gap of 1/2
 # needs 2N steps, 1000 at N = MAX_N.  Inputs use max_iter <= 100.
 MAX_ITER = 1000
+
+# Joint cap on N^2 * d^k for a field in k variables: precisions inside
+# each cap above can still run for minutes.  One variable costs about
+# N^2 * d: `decompose` on T^12 - (1/5)*T + x takes 1.6 s at N=100,d=48,
+# 20 s at N=200,d=128, over 70 s at N=500,d=128 and 2.0-2.7 s at this cap.
+# `multi-decompose` on a shear conjugate of the README module takes 7.5 s
+# at N=10,d=64 (the default d), 12.5 s at N=10,d=72 (this cap) and 55 s
+# at N=10,d=128 (one process, shared 2-core host).  Inputs reach 80^2 * 48.
+MAX_PRECISION_WORK = 2 ** 19
 
 # Cap on the module dimension (the --op degree, the size of each --mat).
 # The exact cyclic-vector solve and radius oracle grow steeply with it:
@@ -159,14 +173,17 @@ def parse_job(argv: list) -> JobSpec:
     if command == "multi-decompose" and op_text is None \
             and len(mat_texts) != field.nderiv:
         raise ParseError("multi-decompose needs one --mat per derivation")
+    precision = opts.get("--precision", DEFAULT_PRECISION)
+    if precision.N ** 2 * precision.d ** field.nderiv > MAX_PRECISION_WORK:
+        raise ParseError(f"precision N^2 * d^{field.nderiv} above "
+                         f"{MAX_PRECISION_WORK}")
     deriv = 0
     deriv_name = opts.get("--deriv")
     if deriv_name is not None:
         if deriv_name not in field.variables:
             raise ParseError(f"unknown derivation {deriv_name!r}")
         deriv = field.variables.index(deriv_name)
-    return JobSpec(field, command, op_text, mat_texts, deriv,
-                   opts.get("--precision", DEFAULT_PRECISION),
+    return JobSpec(field, command, op_text, mat_texts, deriv, precision,
                    opts.get("--out"))
 
 
@@ -191,11 +208,41 @@ def _build_module(job: JobSpec) -> DiffModule:
 
 
 def _profile_payload(prof: RadiusProfile, field) -> dict:
-    payload = prof.to_jsonable(field)
-    for entry in payload["entries"]:
-        entry["lv_decimal_display"] = float(Fraction(entry["lv"]))
-    payload["note"] = "lv strings are authoritative; decimals are display only"
+    payload = {
+        "entries": [{"lv": str(lv), "mult": m,
+                     "lv_decimal_display": float(lv.value)}
+                    for lv, m in prof.entries],
+        "dim": prof.dim, "derivation": field.variables[prof.deriv],
+        "note": "lv strings are authoritative; decimals are display only"}
+    if prof.boundary_clipped:
+        # some root norm equals the derivation norm exactly; its clip
+        # to the maximal radius is flagged per the visibility rule
+        payload["boundary_clipped"] = True
     return payload
+
+
+def _rationality_payload(rep: RationalityReport) -> dict:
+    return {"entries": [{"lv": str(lv), "mult": m, "status": s}
+                        for lv, m, s in rep.entries],
+            "ok": rep.ok, "advisory_ok": rep.advisory_ok}
+
+
+def _decomposition_payload(dec: Decomposition) -> dict:
+    """Approximate operators print their digits below ceil(N)."""
+    comps = []
+    for c in dec.components:
+        key = ([str(x) for x in c.key] if isinstance(c.key, tuple)
+               else str(c.key))
+        op = c.operator
+        if not op.domain.is_exact:
+            op = TwistedPoly(op.domain, op.deriv, [
+                q.truncate_err(op.domain.ctx.target_err) for q in op.coeffs])
+        comps.append({"key": key, "dim": c.dim, "exact": c.exact,
+                      "operator": str(op.lift_exact())})
+    cert = dec.certificate
+    return {"components": comps, "dim": dec.dim,
+            "certificate": {**asdict(cert), "ok": cert.ok,
+                            "residual_lv": [str(r) for r in cert.residual_lv]}}
 
 
 def run(job: JobSpec) -> tuple[dict, int]:
@@ -237,7 +284,7 @@ def _checked_profile(m: DiffModule, job: JobSpec, prof: RadiusProfile,
         "profile": _profile_payload(prof, field),
         "spectral_estimate": {"lv": str(est.lv), "spread": str(est.spread),
                               "window": list(est.window)},
-        "rationality": rep.to_jsonable(),
+        "rationality": _rationality_payload(rep),
     }, rep.ok
 
 
@@ -253,8 +300,8 @@ def _run_decompose(job: JobSpec) -> tuple[dict, bool]:
     rep = check_rationality(dec.profile, field)
     return {
         "profile": _profile_payload(dec.profile, field),
-        "decomposition": dec.to_jsonable(),
-        "rationality": rep.to_jsonable(),
+        "decomposition": _decomposition_payload(dec),
+        "rationality": _rationality_payload(rep),
     }, dec.certificate.ok and rep.ok
 
 
@@ -265,8 +312,8 @@ def _run_multi_decompose(job: JobSpec) -> tuple[dict, bool]:
     rationality = {}
     for pos, j in enumerate(m.derivations):
         rep = check_rationality(dec.profile.marginal(pos, j), field)
-        rationality[field.variables[j]] = rep.to_jsonable()
-    result = {"decomposition": dec.to_jsonable(),
+        rationality[field.variables[j]] = _rationality_payload(rep)
+    result = {"decomposition": _decomposition_payload(dec),
               "rationality": rationality}
     return result, dec.certificate.ok
 
@@ -292,7 +339,7 @@ def _run_verify(job: JobSpec) -> tuple[dict, bool]:
     dec = decompose(m, job.deriv, job.precision)
     result, ok = _checked_profile(m, job, dec.profile, 30)
     if len(dec.components) > 1:
-        result["decomposition"] = dec.to_jsonable()
+        result["decomposition"] = _decomposition_payload(dec)
     dprof = profile(dual(m), job.deriv, check=False)
     result["dual_profile_equal"] = dprof == dec.profile
     return result, ok and dec.certificate.ok and result["dual_profile_equal"]

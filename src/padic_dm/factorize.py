@@ -34,7 +34,7 @@ that are re-checked rather than trusted from the iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import islice, product
 
 from .errors import (CertificateFailure, FieldMismatch, IterationBudget, NoGap,
@@ -48,8 +48,7 @@ from .precision import ApproxDomain, PrecisionCtx, domain_of
 # profile is not called here: the benchmark tracer wraps it by this name
 from .radii import (MultiRadiusProfile, RadiusProfile, profile,
                     radii_from_polygon)
-from .twisted import (PiNormParams, TwistedPoly, divmod_left, divmod_right,
-                      mul, pi_norm)
+from .twisted import TwistedPoly, divmod_left, divmod_right, mul, pi_norm
 
 
 # -- split bookkeeping -----------------------------------------------------
@@ -101,13 +100,12 @@ def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
     from d0^-1 at relative lv e gains about min(gap, e) per step.
     """
     divide = divmod_right if right else divmod_left
-    params = PiNormParams(lv_t)
     target = LogVal(ctx.N)
     q = _init_low_factor(p, d_low)
     prev = zinv = None
     for step in range(ctx.max_iter + 1):
         cof, r = divide(p, q)
-        res = pi_norm(r, params)
+        res = pi_norm(r, lv_t)
         if res >= target:
             if any(c.err_lv < ctx.N for f in (cof, q) for c in f.coeffs):
                 raise PrecisionLoss("factor coefficient lost target precision")
@@ -236,7 +234,7 @@ class Certificate:
     purity_ok: bool = True
     profile_ok: bool = True
     direct_sum_ok: bool = True
-    residuals: tuple = ()
+    residual_lv: tuple = ()
     stability_ok: bool = True
     marginals_ok: bool = True
 
@@ -244,18 +242,6 @@ class Certificate:
     def ok(self) -> bool:
         return (self.dims_ok and self.purity_ok and self.profile_ok
                 and self.direct_sum_ok and self.stability_ok and self.marginals_ok)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "dims_ok": self.dims_ok,
-            "purity_ok": self.purity_ok,
-            "profile_ok": self.profile_ok,
-            "direct_sum_ok": self.direct_sum_ok,
-            "stability_ok": self.stability_ok,
-            "marginals_ok": self.marginals_ok,
-            "residual_lv": [str(r) for r in self.residuals],
-            "ok": self.ok,
-        }
 
 
 @dataclass(frozen=True)
@@ -267,24 +253,6 @@ class Decomposition:
     dim: int
     certificate: Certificate
     profile: RadiusProfile | MultiRadiusProfile
-
-    def to_jsonable(self) -> dict:
-        """Approximate operators print their digits below ceil(N)."""
-        comps = []
-        for c in self.components:
-            key = ([str(x) for x in c.key] if isinstance(c.key, tuple)
-                   else str(c.key))
-            op = c.operator
-            if not op.domain.is_exact:
-                op = TwistedPoly(op.domain, op.deriv, [
-                    q.truncate_err(op.domain.ctx.target_err) for q in op.coeffs])
-            comps.append({"key": key, "dim": c.dim, "exact": c.exact,
-                          "operator": str(op.lift_exact())})
-        return {
-            "components": comps,
-            "dim": self.dim,
-            "certificate": self.certificate.to_jsonable(),
-        }
 
 
 def _span_columns(poly_tail: TwistedPoly, n: int) -> list:
@@ -460,8 +428,8 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
     cert = Certificate(dims_ok, purity_ok, profile_ok, direct_sum_ok,
                        tuple(residuals), stability_ok)
     if not cert.ok:
-        raise CertificateFailure(f"decomposition certificate failed: "
-                                 f"{cert.to_jsonable()}")
+        raise CertificateFailure(
+            f"decomposition certificate failed: {asdict(cert)}")
     return Decomposition(tuple(comps), n, cert, prof)
 
 
@@ -492,7 +460,7 @@ def multi_decompose(m: DiffModule, ctx: PrecisionCtx) -> Decomposition:
     multi_prof = MultiRadiusProfile.from_dict(keys, m.dim)
     cert = Certificate(
         sum(keys.values()) == m.dim,
-        residuals=tuple(r for d in decs for r in d.certificate.residuals),
+        residual_lv=tuple(r for d in decs for r in d.certificate.residual_lv),
         marginals_ok=all(multi_prof.marginal(pos, d.profile.deriv) == d.profile
                          for pos, d in enumerate(decs)))
     if not cert.ok:

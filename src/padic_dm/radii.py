@@ -83,18 +83,6 @@ class RadiusProfile:
     def __hash__(self):
         return hash((self.entries, self.dim))
 
-    def to_jsonable(self, field) -> dict:
-        out = {
-            "entries": [{"lv": str(lv), "mult": m} for lv, m in self.entries],
-            "dim": self.dim,
-            "derivation": field.variables[self.deriv],
-        }
-        if self.boundary_clipped:
-            # some root norm equals the derivation norm exactly; its clip
-            # to the maximal radius is flagged per the visibility rule
-            out["boundary_clipped"] = True
-        return out
-
 
 @dataclass(frozen=True)
 class MultiRadiusProfile:
@@ -187,14 +175,6 @@ class RationalityReport:
     entries: tuple
     ok: bool
     advisory_ok: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "entries": [{"lv": str(lv), "mult": m, "status": s}
-                        for lv, m, s in self.entries],
-            "ok": self.ok,
-            "advisory_ok": self.advisory_ok,
-        }
 
 
 def check_rationality(prof: RadiusProfile, fld) -> RationalityReport:

@@ -26,11 +26,9 @@ class TruncSeries:
     order: int
 
     @staticmethod
-    def from_list(entries, order: int | None = None) -> "TruncSeries":
-        entries = list(entries)
-        if order is None:
-            order = len(entries) - 1
-        return TruncSeries(tuple(entries[:order + 1]), order)
+    def from_list(entries) -> "TruncSeries":
+        entries = tuple(entries)
+        return TruncSeries(entries, len(entries) - 1)
 
     def coeff(self, i: int):
         return self.coeffs[i]
@@ -118,12 +116,10 @@ def hadamard_radius(s: TruncSeries, window: tuple[int, int]) -> RadiusEstimate:
     return RadiusEstimate.of(samples, window)
 
 
-def dual_pairing(m: DiffModule, x: list, s: list, n: int,
-                 j: int | None = None) -> TruncSeries:
+def dual_pairing(m: DiffModule, x: list, s: list, n: int) -> TruncSeries:
     """The pairing series sum_i <s, x>_i X^i, <s, x>_i = s(T^i x / i!),
-    exactly to order n."""
-    if j is None:
-        (j,) = m.derivations
+    exactly to order n, for the one derivation the module carries."""
+    (j,) = m.derivations
     out = []
     w = list(x)
     fact = Fraction(1)

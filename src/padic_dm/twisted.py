@@ -255,30 +255,22 @@ def monicize(p: TwistedPoly) -> TwistedPoly:
 # -- norms -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PiNormParams:
-    """Geometric weight sequence pi(t) = (t^i), given as lv_t = -log_B t.
+def pi_norm(p: TwistedPoly, lv_t: LogVal) -> LogVal:
+    """lv of the weighted sup norm sup_i |i! q_i| / t^i, for the geometric
+    weight sequence pi(t) = (t^i) given as lv_t = -log_B t.
 
-    Valid whenever t <= r(K, d), i.e. lv_t >= lv_rK; general weight
-    sequences are only accepted through the condition-(C) predicate.
-    """
-
-    lv_t: LogVal
-
-
-def pi_norm(p: TwistedPoly, params: PiNormParams) -> LogVal:
-    """lv of the weighted sup norm sup_i |i! q_i| / t^i.
-
-    Returns +infinity for the zero polynomial.  Coefficients that vanish at
-    working precision contribute their error floor, so the result is always
-    a certified lower bound.
+    The weights are valid whenever t <= r(K, d), i.e. lv_t >= lv_rK;
+    general weight sequences are only accepted through the condition-(C)
+    predicate.  Returns +infinity for the zero polynomial.  Coefficients
+    that vanish at working precision contribute their error floor, so the
+    result is always a certified lower bound.
     """
     field = p.domain.field
     best = INF
     for i, c in enumerate(p.coeffs):
         if c.is_zero() and p.domain.is_exact:
             continue
-        term = field.lv_factorial(i) + c.val() - params.lv_t * i
+        term = field.lv_factorial(i) + c.val() - lv_t * i
         if term < best:
             best = term
     return best

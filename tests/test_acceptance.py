@@ -13,8 +13,8 @@ from itertools import islice
 import pytest
 
 from padic_dm import (DiffModule, ExactDomain, FieldSpec, IterationBudget,
-                      LogVal, NotExpandable, PiNormParams,
-                      PrecisionCtx, PrecisionLoss, TruncSeries, TwistedPoly,
+                      LogVal, NotExpandable, PrecisionCtx, PrecisionLoss,
+                      TruncSeries, TwistedPoly,
                       biduality_transform, check_rationality, decompose,
                       divmod_left, divmod_right, dual,
                       factor_by_radii, hadamard_radius, linalg as la, mul,
@@ -97,12 +97,11 @@ def test_criterion_2_norm_suite(field, note):
     weights = [lv_rk, lv_rk + Fraction(1, 4), lv_rk + Fraction(3, 4)]
     violations = 0
     for lv_t in weights:
-        params = PiNormParams(lv_t)
         for p, q in ring_corpus(field, npairs=200):
             if p.is_zero() or q.is_zero():
                 continue
-            if not pi_norm(mul(p, q), params) >= \
-                    pi_norm(p, params) + pi_norm(q, params):
+            if not pi_norm(mul(p, q), lv_t) >= \
+                    pi_norm(p, lv_t) + pi_norm(q, lv_t):
                 violations += 1
     # exhaustive weight-inequality grid for indices <= 20
     for lv_t in weights:
@@ -172,7 +171,7 @@ def test_criterion_4_decomposition_certificates(field, note):
             for i, f in enumerate(chain.factors[:-1]):
                 tail = chain.tails[i]
                 resid = prev - mul(f, tail)
-                lvres = pi_norm(resid, PiNormParams(_split_mid(chain.lvs, i)))
+                lvres = pi_norm(resid, _split_mid(chain.lvs, i))
                 if not lvres >= LogVal(10):
                     failures.append((idx, f"residual {lvres}"))
                 prev = tail
@@ -204,7 +203,7 @@ def test_criterion_4_decomposition_certificates(field, note):
         for i, f in enumerate(chain.factors[:-1]):
             tail = chain.tails[i]
             resid = prev - mul(f.lift_exact(), tail.lift_exact())
-            lvres = pi_norm(resid, PiNormParams(_split_mid(chain.lvs, i)))
+            lvres = pi_norm(resid, _split_mid(chain.lvs, i))
             if not lvres >= LogVal(10):
                 failures.append(("constructed", exact_checked,
                                  f"residual {lvres}"))

@@ -27,6 +27,23 @@ def op_args(op):
     return ["--field", "gauss:p=5:vars=x", "--cmd", "radii", "--op", op]
 
 
+# The README multi-decompose module diag(1/5, 0), diag(0, 1/5) conjugated by
+# the shears -2*x + y + 3 and x*y - y + 2, as the benchmark corpus builds
+# its criterion-8 variants: at N=10,d=128 it decomposes in about a minute.
+SHEARED_README_MATS = [
+    "-2/5*x^2*y + 1/5*x*y^2 - x*y - 1/5*y^2 - 4/5*x + 9/5*y - 13/5,"
+    "-2/5*x + 1/5*y - 7/5;"
+    "2/5*x^3*y^2 - 1/5*x^2*y^3 + 3/5*x^2*y^2 + 2/5*x*y^3 + 8/5*x^2*y"
+    " - 16/5*x*y^2 - 1/5*y^3 + 19/5*x*y + 11/5*y^2 + 8/5*x - 26/5*y + 26/5,"
+    "2/5*x^2*y - 1/5*x*y^2 + x*y + 1/5*y^2 + 4/5*x - 9/5*y + 14/5",
+    "2/5*x^2*y - 1/5*x*y^2 + 1/5*y^2 + 4/5*x - 4/5*y + 4/5,"
+    "2/5*x - 1/5*y + 2/5;"
+    "-2/5*x^3*y^2 + 1/5*x^2*y^3 + 2/5*x^2*y^2 - 2/5*x*y^3 - 8/5*x^2*y"
+    " + 6/5*x*y^2 + 1/5*y^3 + 1/5*x*y - 6/5*y^2 - 3/5*x + 11/5*y - 11/5,"
+    "-2/5*x^2*y + 1/5*x*y^2 - 1/5*y^2 - 4/5*x + 4/5*y - 3/5",
+]
+
+
 def test_parse_job_basic():
     job = parse_job(job_args())
     assert job.field.kind == "gauss" and job.field.p == 5
@@ -373,6 +390,11 @@ def test_main_bad_numbers_exit_as_json(capsys, args):
     op_args("T + " + "-" * 1200 + "x"),
     ["--field", "gauss:p=5:vars=x", "--cmd", "radii",
      "--mat", ",".join(["x+1"] * 100000)],
+    ["--field", "gauss:p=5:vars=x", "--cmd", "decompose",
+     "--op", "T^12 - (1/5)*T + x", "--precision", "N=500,d=128"],
+    ["--field", "gauss:p=5:vars=x,y", "--cmd", "multi-decompose",
+     "--mat", SHEARED_README_MATS[0], "--mat", SHEARED_README_MATS[1],
+     "--precision", "N=10,d=128"],
 ], ids=["mat-sizes", "laurent-T", "gauss-T", "gauss-x-T", "exponent-513",
         "exponent-1e9", "operator-exponent-1e9", "nested-power-degree",
         "power-degree-512", "laurent-extra-part", "laurent-empty-var",
@@ -384,7 +406,8 @@ def test_main_bad_numbers_exit_as_json(capsys, args):
         "dual-coefficient-height", "cap-N", "cap-N-fraction", "cap-d",
         "cap-max_iter", "cap-op-degree", "cap-mat-size",
         "cap-mat-rows", "nested-200-parentheses", "nested-1200-signs",
-        "mat-row-100000-wide"])
+        "mat-row-100000-wide", "joint-cap-univariate",
+        "joint-cap-bivariate"])
 def test_main_bad_input_exits_as_json(capsys, argv):
     t0 = time.monotonic()
     assert main(argv) == 1

@@ -8,7 +8,7 @@ import pytest
 
 from padic_dm import (ApproxDomain, CertificateFailure, DiffModule,
                       ExactDomain, FieldMismatch, IterationBudget, LogVal,
-                      MultiRadiusProfile, NoGap, PiNormParams, PrecisionCtx,
+                      MultiRadiusProfile, NoGap, PrecisionCtx,
                       SearchExhausted, StabilityFailure, TwistedPoly,
                       decompose, direct_sum, factor_by_radii, from_operator,
                       iterate_G, linalg as la, mul, multi_decompose,
@@ -31,7 +31,7 @@ def exact_residual_lv(p, q_high, q_low, lv_t):
     """Independent oracle: lift the factors and measure the residual of the
     exact twisted product in the weighted norm at the break."""
     diff = p - mul(q_high.lift_exact(), q_low.lift_exact())
-    return pi_norm(diff, PiNormParams(lv_t))
+    return pi_norm(diff, lv_t)
 
 
 def test_no_gap(gauss5):
@@ -491,11 +491,10 @@ def _fresh_hensel(p, d_low, lv_t, ctx, right):
     afresh at every step."""
     from padic_dm.factorize import _init_low_factor
     from padic_dm.twisted import divmod_left, divmod_right
-    params = PiNormParams(lv_t)
     q = _init_low_factor(p, d_low)
     for _ in range(ctx.max_iter + 1):
         cof, r = (divmod_right if right else divmod_left)(p, q)
-        res = pi_norm(r, params)
+        res = pi_norm(r, lv_t)
         if res >= LogVal(ctx.N):
             return cof, q, res
         zinv = cof.coeff(0).inverse()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from padic_dm import (ApproxDomain, ExactDomain, FieldMismatch, LogVal,
-                      NotMonic, PiNormParams, PrecisionCtx, TwistedPoly,
+                      NotMonic, PrecisionCtx, TwistedPoly,
                       ZeroPolynomial, check_condition_c, divmod_left,
                       divmod_right, monicize, mul, mul_relation,
                       newton_polygon, pi_norm)
@@ -147,23 +147,22 @@ def test_monicize(gauss5):
 def test_pi_norm_examples(gauss5):
     K = gauss5
     dom = ExactDomain(K)
-    params = PiNormParams(LogVal(Fraction(1, 4)))
-    assert pi_norm(TwistedPoly.zero(dom, 0), params).is_infinite
-    assert pi_norm(T(K), params) == LogVal(Fraction(-1, 4))
+    lv_t = LogVal(Fraction(1, 4))
+    assert pi_norm(TwistedPoly.zero(dom, 0), lv_t).is_infinite
+    assert pi_norm(T(K), lv_t) == LogVal(Fraction(-1, 4))
     c = K.var(0) / 5
-    assert pi_norm(TwistedPoly.constant(dom, 0, c), params) == c.val()
+    assert pi_norm(TwistedPoly.constant(dom, 0, c), lv_t) == c.val()
 
 
 def test_pi_norm_submultiplicative(gauss5):
     rng = random.Random(9)
-    for lv_t in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
-        params = PiNormParams(LogVal(lv_t))
+    for lv_t in map(LogVal, (Fraction(1, 4), Fraction(1, 2), Fraction(1))):
         for _ in range(25):
             p = random_twisted(gauss5, rng, max_deg=4, height=6)
             q = random_twisted(gauss5, rng, max_deg=4, height=6)
             if p.is_zero() or q.is_zero():
                 continue
-            assert pi_norm(mul(p, q), params) >= pi_norm(p, params) + pi_norm(q, params)
+            assert pi_norm(mul(p, q), lv_t) >= pi_norm(p, lv_t) + pi_norm(q, lv_t)
 
 
 def test_weight_inequality_grid(gauss5):
