@@ -210,7 +210,7 @@ def _build_module(job: JobSpec) -> DiffModule:
 def _profile_payload(prof: RadiusProfile, field) -> dict:
     payload = {
         "entries": [{"lv": str(lv), "mult": m,
-                     "lv_decimal_display": float(lv.value)}
+                     "lv_decimal_display": float(lv)}
                     for lv, m in prof.entries],
         "dim": prof.dim, "derivation": field.variables[prof.deriv],
         "note": "lv strings are authoritative; decimals are display only"}

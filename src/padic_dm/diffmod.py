@@ -401,8 +401,8 @@ class RadiusEstimate:
     @staticmethod
     def of(samples: list, window: tuple[int, int]) -> "RadiusEstimate":
         """The largest of the per-step estimates, with their spread."""
-        vals = [e.value for e in samples]
-        return RadiusEstimate(max(samples), max(vals) - min(vals), window)
+        return RadiusEstimate(max(samples), max(samples) - min(samples),
+                              window)
 
 
 def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstimate:
@@ -449,7 +449,7 @@ def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstima
             return min((e.val() for row in h for e in row), default=INF)
     else:
         lv_delta = field.poly_val(delta)
-        edge = int(kmax * (lv_delta + dsp.value))
+        edge = int(kmax * (lv_delta + dsp))
         if edge <= 0:
             return RadiusEstimate.of([lv_omega - dsp], (lo, kmax))
         hs = steps(lambda a: field.pi_trunc(a, edge))
@@ -461,7 +461,5 @@ def spectral_radius_bruteforce(m: DiffModule, j: int, kmax: int) -> RadiusEstima
     for k, h in enumerate(islice(hs, kmax + 1)):
         if k < lo:
             continue
-        vk = size(h, k)
-        ratio = vk / k if not vk.is_infinite else INF
-        per_step.append(lv_omega - min(dsp, ratio))
+        per_step.append(lv_omega - min(dsp, size(h, k) / k))
     return RadiusEstimate.of(per_step, (lo, kmax))

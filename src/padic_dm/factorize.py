@@ -71,8 +71,8 @@ def _working_domain(p: TwistedPoly, ctx: PrecisionCtx) -> ApproxDomain:
     span = 0
     for c in p.coeffs:
         v = c.val()
-        if not v.is_infinite and v.value < 0:
-            span = max(span, math.ceil(-v.value))
+        if v < 0:
+            span = max(span, math.ceil(-v))
     # a degree-5 split with span 13 misses N at 2 * span (pinned in
     # test_working_precision_reaches_the_target)
     err = ctx.working_err(extra=3 * span)
@@ -100,13 +100,12 @@ def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
     from d0^-1 at relative lv e gains about min(gap, e) per step.
     """
     divide = divmod_right if right else divmod_left
-    target = LogVal(ctx.N)
     q = _init_low_factor(p, d_low)
     prev = zinv = None
     for step in range(ctx.max_iter + 1):
         cof, r = divide(p, q)
         res = pi_norm(r, lv_t)
-        if res >= target:
+        if res >= ctx.N:
             if any(c.err_lv < ctx.N for f in (cof, q) for c in f.coeffs):
                 raise PrecisionLoss("factor coefficient lost target precision")
             return cof, q, res
@@ -250,9 +249,12 @@ class Decomposition:
     the split cyclic operator, or of the keys over several derivations."""
 
     components: tuple
-    dim: int
     certificate: Certificate
     profile: RadiusProfile | MultiRadiusProfile
+
+    @property
+    def dim(self) -> int:
+        return self.profile.dim
 
 
 def _span_columns(poly_tail: TwistedPoly, n: int) -> list:
@@ -341,7 +343,7 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
     if j not in m.derivations:
         raise FieldMismatch(f"module carries no structure for derivation {j}")
     if m.dim == 0:
-        return Decomposition((), 0, Certificate(),
+        return Decomposition((), Certificate(),
                              RadiusProfile.from_dict({}, 0, j))
     failures = []
     for p, cbasis in islice(cyclic_presentations(m, j), 6):
@@ -365,7 +367,7 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
     if len(lvs) == 1:
         dom = m.domain
         comp = Component(lvs[0], m, la.identity(dom, m.dim), p)
-        return Decomposition((comp,), m.dim, Certificate(), prof)
+        return Decomposition((comp,), Certificate(), prof)
     mults = [prof.multiplicity(lv) for lv in lvs]
     n, k = m.dim, len(lvs)
 
@@ -409,7 +411,7 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
         cmod = from_operator(f)
         est = spectral_radius_bruteforce(cmod, j, kmax=10)
         tol = est.spread + 1
-        if abs(est.lv.value - lvs[c].value) > tol:
+        if abs(est.lv - lvs[c]) > tol:
             purity_ok = False
         embedding = la.mat_mul(camb, la.from_columns(spans[c]))
         comps.append(Component(lvs[c], cmod, embedding, f))
@@ -430,7 +432,7 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
     if not cert.ok:
         raise CertificateFailure(
             f"decomposition certificate failed: {asdict(cert)}")
-    return Decomposition(tuple(comps), n, cert, prof)
+    return Decomposition(tuple(comps), cert, prof)
 
 
 # -- multi-derivation decomposition ------------------------------------------
@@ -450,7 +452,7 @@ def multi_decompose(m: DiffModule, ctx: PrecisionCtx) -> Decomposition:
     if not m.derivations:
         raise FieldMismatch("module carries no derivation to decompose by")
     if m.dim == 0:
-        return Decomposition((), 0, Certificate(),
+        return Decomposition((), Certificate(),
                              MultiRadiusProfile.from_dict({}, 0))
     decs = [decompose(m, j, ctx) for j in m.derivations]
     comps = _multi_rec(m, decs, ctx)
@@ -465,7 +467,7 @@ def multi_decompose(m: DiffModule, ctx: PrecisionCtx) -> Decomposition:
                          for pos, d in enumerate(decs)))
     if not cert.ok:
         raise CertificateFailure("multi-decomposition certificate failed")
-    return Decomposition(tuple(comps), m.dim, cert, multi_prof)
+    return Decomposition(tuple(comps), cert, multi_prof)
 
 
 def _multi_rec(m: DiffModule, decs: list, ctx: PrecisionCtx) -> list:

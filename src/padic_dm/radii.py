@@ -118,7 +118,6 @@ def radii_from_polygon(p: TwistedPoly) -> RadiusProfile:
     if poly.at_zero:
         out[lv_rk] = out.get(lv_rk, 0) + poly.at_zero
     for s, length in poly.slopes:
-        s = LogVal(s)
         if s < lv_dsp:
             lv = lv_omega - s
         else:
@@ -154,9 +153,9 @@ def check_profile(prof: RadiusProfile, est, fld) -> None:
     """
     if not prof.entries:
         return
-    tol = est.spread + Fraction(1, 2) + fld.lv_omega.value
+    tol = est.spread + Fraction(1, 2) + fld.lv_omega
     got = prof.max_lv()
-    if abs(got.value - est.lv.value) > tol:
+    if abs(got - est.lv) > tol:
         raise CertificateFailure(
             f"polygon radius {got} disagrees with brute-force {est.lv} "
             f"(spread {est.spread})")
@@ -186,7 +185,7 @@ def check_rationality(prof: RadiusProfile, fld) -> RationalityReport:
         if lv == lv_rk:
             rows.append((lv, mult, "skipped-boundary"))
             continue
-        fine = (lv - lv_omega).value * mult
+        fine = (lv - lv_omega) * mult
         if fine.denominator == 1:
             rows.append((lv, mult, "pass"))
         else:

@@ -12,9 +12,10 @@ Two computable field models are provided:
 A ``Scalar`` is a reduced fraction of polynomials over Z.  All arithmetic is
 exact, and skips the work the operands' shape makes dead: zero operands,
 shared denominators (see ``Scalar``) and single-term gcds (``polys.p_gcd``).
-Absolute values appear only through ``LogVal`` (lv(x) = -log_B |x|, so lv
-is the valuation itself under the normalizations above).  Values are
-immutable and every operation is a pure function.
+Absolute values appear only through lvs: lv(x) = -log_B |x| is a
+``Fraction`` (``LogVal``), the valuation itself under the normalizations
+above, and lv(0) is the sentinel ``INF``.  Values are immutable and every
+operation is a pure function.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class FieldSpec:
     @property
     def lv_omega(self) -> LogVal:
         if self.kind == GAUSS:
-            return LogVal(Fraction(1, self.p - 1))
+            return LogVal(1, self.p - 1)
         return LogVal(0)
 
     def lv_dsp(self, j: int = 0) -> LogVal:
@@ -123,7 +124,7 @@ class FieldSpec:
         while n:
             s += n % p
             n //= p
-        return LogVal(Fraction(i - s, p - 1))
+        return LogVal(i - s, p - 1)
 
     def poly_val(self, a: P.Poly) -> int:
         """lv of a nonzero int polynomial: the p-adic valuation of its

@@ -23,12 +23,14 @@ class TruncSeries:
     """Coefficients a_0..a_N of a power series, exact up to order N."""
 
     coeffs: tuple
-    order: int
 
     @staticmethod
     def from_list(entries) -> "TruncSeries":
-        entries = tuple(entries)
-        return TruncSeries(entries, len(entries) - 1)
+        return TruncSeries(tuple(entries))
+
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
     def coeff(self, i: int):
         return self.coeffs[i]
@@ -36,20 +38,20 @@ class TruncSeries:
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         n = min(self.order, other.order)
         return TruncSeries(tuple(a + b for a, b in
-                                 zip(self.coeffs[:n + 1], other.coeffs[:n + 1])), n)
+                                 zip(self.coeffs[:n + 1], other.coeffs[:n + 1])))
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         n = min(self.order, other.order)
         return TruncSeries(tuple(dot(self.coeffs[:i + 1], other.coeffs[i::-1])
-                                 for i in range(n + 1)), n)
+                                 for i in range(n + 1)))
 
     def derive_x(self) -> "TruncSeries":
         """Formal d/dX: order drops by one."""
         return TruncSeries(tuple(self.coeffs[i + 1] * (i + 1)
-                                 for i in range(self.order)), self.order - 1)
+                                 for i in range(self.order)))
 
     def truncate(self, order: int) -> "TruncSeries":
-        return TruncSeries(self.coeffs[:order + 1], min(self.order, order))
+        return TruncSeries(self.coeffs[:order + 1])
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -73,7 +75,7 @@ def taylor_map(c: Scalar, j: int, n: int) -> TruncSeries:
     for i in range(1, n + 1):
         cur = cur.derive(j) / i
         out.append(cur)
-    return TruncSeries(tuple(out), n)
+    return TruncSeries(tuple(out))
 
 
 def solution_matrix(m: DiffModule, j: int, n: int) -> list:
@@ -92,7 +94,7 @@ def solution_matrix(m: DiffModule, j: int, n: int) -> list:
         for a in range(m.dim):
             for b in range(m.dim):
                 entries[a][b].append(g[a][b] * inv)
-    return [[TruncSeries(tuple(e), n) for e in row] for row in entries]
+    return [[TruncSeries(tuple(e)) for e in row] for row in entries]
 
 
 def hadamard_radius(s: TruncSeries, window: tuple[int, int]) -> RadiusEstimate:
@@ -128,7 +130,7 @@ def dual_pairing(m: DiffModule, x: list, s: list, n: int) -> TruncSeries:
             w = m.apply_T(j, w)
             fact *= i
         out.append(dot(s, w) / fact)
-    return TruncSeries(tuple(out), n)
+    return TruncSeries(tuple(out))
 
 
 def biduality_transform(v: TruncSeries, j: int, n: int) -> TruncSeries:
@@ -150,4 +152,4 @@ def biduality_transform(v: TruncSeries, j: int, n: int) -> TruncSeries:
                 term = -term
             acc = term if acc is None else acc + term
         out.append(acc)
-    return TruncSeries(tuple(out), n)
+    return TruncSeries(tuple(out))

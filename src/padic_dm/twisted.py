@@ -268,8 +268,6 @@ def pi_norm(p: TwistedPoly, lv_t: LogVal) -> LogVal:
     field = p.domain.field
     best = INF
     for i, c in enumerate(p.coeffs):
-        if c.is_zero() and p.domain.is_exact:
-            continue
         term = field.lv_factorial(i) + c.val() - lv_t * i
         if term < best:
             best = term
@@ -317,7 +315,7 @@ def newton_polygon(p: TwistedPoly) -> NewtonPolygon:
     for i, c in enumerate(p.coeffs):
         if c.is_zero():
             continue
-        pts.append((i, c.val().value))
+        pts.append((i, c.val()))
     # monic: the point (degree, 0) is present
     at_zero = pts[0][0]
     hull = _lower_hull(pts)

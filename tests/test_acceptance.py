@@ -125,7 +125,7 @@ def test_criterion_3_radius_oracle(field, note):
             bad.append(("profile", expected, dict(prof.entries)))
             continue
         est = spectral_radius_bruteforce(m, 0, kmax=60)
-        if abs(prof.max_lv().value - est.lv.value) > est.spread:
+        if abs(prof.max_lv() - est.lv) > est.spread:
             bad.append(("oracle", str(prof.max_lv()), str(est.lv),
                         str(est.spread)))
         _collected_profiles.append((field, prof))
@@ -252,7 +252,7 @@ def test_criterion_7_transfer():
         y = solution_matrix(m, 0, 40)
         est = hadamard_radius(y[0][0], (20, 40))
         expected = K.lv_omega - min(c.val(), K.lv_dsp(0))
-        if abs(est.lv.value - expected.value) > Fraction(1, 20):
+        if abs(est.lv - expected) > Fraction(1, 20):
             bad.append((k, str(est.lv), str(expected)))
     report("7", "Dwork transfer for [p^k], k=-3..0, window end 40",
            not bad, f" {bad}")

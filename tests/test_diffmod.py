@@ -179,4 +179,4 @@ def test_dual_brute_force_agreement(gauss5):
         e1 = spectral_radius_bruteforce(m, 0, 24)
         e2 = spectral_radius_bruteforce(dual(m), 0, 24)
         tol = e1.spread + e2.spread + Fraction(1, 4)
-        assert abs(e1.lv.value - e2.lv.value) <= tol
+        assert abs(e1.lv - e2.lv) <= tol

@@ -67,10 +67,9 @@ def window_estimate(field, j, sizes):
     for k, vk in enumerate(sizes):
         if k < lo:
             continue
-        ratio = INF if vk.is_infinite else vk / k
-        per_step.append(field.lv_omega - min(field.lv_dsp(j), ratio))
-    values = [e.value for e in per_step]
-    return RadiusEstimate(max(per_step), max(values) - min(values), (lo, kmax))
+        per_step.append(field.lv_omega - min(field.lv_dsp(j), vk / k))
+    return RadiusEstimate(max(per_step), max(per_step) - min(per_step),
+                          (lo, kmax))
 
 
 def reference_estimate(field, j, gs):
@@ -231,7 +230,7 @@ def test_each_bound_reads_its_last_digit(name):
     m = DiffModule(ExactDomain(field), 2, [parse_matrix(text, field)])
     kmax, lv = 24, numerator_lv(field)
     delta, steps = action_numerators(m, 0)
-    edge = kmax * (lv(delta) + field.lv_dsp(0).value)
+    edge = kmax * (lv(delta) + field.lv_dsp(0))
     h = next(islice(steps(), kmax, None))
     assert min(lv(e) for row in h for e in row if e) == edge - 1
     est = spectral_radius_bruteforce(m, 0, kmax)

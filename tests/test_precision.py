@@ -380,7 +380,7 @@ def _full_cap_inverse(u):
     the full degree cap d (Gauss digits mod p^(err_lv - v); exact Laurent
     rational digits, multiplied by ``schoolbook``)."""
     f, ctx = u.field, u.ctx
-    v = int(u.val().value)
+    v = int(u.val())
     mono0 = (0,) * f.nvars
     if f.kind == "gauss":
         mod, digits = f.p ** (u.err_lv - v), u.coeffs

@@ -21,12 +21,6 @@ rationals = st.fractions(min_value=-100, max_value=100,
 logvals = st.one_of(st.just(INF), rationals.map(LogVal))
 
 
-@given(rationals, rationals)
-@settings(max_examples=80, deadline=None)
-def test_logval_addition_matches_fraction(a, b):
-    assert (LogVal(a) + LogVal(b)).value == a + b
-
-
 @given(logvals, logvals)
 @settings(max_examples=80, deadline=None)
 def test_logval_order_total(a, b):

@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from padic_dm import (FieldSpec, LogVal, INF, FieldMismatch, polys as P,
-                      taylor_map)
+from padic_dm import (FieldSpec, LogVal, INF, ApproxDomain, FieldMismatch,
+                      PrecisionCtx, TwistedPoly, cyclic_data,
+                      decompose, pi_norm, polys as P, profile,
+                      spectral_radius_bruteforce, taylor_map)
 
-from conftest import random_scalar
+from conftest import block_module, random_scalar
 
 
 def test_val_examples(gauss5):
@@ -132,11 +134,47 @@ def test_prime_validation():
 def test_logval_arithmetic():
     a, b = LogVal(Fraction(1, 2)), LogVal(3)
     assert a + b == LogVal(Fraction(7, 2))
-    assert (a + INF).is_infinite
-    assert min(a, INF) == a
-    assert INF > b
-    with pytest.raises(ValueError):
-        _ = a - INF
+    assert INF + a is INF and a + INF is INF
+    assert INF / 3 is INF and INF - a is INF
+    for bad in (lambda: a - INF, lambda: INF - INF, lambda: -INF):
+        with pytest.raises(ValueError):
+            bad()
+    assert a < INF and INF > a and not INF < a and not a > INF
+    assert a <= INF and INF >= a and not INF <= a and not a >= INF
+    assert 3 < INF and INF > 3
+    assert min(a, INF) == a and min(INF, a) == a
+    assert INF == INF and INF != a and a != INF
+    assert str(INF) == "inf"
+    assert {INF: 1}[INF] == 1
+
+
+@pytest.mark.parametrize("field, ks", [(FieldSpec.gauss(5), [-1, 0]),
+                                       (FieldSpec.laurent(), [-3, 0])],
+                         ids=["gauss", "laurent"])
+def test_every_lv_is_exact(field, ks):
+    # an int lv would turn k-th roots (lv / k) into floats
+    def exact(v):
+        return v is INF or type(v) is Fraction
+
+    ctx = PrecisionCtx(Fraction(10), d=48, max_iter=80)
+    adom = ApproxDomain(field, ctx, 10)
+    m, _ = block_module(field, random.Random(3), ks)
+    ma = m.map_domain(adom)
+    p, _ = cyclic_data(m, 0)
+    lv_t = field.lv_rK(0)
+    lvs = [x.val() for x in (field.zero(), field.one(), field.var(0) / 7)]
+    lvs += [x.val() for x in (adom.zero(), adom.one(), adom.variable(0))]
+    lvs += [pi_norm(q, lv_t) for q in
+            (p, p.map_domain(adom), TwistedPoly.zero(adom, 0))]
+    for est in (spectral_radius_bruteforce(m, 0, 8),
+                spectral_radius_bruteforce(ma, 0, 8)):
+        lvs += [est.lv, est.spread]
+    lvs += [lv for lv, _ in profile(m, 0).entries]
+    dec = decompose(m, 0, ctx)
+    assert len(dec.components) == 2
+    lvs += list(dec.certificate.residual_lv)
+    assert all(exact(v) for v in lvs), [type(v) for v in lvs]
+    assert field.zero().val() is INF and lvs[3] == Fraction(10)
 
 
 PI_FIELDS = (FieldSpec.gauss(5, ("x",)), FieldSpec.gauss(3, ("x", "y")),
