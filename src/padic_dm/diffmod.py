@@ -307,8 +307,9 @@ def direct_sum(m1: DiffModule, m2: DiffModule) -> DiffModule:
 
 
 def _candidate_schedule(m: DiffModule, j: int):
-    """Documented search order: basis vectors, variable staircases, then a
-    fixed budget of seeded low-height combinations."""
+    """Documented search order: basis vectors, variable staircases, a
+    fixed budget of seeded low-height combinations, then one spaced
+    staircase."""
     dom, n = m.domain, m.dim
     one, zero = dom.one(), dom.zero()
     for i in range(n):
@@ -331,6 +332,15 @@ def _candidate_schedule(m: DiffModule, j: int):
             a, b = rng.randint(-3, 3), rng.randint(-2, 2)
             vec.append(dom.coerce(a) + w * dom.coerce(b))
         yield vec
+    # (x^(n*i))_i: a constant nilpotent part can cancel the staircase and
+    # every degree-1 candidate above
+    wn = one
+    for _ in range(n):
+        wn = wn * w
+    vec = [one]
+    for _ in range(n - 1):
+        vec.append(vec[-1] * wn)
+    yield vec
 
 
 def cyclic_presentations(m: DiffModule, j: int):

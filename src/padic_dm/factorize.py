@@ -27,8 +27,10 @@ high-radius submodules; left splits yield the decreasing filtration by
 low-radius submodules; components are the intersections.  All factor
 arithmetic runs over truncated scalars with explicit error tracking, and
 every returned decomposition carries certificates (dimension count,
-purity, profile conservation, invertibility of the stacked embeddings)
-that are re-checked rather than trusted from the iteration.
+purity, profile conservation, invertibility of the stacked embeddings,
+stability of each span under the derivations and, for several
+derivations, the marginals of the keys) that are re-checked rather than
+trusted from the iteration.
 """
 
 from __future__ import annotations
@@ -181,11 +183,11 @@ def reduce_operator(p: TwistedPoly, ctx: PrecisionCtx) -> TwistedPoly:
 
 def factor_by_radii(p: TwistedPoly, ctx: PrecisionCtx) -> SlopeFactorization:
     """Right-split chain: P ~ F_1 * F_2 * ... * F_k, descending radii lv."""
-    lvs = sorted(radii_from_polygon(p).as_dict(), reverse=True)
+    lvs = radii_from_polygon(p).support[::-1]
     return _right_chain(reduce_operator(p, ctx), lvs, ctx)
 
 
-def _right_chain(p: TwistedPoly, lvs: list,
+def _right_chain(p: TwistedPoly, lvs: tuple,
                  ctx: PrecisionCtx) -> SlopeFactorization:
     """Pure factors for the descending lvs, split off on the left in turn.
 
@@ -200,7 +202,7 @@ def _right_chain(p: TwistedPoly, lvs: list,
         residuals.append(res)
         tails.append(rest)
     factors.append(rest)
-    return SlopeFactorization(tuple(factors), tuple(lvs), tuple(residuals),
+    return SlopeFactorization(tuple(factors), lvs, tuple(residuals),
                               tuple(tails))
 
 
@@ -344,7 +346,7 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
         raise FieldMismatch(f"module carries no structure for derivation {j}")
     if m.dim == 0:
         return Decomposition((), Certificate(),
-                             RadiusProfile.from_dict({}, 0, j))
+                             RadiusProfile.of((), 0, j))
     failures = []
     for p, cbasis in islice(cyclic_presentations(m, j), 6):
         try:
@@ -363,12 +365,12 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
 def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
                            p: TwistedPoly, cbasis: la.Matrix) -> Decomposition:
     prof = radii_from_polygon(p)
-    lvs = sorted(prof.as_dict(), reverse=True)
+    lvs = prof.support[::-1]
     if len(lvs) == 1:
         dom = m.domain
         comp = Component(lvs[0], m, la.identity(dom, m.dim), p)
         return Decomposition((comp,), Certificate(), prof)
-    mults = [prof.multiplicity(lv) for lv in lvs]
+    mults = [mult for _lv, mult in reversed(prof.entries)]
     n, k = m.dim, len(lvs)
 
     pa = reduce_operator(p, ctx)
@@ -398,7 +400,7 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
     # certificates -----------------------------------------------------
     dims_ok = sum(mults) == n
     purity_ok = True
-    recomposed: dict = {}
+    recomposed = []
     comps = []
     camb = [[adom.coerce(e) for e in row] for row in cbasis]
     for c in range(k):
@@ -406,8 +408,7 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
         fprof = radii_from_polygon(f)
         if fprof.support != (lvs[c],):
             purity_ok = False
-        for lv, mult in fprof.entries:
-            recomposed[lv] = recomposed.get(lv, 0) + mult
+        recomposed += fprof.entries
         cmod = from_operator(f)
         est = spectral_radius_bruteforce(cmod, j, kmax=10)
         tol = est.spread + 1
@@ -415,7 +416,7 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
             purity_ok = False
         embedding = la.mat_mul(camb, la.from_columns(spans[c]))
         comps.append(Component(lvs[c], cmod, embedding, f))
-    profile_ok = recomposed == prof.as_dict()
+    profile_ok = RadiusProfile.of(recomposed, n, j) == prof
     stacked = la.from_columns([col for cols in spans for col in cols])
     direct_sum_ok = la.is_invertible(stacked, adom)
     # each span must be a submodule of the cyclic presentation K<T>/K<T>pa
@@ -453,15 +454,12 @@ def multi_decompose(m: DiffModule, ctx: PrecisionCtx) -> Decomposition:
         raise FieldMismatch("module carries no derivation to decompose by")
     if m.dim == 0:
         return Decomposition((), Certificate(),
-                             MultiRadiusProfile.from_dict({}, 0))
+                             MultiRadiusProfile.of((), 0))
     decs = [decompose(m, j, ctx) for j in m.derivations]
     comps = _multi_rec(m, decs, ctx)
-    keys: dict = {}
-    for c in comps:
-        keys[c.key] = keys.get(c.key, 0) + c.dim
-    multi_prof = MultiRadiusProfile.from_dict(keys, m.dim)
+    multi_prof = MultiRadiusProfile.of(((c.key, c.dim) for c in comps), m.dim)
     cert = Certificate(
-        sum(keys.values()) == m.dim,
+        sum(c.dim for c in comps) == m.dim,
         residual_lv=tuple(r for d in decs for r in d.certificate.residual_lv),
         marginals_ok=all(multi_prof.marginal(pos, d.profile.deriv) == d.profile
                          for pos, d in enumerate(decs)))

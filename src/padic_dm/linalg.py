@@ -50,12 +50,8 @@ def mat_equal(a: Matrix, b: Matrix) -> bool:
     return all((x - y).is_zero() for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
-def columns(a: Matrix) -> list:
-    return [list(col) for col in zip(*a)]
-
-
-def from_columns(cols: list) -> Matrix:
-    return [list(row) for row in zip(*cols)]
+# a list of columns is the transposed row list
+columns = from_columns = transpose
 
 
 def _pivot_row(rows: Matrix, col: int, start: int) -> int | None:

@@ -147,10 +147,9 @@ class ApproxScalar:
         other = self.field.scalar(other)   # FieldMismatch for another field
         # an exact c reduced at err_lv + max(0, v(c) - shift) makes x + c
         # and x * c keep err_lv and v(c) + err_lv: nothing is lost
-        f = self.field
         v = 0
-        if f.kind == GAUSS and other.num:
-            v = f.poly_val(other.num) - f.poly_val(other.den)
+        if self.field.kind == GAUSS and other.num:
+            v = int(other.val())
         return reduce_scalar(other, self.ctx,
                              err_target=self.err_lv + max(0, v - self.shift))
 

@@ -11,7 +11,8 @@ rationality of interior radii is verified by an advisory report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CertificateFailure, ZeroDegree
@@ -26,9 +27,20 @@ from .twisted import TwistedPoly, newton_polygon
 CHECK_KMAX = 20
 
 
+def _tally(pairs) -> tuple:
+    """((key, mult), ...) ascending by key: the multiplicities of repeated
+    keys summed, zero totals dropped."""
+    counts = Counter()
+    for key, mult in pairs:
+        counts[key] += mult
+    return tuple(sorted(((k, m) for k, m in counts.items() if m),
+                        key=lambda kv: kv[0]))
+
+
 @dataclass(frozen=True)
 class RadiusProfile:
-    """Finite multiset of log-radii with multiplicities.
+    """Finite multiset of log-radii with multiplicities, built by ``of``
+    from (lv, mult) pairs.
 
     Invariants: multiplicities sum to ``dim``; every lv lies at or above
     lv_rK of the derivation; support size is at most ``dim``.
@@ -37,29 +49,23 @@ class RadiusProfile:
     profile was read from lies exactly at lv_dsp.  Clipped slopes are not
     invariants of the module, so the flag can depend on the cyclic vector
     (``profile`` reads the first candidate, ``Decomposition.profile`` the
-    one that was split); equality of profiles ignores it.
+    one that was split).  Equality and hashing read only ``entries`` and
+    ``dim``.
     """
 
     entries: tuple          # ((LogVal, int), ...) sorted ascending by lv
     dim: int
-    deriv: int
-    boundary_clipped: bool = False
+    deriv: int = field(compare=False)
+    boundary_clipped: bool = field(default=False, compare=False)
 
     @staticmethod
-    def from_dict(d: dict, dim: int, deriv: int,
-                  boundary_clipped: bool = False) -> "RadiusProfile":
-        items = tuple(sorted(d.items(), key=lambda kv: kv[0]))
-        return RadiusProfile(items, dim, deriv, boundary_clipped)
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
+    def of(pairs, dim: int, deriv: int,
+           boundary_clipped: bool = False) -> "RadiusProfile":
+        return RadiusProfile(_tally(pairs), dim, deriv, boundary_clipped)
 
     @property
     def support(self) -> tuple:
         return tuple(lv for lv, _ in self.entries)
-
-    def multiplicity(self, lv: LogVal) -> int:
-        return self.as_dict().get(lv, 0)
 
     def max_lv(self) -> LogVal:
         if not self.entries:
@@ -69,19 +75,9 @@ class RadiusProfile:
     def union(self, other: "RadiusProfile") -> "RadiusProfile":
         if self.deriv != other.deriv:
             raise ValueError("profiles for different derivations")
-        d = self.as_dict()
-        for lv, m in other.entries:
-            d[lv] = d.get(lv, 0) + m
-        return RadiusProfile.from_dict(d, self.dim + other.dim, self.deriv,
-                                       self.boundary_clipped or other.boundary_clipped)
-
-    def __eq__(self, other):
-        if not isinstance(other, RadiusProfile):
-            return NotImplemented
-        return self.entries == other.entries and self.dim == other.dim
-
-    def __hash__(self):
-        return hash((self.entries, self.dim))
+        return RadiusProfile.of(self.entries + other.entries,
+                                self.dim + other.dim, self.deriv,
+                                self.boundary_clipped or other.boundary_clipped)
 
 
 @dataclass(frozen=True)
@@ -92,16 +88,13 @@ class MultiRadiusProfile:
     dim: int
 
     @staticmethod
-    def from_dict(d: dict, dim: int) -> "MultiRadiusProfile":
-        items = tuple(sorted(d.items(), key=lambda kv: kv[0]))
-        return MultiRadiusProfile(items, dim)
+    def of(pairs, dim: int) -> "MultiRadiusProfile":
+        return MultiRadiusProfile(_tally(pairs), dim)
 
     def marginal(self, pos: int, deriv: int) -> RadiusProfile:
         """Sum multiplicities over all but one key coordinate."""
-        out: dict = {}
-        for key, m in self.entries:
-            out[key[pos]] = out.get(key[pos], 0) + m
-        return RadiusProfile.from_dict(out, self.dim, deriv)
+        return RadiusProfile.of(((key[pos], m) for key, m in self.entries),
+                                self.dim, deriv)
 
 
 def radii_from_polygon(p: TwistedPoly) -> RadiusProfile:
@@ -113,19 +106,11 @@ def radii_from_polygon(p: TwistedPoly) -> RadiusProfile:
     lv_omega = fld.lv_omega
     lv_dsp = fld.lv_dsp(p.deriv)
     lv_rk = fld.lv_rK(p.deriv)
-    out: dict = {}
-    boundary = False
-    if poly.at_zero:
-        out[lv_rk] = out.get(lv_rk, 0) + poly.at_zero
-    for s, length in poly.slopes:
-        if s < lv_dsp:
-            lv = lv_omega - s
-        else:
-            if s == lv_dsp:
-                boundary = True
-            lv = lv_rk
-        out[lv] = out.get(lv, 0) + length
-    return RadiusProfile.from_dict(out, p.degree, p.deriv, boundary)
+    pairs = [(lv_rk, poly.at_zero)]
+    pairs += ((lv_omega - s if s < lv_dsp else lv_rk, length)
+              for s, length in poly.slopes)
+    return RadiusProfile.of(pairs, p.degree, p.deriv,
+                            any(s == lv_dsp for s, _ in poly.slopes))
 
 
 def profile(m: DiffModule, j: int, check: bool = True) -> RadiusProfile:
@@ -135,7 +120,7 @@ def profile(m: DiffModule, j: int, check: bool = True) -> RadiusProfile:
     brute-force spectral estimate of order CHECK_KMAX.
     """
     if m.dim == 0:
-        return RadiusProfile.from_dict({}, 0, j)
+        return RadiusProfile.of((), 0, j)
     p, _ = cyclic_data(m, j)
     prof = radii_from_polygon(p)
     if check:

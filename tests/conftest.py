@@ -109,3 +109,17 @@ def block_module(field, rng, ks, units=None):
         total = direct_sum(total, m)
     w = unimodular_conjugator(field, rng, len(ks))
     return total.change_basis(w), expected
+
+
+def nilpotent_shear_pair(field):
+    """(a, b) over a two-variable field: a is 3-dimensional with G_x =
+    I - E_21 (the trivial module gauge transformed by the shear I - x E_21)
+    and G_y = I, b is [1] for both.  The constant nilpotent part of
+    a (+) b cancels the staircase (1, x, x^2, x^3) and every seeded
+    degree-1 cyclic-vector candidate."""
+    dom = ExactDomain(field)
+    gx = linalg.identity(dom, 3)
+    gx[2][1] = field.scalar(-1)
+    one = [[field.one()]]
+    return (DiffModule(dom, 3, [gx, linalg.identity(dom, 3)]),
+            DiffModule(dom, 1, [one, one]))

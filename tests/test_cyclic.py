@@ -11,10 +11,11 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from padic_dm import (DiffModule, ExactDomain, FieldSpec, TwistedPoly,
-                      linalg as la)
+from padic_dm import (DiffModule, ExactDomain, FieldSpec, LogVal,
+                      TwistedPoly, direct_sum, linalg as la, profile)
 from padic_dm.diffmod import _candidate_schedule, cyclic_presentations
 
+from conftest import nilpotent_shear_pair
 from test_oracle import modules
 
 
@@ -64,6 +65,16 @@ def test_rejects_a_first_basis_vector_that_is_not_cyclic():
     p, cmat = next(cyclic_presentations(m, 0))
     assert la.columns(cmat)[0] == [c(0), c(1)]
     assert_matches_reference(m, 0)
+
+
+def test_spaced_staircase_presents_a_constant_nilpotent_part(gauss5xy):
+    # every earlier candidate of the schedule is rejected; the spaced
+    # staircase (1, x^4, x^8, x^12) is cyclic
+    m = direct_sum(*nilpotent_shear_pair(gauss5xy))
+    _p, cmat = next(cyclic_presentations(m, 0))
+    assert la.columns(cmat)[0] == list(_candidate_schedule(m, 0))[-1]
+    for j in m.derivations:
+        assert profile(m, j).entries == ((LogVal(1, 4), 4),)
 
 
 def test_solve_fraction_free_over_z():

@@ -191,7 +191,7 @@ def test_working_precision_reaches_the_target(gauss5):
     for text, n in cases:
         p = parse_operator(text, gauss5, 0)
         ctx = PrecisionCtx(Fraction(n), d=96, max_iter=80)
-        breaks = sorted(radii_from_polygon(p).as_dict(), reverse=True)
+        breaks = radii_from_polygon(p).support[::-1]
         q_high, q_low = slope_factorize(p, breaks[0], ctx)
         mid = (breaks[0] + breaks[1]) / 2
         assert exact_residual_lv(p, q_high, q_low, mid) >= LogVal(n)
@@ -208,8 +208,8 @@ def test_multi_decompose_example(gauss5xy):
     assert keys == [("1/4", "5/4"), ("5/4", "1/4")]
     assert all(c.dim == 1 for c in dec.components)
     assert dec.certificate.ok
-    assert dec.profile == MultiRadiusProfile.from_dict(
-        {(lv("1/4"), lv("5/4")): 1, (lv("5/4"), lv("1/4")): 1}, 2)
+    assert dec.profile == MultiRadiusProfile.of(
+        [((lv("1/4"), lv("5/4")), 1), ((lv("5/4"), lv("1/4")), 1)], 2)
 
 
 def test_multi_decompose_trivial(gauss5xy):
@@ -510,7 +510,7 @@ def _splits(text, field, ctx):
     of ``factorize._hensel`` before ``ctx``."""
     from padic_dm.factorize import _split_groups, reduce_operator
     p = reduce_operator(parse_operator(text, field), ctx)
-    lvs = sorted(radii_from_polygon(p).as_dict(), reverse=True)
+    lvs = radii_from_polygon(p).support[::-1]
     assert len(lvs) > 1
     return [(p, *_split_groups(p, lv)) for lv in lvs[:-1]]
 

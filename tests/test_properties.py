@@ -4,13 +4,13 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from padic_dm import (INF, DiffModule, ExactDomain, FieldSpec, LogVal,
                       PrecisionCtx, TruncSeries, biduality_transform,
                       decompose, direct_sum, dual, linalg as la, profile)
 
-from conftest import uniformizer
+from conftest import nilpotent_shear_pair, uniformizer
 from test_acceptance import GAUSS, LAURENT, block_corpus
 
 K5 = FieldSpec.gauss(5, ("x",))
@@ -113,6 +113,7 @@ def module_pairs(draw):
 
 
 @given(module_pairs())
+@example(nilpotent_shear_pair(BLOCK_FIELDS[1]))
 @settings(max_examples=20, deadline=None)
 def test_profile_is_additive_on_direct_sums(case):
     a, b = case

@@ -84,15 +84,35 @@ def test_additivity_and_dual_invariance(gauss5):
         assert profile(dual(m2), 0) == p2
 
 
+def test_of_sums_repeated_keys_and_drops_zero_totals():
+    from padic_dm import MultiRadiusProfile
+    a, b, c = lv("1/4"), lv("5/4"), lv("9/4")
+    prof = RadiusProfile.of([(b, 1), (a, 2), (b, 2), (c, 0), (c, 1), (c, -1)],
+                            5, 0)
+    assert prof.entries == ((a, 2), (b, 3))
+    mp = MultiRadiusProfile.of([((b, a), 1), ((a, b), 1), ((b, a), 1),
+                                ((a, a), 0)], 3)
+    assert mp.entries == (((a, b), 1), ((b, a), 2))
+    assert mp.marginal(0, 0).entries == ((a, 1), (b, 2))
+
+
+def test_profile_equality_ignores_deriv_and_boundary_flag():
+    p0 = RadiusProfile.of([(lv("1/4"), 1)], 1, 0)
+    p1 = RadiusProfile.of([(lv("1/4"), 1)], 1, 1, boundary_clipped=True)
+    assert p0 == p1 and hash(p0) == hash(p1) and len({p0, p1}) == 1
+    assert p0 != RadiusProfile.of([(lv("1/4"), 1)], 2, 0)
+    assert p0 != RadiusProfile.of([(lv("5/4"), 1)], 1, 0)
+
+
 def test_check_rationality(gauss5):
-    ok = RadiusProfile.from_dict({lv("5/4"): 1}, 1, 0)
+    ok = RadiusProfile.of([(lv("5/4"), 1)], 1, 0)
     rep = check_rationality(ok, gauss5)
     assert rep.ok and rep.advisory_ok
     assert rep.entries[0][2] == "pass"
-    boundary = RadiusProfile.from_dict({lv("1/4"): 1}, 1, 0)
+    boundary = RadiusProfile.of([(lv("1/4"), 1)], 1, 0)
     rep2 = check_rationality(boundary, gauss5)
     assert rep2.ok and rep2.entries[0][2] == "skipped-boundary"
-    empty = RadiusProfile.from_dict({}, 0, 0)
+    empty = RadiusProfile.of((), 0, 0)
     assert check_rationality(empty, gauss5).ok
 
 
@@ -109,7 +129,7 @@ def test_check_profile(gauss5):
     shifted = replace(est, lv=est.lv + 2)
     with pytest.raises(CertificateFailure):
         check_profile(prof, shifted, K)
-    check_profile(RadiusProfile.from_dict({}, 0, 0), shifted, K)
+    check_profile(RadiusProfile.of((), 0, 0), shifted, K)
 
 
 def test_laurent_profiles(laurent):
@@ -124,7 +144,7 @@ def test_laurent_profiles(laurent):
 
 def test_multi_marginal_shape(gauss5):
     from padic_dm import MultiRadiusProfile
-    mp = MultiRadiusProfile.from_dict(
-        {(lv("5/4"), lv("1/4")): 1, (lv("1/4"), lv("5/4")): 1}, 2)
+    mp = MultiRadiusProfile.of(
+        [((lv("5/4"), lv("1/4")), 1), ((lv("1/4"), lv("5/4")), 1)], 2)
     marg0 = mp.marginal(0, 0)
     assert entries(marg0) == {lv("5/4"): 1, lv("1/4"): 1}
