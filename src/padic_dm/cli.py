@@ -40,9 +40,10 @@ SCHEMA_VERSION = 1
 DEFAULT_PRECISION = PrecisionCtx(Fraction(10))
 
 # Cap on the target precision N.  A Hensel split gains about its radius
-# gap per step on digits that grow as p^(N + 12), so its time grows about
-# as N^2: `decompose` on T^2 - (1/5)*T + x (gap 1) takes 1.1 s at N=200,
-# 5.5 s at N=400 and 8 s at N=500 (d=48, enough max_iter; one process).
+# gap per step on digits that grow as p^(N + 1 + 3*span) (the working
+# error), so its time grows about as N^2: `decompose` on T^2 - (1/5)*T + x
+# (gap 1) took 1.1 s at N=200, 5.5 s at N=400 and 8 s at N=500 (d=48,
+# enough max_iter; one process), measured with 11 more guard digits.
 # README, golden and test inputs use N <= 80.
 MAX_N = 500
 

@@ -69,10 +69,18 @@ class NoGap(PadicDMError):
 
 
 class PrecisionLoss(PadicDMError):
-    """A computation would drop below the requested valuation precision."""
+    """A computation would drop below the requested valuation precision.
+
+    ``shortfall`` > 0 when a lifting floor missed the target by that many
+    digits: a rerun with as many more working digits may reach it.
+    """
 
     code = "precision-loss"
     exit_code = 3
+
+    def __init__(self, message: str, shortfall: int = 0):
+        self.shortfall = shortfall
+        super().__init__(message)
 
 
 class IterationBudget(PadicDMError):

@@ -69,16 +69,33 @@ def _split_groups(p: TwistedPoly, lv_break: LogVal):
     return sum(low.values()), max(low) + gap / 2, gap
 
 
-def _working_domain(p: TwistedPoly, ctx: PrecisionCtx) -> ApproxDomain:
+def _working_domain(p: TwistedPoly, ctx: PrecisionCtx,
+                    extra: int) -> ApproxDomain:
     span = 0
     for c in p.coeffs:
         v = c.val()
         if v < 0:
             span = max(span, math.ceil(-v))
-    # a degree-5 split with span 13 misses N at 2 * span (pinned in
-    # test_working_precision_reaches_the_target)
-    err = ctx.working_err(extra=3 * span)
+    # 3 * span spares the rerun of _with_retry: at 2 * span and guard 0,
+    # a degree-5 split with span 13 falls 14 digits short of its lifting
+    # floor (test_short_lifting_floor_is_rerun_with_the_shortfall)
+    err = ctx.working_err(extra=3 * span + extra)
     return ApproxDomain(p.domain.field, ctx, err)
+
+
+def _with_retry(run):
+    """``run(0)``, and once more as ``run(shortfall)`` when a split's
+    lifting floor falls short of N by that many digits: ``run(extra)``
+    redoes the same presentation with ``extra`` more working digits.  A
+    second shortfall propagates.  Laurent errors are also capped by the
+    window (``precision._window``), which more digits do not lift, so a
+    shortfall the window causes fails honestly on the rerun."""
+    try:
+        return run(0)
+    except PrecisionLoss as exc:
+        if not exc.shortfall:
+            raise
+        return run(exc.shortfall)
 
 
 def _init_low_factor(p: TwistedPoly, d_low: int) -> TwistedPoly:
@@ -99,7 +116,9 @@ def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
     Q <- Q + S * z.  Returns (cofactor, Q, res_lv).  Chord steps: z
     inverts the cofactor's constant term d0 of the first step, and the
     current d0 again after a step that gained less than the gap.  A z off
-    from d0^-1 at relative lv e gains about min(gap, e) per step.
+    from d0^-1 at relative lv e gains about min(gap, e) per step.  The
+    factors are certified by their lifting floor too; one below N raises
+    PrecisionLoss with the shortfall in digits.
     """
     divide = divmod_right if right else divmod_left
     q = _init_low_factor(p, d_low)
@@ -108,8 +127,15 @@ def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
         cof, r = divide(p, q)
         res = pi_norm(r, lv_t)
         if res >= ctx.N:
-            if any(c.err_lv < ctx.N for f in (cof, q) for c in f.coeffs):
-                raise PrecisionLoss("factor coefficient lost target precision")
+            # the rounding of the factors' digits moves their product by
+            # lv >= floor, in the weighted norm at the break
+            floor = min(_err_norm(cof, lv_t) + pi_norm(q, lv_t),
+                        pi_norm(cof, lv_t) + _err_norm(q, lv_t))
+            if floor < ctx.N:
+                short = math.ceil(ctx.N - floor)
+                raise PrecisionLoss(
+                    f"lifting floor {floor} below target N = {ctx.N},"
+                    f" short by {short}", shortfall=short)
             return cof, q, res
         if step == ctx.max_iter:
             raise IterationBudget(
@@ -127,6 +153,13 @@ def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
             q = q + r.scale_left(zinv)
         else:
             q = q + mul(r, TwistedPoly.constant(p.domain, p.deriv, zinv))
+
+
+def _err_norm(f: TwistedPoly, lv_t: LogVal) -> LogVal:
+    """``pi_norm`` of F's error floor: min_i lv(i!) + err_lv(F_i) - i lv_t."""
+    lv_fact = f.domain.field.lv_factorial
+    return min(lv_fact(i) + c.err_lv - lv_t * i
+               for i, c in enumerate(f.coeffs))
 
 
 def _hensel_right(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
@@ -151,7 +184,8 @@ def slope_factorize(p: TwistedPoly, lv_break: LogVal,
     if not p.is_monic():
         raise NotMonic("slope factorization needs a monic operator")
     split = _split_groups(p, lv_break)
-    d, q, _res = _hensel_right(reduce_operator(p, ctx), *split, ctx)
+    d, q, _res = _with_retry(lambda extra: _hensel_right(
+        reduce_operator(p, ctx, extra), *split, ctx))
     return d, q
 
 
@@ -172,19 +206,22 @@ class SlopeFactorization:
     tails: tuple = ()
 
 
-def reduce_operator(p: TwistedPoly, ctx: PrecisionCtx) -> TwistedPoly:
-    """Image of an operator in the working approximation ring of ctx.
+def reduce_operator(p: TwistedPoly, ctx: PrecisionCtx,
+                    extra: int = 0) -> TwistedPoly:
+    """Image of an operator in the working approximation ring of ctx,
+    with ``extra`` more digits than ``working_err`` gives.
 
     Approximate coefficients are kept as they are; only the domain, and
     with it the error target of new zeros, moves to the working one.
     """
-    return p.map_domain(_working_domain(p, ctx))
+    return p.map_domain(_working_domain(p, ctx, extra))
 
 
 def factor_by_radii(p: TwistedPoly, ctx: PrecisionCtx) -> SlopeFactorization:
     """Right-split chain: P ~ F_1 * F_2 * ... * F_k, descending radii lv."""
     lvs = radii_from_polygon(p).support[::-1]
-    return _right_chain(reduce_operator(p, ctx), lvs, ctx)
+    return _with_retry(lambda extra: _right_chain(
+        reduce_operator(p, ctx, extra), lvs, ctx))
 
 
 def _right_chain(p: TwistedPoly, lvs: tuple,
@@ -337,7 +374,9 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
     the companion matrix of its pure factor and embedded into M's
     coordinates.  Raises CertificateFailure when any a-posteriori check
     fails; cyclic-vector candidates are retried on expandability or
-    precision failures.  When every candidate fails, the last exception is
+    precision failures, after one rerun of the same candidate with more
+    working digits when a split's lifting floor falls short
+    (``_with_retry``).  When every candidate fails, the last exception is
     raised with ``attempts`` listing the (code, message) of each failure in
     turn; SearchExhausted, with no attempts, when there is no candidate.
     FieldMismatch when M carries no matrix for derivation j.
@@ -350,7 +389,8 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
     failures = []
     for p, cbasis in islice(cyclic_presentations(m, j), 6):
         try:
-            return _decompose_from_cyclic(m, j, ctx, p, cbasis)
+            return _with_retry(lambda extra: _decompose_from_cyclic(
+                m, j, ctx, p, cbasis, extra))
         except (NotExpandable, PrecisionLoss, IterationBudget,
                 CertificateFailure) as exc:
             failures.append(exc)
@@ -363,7 +403,8 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
 
 
 def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
-                           p: TwistedPoly, cbasis: la.Matrix) -> Decomposition:
+                           p: TwistedPoly, cbasis: la.Matrix,
+                           extra: int) -> Decomposition:
     prof = radii_from_polygon(p)
     lvs = prof.support[::-1]
     if len(lvs) == 1:
@@ -373,7 +414,7 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
     mults = [mult for _lv, mult in reversed(prof.entries)]
     n, k = m.dim, len(lvs)
 
-    pa = reduce_operator(p, ctx)
+    pa = reduce_operator(p, ctx, extra)
     adom = pa.domain
     chain = _right_chain(pa, lvs, ctx)
     residuals = list(chain.residual_lv)

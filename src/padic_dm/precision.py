@@ -49,10 +49,15 @@ from .logval import LogVal
 from .scalarfield import GAUSS, FieldSpec, Scalar
 from . import polys as P
 
-# Digits kept beyond ceil(N) (and factorize's 3 * span).  Measured need
-# is 1: at 0 test_working_precision_reaches_the_target fails, at 1 tier-1
-# and the benchmark corpora pass; the other 11 are margin.
-DEFAULT_GUARD = 12
+# Digits kept beyond ceil(N) (and factorize's 3 * span).  No margin is
+# needed past 1: factorize._hensel certifies each split by its lifting
+# floor, and a split that falls short is rerun once with the shortfall
+# added.  1 is the smallest guard at which no split of tier-1 or of the
+# benchmark corpora falls short (at 0 both cases of
+# test_working_precision_reaches_the_target do); over the 126 splits of
+# the decompose and multi-decompose corpora (seeds 202, 203, 505, 506) the
+# floor clears N by at least 3/2 at guard 1 (25/2 at guard 12).
+DEFAULT_GUARD = 1
 
 
 @dataclass(frozen=True)

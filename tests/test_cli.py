@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from padic_dm import (PadicDMError, ParseError, StabilityFailure, cli,
-                      diffmod, errors, factorize, grammar, radii)
+from padic_dm import (PadicDMError, ParseError, StabilityFailure,
+                      TwistedPoly, cli, diffmod, errors, factorize, grammar,
+                      radii)
 from padic_dm.cli import COMMANDS, main, parse_job, run
 from padic_dm.grammar import (MAX_NESTING, matrix_str, parse_matrix,
                               parse_operator, parse_scalar)
@@ -310,6 +311,31 @@ def test_decompose_without_candidates_exits_as_search_exhausted(monkeypatch):
     assert code == 1
     assert report["error"]["code"] == "search-exhausted"
     assert "attempts" not in report["error"]
+
+
+def test_short_lifting_floor_reaches_the_attempts(monkeypatch):
+    # every lifted cofactor keeps its digits only to err 11; its T^1
+    # coefficient needs 23/2 at N = 10, so each split, and its rerun with
+    # one more digit, falls short of the floor
+    def coarse(divide):
+        def cut(p, q):
+            cof, r = divide(p, q)
+            return TwistedPoly(cof.domain, cof.deriv,
+                               [c.truncate_err(11) for c in cof.coeffs]), r
+        return cut
+
+    for name in ("divmod_right", "divmod_left"):
+        monkeypatch.setattr(factorize, name,
+                            coarse(getattr(factorize, name)))
+    report, code = run(parse_job(JOBS["readme-decompose"]))
+    assert code == 3
+    floor = {"code": "precision-loss",
+             "message": "lifting floor 19/2 below target N = 10, short by 1"}
+    error = report["error"]
+    assert {key: error[key] for key in floor} == floor
+    # the other candidates of the schedule are not expandable
+    assert [a for a in error["attempts"]
+            if a["code"] == "precision-loss"] == [floor] * 3
 
 
 def test_determinism():

@@ -8,7 +8,7 @@ import pytest
 
 from padic_dm import (ApproxDomain, CertificateFailure, DiffModule,
                       ExactDomain, FieldMismatch, IterationBudget, LogVal,
-                      MultiRadiusProfile, NoGap, PrecisionCtx,
+                      MultiRadiusProfile, NoGap, PrecisionCtx, PrecisionLoss,
                       SearchExhausted, StabilityFailure, TwistedPoly,
                       decompose, direct_sum, factor_by_radii, from_operator,
                       iterate_G, linalg as la, mul, multi_decompose,
@@ -179,22 +179,100 @@ def test_decompose_without_candidates_exhausts_the_search(gauss5,
     assert err.value.attempts == ()
 
 
+# With precision.DEFAULT_GUARD at 0, factors certified by each
+# coefficient's err_lv alone have exact residual 19 < N = 20 (span 13,
+# working error N + 3 * span) and 39/4 < N = 10 (span 1).  The lifting
+# floor of _hensel sees both misses, by 1 digit each, and the rerun with
+# that digit added reaches N.  At 2 * span in place of 3 * span the span-13
+# split falls 14 digits short, and is rerun too.  d = 96 keeps the degree
+# cap out of the way.
+WORKING_PRECISION_CASES = [
+    ("T^5 + ((1+5*x)/5^13)*T^4 + (2/5^13)*T^3"
+     " + ((1+5*x)/5^7)*T^2 + ((1+5*x)/5^13)*T + x/5^3", 20),
+    ("T^4 + (1/5)*T^3 + 5*x*T^2 + 2*T + 125", 10)]
+
+
+def _split_residual(p, n):
+    """Exact residual of the top split of p at N = n, in the weighted norm
+    at the middle of its gap."""
+    ctx = PrecisionCtx(Fraction(n), d=96, max_iter=80)
+    breaks = radii_from_polygon(p).support[::-1]
+    q_high, q_low = slope_factorize(p, breaks[0], ctx)
+    return exact_residual_lv(p, q_high, q_low, (breaks[0] + breaks[1]) / 2)
+
+
 def test_working_precision_reaches_the_target(gauss5):
-    # span 13: _working_domain adds 3 * span = 39 to the working error;
-    # with 27 or less (2 * span = 26) the lifted factors miss N = 20.
-    # span 1: with precision.DEFAULT_GUARD at 0 (and 3 * span = 3) the
-    # residual is 39/4 < N = 10; so is the first one's, at N = 20.
-    # d = 96 keeps the degree cap out of the way
-    cases = [("T^5 + ((1+5*x)/5^13)*T^4 + (2/5^13)*T^3"
-              " + ((1+5*x)/5^7)*T^2 + ((1+5*x)/5^13)*T + x/5^3", 20),
-             ("T^4 + (1/5)*T^3 + 5*x*T^2 + 2*T + 125", 10)]
-    for text, n in cases:
+    for text, n in WORKING_PRECISION_CASES:
         p = parse_operator(text, gauss5, 0)
-        ctx = PrecisionCtx(Fraction(n), d=96, max_iter=80)
-        breaks = radii_from_polygon(p).support[::-1]
-        q_high, q_low = slope_factorize(p, breaks[0], ctx)
-        mid = (breaks[0] + breaks[1]) / 2
-        assert exact_residual_lv(p, q_high, q_low, mid) >= LogVal(n)
+        assert _split_residual(p, n) >= LogVal(n)
+
+
+@pytest.mark.parametrize("text,n", WORKING_PRECISION_CASES,
+                         ids=["span-13", "span-1"])
+def test_short_lifting_floor_is_rerun_with_the_shortfall(gauss5, monkeypatch,
+                                                         text, n):
+    from padic_dm import factorize, precision
+    hensel_right = factorize._hensel_right
+    shortfalls = []
+
+    def recorded(*args):
+        try:
+            return hensel_right(*args)
+        except PrecisionLoss as exc:
+            shortfalls.append(exc.shortfall)
+            raise
+
+    monkeypatch.setattr(precision, "DEFAULT_GUARD", 0)
+    monkeypatch.setattr(factorize, "_hensel_right", recorded)
+    assert _split_residual(parse_operator(text, gauss5, 0), n) >= LogVal(n)
+    assert shortfalls == [1]
+
+
+@pytest.mark.parametrize("right", [True, False], ids=["right", "left"])
+@pytest.mark.parametrize("factor,i,need,short_floor",
+                         [("cofactor", 1, 12, "19/2"), ("factor", 0, 13, "9")])
+def test_lifting_floor_rejects_a_coarse_factor_coefficient(
+        gauss5, monkeypatch, right, factor, i, need, short_floor):
+    """At the lv 5/4 break, at N = 10 and lv_t = 3/4, the cofactor D has
+    degree 2 and |D| = -3, the factor Q degree 1 and |Q| = -3/4.  So F_i
+    needs its digits to err N - |other factor| - lv(i!) + i * lv_t: 23/2
+    for D_1, 13 for Q_0.  Cut to the next integer they certify the split;
+    one digit lower the lifting floor falls short by 1."""
+    from padic_dm import factorize
+    from padic_dm.factorize import _hensel
+    name = "divmod_right" if right else "divmod_left"
+    divide, init = getattr(factorize, name), factorize._init_low_factor
+    ctx = PrecisionCtx(Fraction(10), d=48, max_iter=80)
+    text = "(T - 1/25)*(T - 1/5)*(T - x)"
+    split = _splits(text, gauss5, ctx)[1]
+    assert split[1:3] == (1, lv("3/4"))
+
+    def coarse(f, err):
+        coeffs = list(f.coeffs)
+        coeffs[i] = coeffs[i].truncate_err(err)
+        return TwistedPoly(f.domain, f.deriv, coeffs)
+
+    def run_cut_to(err):
+        if factor == "cofactor":
+            def cut(p, q):
+                cof, r = divide(p, q)
+                return coarse(cof, err), r
+            monkeypatch.setattr(factorize, name, cut)
+        else:
+            monkeypatch.setattr(factorize, "_init_low_factor",
+                                lambda p, d_low: coarse(init(p, d_low), err))
+        return _hensel(*split, ctx, right)
+
+    cof, q, _res = run_cut_to(need)
+    lifted = (cof.lift_exact(), q.lift_exact())
+    p = parse_operator(text, gauss5)
+    assert exact_residual_lv(p, *(lifted if right else lifted[::-1]),
+                             lv("3/4")) >= LogVal(10)
+    with pytest.raises(PrecisionLoss,
+                       match=f"lifting floor {short_floor} below target "
+                             f"N = 10, short by 1") as err:
+        run_cut_to(need - 1)
+    assert err.value.shortfall == 1
 
 
 def test_multi_decompose_example(gauss5xy):
