@@ -15,7 +15,8 @@ class PadicDMError(Exception):
     """Base class for all package errors.
 
     ``attempts`` holds the (code, message) of every failed try behind the
-    error, the error itself last, when the raiser retried (``decompose``).
+    error, the error itself last, when the raiser retried (``decompose``,
+    and ``factorize._with_retry`` when the rerun of a split fails too).
     """
 
     code = "error"

@@ -40,8 +40,8 @@ from dataclasses import asdict, dataclass, replace
 from itertools import islice, product
 
 from .errors import (CertificateFailure, FieldMismatch, IterationBudget, NoGap,
-                     NotExpandable, NotMonic, PrecisionLoss, SearchExhausted,
-                     StabilityFailure)
+                     NotExpandable, NotMonic, PadicDMError, PrecisionLoss,
+                     SearchExhausted, StabilityFailure)
 from .logval import LogVal
 from . import linalg as la
 from .diffmod import (DiffModule, cyclic_data, cyclic_presentations,
@@ -50,7 +50,18 @@ from .precision import ApproxDomain, PrecisionCtx, domain_of
 # profile is not called here: the benchmark tracer wraps it by this name
 from .radii import (MultiRadiusProfile, RadiusProfile, profile,
                     radii_from_polygon)
-from .twisted import TwistedPoly, divmod_left, divmod_right, mul, pi_norm
+from .twisted import (TwistedPoly, divmod_left, divmod_right, mul, pi_norm,
+                      weighted_norm)
+
+# Digits kept beyond ceil(N) and 3 * span.  No margin is needed past 1:
+# _hensel certifies each split by its lifting floor, and a split that
+# falls short is rerun once with the shortfall added.  1 is the smallest
+# guard at which no split of tier-1 or of the benchmark corpora falls short
+# (at 0 both cases of test_working_precision_reaches_the_target do); over
+# the 126 splits of the decompose and multi-decompose corpora (seeds 202,
+# 203, 505, 506) the floor clears N by at least 3/2 at guard 1 (25/2 at
+# guard 12).
+DEFAULT_GUARD = 1
 
 
 # -- split bookkeeping -----------------------------------------------------
@@ -69,33 +80,39 @@ def _split_groups(p: TwistedPoly, lv_break: LogVal):
     return sum(low.values()), max(low) + gap / 2, gap
 
 
-def _working_domain(p: TwistedPoly, ctx: PrecisionCtx,
-                    extra: int) -> ApproxDomain:
-    span = 0
-    for c in p.coeffs:
-        v = c.val()
-        if v < 0:
-            span = max(span, math.ceil(-v))
+def reduce_operator(p: TwistedPoly, ctx: PrecisionCtx) -> TwistedPoly:
+    """Image of an operator in the working approximation ring of ctx, at
+    error ceil(N) + DEFAULT_GUARD + 3 * span: the one sizing of a split.
+    Approximate coefficients are kept as they are; only the domain, and
+    with it the error target of new zeros, moves to the working one."""
+    span = max([0] + [math.ceil(-v) for c in p.coeffs if (v := c.val()) < 0])
     # 3 * span spares the rerun of _with_retry: at 2 * span and guard 0,
     # a degree-5 split with span 13 falls 14 digits short of its lifting
     # floor (test_short_lifting_floor_is_rerun_with_the_shortfall)
-    err = ctx.working_err(extra=3 * span + extra)
-    return ApproxDomain(p.domain.field, ctx, err)
+    err = ctx.target_err + DEFAULT_GUARD + 3 * span
+    return p.map_domain(ApproxDomain(p.domain.field, ctx, err))
 
 
-def _with_retry(run):
-    """``run(0)``, and once more as ``run(shortfall)`` when a split's
-    lifting floor falls short of N by that many digits: ``run(extra)``
-    redoes the same presentation with ``extra`` more working digits.  A
-    second shortfall propagates.  Laurent errors are also capped by the
-    window (``precision._window``), which more digits do not lift, so a
-    shortfall the window causes fails honestly on the rerun."""
+def _with_retry(p: TwistedPoly, ctx: PrecisionCtx, run):
+    """``run`` on ``reduce_operator(p, ctx)``, and once more on an image
+    with ``shortfall`` more digits when a split's lifting floor falls short
+    of N by that many: the one rerun of a split.  When the rerun fails too,
+    its error lists both runs in ``attempts``, the first shortfall first.
+    Laurent errors are also capped by the window (``precision._window``),
+    which more digits do not lift, so a shortfall the window causes fails
+    honestly on the rerun."""
+    pa = reduce_operator(p, ctx)
     try:
-        return run(0)
-    except PrecisionLoss as exc:
-        if not exc.shortfall:
+        return run(pa)
+    except PrecisionLoss as short:
+        if not short.shortfall:
             raise
-        return run(exc.shortfall)
+        wider = replace(pa.domain, err=pa.domain.err + short.shortfall)
+        try:
+            return run(p.map_domain(wider))
+        except PadicDMError as exc:
+            exc.attempts = ((short.code, str(short)), (exc.code, str(exc)))
+            raise
 
 
 def _init_low_factor(p: TwistedPoly, d_low: int) -> TwistedPoly:
@@ -157,9 +174,7 @@ def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
 
 def _err_norm(f: TwistedPoly, lv_t: LogVal) -> LogVal:
     """``pi_norm`` of F's error floor: min_i lv(i!) + err_lv(F_i) - i lv_t."""
-    lv_fact = f.domain.field.lv_factorial
-    return min(lv_fact(i) + c.err_lv - lv_t * i
-               for i, c in enumerate(f.coeffs))
+    return weighted_norm(f.domain.field, [c.err_lv for c in f.coeffs], lv_t)
 
 
 def _hensel_right(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
@@ -184,9 +199,7 @@ def slope_factorize(p: TwistedPoly, lv_break: LogVal,
     if not p.is_monic():
         raise NotMonic("slope factorization needs a monic operator")
     split = _split_groups(p, lv_break)
-    d, q, _res = _with_retry(lambda extra: _hensel_right(
-        reduce_operator(p, ctx, extra), *split, ctx))
-    return d, q
+    return _with_retry(p, ctx, lambda pa: _hensel_right(pa, *split, ctx))[:2]
 
 
 @dataclass(frozen=True)
@@ -206,22 +219,10 @@ class SlopeFactorization:
     tails: tuple = ()
 
 
-def reduce_operator(p: TwistedPoly, ctx: PrecisionCtx,
-                    extra: int = 0) -> TwistedPoly:
-    """Image of an operator in the working approximation ring of ctx,
-    with ``extra`` more digits than ``working_err`` gives.
-
-    Approximate coefficients are kept as they are; only the domain, and
-    with it the error target of new zeros, moves to the working one.
-    """
-    return p.map_domain(_working_domain(p, ctx, extra))
-
-
 def factor_by_radii(p: TwistedPoly, ctx: PrecisionCtx) -> SlopeFactorization:
     """Right-split chain: P ~ F_1 * F_2 * ... * F_k, descending radii lv."""
     lvs = radii_from_polygon(p).support[::-1]
-    return _with_retry(lambda extra: _right_chain(
-        reduce_operator(p, ctx, extra), lvs, ctx))
+    return _with_retry(p, ctx, lambda pa: _right_chain(pa, lvs, ctx))
 
 
 def _right_chain(p: TwistedPoly, lvs: tuple,
@@ -378,7 +379,8 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
     working digits when a split's lifting floor falls short
     (``_with_retry``).  When every candidate fails, the last exception is
     raised with ``attempts`` listing the (code, message) of each failure in
-    turn; SearchExhausted, with no attempts, when there is no candidate.
+    turn, both runs of a rerun candidate; SearchExhausted, with no
+    attempts, when there is no candidate.
     FieldMismatch when M carries no matrix for derivation j.
     """
     if j not in m.derivations:
@@ -389,8 +391,7 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
     failures = []
     for p, cbasis in islice(cyclic_presentations(m, j), 6):
         try:
-            return _with_retry(lambda extra: _decompose_from_cyclic(
-                m, j, ctx, p, cbasis, extra))
+            return _decompose_from_cyclic(m, j, ctx, p, cbasis)
         except (NotExpandable, PrecisionLoss, IterationBudget,
                 CertificateFailure) as exc:
             failures.append(exc)
@@ -398,23 +399,29 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
         raise SearchExhausted(
             "no cyclic vector found within the candidate budget")
     exc = failures[-1]
-    exc.attempts = tuple((e.code, str(e)) for e in failures)
+    exc.attempts = tuple(a for e in failures
+                         for a in e.attempts or ((e.code, str(e)),))
     raise exc
 
 
 def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
-                           p: TwistedPoly, cbasis: la.Matrix,
-                           extra: int) -> Decomposition:
+                           p: TwistedPoly, cbasis: la.Matrix) -> Decomposition:
+    """One candidate; a single radius is all of M, before any reduction."""
     prof = radii_from_polygon(p)
     lvs = prof.support[::-1]
     if len(lvs) == 1:
-        dom = m.domain
-        comp = Component(lvs[0], m, la.identity(dom, m.dim), p)
+        comp = Component(lvs[0], m, la.identity(m.domain, m.dim), p)
         return Decomposition((comp,), Certificate(), prof)
+    return _with_retry(p, ctx, lambda pa: _split_decomposition(
+        m, j, ctx, pa, cbasis, prof))
+
+
+def _split_decomposition(m: DiffModule, j: int, ctx: PrecisionCtx,
+                         pa: TwistedPoly, cbasis: la.Matrix,
+                         prof: RadiusProfile) -> Decomposition:
+    lvs = prof.support[::-1]
     mults = [mult for _lv, mult in reversed(prof.entries)]
     n, k = m.dim, len(lvs)
-
-    pa = reduce_operator(p, ctx, extra)
     adom = pa.domain
     chain = _right_chain(pa, lvs, ctx)
     residuals = list(chain.residual_lv)

@@ -18,10 +18,11 @@ when its constant digit is nonzero below pi.  Products (``_conv``) are
 those of exact scalars truncated at d, one per arity.  Both models invert
 by one Newton iteration on integer numerators, which doubles the degree
 below which it is exact at every step; only its start depends on the
-digit ring.  ``reduce_scalar`` maps an exact scalar by one route: num and
-den lose their valuations, and num is multiplied by the Newton inverse of
-den, unless den is constant: it becomes ``den`` (Laurent) or is inverted
-mod p^k (Gauss).
+digit ring.  ``reduce_scalar`` maps an exact scalar by one route, to the
+error its caller names (``err_target`` is required: this layer holds no
+working precision of its own): num and den lose their valuations, and num
+is multiplied by the Newton inverse of den, unless den is constant: it
+becomes ``den`` (Laurent) or is inverted mod p^k (Gauss).
 
 ``err_lv`` is a lower bound for lv(true - represented) in the pi-adic
 direction; every operation propagates it, and an exact operand c loses
@@ -49,17 +50,6 @@ from .logval import LogVal
 from .scalarfield import GAUSS, FieldSpec, Scalar
 from . import polys as P
 
-# Digits kept beyond ceil(N) (and factorize's 3 * span).  No margin is
-# needed past 1: factorize._hensel certifies each split by its lifting
-# floor, and a split that falls short is rerun once with the shortfall
-# added.  1 is the smallest guard at which no split of tier-1 or of the
-# benchmark corpora falls short (at 0 both cases of
-# test_working_precision_reaches_the_target do); over the 126 splits of
-# the decompose and multi-decompose corpora (seeds 202, 203, 505, 506) the
-# floor clears N by at least 3/2 at guard 1 (25/2 at guard 12).
-DEFAULT_GUARD = 1
-
-
 @dataclass(frozen=True)
 class PrecisionCtx:
     """Precision budget: target valuation N, degree cap d, iteration cap."""
@@ -81,9 +71,6 @@ class PrecisionCtx:
     def target_err(self) -> int:
         """ceil(N): the error that results are certified and printed at."""
         return math.ceil(self.N)
-
-    def working_err(self, extra: int = 0) -> int:
-        return self.target_err + DEFAULT_GUARD + max(0, extra)
 
 
 class ApproxScalar:
@@ -368,16 +355,16 @@ def _is_unit(f: FieldSpec, digits: dict) -> bool:
     return bool(f.pi_trunc({mono0: digits.get(mono0, 0)}, 1))
 
 
-def reduce_scalar(x: Scalar, ctx: PrecisionCtx, err_target: int | None = None) -> ApproxScalar:
-    """Truncated image of an exact scalar, by the one route the module
-    docstring describes.
+def reduce_scalar(x: Scalar, ctx: PrecisionCtx, err_target: int) -> ApproxScalar:
+    """Truncated image of an exact scalar at error ``err_target``, by the
+    one route the module docstring describes.  ``err_target`` has no
+    default: the caller decides the precision (``ApproxDomain.err`` for
+    the coercions of a domain).
 
     Raises ``NotExpandable`` when the denominator is not a unit of the
     expansion ring (Gauss model: constant term divisible by p).
     """
     f = x.field
-    if err_target is None:
-        err_target = ctx.working_err()
     if x.is_zero():
         return ApproxScalar(f, ctx, 0, {}, err_target)
     a, b = f.poly_val(x.num), f.poly_val(x.den)

@@ -265,13 +265,14 @@ def pi_norm(p: TwistedPoly, lv_t: LogVal) -> LogVal:
     that vanish at working precision contribute their error floor, so the
     result is always a certified lower bound.
     """
-    field = p.domain.field
-    best = INF
-    for i, c in enumerate(p.coeffs):
-        term = field.lv_factorial(i) + c.val() - lv_t * i
-        if term < best:
-            best = term
-    return best
+    return weighted_norm(p.domain.field, [c.val() for c in p.coeffs], lv_t)
+
+
+def weighted_norm(field, lvs: list, lv_t: LogVal) -> LogVal:
+    """min_i lv(i!) + lvs[i] - i lv_t, +infinity for no coefficients: the
+    body of ``pi_norm`` for coefficient lvs, or for their error floors."""
+    return min((field.lv_factorial(i) + x - lv_t * i
+                for i, x in enumerate(lvs)), default=INF)
 
 
 def check_condition_c(pi: list[LogVal], lv_rK: LogVal) -> bool:

@@ -333,9 +333,60 @@ def test_short_lifting_floor_reaches_the_attempts(monkeypatch):
              "message": "lifting floor 19/2 below target N = 10, short by 1"}
     error = report["error"]
     assert {key: error[key] for key in floor} == floor
-    # the other candidates of the schedule are not expandable
+    # the other candidates of the schedule are not expandable; each of
+    # the 3 that split lists its run and its rerun
     assert [a for a in error["attempts"]
-            if a["code"] == "precision-loss"] == [floor] * 3
+            if a["code"] == "precision-loss"] == [floor] * 6
+
+
+def test_precision_loss_without_shortfall_is_not_rerun(monkeypatch):
+    # at d = 14 the watermark d - (2n + 10) of the certificate quotient is
+    # below 2 for n = 2; more working digits do not lift it, so each
+    # candidate that splits runs its split once
+    right_chain, splits = factorize._right_chain, []
+
+    def counted(*args):
+        splits.append(args)
+        return right_chain(*args)
+
+    monkeypatch.setattr(factorize, "_right_chain", counted)
+    report, code = run(parse_job([
+        "--field", "gauss:p=5:vars=x", "--cmd", "decompose",
+        "--op", "T^2 - (1/5)*T + x", "--precision", "N=10,d=14"]))
+    assert code == 3
+    cap = {"code": "precision-loss",
+           "message": "degree cap d=14 too small for dimension 2"}
+    error = report["error"]
+    assert {key: error[key] for key in cap} == cap
+    assert [a for a in error["attempts"]
+            if a["code"] == "precision-loss"] == [cap] * 3
+    assert len(splits) == 3
+
+
+@pytest.mark.parametrize("args,deriv", [
+    (op_args("T^2 - (1/5)*T + x^-2"), "x"),
+    (["--field", "gauss:p=5:vars=x,y", "--cmd", "radii",
+      "--mat", "1/5,0;0,0", "--mat", "0,0;0,1/5", "--deriv", "y"], "y"),
+], ids=["negative-scalar-power", "deriv-y"])
+def test_radii_of_negative_powers_and_named_derivations(args, deriv):
+    report, code = run(parse_job(args))
+    assert code == 0
+    prof = report["result"]["profile"]
+    assert prof["derivation"] == deriv
+    assert [(e["lv"], e["mult"]) for e in prof["entries"]] == \
+        [("1/4", 1), ("5/4", 1)]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (op_args("T^-1 + x"), "negative power of an operator (at position 1)"),
+    (["--field", "gauss:p=5:vars=x,y", "--cmd", "radii",
+      "--mat", "1/5,0;0,0", "--mat", "0,0;0,1/5", "--deriv", "z"],
+     "unknown derivation 'z'"),
+], ids=["negative-operator-power", "unknown-deriv"])
+def test_main_parse_error_messages(capsys, argv, message):
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == {"code": "parse-error", "message": message}
 
 
 def test_determinism():

@@ -118,6 +118,15 @@ def test_decompose_pure_fixed_point(gauss5):
     assert la.mat_equal(comp.embedding, la.identity(dom, 1))
 
 
+def test_decompose_pure_operator_stays_exact(gauss5):
+    # 1/x has no expansion over the Gauss model: a single radius is all of
+    # M and is returned before any reduction to working precision
+    m = from_operator(parse_operator("T^2 - 1/x", gauss5, 0))
+    dec = decompose(m, 0, CTX)
+    assert [(c.dim, c.exact) for c in dec.components] == [(2, True)]
+    assert dec.components[0].module is m
+
+
 def test_decompose_zero_dim(gauss5):
     m = DiffModule(ExactDomain(gauss5), 0, [[]])
     dec = decompose(m, 0, CTX)
@@ -179,7 +188,7 @@ def test_decompose_without_candidates_exhausts_the_search(gauss5,
     assert err.value.attempts == ()
 
 
-# With precision.DEFAULT_GUARD at 0, factors certified by each
+# With factorize.DEFAULT_GUARD at 0, factors certified by each
 # coefficient's err_lv alone have exact residual 19 < N = 20 (span 13,
 # working error N + 3 * span) and 39/4 < N = 10 (span 1).  The lifting
 # floor of _hensel sees both misses, by 1 digit each, and the rerun with
@@ -211,7 +220,7 @@ def test_working_precision_reaches_the_target(gauss5):
                          ids=["span-13", "span-1"])
 def test_short_lifting_floor_is_rerun_with_the_shortfall(gauss5, monkeypatch,
                                                          text, n):
-    from padic_dm import factorize, precision
+    from padic_dm import factorize
     hensel_right = factorize._hensel_right
     shortfalls = []
 
@@ -222,7 +231,7 @@ def test_short_lifting_floor_is_rerun_with_the_shortfall(gauss5, monkeypatch,
             shortfalls.append(exc.shortfall)
             raise
 
-    monkeypatch.setattr(precision, "DEFAULT_GUARD", 0)
+    monkeypatch.setattr(factorize, "DEFAULT_GUARD", 0)
     monkeypatch.setattr(factorize, "_hensel_right", recorded)
     assert _split_residual(parse_operator(text, gauss5, 0), n) >= LogVal(n)
     assert shortfalls == [1]
@@ -445,13 +454,13 @@ def test_laurent_decompose(laurent):
 
 
 def test_restrict_rejects_unstable_span(gauss5xy):
-    from padic_dm.factorize import _restrict
+    from padic_dm.factorize import DEFAULT_GUARD, _restrict
     K = gauss5xy
     z, one = K.zero(), K.one()
     # T_x acts by 0, T_y swaps the basis vectors: e1 + e2 spans a
     # submodule, e1 alone does not
     m = DiffModule(ExactDomain(K), 2, [[[z, z], [z, z]], [[z, one], [one, z]]])
-    adom = ApproxDomain(K, CTX, CTX.working_err())
+    adom = ApproxDomain(K, CTX, CTX.target_err + DEFAULT_GUARD)
     stable = _restrict(m, [[adom.one(), adom.one()]], adom, CTX)
     assert stable.dim == 1 and stable.mats[1][0][0] == adom.one()
     with pytest.raises(StabilityFailure, match="not stable under derivation"):

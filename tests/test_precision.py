@@ -71,10 +71,12 @@ def test_reduce_negative_valuation(gauss5):
 
 def test_reduce_not_expandable(gauss5):
     with pytest.raises(NotExpandable):
-        reduce_scalar(gauss5.one() / gauss5.var(0), PrecisionCtx(4))
+        reduce_scalar(gauss5.one() / gauss5.var(0), PrecisionCtx(4),
+                      err_target=5)
     with pytest.raises(NotExpandable):
         # denominator x - 5 reduces to x mod 5: not a unit
-        reduce_scalar(gauss5.one() / (gauss5.var(0) - 5), PrecisionCtx(4))
+        reduce_scalar(gauss5.one() / (gauss5.var(0) - 5), PrecisionCtx(4),
+                      err_target=5)
 
 
 def test_roundtrip_valuation_accuracy(gauss5):
@@ -83,7 +85,7 @@ def test_roundtrip_valuation_accuracy(gauss5):
     ctx = PrecisionCtx(Fraction(8), d=24)
     for c in [K.scalar(7) / 3, x ** 2 / 25 + 2,
               (x + 1) / (K.one() + K.scalar(5) * x)]:
-        r = reduce_scalar(c, ctx)
+        r = reduce_scalar(c, ctx, err_target=9)
         # lifted representative agrees with c to the stated error
         assert (r.lift() - c).val() >= LogVal(r.err_lv) or (r.lift() - c).is_zero()
 
