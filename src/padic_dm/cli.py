@@ -39,11 +39,11 @@ SCHEMA_VERSION = 1
 # The precision of a job whose --precision leaves a key out.
 DEFAULT_PRECISION = PrecisionCtx(Fraction(10))
 
-# Cap on the target precision N.  A Hensel split gains about its radius
-# gap per step on digits that grow as p^(N + 1 + 3*span) (the working
-# error), so its time grows about as N^2: `decompose` on T^2 - (1/5)*T + x
-# (gap 1) took 1.1 s at N=200, 5.5 s at N=400 and 8 s at N=500 (d=48,
-# enough max_iter; one process), measured with 11 more guard digits.
+# Cap on the target precision N.  A split's time grows about as N^2 (its
+# digits grow as the working error): `decompose` on T^2 - (1/5)*T + x takes
+# 0.89 s at N=200, 2.7-3.6 s at N=400, 3.8 s at N=500 (in process, d=48,
+# max_iter=1000; shared 2-core host).  The joint cap below refuses all three
+# (N^2 * 48 > 2^19 once N > 104), so this cap binds alone only for d <= 2.
 # README, golden and test inputs use N <= 80.
 MAX_N = 500
 

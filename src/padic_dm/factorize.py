@@ -48,8 +48,8 @@ from .diffmod import (DiffModule, cyclic_data, cyclic_presentations,
                       from_operator, spectral_radius_bruteforce)
 from .precision import ApproxDomain, PrecisionCtx, domain_of
 # profile is not called here: the benchmark tracer wraps it by this name
-from .radii import (MultiRadiusProfile, RadiusProfile, profile,
-                    radii_from_polygon)
+from .radii import (MultiRadiusProfile, RadiusProfile, check_profile,
+                    profile, radii_from_polygon)
 from .twisted import (TwistedPoly, divmod_left, divmod_right, mul, pi_norm,
                       weighted_norm)
 
@@ -126,7 +126,7 @@ def _init_low_factor(p: TwistedPoly, d_low: int) -> TwistedPoly:
 
 
 def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
-            ctx: PrecisionCtx, right: bool):
+            right: bool):
     """Contraction onto the monic factor Q of degree d_low.
 
     Right: P = D*Q + R, Q <- Q + i(z) * R.  Left: P = Q*E + S,
@@ -135,9 +135,11 @@ def _hensel(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
     current d0 again after a step that gained less than the gap.  A z off
     from d0^-1 at relative lv e gains about min(gap, e) per step.  The
     factors are certified by their lifting floor too; one below N raises
-    PrecisionLoss with the shortfall in digits.
+    PrecisionLoss with the shortfall in digits.  N and max_iter are those
+    of P's working domain.
     """
     divide = divmod_right if right else divmod_left
+    ctx = p.domain.ctx
     q = _init_low_factor(p, d_low)
     prev = zinv = None
     for step in range(ctx.max_iter + 1):
@@ -177,16 +179,14 @@ def _err_norm(f: TwistedPoly, lv_t: LogVal) -> LogVal:
     return weighted_norm(f.domain.field, [c.err_lv for c in f.coeffs], lv_t)
 
 
-def _hensel_right(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
-                  ctx: PrecisionCtx):
+def _hensel_right(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal):
     """P = D*Q + R iteration on the right factor.  Returns (D, Q, res_lv)."""
-    return _hensel(p, d_low, lv_t, gap, ctx, right=True)
+    return _hensel(p, d_low, lv_t, gap, right=True)
 
 
-def _hensel_left(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal,
-                 ctx: PrecisionCtx):
+def _hensel_left(p: TwistedPoly, d_low: int, lv_t: LogVal, gap: LogVal):
     """P = Q*E + S iteration on the left factor.  Returns (E, Q, res_lv)."""
-    return _hensel(p, d_low, lv_t, gap, ctx, right=False)
+    return _hensel(p, d_low, lv_t, gap, right=False)
 
 
 def slope_factorize(p: TwistedPoly, lv_break: LogVal,
@@ -199,7 +199,7 @@ def slope_factorize(p: TwistedPoly, lv_break: LogVal,
     if not p.is_monic():
         raise NotMonic("slope factorization needs a monic operator")
     split = _split_groups(p, lv_break)
-    return _with_retry(p, ctx, lambda pa: _hensel_right(pa, *split, ctx))[:2]
+    return _with_retry(p, ctx, lambda pa: _hensel_right(pa, *split))[:2]
 
 
 @dataclass(frozen=True)
@@ -222,11 +222,10 @@ class SlopeFactorization:
 def factor_by_radii(p: TwistedPoly, ctx: PrecisionCtx) -> SlopeFactorization:
     """Right-split chain: P ~ F_1 * F_2 * ... * F_k, descending radii lv."""
     lvs = radii_from_polygon(p).support[::-1]
-    return _with_retry(p, ctx, lambda pa: _right_chain(pa, lvs, ctx))
+    return _with_retry(p, ctx, lambda pa: _right_chain(pa, lvs))
 
 
-def _right_chain(p: TwistedPoly, lvs: tuple,
-                 ctx: PrecisionCtx) -> SlopeFactorization:
+def _right_chain(p: TwistedPoly, lvs: tuple) -> SlopeFactorization:
     """Pure factors for the descending lvs, split off on the left in turn.
 
     The tails (the right cofactor left after each split) span the
@@ -235,7 +234,7 @@ def _right_chain(p: TwistedPoly, lvs: tuple,
     factors, residuals, tails = [], [], []
     rest = p
     for lv in lvs[:-1]:
-        d, rest, res = _hensel_right(rest, *_split_groups(rest, lv), ctx)
+        d, rest, res = _hensel_right(rest, *_split_groups(rest, lv))
         factors.append(d)
         residuals.append(res)
         tails.append(rest)
@@ -313,11 +312,9 @@ def _quotient(cols: list, ctx: PrecisionCtx, n: int,
     quotient of both decompositions: error ctx.target_err, no monomials
     above the watermark d - (2n + 10), where derivatives leave the cap's
     truncation junk.  ``band``: containment is judged n + 4 degrees lower
-    still, as products of watermark-truncated values make junk above it."""
+    still, as products of watermark-truncated values make junk above it.
+    No check: ``_split_decomposition`` owns the degree cap (mark >= 2)."""
     mark = ctx.d - (2 * n + 10)
-    if mark < 2:
-        raise PrecisionLoss(
-            f"degree cap d={ctx.d} too small for dimension {n}")
     if band:
         mark -= n + 4
     return [[e.truncate_err(ctx.target_err, mark) for e in col]
@@ -340,12 +337,12 @@ def _intersect(spans: list, adom, ctx: PrecisionCtx, n: int) -> tuple:
     return cols, adom
 
 
-def _restrict(m: DiffModule, u_cols: list, adom, ctx: PrecisionCtx) -> DiffModule:
+def _restrict(m: DiffModule, u_cols: list, adom) -> DiffModule:
     """Module structure induced on the span of u_cols, for every derivation.
 
-    u_cols lie in the certificate quotient, as ``_intersect``'s bases do;
-    their images are taken there too, and a residual that survives in its
-    containment band raises StabilityFailure.
+    u_cols lie in the certificate quotient of ``adom.ctx``, as
+    ``_intersect``'s bases do; their images are taken there too, and a
+    residual that survives in its containment band raises StabilityFailure.
     """
     ma = m if not m.domain.is_exact else m.map_domain(adom)
     u = la.from_columns(u_cols)
@@ -354,13 +351,13 @@ def _restrict(m: DiffModule, u_cols: list, adom, ctx: PrecisionCtx) -> DiffModul
         if ma.mats[j] is None:
             mats.append(None)
             continue
-        w = la.from_columns(
-            _quotient([ma.apply_T(j, col) for col in u_cols], ctx, ma.dim))
+        w = la.from_columns(_quotient(
+            [ma.apply_T(j, col) for col in u_cols], adom.ctx, ma.dim))
         sol = la.solve_in_span(u, w)
         if sol is None:
             raise StabilityFailure("embedding basis rank-deficient at precision")
         x, residual = sol
-        rest = _quotient(residual, ctx, ma.dim, band=True)
+        rest = _quotient(residual, adom.ctx, ma.dim, band=True)
         if any(not e.is_zero() for row in rest for e in row):
             raise StabilityFailure(
                 f"component basis not stable under derivation {j} at precision")
@@ -408,28 +405,32 @@ def _decompose_from_cyclic(m: DiffModule, j: int, ctx: PrecisionCtx,
                            p: TwistedPoly, cbasis: la.Matrix) -> Decomposition:
     """One candidate; a single radius is all of M, before any reduction."""
     prof = radii_from_polygon(p)
-    lvs = prof.support[::-1]
-    if len(lvs) == 1:
-        comp = Component(lvs[0], m, la.identity(m.domain, m.dim), p)
+    if len(prof.entries) == 1:
+        comp = Component(prof.support[0], m, la.identity(m.domain, m.dim), p)
         return Decomposition((comp,), Certificate(), prof)
     return _with_retry(p, ctx, lambda pa: _split_decomposition(
-        m, j, ctx, pa, cbasis, prof))
+        m, j, pa, cbasis, prof))
 
 
-def _split_decomposition(m: DiffModule, j: int, ctx: PrecisionCtx,
-                         pa: TwistedPoly, cbasis: la.Matrix,
+def _split_decomposition(m: DiffModule, j: int, pa: TwistedPoly,
+                         cbasis: la.Matrix,
                          prof: RadiusProfile) -> Decomposition:
+    """One certified component per radius of prof, split from pa at the
+    precision of its domain; the degree cap is checked before any split."""
     lvs = prof.support[::-1]
     mults = [mult for _lv, mult in reversed(prof.entries)]
     n, k = m.dim, len(lvs)
-    adom = pa.domain
-    chain = _right_chain(pa, lvs, ctx)
+    adom, ctx = pa.domain, pa.domain.ctx
+    if ctx.d - (2 * n + 10) < 2:
+        raise PrecisionLoss(
+            f"degree cap d={ctx.d} too small for dimension {n}")
+    chain = _right_chain(pa, lvs)
     residuals = list(chain.residual_lv)
 
     # decreasing filtration: left splits at every break (low radii)
     lows = [None]
     for i in range(1, k):
-        e, _q, res = _hensel_left(pa, *_split_groups(pa, lvs[i - 1]), ctx)
+        e, _q, res = _hensel_left(pa, *_split_groups(pa, lvs[i - 1]))
         residuals.append(res)
         lows.append(e)
     highs = list(chain.tails) + [None]
@@ -447,9 +448,7 @@ def _split_decomposition(m: DiffModule, j: int, ctx: PrecisionCtx,
 
     # certificates -----------------------------------------------------
     dims_ok = sum(mults) == n
-    purity_ok = True
-    recomposed = []
-    comps = []
+    purity_ok, recomposed, comps = True, [], []
     camb = [[adom.coerce(e) for e in row] for row in cbasis]
     for c in range(k):
         f = chain.factors[c]
@@ -458,9 +457,10 @@ def _split_decomposition(m: DiffModule, j: int, ctx: PrecisionCtx,
             purity_ok = False
         recomposed += fprof.entries
         cmod = from_operator(f)
-        est = spectral_radius_bruteforce(cmod, j, kmax=10)
-        tol = est.spread + 1
-        if abs(est.lv - lvs[c]) > tol:
+        try:
+            check_profile(fprof, spectral_radius_bruteforce(cmod, j, kmax=10),
+                          m.field)
+        except CertificateFailure:
             purity_ok = False
         embedding = la.mat_mul(camb, la.from_columns(spans[c]))
         comps.append(Component(lvs[c], cmod, embedding, f))
@@ -472,7 +472,7 @@ def _split_decomposition(m: DiffModule, j: int, ctx: PrecisionCtx,
     stability_ok = True
     for cols in spans:
         try:
-            _restrict(companion, cols, adom, ctx)
+            _restrict(companion, cols, adom)
         except StabilityFailure:
             stability_ok = False
 
@@ -534,7 +534,7 @@ def _multi_rec(m: DiffModule, decs: list, ctx: PrecisionCtx) -> list:
             for c in last.components:
                 cols, adom = _intersect([la.columns(c.embedding)], None, ctx,
                                         m.dim)
-                _restrict(m, cols, adom, ctx)
+                _restrict(m, cols, adom)
         return [replace(c, key=head + (c.key,)) for c in last.components]
     meets = []
     for choice in product(*(d.components for d in decs)):
@@ -548,7 +548,7 @@ def _multi_rec(m: DiffModule, decs: list, ctx: PrecisionCtx) -> list:
             f"intersection dimensions {dims} do not add up to {m.dim}")
     out = []
     for key, cols, adom in meets:
-        sub = _restrict(m, cols, adom, ctx)
+        sub = _restrict(m, cols, adom)
         out.append(Component(key, sub, la.from_columns(cols),
                              cyclic_data(sub, m.derivations[-1])[0]))
     return out

@@ -341,8 +341,8 @@ def test_short_lifting_floor_reaches_the_attempts(monkeypatch):
 
 def test_precision_loss_without_shortfall_is_not_rerun(monkeypatch):
     # at d = 14 the watermark d - (2n + 10) of the certificate quotient is
-    # below 2 for n = 2; more working digits do not lift it, so each
-    # candidate that splits runs its split once
+    # below 2 for n = 2; more working digits do not lift it, so no
+    # candidate is rerun, and the degree cap is checked before any split
     right_chain, splits = factorize._right_chain, []
 
     def counted(*args):
@@ -360,7 +360,7 @@ def test_precision_loss_without_shortfall_is_not_rerun(monkeypatch):
     assert {key: error[key] for key in cap} == cap
     assert [a for a in error["attempts"]
             if a["code"] == "precision-loss"] == [cap] * 3
-    assert len(splits) == 3
+    assert splits == []
 
 
 @pytest.mark.parametrize("args,deriv", [

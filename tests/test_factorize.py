@@ -270,7 +270,7 @@ def test_lifting_floor_rejects_a_coarse_factor_coefficient(
         else:
             monkeypatch.setattr(factorize, "_init_low_factor",
                                 lambda p, d_low: coarse(init(p, d_low), err))
-        return _hensel(*split, ctx, right)
+        return _hensel(*split, right)
 
     cof, q, _res = run_cut_to(need)
     lifted = (cof.lift_exact(), q.lift_exact())
@@ -461,10 +461,10 @@ def test_restrict_rejects_unstable_span(gauss5xy):
     # submodule, e1 alone does not
     m = DiffModule(ExactDomain(K), 2, [[[z, z], [z, z]], [[z, one], [one, z]]])
     adom = ApproxDomain(K, CTX, CTX.target_err + DEFAULT_GUARD)
-    stable = _restrict(m, [[adom.one(), adom.one()]], adom, CTX)
+    stable = _restrict(m, [[adom.one(), adom.one()]], adom)
     assert stable.dim == 1 and stable.mats[1][0][0] == adom.one()
     with pytest.raises(StabilityFailure, match="not stable under derivation"):
-        _restrict(m, [[adom.one(), adom.zero()]], adom, CTX)
+        _restrict(m, [[adom.one(), adom.zero()]], adom)
 
 
 @pytest.mark.parametrize("job", ["readme-decompose", "three-radii",
@@ -477,9 +477,9 @@ def test_restrict_receives_columns_in_the_quotient(gauss5, monkeypatch, job):
     restrict, intersect = factorize._restrict, factorize.la.intersect_spans
     seen, intersections = [], []
 
-    def recording(m, u_cols, adom, ctx):
-        seen.append((m.dim, u_cols, ctx))
-        return restrict(m, u_cols, adom, ctx)
+    def recording(m, u_cols, adom):
+        seen.append((m.dim, u_cols, adom.ctx))
+        return restrict(m, u_cols, adom)
 
     def counting(u_cols, v_cols, domain):
         intersections.append(len(u_cols))
@@ -508,10 +508,10 @@ def test_corrupted_chain_factor_fails_certificate(gauss5, monkeypatch):
     from padic_dm import factorize
     right_chain = factorize._right_chain
 
-    def corrupted(p, lvs, ctx):
+    def corrupted(p, lvs):
         # shift the constant term of the lv 1/4 factor T - x by 1/25: its
         # root moves to valuation -2, so the factor is no longer pure of 1/4
-        chain = right_chain(p, lvs, ctx)
+        chain = right_chain(p, lvs)
         f = chain.factors[-1]
         bad = TwistedPoly(f.domain, f.deriv,
                           (f.coeffs[0] + gauss5.one() / 25,) + f.coeffs[1:])
@@ -570,6 +570,42 @@ def test_unstable_span_fails_stability_certificate(gauss5, monkeypatch):
         decompose(m, 0, CTX)
 
 
+@pytest.mark.parametrize("field,text,passes,fails,expandable", [
+    ("gauss5", "T^2 - (1/5)*T + x", "3/4", "1", 3),
+    ("laurent", "T^2 - (1/z^3)*T + 1/z", "1/2", "3/4", 6),
+], ids=["gauss", "laurent"])
+def test_purity_fails_on_a_wrong_estimate(request, monkeypatch, field, text,
+                                          passes, fails, expandable):
+    """Purity judges each factor's oracle estimate by ``check_profile``'s
+    tolerance, spread + 1/2 + lv_omega: an estimate moved up by 3/4 (Gauss
+    p=5) or 1/2 (Laurent) still passes, one moved further fails every
+    candidate that splits; the others are not expandable."""
+    from padic_dm import factorize
+    oracle = factorize.spectral_radius_bruteforce
+    m = from_operator(parse_operator(text, request.getfixturevalue(field)))
+
+    def moved_up(s):
+        def wrong(cmod, j, kmax):
+            est = oracle(cmod, j, kmax=kmax)
+            return replace(est, lv=est.lv + lv(s))
+        return wrong
+
+    monkeypatch.setattr(factorize, "spectral_radius_bruteforce",
+                        moved_up(passes))
+    assert decompose(m, 0, CTX).certificate.purity_ok
+    monkeypatch.setattr(factorize, "spectral_radius_bruteforce",
+                        moved_up(fails))
+    with pytest.raises(CertificateFailure, match="'purity_ok': False") as err:
+        decompose(m, 0, CTX)
+    attempts = err.value.attempts
+    assert len(attempts) == 6
+    split = [msg for code, msg in attempts if code == "certificate-failure"]
+    assert len(split) == expandable
+    assert all("'purity_ok': False" in msg for msg in split)
+    assert all(code == "not-expandable" for code, _msg in attempts
+               if code != "certificate-failure")
+
+
 # -- the chord contraction ------------------------------------------------
 
 
@@ -594,7 +630,8 @@ def _fresh_hensel(p, d_low, lv_t, ctx, right):
 
 def _splits(text, field, ctx):
     """Every split of the operator at one of its breaks, as the arguments
-    of ``factorize._hensel`` before ``ctx``."""
+    of ``factorize._hensel`` before ``right``; the reduced operator carries
+    ctx."""
     from padic_dm.factorize import _split_groups, reduce_operator
     p = reduce_operator(parse_operator(text, field), ctx)
     lvs = radii_from_polygon(p).support[::-1]
@@ -651,7 +688,7 @@ def test_chord_matches_fresh_inverse(request, field, text, d, right):
     ctx = PrecisionCtx(Fraction(30), d=d, max_iter=100)
     for p, d_low, lv_t, gap in _splits(text, request.getfixturevalue(field),
                                        ctx):
-        cof, q, res = _hensel(p, d_low, lv_t, gap, ctx, right)
+        cof, q, res = _hensel(p, d_low, lv_t, gap, right)
         ref_cof, ref_q, ref_res = _fresh_hensel(p, d_low, lv_t, ctx, right)
         assert res >= LogVal(30) and ref_res >= LogVal(30)
         assert _same_at(30, q, ref_q) and _same_at(30, cof, ref_cof)
@@ -664,7 +701,7 @@ def test_chord_inverts_the_cofactor_a_few_times(gauss5, monkeypatch, right):
     ctx = PrecisionCtx(Fraction(80), d=48, max_iter=100)
     (split,) = _splits("T^2 - (1/5)*T + x", gauss5, ctx)
     steps = _count_cofactor_inversions(monkeypatch, right)
-    _cof, _q, res = _hensel(*split, ctx, right)
+    _cof, _q, res = _hensel(*split, right)
     assert res >= LogVal(80)
     assert 1 <= len(steps) <= 3
 
@@ -678,10 +715,10 @@ def test_chord_refreshes_a_stale_inverse(gauss5, monkeypatch, right):
     ctx = PrecisionCtx(Fraction(40), d=32, max_iter=100)
     (split,) = _splits("T^2 - (1/125)*T + x", gauss5, ctx)
     assert split[3] == LogVal(3)
-    cof, q, _res = _hensel(*split, ctx, right)
+    cof, q, _res = _hensel(*split, right)
     steps = _count_cofactor_inversions(monkeypatch, right,
                                        perturb=lambda z: z + z * 25)
-    stale_cof, stale_q, res = _hensel(*split, ctx, right)
+    stale_cof, stale_q, res = _hensel(*split, right)
     assert steps == [0, 1]
     assert res >= LogVal(40)
     assert _same_at(40, q, stale_q) and _same_at(40, cof, stale_cof)
