@@ -48,8 +48,10 @@ DEFAULT_PRECISION = PrecisionCtx(Fraction(10))
 MAX_N = 500
 
 # Cap on the degree cap d.  Bivariate Gauss digits fill up to (d+1)^2 / 2
-# monomials: `multi_decompose` on a conjugated criterion-8 module takes
-# 0.15 s at d=28, 2.1 s at d=56 and 14 s at d=112.  Inputs use d <= 64.
+# monomials: `multi_decompose` on variant 3 of the `multi-decompose`
+# benchmark corpus (seed 505) takes 0.69 s at d=28, 1.95 s at d=56 and
+# 14.2 s at d=112 (N=10, one process, shared 2-core host).  Inputs use
+# d <= 64.
 MAX_D = 128
 
 # Cap on max_iter.  A split stops at its target or at its first step that
@@ -61,9 +63,10 @@ MAX_ITER = 1000
 # each cap above can still run for minutes.  One variable costs about
 # N^2 * d: `decompose` on T^12 - (1/5)*T + x takes 1.6 s at N=100,d=48,
 # 20 s at N=200,d=128, over 70 s at N=500,d=128 and 2.0-2.7 s at this cap.
-# `multi-decompose` on a shear conjugate of the README module takes 7.5 s
-# at N=10,d=64 (the default d), 12.5 s at N=10,d=72 (this cap) and 55 s
-# at N=10,d=128 (one process, shared 2-core host).  Inputs reach 80^2 * 48.
+# `multi-decompose` on a shear conjugate of the README module takes 3.1 s
+# at N=10,d=64 (the default d), 4.0 s at N=10,d=72 (this cap), 27.5 s at
+# N=10,d=128 and 5.4 s at N=16,d=64, which this cap refuses (in process,
+# shared 2-core host).  Inputs reach 80^2 * 48.
 MAX_PRECISION_WORK = 2 ** 19
 
 # Cap on the module dimension (the --op degree, the size of each --mat).

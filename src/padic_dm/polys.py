@@ -8,29 +8,29 @@ scalar field layer: only the handful of operations the field needs, no
 general polynomial API.
 
 Products, here and in ``precision._conv``, have one routine per arity
-(``p_mul_uni``, ``p_mul_bi``), and balanced base-2^k digits one reader
-(``_unpack``).  ``p_gcd`` returns a gcd g with the cofactors a/g and b/g,
-whose coefficients have no common factor.  When a or b is a single term
-c*x^e, g is x^(``p_mono_gcd``) times the gcd of all their coefficients,
-and ``p_divexact`` divides by such a g with an exponent shift and an int
+(``p_mul_uni``, ``p_mul_bi``), each choosing its route from the operand
+shape alone; the packed routes share one slot width (``_slot_bytes``),
+and balanced base-2^k digits one reader (``_unpack``).  ``p_gcd``
+returns a gcd g with the cofactors a/g and b/g, whose coefficients have
+no common factor.  When a or b is a single term c*x^e, g is
+x^(``p_mono_gcd``) times the gcd of all their coefficients, and
+``p_divexact`` divides by such a g with an exponent shift and an int
 division; the other gcds (on primitive parts) and exact divisions
 evaluate their operands at powers of two.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from math import gcd as int_gcd
 from operator import add
 
 Mono = tuple
 Poly = dict
 
-# Univariate (bivariate) products with at least this many term pairs of
-# degree <= dcap go through ``_kronecker``, the others through the
-# pairwise loop; ``p_mul_uni`` (``p_mul_bi``) gives the measurement.
+# Route thresholds of ``p_mul_uni`` (``MUL_KRONECKER_PAIRS``) and of
+# ``p_mul_bi`` (``ROW_PAIRS``); their docstrings give the measurements.
 MUL_KRONECKER_PAIRS = 192
-KRONECKER_PAIRS = 2 ** 14
+ROW_PAIRS = 2 ** 11
 
 
 def p_const(nvars: int, c: int) -> Poly:
@@ -127,30 +127,46 @@ def p_mul_bi(a: dict, b: dict, dcap: int) -> dict:
     bivariate polynomials or digit dicts: the one bivariate product of
     ``p_mul`` and ``precision._conv``.  Zero digits may be kept.
 
-    From ``KRONECKER_PAIRS`` term pairs of total degree <= dcap
-    (``_pairs``) on, ``_kronecker`` multiplies the weighted operands
-    (``_weighted``) below cap (dcap+1)^2 - 1, and an output exponent e maps
-    back to x^(k-j) y^j for k, j = divmod(e, dcap + 1); fewer pairs go
-    through the pairwise loop, with b scanned in degree order.  The pair
-    count is the work of the loop; the packed product costs about
-    (dcap+1)^2 slots, half of them empty, whatever the operands.  On the
-    bivariate products of the ``multi-decompose`` benchmark (d = 28,
-    digits of ~86 bits, one process), the loop was faster below 2^13
-    pairs (the packed product took 1.4x to 20x as long: sparse operands
-    pay for every slot of the triangle), the packed product won from
-    about 2^13.25 pairs on, by 1.2x to 1.8x up to 2^15 and by 2.0x on
-    dense 435-term triangles (~36k pairs).  ``KRONECKER_PAIRS`` = 2^14
-    leaves the few products between 2^13 and 2^14 pairs on the loop.
+    ``_bi_route`` picks the route from the operand shape alone: the
+    pairwise loop (``_bi_loop``) for a single-term operand or fewer than
+    ``ROW_PAIRS`` term pairs, one int product per pair of x-rows
+    (``_bi_rows``) for the rest.  The loop's work is its term pairs; the
+    row products pay one int product per row pair, each cut to the slots
+    below the cap.  Time of each route (ms, summed) replaying the products
+    of one ``multi-decompose`` pass (corpus 505, d = 28, 4372 products,
+    digits of ~33 bits) and of its variant 3 at d = 64 (1494), multi-term
+    products by term pairs, one process on a shared 2-core host:
+
+                      single  < 2^11  2^11-13  2^13-15  2^15-18  >= 2^18
+        d=28 products   2926     908      149      113      276        0
+             loop         76      61       89      199     2220
+             rows        241     111       58       63      366
+        d=64 products    993      92       54       50       82      223
+             loop        180       6       32      174      311    35536
+             rows        381       9       21       67      125     2277
+
+    The rows lead from 2^11 pairs on because a pair of rows with h
+    y-digits each costs one int product instead of h^2 loop steps.  One
+    Kronecker product of the two operands weighted into (dcap+1)^2 slots
+    lost to the rows in every bin above (3058 ms at d = 64, >= 2^18), and
+    on single products of two full triangles up to d = 160; it wins only
+    from d ~ 190 on, above ``cli.MAX_D`` (rows 876, 2088 ms against 583,
+    1468 ms at d = 192, 256).
     """
+    return _bi_route(len(a), len(b))(a, b, dcap)
+
+
+def _bi_route(na: int, nb: int):
+    """The route of ``p_mul_bi`` for operands of na and nb terms."""
+    if min(na, nb) == 1 or na * nb < ROW_PAIRS:
+        return _bi_loop
+    return _bi_rows
+
+
+def _bi_loop(a: dict, b: dict, dcap: int) -> dict:
+    """Every term pair of total degree <= dcap, with b scanned in degree
+    order."""
     bi = sorted(((sum(m), m, c) for m, c in b.items()))
-    if _pairs(a, bi, dcap) >= KRONECKER_PAIRS:
-        w = dcap + 1
-        prod = _kronecker(_weighted(a, w), _weighted(b, w), w * w - 1)
-        out = {}
-        for (e,), c in prod.items():
-            k, j = divmod(e, w)
-            out[(k - j, j)] = c
-        return out
     out = {}
     get = out.get
     for ma, ca in a.items():
@@ -164,29 +180,67 @@ def p_mul_bi(a: dict, b: dict, dcap: int) -> dict:
     return out
 
 
-def _pairs(a: dict, bi: list, dcap: int) -> int:
-    """Number of term pairs (one of a, one of b) of total degree <= dcap,
-    read off the two total-degree histograms; ``bi`` is b as sorted
-    (degree, monomial, digit) triples."""
-    hist = [0] * (dcap + 1)
-    for db, _m, _c in bi:
-        if db > dcap:
-            break
-        hist[db] += 1
-    upto = list(accumulate(hist))   # upto[t]: terms of b of degree <= t
-    return sum(upto[dcap - da] for m in a if (da := sum(m)) <= dcap)
+def _bi_rows(a: dict, b: dict, dcap: int) -> dict:
+    """One int product per pair of x-rows (``_rows``).
 
-
-def _weighted(d: dict, w: int) -> dict:
-    """x^i y^j -> t^(i*w + j*(w+1)) = t^((i+j)*w + j), for w = dcap + 1.
-
-    A term of total degree K <= dcap sits in slot K*w + j with j <= K < w,
-    so a product of such terms, if its degree K stays <= dcap, lands in
-    slot K*w + j without carrying into the next degree; every product of
-    degree > dcap lands at or above w^2, so the cap w^2 - 1 drops exactly
-    those.
+    Rows i1 of a and i2 of b, packed from y-degrees lo1 and lo2, add their
+    product into output row s = i1 + i2 at y-degree lo1 + lo2.  Only the
+    n = dcap - s + 1 - lo1 - lo2 lowest slots of that product are below
+    the cap, and they depend only on each factor mod 2^(kn), so a row
+    longer than n is cut to its n low slots first (``x & mask``, which
+    also makes it nonnegative).  The slots above n of each product are
+    junk, and they land above the dcap - s + 1 slots that ``_unpack``
+    reads from the sum.
     """
-    return {(i * w + j * (w + 1),): c for (i, j), c in d.items()}
+    rows_a, top_a = _rows(a, dcap)
+    rows_b, top_b = _rows(b, dcap)
+    kb = _slot_bytes(top_a, top_b, min(len(a), len(b)))
+    k = kb << 3
+    rows_b = [(i, lo, _pack(ds, kb), len(ds)) for i, lo, ds in rows_b]
+    acc: dict = {}
+    get = acc.get
+    for i1, lo1, ds1 in rows_a:
+        x1, n1 = _pack(ds1, kb), len(ds1)
+        for i2, lo2, x2, n2 in rows_b:
+            s = i1 + i2
+            if s > dcap:
+                break
+            lo = lo1 + lo2
+            n = dcap - s + 1 - lo
+            if n > 0:
+                mask = (1 << k * n) - 1
+                acc[s] = get(s, 0) + ((x1 & mask if n1 > n else x1)
+                                      * (x2 & mask if n2 > n else x2) << k * lo)
+    out = {}
+    for s, v in acc.items():
+        for j, c in enumerate(_unpack(v, kb, dcap - s + 1)):
+            if c:
+                out[(s, j)] = c
+    return out
+
+
+def _rows(d: dict, dcap: int) -> tuple:
+    """The x-rows of the terms of d of total degree <= dcap, and their
+    largest |digit| (0 when there are none): (i, lo, digits) for each
+    x-degree i, by increasing i, with the y-digits of that row at y-degrees
+    lo .. lo+len(digits)-1, zeros included."""
+    rows: dict = {}
+    for (i, j), c in d.items():
+        if i + j <= dcap:
+            row = rows.get(i)
+            if row is None:
+                rows[i] = {(j,): c}
+            else:
+                row[(j,)] = c
+    out = []
+    top = 0
+    for i in sorted(rows):
+        row = rows[i]
+        lo = min(row)[0]
+        digits = _dense(row, lo, max(row)[0] - lo + 1)
+        top = max(top, max(digits), -min(digits))
+        out.append((i, lo, digits))
+    return out, top
 
 def p_derive(a: Poly, var: int) -> Poly:
     out: Poly = {}
@@ -348,14 +402,10 @@ def _unpack(x: int, kb: int, n: int) -> list:
 
 
 def _kronecker(a: dict, b: dict, dcap: int) -> dict:
-    """Truncated product of univariate int polynomials or digit dicts
-    (bivariate ones after ``_weighted``) by Kronecker substitution.
-
-    Both digit vectors are evaluated at 2^k, so one product of ints does
-    the whole convolution.  Each output digit is a sum of at most
-    min(len a, len b) products, so |c| < 2^(k-1) for a slot width of
-    bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 2, rounded up
-    to whole bytes, and ``_unpack`` reads the digits exactly.
+    """Truncated product of univariate int polynomials or digit dicts by
+    Kronecker substitution: both digit vectors are evaluated at 2^(8*kb),
+    kb = ``_slot_bytes``, so one product of ints does the whole
+    convolution, and ``_unpack`` reads the digits exactly.
     """
     loa, hia = min(a)[0], max(a)[0]
     lob, hib = min(b)[0], max(b)[0]
@@ -364,11 +414,23 @@ def _kronecker(a: dict, b: dict, dcap: int) -> dict:
         return {}
     da = _dense(a, loa, min(top, hia - loa) + 1)
     db = _dense(b, lob, min(top, hib - lob) + 1)
-    kb = (_bits(da) + _bits(db) + min(len(a), len(b)).bit_length() + 2 + 7) >> 3
+    kb = _slot_bytes(max(max(da), -min(da)), max(max(db), -min(db)),
+                     min(len(a), len(b)))
     n = min(top + 1, len(da) + len(db) - 1)
     digits = _unpack(_pack(da, kb) * _pack(db, kb), kb, n)
     lo = loa + lob
     return {(lo + i,): c for i, c in enumerate(digits) if c}
+
+
+def _slot_bytes(top_a: int, top_b: int, terms: int) -> int:
+    """Bytes per slot of a packed product (``_kronecker``, ``_bi_rows``)
+    whose packed digits are at most top_a and top_b in absolute value, of
+    operands of which one has at most ``terms`` terms.  Each digit of the
+    product is a sum of at most ``terms`` products of a digit of each, so
+    |c| < 2^(k-1) for a slot width k of bits(top_a) + bits(top_b) +
+    bits(terms) + 2, rounded up to whole bytes."""
+    return (top_a.bit_length() + top_b.bit_length()
+            + terms.bit_length() + 2 + 7) >> 3
 
 
 def _dense(d: dict, lo: int, n: int) -> list:
@@ -378,10 +440,6 @@ def _dense(d: dict, lo: int, n: int) -> list:
         if e - lo < n:
             dense[e - lo] = c
     return dense
-
-
-def _bits(digits: list) -> int:
-    return max(max(digits), -min(digits)).bit_length()
 
 
 def _pack(digits: list, kb: int) -> int:

@@ -1,9 +1,11 @@
 """Truncated scalars: reduction, arithmetic, error tracking."""
 
+import contextlib
 import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -311,26 +313,36 @@ def conv_operands(draw):
     return draw(operand), draw(operand), dcap, nvars
 
 
-@given(conv_operands(), st.booleans())
-@example(({}, {(0,): 3, (2,): -1}, 4, 1), False)
+ROUTES = ("loop", "rows")
+
+
+@contextlib.contextmanager
+def forced_route(name):
+    """Send every product through one route: bivariate ones through
+    ``P._bi_<name>``, univariate ones through the pairwise loop for "loop"
+    and through ``_kronecker`` otherwise."""
+    route = getattr(P, f"_bi_{name}")
+    with mock.patch.object(P, "_bi_route", lambda *shape: route), \
+            mock.patch.object(P, "MUL_KRONECKER_PAIRS",
+                              math.inf if name == "loop" else 0):
+        yield
+
+
+@given(conv_operands(), st.sampled_from(ROUTES))
+@example(({}, {(0,): 3, (2,): -1}, 4, 1), "loop")
 @example(({(0,): 1, (3,): -2 ** 200}, {(0,): 5, (1,): 1, (9,): 2}, 8, 1),
-         False)
-@example(({(0, 0): 2, (1, 0): -1}, {(0, 1): 3, (0, 0): 1}, 0, 2), True)
+         "loop")
+@example(({(0, 0): 2, (1, 0): -1}, {(0, 1): 3, (0, 0): 1}, 0, 2), "rows")
 @settings(max_examples=300, deadline=None)
-def test_conv_matches_schoolbook(case, packed):
-    """``packed`` sends multi-term cases through the Kronecker branch, of
-    ``_conv`` and of the exact product ``P.p_mul``, which shares it: with
-    no degree cap, and no zero coefficients in its result."""
+def test_conv_matches_schoolbook(case, route):
+    """``route`` sends every case through one route of ``_conv`` and of the
+    exact product ``P.p_mul``, which shares them: with no degree cap, and
+    no zero coefficients in its result."""
     a, b, dcap, nvars = case
     a_poly, b_poly = ({m: c for m, c in d.items() if c} for d in (a, b))
-    thresholds = P.KRONECKER_PAIRS, P.MUL_KRONECKER_PAIRS
-    if packed:
-        P.KRONECKER_PAIRS = P.MUL_KRONECKER_PAIRS = 0
-    try:
+    with forced_route(route):
         got = _conv(a, b, dcap, nvars)
         exact = P.p_mul(a_poly, b_poly)
-    finally:
-        P.KRONECKER_PAIRS, P.MUL_KRONECKER_PAIRS = thresholds
     assert {m: c for m, c in got.items() if c} == schoolbook(a, b, dcap)
     assert all(type(c) is int for c in got.values())
     assert exact == schoolbook(a, b)
@@ -347,6 +359,18 @@ def _triangle(rng, top, keep, bits):
     return out
 
 
+def _assert_routes_match_schoolbook(a, b, dcap):
+    """Each route of ``p_mul_bi`` gives the capped schoolbook product, and
+    each route of ``P.p_mul`` the uncapped one."""
+    want = schoolbook(a, b, dcap)
+    exact = schoolbook(a, b)
+    for route in ROUTES:
+        with forced_route(route):
+            got = P.p_mul_bi(a, b, dcap)
+            assert {m: c for m, c in got.items() if c} == want, route
+            assert P.p_mul(a, b) == exact, route
+
+
 @pytest.mark.parametrize("seed, top_a, keep_a, top_b, keep_b, bits", [
     (1, 28, 1.0, 28, 1.0, 90),      # dense triangles, Gauss-sized digits
     (2, 28, 1.0, 28, 0.5, 200),     # dense times half-dense
@@ -356,25 +380,69 @@ def _triangle(rng, top, keep, bits):
     (6, 30, 1.0, 0, 1.0, 150),
 ], ids=["dense", "dense-half", "half-dense", "above-cap", "degree-0-left",
         "degree-0-right"])
-def test_bivariate_kronecker_matches_schoolbook(monkeypatch, seed, top_a,
-                                                keep_a, top_b, keep_b, bits):
+def test_bivariate_kronecker_matches_schoolbook(seed, top_a, keep_a, top_b,
+                                                keep_b, bits):
     rng = random.Random(seed)
-    dcap = 28
-    a = _triangle(rng, top_a, keep_a, bits)
-    b = _triangle(rng, top_b, keep_b, bits)
-    if 0 in (top_a, top_b):
-        # a constant operand never has enough pairs for the packed product
-        monkeypatch.setattr(P, "KRONECKER_PAIRS", 0)
-    else:
-        bi = sorted((sum(m), m, c) for m, c in b.items())
-        assert P._pairs(a, bi, dcap) >= P.KRONECKER_PAIRS
-    calls = []
-    kronecker = P._kronecker
-    monkeypatch.setattr(P, "_kronecker",
-                        lambda *args: calls.append(1) or kronecker(*args))
-    got = _conv(a, b, dcap, 2)
-    assert calls
-    assert {m: c for m, c in got.items() if c} == schoolbook(a, b, dcap)
+    _assert_routes_match_schoolbook(_triangle(rng, top_a, keep_a, bits),
+                                    _triangle(rng, top_b, keep_b, bits), 28)
+
+
+def _rows(rng, xs, ys, bits=40):
+    """Digits on x^i y^j for i in xs and j in ys, of either sign."""
+    return {(i, j): rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)
+            for i in xs for j in ys}
+
+
+ROW_SHAPES = {
+    # x-degrees with gaps; b's rows start above y-degree 0
+    "x-gaps": lambda rng: (_rows(rng, [0, 3, 7, 12], range(10)),
+                           _rows(rng, [1, 2, 9], range(4, 16))),
+    "single-row": lambda rng: (_rows(rng, [5], range(3, 20)),
+                               _rows(rng, [2], range(12))),
+    "x-only": lambda rng: (_rows(rng, range(25), [0]),
+                           _rows(rng, range(0, 30, 2), [0])),
+    "y-only": lambda rng: (_rows(rng, [0], range(25)),
+                           _rows(rng, [0], range(1, 30, 3))),
+    # most terms above the cap, and rows whose first digit is past it
+    "above-cap": lambda rng: (_rows(rng, range(0, 40, 3), range(5, 35, 2)),
+                              _rows(rng, range(20), [0, 9, 17, 26])),
+    # a on the line of total degree 28: only b's constant term meets it
+    "top-line": lambda rng: ({(i, 28 - i): i - 40 for i in range(29)},
+                             _rows(rng, range(29), range(28))),
+}
+
+
+@pytest.mark.parametrize("shape", ROW_SHAPES)
+def test_bivariate_routes_match_schoolbook_on_row_shapes(shape):
+    rng = random.Random(shape)
+    a, b = ROW_SHAPES[shape](rng)
+    _assert_routes_match_schoolbook(a, b, 28)
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 4, 33])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_bivariate_routes_at_the_slot_width_bound(bits, sign):
+    """Full triangles of digits +-(2^bits - 1): the product digits reach
+    about 225 * 2^(2*bits), near the slot width of ``P._slot_bytes``, so
+    slots one byte narrower overflow for 3 of the 4 residues of the width
+    mod 8 that ``bits`` 1..4 give."""
+    top = 2 ** bits - 1
+    a = {(k - j, j): top for k in range(29) for j in range(k + 1)}
+    b = {m: sign * top for m in a}
+    _assert_routes_match_schoolbook(a, b, 28)
+
+
+@pytest.mark.parametrize("na, nb, route", [
+    (1, 2145, "loop"),              # a single-term operand scales the other
+    (45, 45, "loop"),               # below ROW_PAIRS term pairs
+    (46, 46, "rows"),
+    (435, 435, "rows"),             # dense triangles at d = 28 and 64
+    (2145, 2145, "rows"),
+    (66, 2080, "rows"),
+    (20301, 20301, "rows"),         # a full triangle of degree 200
+])
+def test_bivariate_route_depends_on_shape(na, nb, route):
+    assert P._bi_route(na, nb) is getattr(P, f"_bi_{route}")
 
 
 def _full_cap_inverse(u):
