@@ -306,32 +306,34 @@ def _span_columns(poly_tail: TwistedPoly, n: int) -> list:
     return cols
 
 
-def _quotient(cols: list, ctx: PrecisionCtx, n: int,
-              band: bool = False) -> list:
+def _watermark(d: int, n: int) -> int:
+    """Top degree of the certificate quotient of an n-dimensional module at
+    degree cap d: derivatives leave the cap's truncation junk above it."""
+    return d - (2 * n + 10)
+
+
+def _quotient(cols: list, n: int, band: bool = False) -> list:
     """Columns (or rows) over an n-dimensional module, in the certificate
-    quotient of both decompositions: error ctx.target_err, no monomials
-    above the watermark d - (2n + 10), where derivatives leave the cap's
-    truncation junk.  ``band``: containment is judged n + 4 degrees lower
-    still, as products of watermark-truncated values make junk above it.
-    No check: ``_split_decomposition`` owns the degree cap (mark >= 2)."""
-    mark = ctx.d - (2 * n + 10)
-    if band:
-        mark -= n + 4
-    return [[e.truncate_err(ctx.target_err, mark) for e in col]
-            for col in cols]
+    quotient of both decompositions: each entry cut to its ctx's target
+    error and ``_watermark``.  ``band``: containment is judged n + 4
+    degrees lower still, as products of watermark-truncated values make
+    junk above it.  ``_split_decomposition`` checks the watermark >= 2."""
+    below = n + 4 if band else 0
+    return [[e.truncate_err(e.ctx.target_err, _watermark(e.ctx.d, n) - below)
+             for e in col] for col in cols]
 
 
-def _intersect(spans: list, adom, ctx: PrecisionCtx, n: int) -> tuple:
+def _intersect(spans: list, adom, n: int) -> tuple:
     """Basis, in the quotient, of the meet of the spans short of all of M,
     taken in turn: a meet of the full dimension of the basis so far keeps
     that basis.  Also returns the domain of the linear algebra: ``adom``,
     or for None that of the first span's image."""
-    spans = [_quotient(s, ctx, n) for s in spans if len(s) < n]
+    spans = [_quotient(s, n) for s in spans if len(s) < n]
     cols = spans[0]
     adom = adom or domain_of(cols[0][0])
     for span in spans[1:]:
         # scaled like its second argument, the basis so far
-        both = _quotient(la.intersect_spans(span, cols, adom), ctx, n)
+        both = _quotient(la.intersect_spans(span, cols, adom), n)
         if len(both) < len(cols):
             cols = both
     return cols, adom
@@ -340,7 +342,7 @@ def _intersect(spans: list, adom, ctx: PrecisionCtx, n: int) -> tuple:
 def _restrict(m: DiffModule, u_cols: list, adom) -> DiffModule:
     """Module structure induced on the span of u_cols, for every derivation.
 
-    u_cols lie in the certificate quotient of ``adom.ctx``, as
+    u_cols lie in the certificate quotient (``_quotient``), as
     ``_intersect``'s bases do; their images are taken there too, and a
     residual that survives in its containment band raises StabilityFailure.
     """
@@ -352,12 +354,12 @@ def _restrict(m: DiffModule, u_cols: list, adom) -> DiffModule:
             mats.append(None)
             continue
         w = la.from_columns(_quotient(
-            [ma.apply_T(j, col) for col in u_cols], adom.ctx, ma.dim))
+            [ma.apply_T(j, col) for col in u_cols], ma.dim))
         sol = la.solve_in_span(u, w)
         if sol is None:
             raise StabilityFailure("embedding basis rank-deficient at precision")
         x, residual = sol
-        rest = _quotient(residual, adom.ctx, ma.dim, band=True)
+        rest = _quotient(residual, ma.dim, band=True)
         if any(not e.is_zero() for row in rest for e in row):
             raise StabilityFailure(
                 f"component basis not stable under derivation {j} at precision")
@@ -420,10 +422,10 @@ def _split_decomposition(m: DiffModule, j: int, pa: TwistedPoly,
     lvs = prof.support[::-1]
     mults = [mult for _lv, mult in reversed(prof.entries)]
     n, k = m.dim, len(lvs)
-    adom, ctx = pa.domain, pa.domain.ctx
-    if ctx.d - (2 * n + 10) < 2:
+    adom = pa.domain
+    if _watermark(adom.ctx.d, n) < 2:
         raise PrecisionLoss(
-            f"degree cap d={ctx.d} too small for dimension {n}")
+            f"degree cap d={adom.ctx.d} too small for dimension {n}")
     chain = _right_chain(pa, lvs)
     residuals = list(chain.residual_lv)
 
@@ -439,7 +441,7 @@ def _split_decomposition(m: DiffModule, j: int, pa: TwistedPoly,
     spans = []
     for c in range(k):
         cols, _ = _intersect([_span_columns(f, n) for f in (lows[c], highs[c])
-                              if f is not None], adom, ctx, n)
+                              if f is not None], adom, n)
         if len(cols) != mults[c]:
             raise CertificateFailure(
                 f"component for lv {lvs[c]} has rank {len(cols)}, "
@@ -504,7 +506,7 @@ def multi_decompose(m: DiffModule, ctx: PrecisionCtx) -> Decomposition:
         return Decomposition((), Certificate(),
                              MultiRadiusProfile.of((), 0))
     decs = [decompose(m, j, ctx) for j in m.derivations]
-    comps = _multi_rec(m, decs, ctx)
+    comps = _multi_rec(m, decs)
     multi_prof = MultiRadiusProfile.of(((c.key, c.dim) for c in comps), m.dim)
     cert = Certificate(
         sum(c.dim for c in comps) == m.dim,
@@ -516,7 +518,7 @@ def multi_decompose(m: DiffModule, ctx: PrecisionCtx) -> Decomposition:
     return Decomposition(tuple(comps), cert, multi_prof)
 
 
-def _multi_rec(m: DiffModule, decs: list, ctx: PrecisionCtx) -> list:
+def _multi_rec(m: DiffModule, decs: list) -> list:
     """Nonzero intersections of one component of each decomposition.
 
     A single-component decomposition is all of M and takes no part; when
@@ -532,14 +534,14 @@ def _multi_rec(m: DiffModule, decs: list, ctx: PrecisionCtx) -> list:
         head = tuple(d.components[0].key for d in firsts)
         if firsts and len(last.components) > 1:
             for c in last.components:
-                cols, adom = _intersect([la.columns(c.embedding)], None, ctx,
+                cols, adom = _intersect([la.columns(c.embedding)], None,
                                         m.dim)
                 _restrict(m, cols, adom)
         return [replace(c, key=head + (c.key,)) for c in last.components]
     meets = []
     for choice in product(*(d.components for d in decs)):
         cols, adom = _intersect([la.columns(c.embedding) for c in choice],
-                                None, ctx, m.dim)
+                                None, m.dim)
         if cols:
             meets.append((tuple(c.key for c in choice), cols, adom))
     dims = [len(cols) for _key, cols, _adom in meets]

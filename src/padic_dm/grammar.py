@@ -87,6 +87,11 @@ def _tokenize(text: str):
     return out
 
 
+def _shown(tok) -> str:
+    """A token as error messages name it."""
+    return "end of input" if tok[0] == "end" else repr(tok[1])
+
+
 class _Expr:
     """Recursive-descent evaluator into dense T-polynomials over a field.
 
@@ -107,7 +112,7 @@ class _Expr:
     def take(self, kind=None):
         tok = self.toks[self.pos]
         if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise ParseError(f"expected {kind!r}, found {_shown(tok)}", tok[2])
         self.pos += 1
         return tok
 
@@ -196,7 +201,7 @@ class _Expr:
             v = self.nested(self.expr, pos)
             self.take(")")
             return v
-        raise ParseError(f"unexpected token {val!r}", pos)
+        raise ParseError(f"unexpected token {_shown(tok)}", pos)
 
 
 def _padd(a: list, b: list) -> list:

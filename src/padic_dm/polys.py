@@ -7,22 +7,21 @@ Python integers are the one coefficient type.  This is plumbing for the
 scalar field layer: only the handful of operations the field needs, no
 general polynomial API.
 
-Products, here and in ``precision._conv``, have one routine per arity
-(``p_mul_uni``, ``p_mul_bi``), each choosing its route from the operand
-shape alone; the packed routes share one slot width (``_slot_bytes``),
-and balanced base-2^k digits one reader (``_unpack``).  ``p_gcd``
-returns a gcd g with the cofactors a/g and b/g, whose coefficients have
-no common factor.  When a or b is a single term c*x^e, g is
-x^(``p_mono_gcd``) times the gcd of all their coefficients, and
-``p_divexact`` divides by such a g with an exponent shift and an int
-division; the other gcds (on primitive parts) and exact divisions
-evaluate their operands at powers of two.
+Products have one routine per arity (``p_mul_uni``, ``p_mul_bi``, which
+``p_mul`` and ``precision._conv`` only pick), each scaling by a single
+term in one pass and routing the rest by operand shape alone; the packed
+routes share one slot width (``_slot_bytes``), and balanced base-2^k
+digits one reader (``_unpack``).  ``p_gcd`` returns a gcd g with the
+cofactors a/g and b/g, whose coefficients have no common factor.  When a
+or b is a single term c*x^e, g is x^(``p_mono_gcd``) times the gcd of all
+their coefficients, and ``p_divexact`` divides by such a g with an
+exponent shift and an int division; the other gcds (on primitive parts)
+and exact divisions evaluate their operands at powers of two.
 """
 
 from __future__ import annotations
 
 from math import gcd as int_gcd
-from operator import add
 
 Mono = tuple
 Poly = dict
@@ -61,22 +60,10 @@ def p_sub(a: Poly, b: Poly) -> Poly:
     return p_add(a, p_neg(b))
 
 def p_mul(a: Poly, b: Poly) -> Poly:
-    """Product of two polynomials.
-
-    A single-term operand c*x^e scales the other in one pass (a shift
-    alone when c = 1); other univariate operands go through
-    ``p_mul_uni``, bivariate ones through ``p_mul_bi`` capped at the sum
-    of their total degrees, which keeps every term.
-    """
+    """Product of two polynomials, zero terms dropped: ``p_mul_uni`` or
+    ``p_mul_bi`` capped at the sum of their degrees, which keeps them all."""
     if not a or not b:
         return {}
-    if len(b) == 1:
-        a, b = b, a
-    if len(a) == 1:
-        ((ma, ca),) = a.items()
-        if ca == 1:
-            return {tuple(map(add, ma, mb)): cb for mb, cb in b.items()}
-        return {tuple(map(add, ma, mb)): ca * cb for mb, cb in b.items()}
     if len(next(iter(a))) == 1:
         return p_mul_uni(a, b, max(a)[0] + max(b)[0])
     out = p_mul_bi(a, b, max(map(sum, a)) + max(map(sum, b)))
@@ -127,23 +114,25 @@ def p_mul_bi(a: dict, b: dict, dcap: int) -> dict:
     bivariate polynomials or digit dicts: the one bivariate product of
     ``p_mul`` and ``precision._conv``.  Zero digits may be kept.
 
-    ``_bi_route`` picks the route from the operand shape alone: the
-    pairwise loop (``_bi_loop``) for a single-term operand or fewer than
-    ``ROW_PAIRS`` term pairs, one int product per pair of x-rows
-    (``_bi_rows``) for the rest.  The loop's work is its term pairs; the
-    row products pay one int product per row pair, each cut to the slots
-    below the cap.  Time of each route (ms, summed) replaying the products
-    of one ``multi-decompose`` pass (corpus 505, d = 28, 4372 products,
-    digits of ~33 bits) and of its variant 3 at d = 64 (1494), multi-term
-    products by term pairs, one process on a shared 2-core host:
+    A single-term operand scales the other in one pass; for the rest
+    ``_bi_route`` picks, by shape alone, the pairwise loop (``_bi_loop``)
+    below ``ROW_PAIRS`` term pairs, else one int product per pair of
+    x-rows (``_bi_rows``), each cut to the slots below the cap.  Time of
+    each route (ms, summed) replaying the products of one
+    ``multi-decompose`` pass (corpus 505, d = 28, 4372 products, digits of
+    ~33 bits) and of its variant 3 at d = 64 (1494), by single-term
+    operand or term pairs, one process on a shared 2-core host (the
+    single column from a later replay, median of 3 processes):
 
                       single  < 2^11  2^11-13  2^13-15  2^15-18  >= 2^18
         d=28 products   2926     908      149      113      276        0
-             loop         76      61       89      199     2220
-             rows        241     111       58       63      366
+             scale        25
+             loop         60      61       89      199     2220
+             rows        196     111       58       63      366
         d=64 products    993      92       54       50       82      223
-             loop        180       6       32      174      311    35536
-             rows        381       9       21       67      125     2277
+             scale        54
+             loop        145       6       32      174      311    35536
+             rows        290       9       21       67      125     2277
 
     The rows lead from 2^11 pairs on because a pair of rows with h
     y-digits each costs one int product instead of h^2 loop steps.  One
@@ -153,12 +142,19 @@ def p_mul_bi(a: dict, b: dict, dcap: int) -> dict:
     from d ~ 190 on, above ``cli.MAX_D`` (rows 876, 2088 ms against 583,
     1468 ms at d = 192, 256).
     """
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        ((ea0, ea1), ca), = a.items()
+        rem = dcap - ea0 - ea1
+        return {(ea0 + e0, ea1 + e1): ca * cb
+                for (e0, e1), cb in b.items() if e0 + e1 <= rem}
     return _bi_route(len(a), len(b))(a, b, dcap)
 
 
 def _bi_route(na: int, nb: int):
-    """The route of ``p_mul_bi`` for operands of na and nb terms."""
-    if min(na, nb) == 1 or na * nb < ROW_PAIRS:
+    """The route of ``p_mul_bi`` for multi-term operands of na, nb terms."""
+    if na * nb < ROW_PAIRS:
         return _bi_loop
     return _bi_rows
 

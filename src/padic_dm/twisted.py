@@ -223,24 +223,23 @@ def divmod_left(p: TwistedPoly, q: TwistedPoly) -> tuple[TwistedPoly, TwistedPol
 
 
 def _divmod(p: TwistedPoly, q: TwistedPoly, right: bool):
-    """Euclidean division by q on the right (D*q) or on the left (q*D)."""
+    """Euclidean division by q on the right (D*q) or on the left (q*D).
+    Each step writes one quotient coefficient a = lead(R) / lead(q) and
+    cuts R - a*T^k*q below its top, which cancels up to a residue."""
     p._check_compatible(q)
     if q.is_zero():
         raise ZeroDivisionError("division by the zero twisted polynomial")
-    d = TwistedPoly.zero(p.domain, p.deriv)
+    dom, n = p.domain, q.degree
+    quot = [dom.zero()] * max(p.degree - n + 1, 0)
     r = p
     qlead_inv = q.leading().inverse()
-    while not r.is_zero() and r.degree >= q.degree:
-        k = r.degree - q.degree
-        a = r.leading() * qlead_inv
-        term = TwistedPoly(p.domain, p.deriv,
-                           [p.domain.zero()] * k + [a])
-        d = d + term
+    while r.degree >= n:
+        k = r.degree - n
+        quot[k] = r.leading() * qlead_inv
+        term = TwistedPoly(dom, p.deriv, [dom.zero()] * k + [quot[k]])
         r = r - (mul(term, q) if right else mul(q, term))
-        if not r.is_zero() and r.degree >= k + q.degree:
-            # leading term must cancel exactly; force the drop
-            r = TwistedPoly(p.domain, p.deriv, r.coeffs[:k + q.degree])
-    return d, r
+        r = TwistedPoly(dom, p.deriv, r.coeffs[:k + n])
+    return TwistedPoly(dom, p.deriv, quot), r
 
 
 def monicize(p: TwistedPoly) -> TwistedPoly:

@@ -295,7 +295,7 @@ def test_multi_decompose_overstated_intersections_exit_as_certificate_failure(
 
 
 def test_stability_failure_exits_2(monkeypatch):
-    def unstable(m, decs, ctx):
+    def unstable(m, decs):
         raise StabilityFailure("component not stable at precision")
 
     monkeypatch.setattr(factorize, "_multi_rec", unstable)
@@ -382,7 +382,14 @@ def test_radii_of_negative_powers_and_named_derivations(args, deriv):
     (["--field", "gauss:p=5:vars=x,y", "--cmd", "radii",
       "--mat", "1/5,0;0,0", "--mat", "0,0;0,1/5", "--deriv", "z"],
      "unknown derivation 'z'"),
-], ids=["negative-operator-power", "unknown-deriv"])
+    # the end of the input is named, not printed as the token value None
+    (op_args(""), "unexpected token end of input (at position 0)"),
+    (op_args("(x"), "expected ')', found end of input (at position 2)"),
+    (op_args("T^"), "expected 'int', found end of input (at position 2)"),
+    (["--field", "gauss:p=5:vars=x", "--cmd", "radii", "--mat", "1,2;3,"],
+     "unexpected token end of input (at position 0)"),
+], ids=["negative-operator-power", "unknown-deriv", "end-empty",
+        "end-open-parenthesis", "end-bare-power", "end-empty-entry"])
 def test_main_parse_error_messages(capsys, argv, message):
     assert main(argv) == 1
     report = json.loads(capsys.readouterr().out)

@@ -478,7 +478,7 @@ def test_restrict_receives_columns_in_the_quotient(gauss5, monkeypatch, job):
     seen, intersections = [], []
 
     def recording(m, u_cols, adom):
-        seen.append((m.dim, u_cols, adom.ctx))
+        seen.append((m.dim, u_cols))
         return restrict(m, u_cols, adom)
 
     def counting(u_cols, v_cols, domain):
@@ -497,8 +497,8 @@ def test_restrict_receives_columns_in_the_quotient(gauss5, monkeypatch, job):
         _report, code = cli.run(cli.parse_job(JOBS[job]))
         assert code == 0
     assert seen
-    for n, u_cols, ctx in seen:
-        for col, qcol in zip(u_cols, factorize._quotient(u_cols, ctx, n)):
+    for n, u_cols in seen:
+        for col, qcol in zip(u_cols, factorize._quotient(u_cols, n)):
             for e, q in zip(col, qcol):
                 assert (q.shift, q.coeffs, q.den, q.err_lv) == \
                     (e.shift, e.coeffs, e.den, e.err_lv)

@@ -433,7 +433,6 @@ def test_bivariate_routes_at_the_slot_width_bound(bits, sign):
 
 
 @pytest.mark.parametrize("na, nb, route", [
-    (1, 2145, "loop"),              # a single-term operand scales the other
     (45, 45, "loop"),               # below ROW_PAIRS term pairs
     (46, 46, "rows"),
     (435, 435, "rows"),             # dense triangles at d = 28 and 64
@@ -443,6 +442,27 @@ def test_bivariate_routes_at_the_slot_width_bound(bits, sign):
 ])
 def test_bivariate_route_depends_on_shape(na, nb, route):
     assert P._bi_route(na, nb) is getattr(P, f"_bi_{route}")
+
+
+@pytest.mark.parametrize("mono", [((0, 0), 7), ((2, 3), -5), ((20, 15), 3)],
+                         ids=["degree-0", "degree-5", "above-cap"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_single_term_bivariate_operand_is_scaled(monkeypatch, mono, side):
+    # a single-term operand scales the other below the cap in one pass:
+    # neither route of _bi_route is called
+    calls = []
+    for name in ("_bi_loop", "_bi_rows"):
+        route = getattr(P, name)
+        monkeypatch.setattr(P, name, lambda *args, name=name, route=route:
+                            calls.append(name) or route(*args))
+    other = _triangle(random.Random(side), 36, 0.7, 40)   # above the cap 28
+    other[(1, 1)] = 0                                   # a zero digit
+    a, b = {mono[0]: mono[1]}, other
+    if side == "right":
+        a, b = b, a
+    got = P.p_mul_bi(a, b, 28)
+    assert calls == []
+    assert {m: c for m, c in got.items() if c} == schoolbook(a, b, 28)
 
 
 def _full_cap_inverse(u):

@@ -9,7 +9,7 @@ from padic_dm import (INF, ApproxDomain, ExactDomain, FieldMismatch, LogVal,
                       NotMonic, PrecisionCtx, TwistedPoly,
                       ZeroPolynomial, check_condition_c, divmod_left,
                       divmod_right, monicize, mul, mul_relation,
-                      newton_polygon, pi_norm)
+                      newton_polygon, parse_operator, pi_norm)
 
 from conftest import random_twisted, uniformizer
 
@@ -128,6 +128,28 @@ def test_division_by_zero(gauss5):
     p = random_twisted(gauss5, rng)
     with pytest.raises(ZeroDivisionError):
         divmod_right(p, TwistedPoly.zero(ExactDomain(gauss5), 0))
+
+
+@pytest.mark.parametrize("name, q_text", [
+    ("gauss", "(1/5)*T + 1 + x"), ("laurent", "(1/z)*T + 1 + z")])
+@pytest.mark.parametrize("divide", [divmod_right, divmod_left])
+def test_approximate_division_keeps_the_quotient_precision(name, q_text,
+                                                           divide, gauss5,
+                                                           laurent):
+    # each quotient coefficient is written once, so it keeps the err_lv of
+    # lead(R) / lead(q): a sum with a zero of the domain would clamp it to
+    # the domain's error, 10
+    field = gauss5 if name == "gauss" else laurent
+    v = field.variables[0]
+    dom = ApproxDomain(field, PrecisionCtx(Fraction(10), d=16), 10)
+    p = parse_operator(f"T^3 + {v}*T^2 + T + {v}", field).map_domain(dom)
+    q = parse_operator(q_text, field).map_domain(dom)
+    d, r = divide(p, q)
+    back = mul(d, q) if divide is divmod_right else mul(q, d)
+    assert (p - (back + r)).is_zero()
+    assert r.degree < q.degree
+    top = p.leading() * q.leading().inverse()
+    assert d.leading().err_lv == top.err_lv == 11
 
 
 def test_monicize(gauss5):
