@@ -49,7 +49,9 @@ MAX_HEIGHT_BITS = 2048
 MAX_NESTING = 64
 
 
-def _tokenize(text: str):
+def _tokenize(text: str, base: int = 0):
+    """The tokens of text as (kind, value, position), each position the
+    0-based offset in text plus ``base``."""
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -67,23 +69,23 @@ def _tokenize(text: str):
             if (3 * (len(digits) - 1) > MAX_HEIGHT_BITS
                     or int(digits).bit_length() > MAX_HEIGHT_BITS):
                 raise ParseError(
-                    f"integer literal above {MAX_HEIGHT_BITS} bits", i)
-            out.append(("int", int(digits), i))
+                    f"integer literal above {MAX_HEIGHT_BITS} bits", base + i)
+            out.append(("int", int(digits), base + i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
             j = i
             while j < n and (text[j].isalnum() or text[j] == "_"):
                 j += 1
-            out.append(("name", text[i:j], i))
+            out.append(("name", text[i:j], base + i))
             i = j
             continue
         if ch in _OPS:
-            out.append((ch, ch, i))
+            out.append((ch, ch, base + i))
             i += 1
             continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    out.append(("end", None, n))
+        raise ParseError(f"unexpected character {ch!r}", base + i)
+    out.append(("end", None, base + n))
     return out
 
 
@@ -258,8 +260,10 @@ def _capped(a: list, pos: int) -> list:
     return a
 
 
-def parse_scalar(text: str, field: FieldSpec) -> Scalar:
-    v = _Expr(_tokenize(text), field, allow_t=False).parse()
+def parse_scalar(text: str, field: FieldSpec, offset: int = 0) -> Scalar:
+    """The scalar of ``text``; error positions count from ``offset``, the
+    start of text in a larger input."""
+    v = _Expr(_tokenize(text, offset), field, allow_t=False).parse()
     return v[0]
 
 
@@ -270,11 +274,19 @@ def parse_operator(text: str, field: FieldSpec, deriv: int = 0) -> TwistedPoly:
 
 def parse_matrix(text: str, field: FieldSpec) -> list:
     """The square matrix of ``text``; its shape is checked before any entry
-    is parsed, so a wide row costs no parsing."""
+    is parsed, so a wide row costs no parsing.  Entry errors give their
+    offset in ``text``."""
     rows = [row.split(",") for row in text.split(";")]
     if any(len(r) != len(rows) for r in rows):
         raise ParseError("matrix text is not square")
-    return [[parse_scalar(e, field) for e in r] for r in rows]
+    out, start = [], 0
+    for r in rows:
+        row = []
+        for e in r:
+            row.append(parse_scalar(e, field, offset=start))
+            start += len(e) + 1   # the entry and its ',' or ';'
+        out.append(row)
+    return out
 
 
 def matrix_str(m: list) -> str:

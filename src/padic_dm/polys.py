@@ -183,15 +183,16 @@ def _bi_rows(a: dict, b: dict, dcap: int) -> dict:
     product into output row s = i1 + i2 at y-degree lo1 + lo2.  Only the
     n = dcap - s + 1 - lo1 - lo2 lowest slots of that product are below
     the cap, and they depend only on each factor mod 2^(kn), so a row
-    longer than n is cut to its n low slots first (``x & mask``, which
-    also makes it nonnegative).  The slots above n of each product are
-    junk, and they land above the dcap - s + 1 slots that ``_unpack``
-    reads from the sum.
+    longer than n is cut to its n low slots first (``x & masks[n]``, which
+    also makes it nonnegative; the mask of each n <= dcap + 1 is made once
+    per call).  The slots above n of each product are junk, and they land
+    above the dcap - s + 1 slots that ``_unpack`` reads from the sum.
     """
     rows_a, top_a = _rows(a, dcap)
     rows_b, top_b = _rows(b, dcap)
     kb = _slot_bytes(top_a, top_b, min(len(a), len(b)))
     k = kb << 3
+    masks = [(1 << k * n) - 1 for n in range(dcap + 2)]
     rows_b = [(i, lo, _pack(ds, kb), len(ds)) for i, lo, ds in rows_b]
     acc: dict = {}
     get = acc.get
@@ -204,7 +205,7 @@ def _bi_rows(a: dict, b: dict, dcap: int) -> dict:
             lo = lo1 + lo2
             n = dcap - s + 1 - lo
             if n > 0:
-                mask = (1 << k * n) - 1
+                mask = masks[n]
                 acc[s] = get(s, 0) + ((x1 & mask if n1 > n else x1)
                                       * (x2 & mask if n2 > n else x2) << k * lo)
     out = {}
@@ -219,21 +220,24 @@ def _rows(d: dict, dcap: int) -> tuple:
     """The x-rows of the terms of d of total degree <= dcap, and their
     largest |digit| (0 when there are none): (i, lo, digits) for each
     x-degree i, by increasing i, with the y-digits of that row at y-degrees
-    lo .. lo+len(digits)-1, zeros included."""
+    lo .. lo+len(digits)-1, zeros included.  Terms are grouped by x-degree
+    under int y-degrees, and each dense row is filled from its group."""
     rows: dict = {}
     for (i, j), c in d.items():
         if i + j <= dcap:
             row = rows.get(i)
             if row is None:
-                rows[i] = {(j,): c}
+                rows[i] = {j: c}
             else:
-                row[(j,)] = c
+                row[j] = c
     out = []
     top = 0
     for i in sorted(rows):
         row = rows[i]
-        lo = min(row)[0]
-        digits = _dense(row, lo, max(row)[0] - lo + 1)
+        lo = min(row)
+        digits = [0] * (max(row) - lo + 1)
+        for j, c in row.items():
+            digits[j - lo] = c
         top = max(top, max(digits), -min(digits))
         out.append((i, lo, digits))
     return out, top

@@ -10,12 +10,22 @@ over one positive ``int`` ``den``: 1 for Gauss (ints mod p^k); for the
 rational Laurent digits, sums bring operands to one denominator and
 products multiply them, with no gcd per digit.
 
-``_normalize`` keeps every value in a normal form, and nothing else writes
-``coeffs``, ``den`` or ``shift``: the digits truncated, gcd(den, digits)
-divided out and their valuation (``FieldSpec.poly_val``) moved into the
-shift.  So ``val`` of a nonzero value is its shift, and it is invertible
-when its constant digit is nonzero below pi.  Products (``_conv``) are
-those of exact scalars truncated at d, one per arity.  Both models invert
+Two constructors write a value, and both end in ``_normalize``, which
+alone writes ``coeffs``, ``den`` and ``shift`` into a normal form: the
+digits truncated below pi^(err_lv - shift), gcd(den, digits) divided out
+and their valuation (``FieldSpec.poly_val``) moved into the shift.  So
+``val`` of a nonzero value is its shift, and it is invertible when its
+constant digit is nonzero below pi.  The public ``ApproxScalar(...)``
+takes raw digits and also cuts them at the degree cap d.
+``_from_capped``, private to this module, takes digits already within
+the cap and skips that test: every arithmetic result has them, since
+products (``_conv``, those of exact scalars truncated at d, one per
+arity) are cut at d, sums and negations of capped operands stay capped,
+a Gauss d/dx lowers the degree, and Laurent sums move digits only inside
+their window (``_window`` keeps err_lv - shift <= d + 1).  A product by
+the exact unit (digits {0: 1}, shift 0, den 1) is the other operand
+itself where the general route would return it unchanged
+(``_times_one``), and the unit is its own inverse.  Both models invert
 by one Newton iteration on integer numerators, which doubles the degree
 below which it is exact at every step; only its start depends on the
 digit ring.  ``reduce_scalar`` maps an exact scalar by one route, to the
@@ -86,7 +96,7 @@ class ApproxScalar:
         self.coeffs = coeffs
         self.err_lv = err_lv
         self.den = den
-        self._normalize()
+        self._normalize(ctx.d)
 
     # -- representation upkeep ------------------------------------------
 
@@ -94,9 +104,11 @@ class ApproxScalar:
     def _mod_exp(self) -> int:
         return self.err_lv - self.shift
 
-    def _normalize(self):
+    def _normalize(self, d: int | None):
+        """The normal form of the module docstring; digits of total degree
+        > d dropped too, unless d is None."""
         f = self.field
-        cc = f.pi_trunc(self.coeffs, self._mod_exp, self.ctx.d)
+        cc = f.pi_trunc(self.coeffs, self._mod_exp, d)
         if self.den != 1:   # Laurent: gcd(den, digits) = 1, den > 0
             g = math.gcd(self.den, *cc.values())
             g = -g if self.den < 0 else g
@@ -126,6 +138,13 @@ class ApproxScalar:
         valuation 0 but no expandable inverse.
         """
         return _is_unit(self.field, self.coeffs)
+
+    def _is_one(self) -> bool:
+        """Whether this is the exact unit: digits {0: 1}, shift 0, den 1."""
+        if len(self.coeffs) != 1 or self.shift or self.den != 1:
+            return False
+        (m, c), = self.coeffs.items()
+        return c == 1 and not any(m)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -169,9 +188,10 @@ class ApproxScalar:
             return False
         return bool(self.coeffs) or o.shift >= self.shift
 
-    def _add(self, o: "ApproxScalar") -> "ApproxScalar":
-        """The sum by the general route: both operands at the lower shift
-        and over the lcm of the denominators, then normalized."""
+    def _add(self, o: "ApproxScalar", negate: bool = False) -> "ApproxScalar":
+        """The sum (with ``negate``, the difference) by the general route:
+        both operands at the lower shift and over the lcm of the
+        denominators, then normalized."""
         f = self.field
         s = min(self.shift, o.shift)
         a = f.pi_shift(self.coeffs, self.shift - s)
@@ -182,13 +202,18 @@ class ApproxScalar:
             a = {m: c * ka for m, c in a.items()}
             b = {m: c * kb for m, c in b.items()}
         cc = dict(a)
-        for m, c in b.items():
-            cc[m] = cc.get(m, 0) + c
+        get = cc.get
+        if negate:
+            for m, c in b.items():
+                cc[m] = get(m, 0) - c
+        else:
+            for m, c in b.items():
+                cc[m] = get(m, 0) + c
         err = _window(f, self.ctx, min(self.err_lv, o.err_lv), s)
-        return ApproxScalar(f, self.ctx, s, cc, err, den)
+        return _from_capped(f, self.ctx, s, cc, err, den)
 
     def __neg__(self):
-        return ApproxScalar(self.field, self.ctx, self.shift,
+        return _from_capped(self.field, self.ctx, self.shift,
                             {m: -c for m, c in self.coeffs.items()},
                             self.err_lv, self.den)
 
@@ -196,7 +221,11 @@ class ApproxScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self + (-o)
+        if not o.coeffs and self._absorbs(o):
+            return self
+        if not self.coeffs and o._absorbs(self):
+            return -o
+        return self._add(o, negate=True)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -209,15 +238,28 @@ class ApproxScalar:
             err = min(err, o.shift + self.err_lv)
         return err
 
+    def _times_one(self, u: "ApproxScalar") -> bool:
+        """Whether self * u is self by the general route: u is the exact
+        unit, its err_lv is at least max(err_lv - shift, 0), so that the
+        product keeps err_lv (``_err_of_product``), and self lies inside its
+        Laurent window, so that ``_window`` keeps it too."""
+        return (u._is_one() and u.err_lv >= max(self._mod_exp, 0)
+                and _window(self.field, self.ctx, self.err_lv,
+                            self.shift) >= self.err_lv)
+
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
+            return o
+        if self._times_one(o):
+            return self
+        if o._times_one(self):
             return o
         f = self.field
         s = self.shift + o.shift
         err = _window(f, self.ctx, self._err_of_product(o), s)
         cc = _conv(self.coeffs, o.coeffs, self.ctx.d, f.nvars)
-        return ApproxScalar(f, self.ctx, s, cc, err, self.den * o.den)
+        return _from_capped(f, self.ctx, s, cc, err, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -237,6 +279,8 @@ class ApproxScalar:
         # shift; the inverse also needs the constant digit to be a unit
         if not _is_unit(self.field, self.coeffs):
             raise NotExpandable("constant term not a unit mod p")
+        if self._is_one():   # Newton from u0 = 1 is the identity
+            return self
         f, ctx = self.field, self.ctx
         v, me = self.shift, self._mod_exp
         mono0 = (0,) * f.nvars
@@ -269,7 +313,7 @@ class ApproxScalar:
                 z, dz = {m: c // g for m, c in z.items()}, dz // g
             D = cap + 1
         z = {m: c * self.den for m, c in z.items()}   # 1/u = den/U
-        return ApproxScalar(f, ctx, -v, z, self.err_lv - 2 * v, dz)
+        return _from_capped(f, ctx, -v, z, self.err_lv - 2 * v, dz)
 
     def truncate_err(self, err: int, degree: int | None = None) -> "ApproxScalar":
         """Round down to a smaller error bound and/or degree window.
@@ -292,15 +336,15 @@ class ApproxScalar:
         f = self.field
         f._check_deriv(j)
         if f.kind == GAUSS:
-            return ApproxScalar(f, self.ctx, self.shift,
+            return _from_capped(f, self.ctx, self.shift,
                                 P.p_derive(self.coeffs, j), self.err_lv)
         cc = {}
         for m, c in self.coeffs.items():
             e = self.shift + m[0]
             if e:
                 cc[m] = c * e
-        return ApproxScalar(f, self.ctx, self.shift - 1, cc, self.err_lv - 1,
-                            self.den)
+        return _from_capped(f, self.ctx, self.shift - 1, cc,
+                            self.err_lv - 1, self.den)
 
     def __eq__(self, other):
         # equality at precision: the difference is indistinguishable from 0
@@ -329,6 +373,17 @@ class ApproxScalar:
 
     def __str__(self):
         return str(self.lift())
+
+
+def _from_capped(f: FieldSpec, ctx: PrecisionCtx, shift: int,
+                 coeffs: dict, err_lv: int, den: int = 1) -> ApproxScalar:
+    """A value from digits of total degree <= ctx.d: normalized as by
+    ``ApproxScalar(...)``, without its degree test (module docstring)."""
+    x = object.__new__(ApproxScalar)
+    x.field, x.ctx, x.shift, x.coeffs, x.err_lv, x.den = \
+        f, ctx, shift, coeffs, err_lv, den
+    x._normalize(None)
+    return x
 
 
 def _conv(a: dict, b: dict, dcap: int, nvars: int) -> dict:
@@ -384,8 +439,8 @@ def reduce_scalar(x: Scalar, ctx: PrecisionCtx, err_target: int) -> ApproxScalar
             "denominator is not a unit of the approximation ring")
     # the product is truncated below pi^(err - shift) by the normal form
     inv = ApproxScalar(f, ctx, 0, den, err - shift).inverse()
-    return ApproxScalar(f, ctx, shift, _conv(num, inv.coeffs, ctx.d, f.nvars),
-                        err, inv.den)
+    return _from_capped(f, ctx, shift,
+                        _conv(num, inv.coeffs, ctx.d, f.nvars), err, inv.den)
 
 
 # -- coefficient domains ------------------------------------------------------

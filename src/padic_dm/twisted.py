@@ -117,7 +117,10 @@ class TwistedPoly:
         return TwistedPoly(self.domain, self.deriv, [-c for c in self.coeffs])
 
     def __sub__(self, other: "TwistedPoly") -> "TwistedPoly":
-        return self + (-other)
+        self._check_compatible(other)
+        n = max(len(self.coeffs), len(other.coeffs))
+        return TwistedPoly(self.domain, self.deriv,
+                           [self.coeff(i) - other.coeff(i) for i in range(n)])
 
     def scale_left(self, c) -> "TwistedPoly":
         """i(c) * P: plain left coefficient scaling."""

@@ -386,8 +386,9 @@ def test_radii_of_negative_powers_and_named_derivations(args, deriv):
     (op_args(""), "unexpected token end of input (at position 0)"),
     (op_args("(x"), "expected ')', found end of input (at position 2)"),
     (op_args("T^"), "expected 'int', found end of input (at position 2)"),
+    # positions inside a --mat entry count from the start of the --mat text
     (["--field", "gauss:p=5:vars=x", "--cmd", "radii", "--mat", "1,2;3,"],
-     "unexpected token end of input (at position 0)"),
+     "unexpected token end of input (at position 6)"),
 ], ids=["negative-operator-power", "unknown-deriv", "end-empty",
         "end-open-parenthesis", "end-bare-power", "end-empty-entry"])
 def test_main_parse_error_messages(capsys, argv, message):
@@ -479,6 +480,8 @@ def test_main_bad_numbers_exit_as_json(capsys, args):
     ["--field", "gauss:p=5:vars=x,y", "--cmd", "multi-decompose",
      "--mat", SHEARED_README_MATS[0], "--mat", SHEARED_README_MATS[1],
      "--precision", "N=10,d=128"],
+    ["--field", "gauss:p=5:vars=x", "--cmd", "radii", "--mat", "1,2;3,$"],
+    ["--field", "gauss:p=5:vars=x", "--cmd", "radii", "--mat", "1,2;3,x+"],
 ], ids=["mat-sizes", "laurent-T", "gauss-T", "gauss-x-T", "exponent-513",
         "exponent-1e9", "operator-exponent-1e9", "nested-power-degree",
         "power-degree-512", "laurent-extra-part", "laurent-empty-var",
@@ -491,14 +494,23 @@ def test_main_bad_numbers_exit_as_json(capsys, args):
         "cap-max_iter", "cap-op-degree", "cap-mat-size",
         "cap-mat-rows", "nested-200-parentheses", "nested-1200-signs",
         "mat-row-100000-wide", "joint-cap-univariate",
-        "joint-cap-bivariate"])
-def test_main_bad_input_exits_as_json(capsys, argv):
+        "joint-cap-bivariate", "mat-entry-character", "mat-entry-end"])
+def test_main_bad_input_exits_as_json(capsys, request, argv):
     t0 = time.monotonic()
     assert main(argv) == 1
     assert time.monotonic() - t0 < 1
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False
     assert report["error"]["code"] == "parse-error"
+    position = BAD_INPUT_POSITIONS.get(request.node.callspec.id)
+    if position is not None:
+        assert report["error"]["message"].endswith(
+            f"(at position {position})")
+
+
+# Offsets in the --mat text of the errors inside an entry: '$' at 6, and
+# the end of input at 8.
+BAD_INPUT_POSITIONS = {"mat-entry-character": 6, "mat-entry-end": 8}
 
 
 def test_exit_codes_match_the_readme_table():
@@ -595,7 +607,8 @@ def test_nesting_is_bounded(gauss5):
             parse_operator(text, gauss5)
     with pytest.raises(ParseError, match="nesting deeper") as err:
         parse_matrix("1,0;0," + "(" * 100 + "1" + ")" * 100, gauss5)
-    assert err.value.position == MAX_NESTING
+    # the offset in the matrix text: the entry starts after "1,0;0,"
+    assert err.value.position == len("1,0;0,") + MAX_NESTING
 
 
 def test_matrix_shape_is_checked_before_any_entry(monkeypatch, gauss5):

@@ -33,11 +33,13 @@ def _laurent(field, ctx, shift, digits, err_lv):
 
 
 def _assert_normal_form(x):
-    """int digits over one positive int den with gcd(den, digits) = 1, and
-    the valuation in the shift (Gauss: den 1 and digits of gcd prime to p;
-    Laurent: a digit at exponent 0)."""
+    """int digits over one positive int den with gcd(den, digits) = 1, no
+    digit of total degree above ctx.d, and the valuation in the shift
+    (Gauss: den 1 and digits of gcd prime to p; Laurent: a digit at
+    exponent 0)."""
     assert type(x.den) is int and x.den > 0
     assert all(type(c) is int and c for c in x.coeffs.values())
+    assert all(sum(m) <= x.ctx.d for m in x.coeffs)
     if not x.coeffs:
         assert x.den == 1
     elif x.field.kind == "gauss":
@@ -658,6 +660,52 @@ def test_sum_with_an_empty_operand_takes_the_general_result(ab):
         got = x + y
         assert (got.shift, got.coeffs, got.den, got.err_lv) == \
             (want.shift, want.coeffs, want.den, want.err_lv)
+
+
+def _rep(x):
+    return x.shift, x.coeffs, x.err_lv, x.den
+
+
+@st.composite
+def unit_cases(draw):
+    """A raw value x, zero at precision in about half of the cases (Laurent
+    values are often built outside their window), and the exact unit of
+    its field at an err_lv from two below to two above x's relative
+    precision err_lv - shift (at least 1, so that it has its digit)."""
+    field, d = draw(fields_and_caps())
+    x = _draw_raw(draw, field, d, empty=draw(st.booleans()))
+    err = max(x.err_lv - x.shift + draw(st.integers(-2, 2)), 1)
+    return x, ApproxScalar(field, x.ctx, 0, {(0,) * field.nvars: 1}, err)
+
+
+@given(unit_cases())
+@example((ApproxScalar(FieldSpec.laurent("z"), PrecisionCtx(10, d=2), 0,
+                       {(0,): 2, (1,): 3}, 9),
+          ApproxScalar(FieldSpec.laurent("z"), PrecisionCtx(10, d=2), 0,
+                       {(0,): 1}, 9)))
+@settings(max_examples=300, deadline=None)
+def test_products_by_the_unit_take_the_general_result(case):
+    """x * 1, 1 * x and the inverse of 1 give the shift, digits, err_lv and
+    den of the general route, which runs when the unit is not recognized:
+    the rule returns an operand only where they agree (a Laurent x
+    outside its window, as in the example, is not returned)."""
+    x, one = case
+    assert one._is_one()
+    got = [_rep(x * one), _rep(one * x), _rep(one.inverse())]
+    with mock.patch.object(ApproxScalar, "_is_one", lambda self: False):
+        want = [_rep(x * one), _rep(one * x), _rep(one.inverse())]
+    assert got == want
+
+
+@given(sum_operands())
+@settings(max_examples=300, deadline=None)
+def test_difference_is_the_sum_of_the_negation(ab):
+    """x - y has the shift, digits, den and err_lv of x + (-y), also with an
+    operand that has no digits."""
+    a, b = ab
+    for x, y in ((a, b), (b, a)):
+        _assert_normal_form(x - y)
+        assert _rep(x - y) == _rep(x + (-y))
 
 
 def test_sum_with_zero_returns_the_other_operand(gauss5, laurent):

@@ -85,6 +85,31 @@ def test_routes_agree_over_truncations(name, gauss5, laurent):
         assert mul(pa, qa) == mul(p, q).map_domain(dom)
 
 
+@pytest.mark.parametrize("name", ["gauss", "laurent"])
+def test_difference_is_the_sum_of_the_negation(name, gauss5, laurent):
+    """p - q has the coefficients of p + (-q), in their representation,
+    over exact scalars and over truncations (1/pi^2 puts negative
+    valuations, so different shifts, in play)."""
+    field = gauss5 if name == "gauss" else laurent
+    rng = random.Random(12)
+    small = field.one() / uniformizer(field) ** 2
+    for _ in range(10):
+        p = random_twisted(field, rng, max_deg=4, height=8)
+        q = random_twisted(field, rng, max_deg=4, height=8).scale_left(small)
+        for dom in (ExactDomain(field),
+                    ApproxDomain(field, PrecisionCtx(Fraction(10), d=6), 8)):
+            pd, qd = p.map_domain(dom), q.map_domain(dom)
+            for a, b in ((pd, qd), (qd, pd), (pd, pd)):
+                got, want = a - b, a + (-b)
+                assert len(got.coeffs) == len(want.coeffs)
+                for c, w in zip(got.coeffs, want.coeffs):
+                    if dom.is_exact:
+                        assert (c.num, c.den) == (w.num, w.den)
+                    else:
+                        assert (c.shift, c.coeffs, c.err_lv, c.den) == \
+                            (w.shift, w.coeffs, w.err_lv, w.den)
+
+
 def test_associativity(gauss5):
     rng = random.Random(6)
     for _ in range(20):
