@@ -49,8 +49,8 @@ MAX_N = 500
 
 # Cap on the degree cap d.  Bivariate Gauss digits fill up to (d+1)^2 / 2
 # monomials: `multi_decompose` on variant 3 of the `multi-decompose`
-# benchmark corpus (seed 505) takes 0.69 s at d=28, 1.95 s at d=56 and
-# 14.2 s at d=112 (N=10, one process, shared 2-core host).  Inputs use
+# benchmark corpus (seed 505) takes 0.16 s at d=28, 1.1 s at d=56 and
+# 6.5 s at d=112 (N=10, one process, shared 2-core host).  Inputs use
 # d <= 64.
 MAX_D = 128
 
@@ -63,9 +63,9 @@ MAX_ITER = 1000
 # each cap above can still run for minutes.  One variable costs about
 # N^2 * d: `decompose` on T^12 - (1/5)*T + x takes 1.6 s at N=100,d=48,
 # 20 s at N=200,d=128, over 70 s at N=500,d=128 and 2.0-2.7 s at this cap.
-# `multi-decompose` on a shear conjugate of the README module takes 3.1 s
-# at N=10,d=64 (the default d), 4.0 s at N=10,d=72 (this cap), 27.5 s at
-# N=10,d=128 and 5.4 s at N=16,d=64, which this cap refuses (in process,
+# `multi-decompose` on a shear conjugate of the README module takes 1.6 s
+# at N=10,d=64 (the default d), 1.7 s at N=10,d=72 (this cap), 12.2 s at
+# N=10,d=128 and 2.0 s at N=16,d=64, which this cap refuses (in process,
 # shared 2-core host).  Inputs reach 80^2 * 48.
 MAX_PRECISION_WORK = 2 ** 19
 

@@ -47,7 +47,6 @@ from . import linalg as la
 from .diffmod import (DiffModule, cyclic_data, cyclic_presentations,
                       from_operator, spectral_radius_bruteforce)
 from .precision import ApproxDomain, PrecisionCtx, domain_of
-# profile is not called here: the benchmark tracer wraps it by this name
 from .radii import (MultiRadiusProfile, RadiusProfile, check_profile,
                     profile, radii_from_polygon)
 from .twisted import (TwistedPoly, divmod_left, divmod_right, mul, pi_norm,
@@ -493,33 +492,68 @@ def multi_decompose(m: DiffModule, ctx: PrecisionCtx) -> Decomposition:
     """Joint decomposition over all derivations; keys are lv tuples.
 
     The decomposition by tuples of radii refines each single-derivation
-    one, so the joint components are the nonzero intersections of one
-    component per derivation, each derivation decomposed once at the
-    caller's precision.  Every intersection must be stable under every
-    derivation (``_restrict``), and the marginals of the keys must
-    reproduce each decomposition's profile, so the intersections exhaust
-    each decomposition.  FieldMismatch when M carries no derivation.
+    one, so M is decomposed by its first derivation first, at the
+    caller's precision.  When M carries two derivations and every
+    component of that decomposition is a line, the lines are the joint
+    components (``_line``), and the marginal of the second keys must
+    reproduce M's profile for the second derivation.  Else every other
+    derivation is decomposed too, the joint components are the nonzero
+    intersections of one component per derivation (``_multi_rec``), and
+    the marginals of the keys must reproduce each decomposition's
+    profile, so the intersections exhaust each decomposition.  Every
+    joint component is certified stable under every derivation
+    (``_restrict``).  FieldMismatch when M carries no derivation.
     """
     if not m.derivations:
         raise FieldMismatch("module carries no derivation to decompose by")
     if m.dim == 0:
         return Decomposition((), Certificate(),
                              MultiRadiusProfile.of((), 0))
-    decs = [decompose(m, j, ctx) for j in m.derivations]
-    comps = _multi_rec(m, decs)
+    first, *rest = m.derivations
+    decs = [decompose(m, first, ctx)]
+    lines = decs[0].components
+    if len(rest) == 1 and len(lines) > 1 and all(c.dim == 1 for c in lines):
+        comps = [_line(m, c, rest[0]) for c in lines]
+        profs = [decs[0].profile, profile(m, rest[0], check=False)]
+    else:
+        decs += [decompose(m, j, ctx) for j in rest]
+        comps = _multi_rec(m, decs)
+        profs = [d.profile for d in decs]
     multi_prof = MultiRadiusProfile.of(((c.key, c.dim) for c in comps), m.dim)
     cert = Certificate(
         sum(c.dim for c in comps) == m.dim,
         residual_lv=tuple(r for d in decs for r in d.certificate.residual_lv),
-        marginals_ok=all(multi_prof.marginal(pos, d.profile.deriv) == d.profile
-                         for pos, d in enumerate(decs)))
+        marginals_ok=all(multi_prof.marginal(pos, prof.deriv) == prof
+                         for pos, prof in enumerate(profs)))
     if not cert.ok:
         raise CertificateFailure("multi-decomposition certificate failed")
     return Decomposition(tuple(comps), cert, multi_prof)
 
 
+def _line(m: DiffModule, c: Component, j: int) -> Component:
+    """The joint component on a 1-dimensional component c of M's first
+    derivation: c's span, restricted as ``_multi_rec`` restricts a meet
+    that keeps it, and presented by derivation j, whose one radius is the
+    second key once the brute-force estimate agrees with it (else
+    CertificateFailure)."""
+    cols, sub = _restricted(m, c)
+    op = cyclic_data(sub, j)[0]
+    prof = radii_from_polygon(op)
+    check_profile(prof, spectral_radius_bruteforce(sub, j, kmax=10), m.field)
+    return Component((c.key, prof.max_lv()), sub, la.from_columns(cols), op)
+
+
+def _restricted(m: DiffModule, c: Component) -> tuple:
+    """The basis of c's span in the certificate quotient, and M restricted
+    to it (StabilityFailure when the span is no submodule)."""
+    cols, adom = _intersect([la.columns(c.embedding)], None, m.dim)
+    return cols, _restrict(m, cols, adom)
+
+
 def _multi_rec(m: DiffModule, decs: list) -> list:
-    """Nonzero intersections of one component of each decomposition.
+    """Nonzero intersections of one component of each decomposition: the
+    joint components of every module that ``multi_decompose`` does not
+    take apart into lines.
 
     A single-component decomposition is all of M and takes no part; when
     only the last one is left, its components are kept as they are
@@ -534,9 +568,7 @@ def _multi_rec(m: DiffModule, decs: list) -> list:
         head = tuple(d.components[0].key for d in firsts)
         if firsts and len(last.components) > 1:
             for c in last.components:
-                cols, adom = _intersect([la.columns(c.embedding)], None,
-                                        m.dim)
-                _restrict(m, cols, adom)
+                _restricted(m, c)
         return [replace(c, key=head + (c.key,)) for c in last.components]
     meets = []
     for choice in product(*(d.components for d in decs)):

@@ -228,7 +228,8 @@ def divmod_left(p: TwistedPoly, q: TwistedPoly) -> tuple[TwistedPoly, TwistedPol
 def _divmod(p: TwistedPoly, q: TwistedPoly, right: bool):
     """Euclidean division by q on the right (D*q) or on the left (q*D).
     Each step writes one quotient coefficient a = lead(R) / lead(q) and
-    cuts R - a*T^k*q below its top, which cancels up to a residue."""
+    forms R - a*T^k*q below its top only: the top cancels up to a residue,
+    which is dropped unformed."""
     p._check_compatible(q)
     if q.is_zero():
         raise ZeroDivisionError("division by the zero twisted polynomial")
@@ -240,8 +241,9 @@ def _divmod(p: TwistedPoly, q: TwistedPoly, right: bool):
         k = r.degree - n
         quot[k] = r.leading() * qlead_inv
         term = TwistedPoly(dom, p.deriv, [dom.zero()] * k + [quot[k]])
-        r = r - (mul(term, q) if right else mul(q, term))
-        r = TwistedPoly(dom, p.deriv, r.coeffs[:k + n])
+        prod = mul(term, q) if right else mul(q, term)
+        r = TwistedPoly(dom, p.deriv,
+                        [r.coeff(i) - prod.coeff(i) for i in range(k + n)])
     return TwistedPoly(dom, p.deriv, quot), r
 
 

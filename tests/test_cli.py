@@ -8,9 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from padic_dm import (PadicDMError, ParseError, StabilityFailure,
-                      TwistedPoly, cli, diffmod, errors, factorize, grammar,
-                      radii)
+from padic_dm import (PadicDMError, ParseError, TwistedPoly, cli, diffmod,
+                      errors, factorize, grammar, radii)
 from padic_dm.cli import COMMANDS, main, parse_job, run
 from padic_dm.grammar import (MAX_NESTING, matrix_str, parse_matrix,
                               parse_operator, parse_scalar)
@@ -214,7 +213,7 @@ def test_zero_module(field, command):
     ("readme-radii", 1, 24),
     ("readme-decompose", 1, 20),
     ("readme-verify", 6, 50),
-    ("readme-multi-decompose", 13, 40),
+    ("readme-multi-decompose", 11, 40),
 ])
 def test_each_fact_is_computed_once(monkeypatch, name, presentations,
                                     oracle_steps):
@@ -223,10 +222,11 @@ def test_each_fact_is_computed_once(monkeypatch, name, presentations,
     # the oracle once; decompose presents it once for the decomposition and
     # its profile, and runs the oracle on each of its two components
     # (kmax 10); verify adds one oracle run (kmax 30) and the dual's
-    # presentation.  multi-decompose decomposes once per derivation (6
-    # candidates for x, 5 for y, each decomposition running the oracle on
-    # its two components) and presents each of its two joint components
-    # once; its marginals are read off the two decompositions.
+    # presentation.  multi-decompose decomposes by x once (6 candidates,
+    # the oracle on its two components), whose components are lines: it
+    # presents each line once by y and runs the oracle on it (kmax 10),
+    # and reads the y marginal's profile off M's first cyclic vector for y
+    # (3 candidates).
     counts = {"presentations": 0, "oracle_steps": 0}
     schedule = diffmod._candidate_schedule
     oracle = diffmod.spectral_radius_bruteforce
@@ -265,6 +265,13 @@ def test_cli_checks_the_estimate_it_reports(monkeypatch, name):
     assert report["error"]["code"] == "certificate-failure"
 
 
+# T_x = diag(1,1,0)/5, T_y = diag(1,0,1)/5: the first x component is a
+# plane, so multi-decompose meets the components of both derivations
+PROPER_MEET = ["--field", "gauss:p=5:vars=x,y", "--cmd", "multi-decompose",
+               "--mat", "1/5,0,0;0,1/5,0;0,0,0",
+               "--mat", "1/5,0,0;0,0,0;0,0,1/5", "--precision", "N=10,d=28"]
+
+
 def test_multi_decompose_certifies_its_intersections(monkeypatch):
     # an intersection that drops its column leaves a component uncovered
     intersect = factorize.la.intersect_spans
@@ -276,8 +283,9 @@ def test_multi_decompose_certifies_its_intersections(monkeypatch):
             dropped.append(out.pop())
         return out
 
+    assert run(parse_job(PROPER_MEET))[1] == 0
     monkeypatch.setattr(factorize.la, "intersect_spans", lossy)
-    report, code = run(parse_job(JOBS["readme-multi-decompose"]))
+    report, code = run(parse_job(PROPER_MEET))
     assert dropped
     assert code == 2
     assert report["error"]["code"] == "certificate-failure"
@@ -295,13 +303,51 @@ def test_multi_decompose_overstated_intersections_exit_as_certificate_failure(
 
 
 def test_stability_failure_exits_2(monkeypatch):
-    def unstable(m, decs):
-        raise StabilityFailure("component not stable at precision")
+    # the README module's x components are lines; tilting each line's
+    # column by (1, 1) leaves a span that T_x does not keep
+    intersect = factorize._intersect
 
-    monkeypatch.setattr(factorize, "_multi_rec", unstable)
+    def tilted(spans, adom, n):
+        cols, dom = intersect(spans, adom, n)
+        if adom is None:
+            cols = [[e + dom.one() for e in col] for col in cols]
+        return cols, dom
+
+    monkeypatch.setattr(factorize, "_intersect", tilted)
     report, code = run(parse_job(JOBS["readme-multi-decompose"]))
     assert code == 2
     assert report["error"]["code"] == "stability-failure"
+
+
+@pytest.mark.parametrize("caught_by", ["oracle", "marginals"])
+def test_moved_line_key_exits_as_certificate_failure(monkeypatch, caught_by):
+    # each README line's y key moved up by 1: the line's brute-force
+    # estimate disagrees with it, and when the estimate is moved along,
+    # the y marginal of the keys no longer reproduces M's y profile
+    polygon, oracle = factorize.radii_from_polygon, \
+        factorize.spectral_radius_bruteforce
+
+    def moved_polygon(p):
+        prof = polygon(p)
+        if p.deriv != 1:
+            return prof
+        return radii.RadiusProfile.of(
+            [(lv + 1, mult) for lv, mult in prof.entries], prof.dim, 1)
+
+    def moved_oracle(m, j, kmax):
+        est = oracle(m, j, kmax=kmax)
+        return replace(est, lv=est.lv + 1) if j == 1 else est
+
+    monkeypatch.setattr(factorize, "radii_from_polygon", moved_polygon)
+    if caught_by == "marginals":
+        monkeypatch.setattr(factorize, "spectral_radius_bruteforce",
+                            moved_oracle)
+    report, code = run(parse_job(JOBS["readme-multi-decompose"]))
+    assert code == 2
+    assert report["error"]["code"] == "certificate-failure"
+    message = {"oracle": "disagrees with brute-force",
+               "marginals": "multi-decomposition certificate failed"}
+    assert message[caught_by] in report["error"]["message"]
 
 
 def test_decompose_without_candidates_exits_as_search_exhausted(monkeypatch):

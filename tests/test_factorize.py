@@ -1,8 +1,12 @@
 """Slope factorization and decompositions, with exact-lift oracles."""
 
 import random
+import types
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -438,6 +442,82 @@ def test_multi_decompose_rejects_overstated_intersections(gauss5xy):
                        match=r"dimensions \[2, 1, 1\] do not add up to 3"):
         multi_decompose(overstated_meet(gauss5xy),
                         PrecisionCtx(Fraction(10), d=28))
+
+
+CTX_MULTI = PrecisionCtx(Fraction(10), d=28, max_iter=80)
+CORPUS = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+
+
+@cache
+def _bench_corpus():
+    """The benchmark's seeded inputs, loaded by path without writing
+    bytecode next to them."""
+    corpus = types.ModuleType("perfbench_corpus")
+    corpus.__file__ = str(CORPUS)
+    exec(compile(CORPUS.read_text(), str(CORPUS), "exec"), corpus.__dict__)
+    return corpus
+
+
+def _count_calls(monkeypatch, counts, owner, name):
+    """Count the calls made to owner.name under that name."""
+    orig = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
+# (corpus seed, variant) of the multi-decompose benchmark: variant 0 of
+# either seed is the diagonal criterion-8 module
+@pytest.mark.parametrize("seed, index", [(505, 0), (505, 1), (505, 2),
+                                         (505, 3), (506, 1), (506, 2),
+                                         (506, 3)])
+def test_lines_are_the_intersections(monkeypatch, seed, index):
+    # the x components are lines: multi_decompose keeps them after one
+    # decomposition, and they are the components, keys and printed
+    # operators that intersecting both decompositions gives
+    from padic_dm import cli, factorize
+    m = _bench_corpus().multi_variants(seed, 4)[index]
+    counts = Counter()
+    _count_calls(monkeypatch, counts, factorize, "decompose")
+    dec = multi_decompose(m, CTX_MULTI)
+    assert counts == {"decompose": 1}
+    meets = factorize._multi_rec(m, [decompose(m, 0, CTX_MULTI),
+                                     decompose(m, 1, CTX_MULTI)])
+    assert [(c.key, c.dim) for c in dec.components] == \
+        [(c.key, c.dim) for c in meets]
+    want = cli._decomposition_payload(
+        replace(dec, components=tuple(meets)))["components"]
+    assert cli._decomposition_payload(dec)["components"] == want
+
+
+def test_lines_need_one_decomposition_and_no_intersection(gauss5xy,
+                                                          monkeypatch):
+    # the README module: a fall-back to decomposing by y and intersecting
+    # costs twice the time and is caught here by its calls
+    from padic_dm import factorize
+    counts = Counter()
+    _count_calls(monkeypatch, counts, factorize, "decompose")
+    _count_calls(monkeypatch, counts, la, "intersect_spans")
+    dec = multi_decompose(_diagonal(gauss5xy, (1, 0), (0, 1)), CTX_MULTI)
+    assert dec.certificate.ok
+    assert counts == {"decompose": 1}
+
+
+@pytest.mark.parametrize("build", [
+    lambda field: _diagonal(field, (1, 1, 0), (1, 0, 1)), overstated_meet],
+    ids=["proper-intersection", "overstated-meet"])
+def test_planes_are_intersected(gauss5xy, monkeypatch, build):
+    # a 2-dimensional x component: both derivations are decomposed
+    from padic_dm import factorize
+    counts = Counter()
+    _count_calls(monkeypatch, counts, factorize, "decompose")
+    try:
+        multi_decompose(build(gauss5xy), CTX_MULTI)
+    except CertificateFailure:
+        pass
+    assert counts["decompose"] == 2
 
 
 def test_laurent_decompose(laurent):
