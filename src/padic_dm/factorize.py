@@ -46,7 +46,7 @@ from .logval import LogVal
 from . import linalg as la
 from .diffmod import (DiffModule, cyclic_data, cyclic_presentations,
                       from_operator, spectral_radius_bruteforce)
-from .precision import ApproxDomain, PrecisionCtx, domain_of
+from .precision import ApproxDomain, PrecisionCtx
 from .radii import (MultiRadiusProfile, RadiusProfile, check_profile,
                     profile, radii_from_polygon)
 from .twisted import (TwistedPoly, divmod_left, divmod_right, mul, pi_norm,
@@ -322,29 +322,36 @@ def _quotient(cols: list, n: int, band: bool = False) -> list:
              for e in col] for col in cols]
 
 
-def _intersect(spans: list, adom, n: int) -> tuple:
+def _quotient_domain(cols: list) -> ApproxDomain:
+    """Domain of the quotient's linear algebra: truncated scalars at
+    ceil(N), read from the ctx that the columns' entries carry."""
+    ctx = cols[0][0].ctx
+    return ApproxDomain(cols[0][0].field, ctx, ctx.target_err)
+
+
+def _intersect(spans: list, n: int) -> list:
     """Basis, in the quotient, of the meet of the spans short of all of M,
     taken in turn: a meet of the full dimension of the basis so far keeps
-    that basis.  Also returns the domain of the linear algebra: ``adom``,
-    or for None that of the first span's image."""
+    that basis.  The meets run in ``_quotient_domain``."""
     spans = [_quotient(s, n) for s in spans if len(s) < n]
-    cols = spans[0]
-    adom = adom or domain_of(cols[0][0])
+    cols, adom = spans[0], _quotient_domain(spans[0])
     for span in spans[1:]:
         # scaled like its second argument, the basis so far
         both = _quotient(la.intersect_spans(span, cols, adom), n)
         if len(both) < len(cols):
             cols = both
-    return cols, adom
+    return cols
 
 
-def _restrict(m: DiffModule, u_cols: list, adom) -> DiffModule:
-    """Module structure induced on the span of u_cols, for every derivation.
+def _restrict(m: DiffModule, u_cols: list) -> DiffModule:
+    """Module structure induced on the span of u_cols, for every derivation,
+    over ``_quotient_domain``.
 
     u_cols lie in the certificate quotient (``_quotient``), as
     ``_intersect``'s bases do; their images are taken there too, and a
     residual that survives in its containment band raises StabilityFailure.
     """
+    adom = _quotient_domain(u_cols)
     ma = m if not m.domain.is_exact else m.map_domain(adom)
     u = la.from_columns(u_cols)
     mats = []
@@ -421,10 +428,9 @@ def _split_decomposition(m: DiffModule, j: int, pa: TwistedPoly,
     lvs = prof.support[::-1]
     mults = [mult for _lv, mult in reversed(prof.entries)]
     n, k = m.dim, len(lvs)
-    adom = pa.domain
-    if _watermark(adom.ctx.d, n) < 2:
-        raise PrecisionLoss(
-            f"degree cap d={adom.ctx.d} too small for dimension {n}")
+    d = pa.domain.ctx.d
+    if _watermark(d, n) < 2:
+        raise PrecisionLoss(f"degree cap d={d} too small for dimension {n}")
     chain = _right_chain(pa, lvs)
     residuals = list(chain.residual_lv)
 
@@ -439,8 +445,8 @@ def _split_decomposition(m: DiffModule, j: int, pa: TwistedPoly,
     # highs[c] (None: all of M); ranks are decided in ``_quotient``
     spans = []
     for c in range(k):
-        cols, _ = _intersect([_span_columns(f, n) for f in (lows[c], highs[c])
-                              if f is not None], adom, n)
+        cols = _intersect([_span_columns(f, n) for f in (lows[c], highs[c])
+                           if f is not None], n)
         if len(cols) != mults[c]:
             raise CertificateFailure(
                 f"component for lv {lvs[c]} has rank {len(cols)}, "
@@ -450,7 +456,7 @@ def _split_decomposition(m: DiffModule, j: int, pa: TwistedPoly,
     # certificates -----------------------------------------------------
     dims_ok = sum(mults) == n
     purity_ok, recomposed, comps = True, [], []
-    camb = [[adom.coerce(e) for e in row] for row in cbasis]
+    camb = [[pa.domain.coerce(e) for e in row] for row in cbasis]
     for c in range(k):
         f = chain.factors[c]
         fprof = radii_from_polygon(f)
@@ -467,13 +473,13 @@ def _split_decomposition(m: DiffModule, j: int, pa: TwistedPoly,
         comps.append(Component(lvs[c], cmod, embedding, f))
     profile_ok = RadiusProfile.of(recomposed, n, j) == prof
     stacked = la.from_columns([col for cols in spans for col in cols])
-    direct_sum_ok = la.is_invertible(stacked, adom)
+    direct_sum_ok = la.is_invertible(stacked, pa.domain)
     # each span must be a submodule of the cyclic presentation K<T>/K<T>pa
     companion = from_operator(pa)
     stability_ok = True
     for cols in spans:
         try:
-            _restrict(companion, cols, adom)
+            _restrict(companion, cols)
         except StabilityFailure:
             stability_ok = False
 
@@ -502,7 +508,9 @@ def multi_decompose(m: DiffModule, ctx: PrecisionCtx) -> Decomposition:
     the marginals of the keys must reproduce each decomposition's
     profile, so the intersections exhaust each decomposition.  Every
     joint component is certified stable under every derivation
-    (``_restrict``).  FieldMismatch when M carries no derivation.
+    (``_restrict``); meets and restrictions run in the certificate
+    quotient, over truncated scalars at ceil(N).  FieldMismatch when M
+    carries no derivation.
     """
     if not m.derivations:
         raise FieldMismatch("module carries no derivation to decompose by")
@@ -532,22 +540,16 @@ def multi_decompose(m: DiffModule, ctx: PrecisionCtx) -> Decomposition:
 
 def _line(m: DiffModule, c: Component, j: int) -> Component:
     """The joint component on a 1-dimensional component c of M's first
-    derivation: c's span, restricted as ``_multi_rec`` restricts a meet
-    that keeps it, and presented by derivation j, whose one radius is the
-    second key once the brute-force estimate agrees with it (else
-    CertificateFailure)."""
-    cols, sub = _restricted(m, c)
+    derivation: c's span in the quotient, restricted as ``_multi_rec``
+    restricts a meet that keeps it, and presented by derivation j, whose
+    one radius is the second key once the brute-force estimate agrees with
+    it (else CertificateFailure)."""
+    cols = _intersect([la.columns(c.embedding)], m.dim)
+    sub = _restrict(m, cols)
     op = cyclic_data(sub, j)[0]
     prof = radii_from_polygon(op)
     check_profile(prof, spectral_radius_bruteforce(sub, j, kmax=10), m.field)
     return Component((c.key, prof.max_lv()), sub, la.from_columns(cols), op)
-
-
-def _restricted(m: DiffModule, c: Component) -> tuple:
-    """The basis of c's span in the certificate quotient, and M restricted
-    to it (StabilityFailure when the span is no submodule)."""
-    cols, adom = _intersect([la.columns(c.embedding)], None, m.dim)
-    return cols, _restrict(m, cols, adom)
 
 
 def _multi_rec(m: DiffModule, decs: list) -> list:
@@ -561,28 +563,28 @@ def _multi_rec(m: DiffModule, decs: list) -> list:
     (``_restrict``, else StabilityFailure).  Else an intersection keeps the
     basis so far when it has its full dimension; once the dimensions add
     up to dim M (else CertificateFailure), each is presented by its
-    restriction and the last derivation.
+    restriction and the last derivation.  Meets and restrictions take
+    their domain, at ceil(N), from the columns (``_quotient_domain``).
     """
     *firsts, last = decs
     if all(len(d.components) == 1 for d in firsts):
         head = tuple(d.components[0].key for d in firsts)
         if firsts and len(last.components) > 1:
             for c in last.components:
-                _restricted(m, c)
+                _restrict(m, _intersect([la.columns(c.embedding)], m.dim))
         return [replace(c, key=head + (c.key,)) for c in last.components]
     meets = []
     for choice in product(*(d.components for d in decs)):
-        cols, adom = _intersect([la.columns(c.embedding) for c in choice],
-                                None, m.dim)
+        cols = _intersect([la.columns(c.embedding) for c in choice], m.dim)
         if cols:
-            meets.append((tuple(c.key for c in choice), cols, adom))
-    dims = [len(cols) for _key, cols, _adom in meets]
+            meets.append((tuple(c.key for c in choice), cols))
+    dims = [len(cols) for _key, cols in meets]
     if sum(dims) != m.dim:
         raise CertificateFailure(
             f"intersection dimensions {dims} do not add up to {m.dim}")
     out = []
-    for key, cols, adom in meets:
-        sub = _restrict(m, cols, adom)
+    for key, cols in meets:
+        sub = _restrict(m, cols)
         out.append(Component(key, sub, la.from_columns(cols),
                              cyclic_data(sub, m.derivations[-1])[0]))
     return out

@@ -31,8 +31,7 @@ below which it is exact at every step; only its start depends on the
 digit ring.  ``reduce_scalar`` maps an exact scalar by one route, to the
 error its caller names (``err_target`` is required: this layer holds no
 working precision of its own): num and den lose their valuations, and num
-is multiplied by the Newton inverse of den, unless den is constant: it
-becomes ``den`` (Laurent) or is inverted mod p^k (Gauss).
+is multiplied by the Newton inverse of den, a constant den included.
 
 ``err_lv`` is a lower bound for lv(true - represented) in the pi-adic
 direction; every operation propagates it, and an exact operand c loses
@@ -428,12 +427,6 @@ def reduce_scalar(x: Scalar, ctx: PrecisionCtx, err_target: int) -> ApproxScalar
     if err <= shift:
         return ApproxScalar(f, ctx, shift, {}, err_target)
     num, den = f.pi_shift(x.num, -a), f.pi_shift(x.den, -b)
-    if P.p_is_const(den):
-        (c,) = den.values()
-        if f.kind == GAUSS:   # a p-unit, inverted mod p^(err - shift)
-            c = pow(c, -1, f.p ** (err - shift))
-            num, c = {m: v * c for m, v in num.items()}, 1
-        return ApproxScalar(f, ctx, shift, num, err, c)
     if not _is_unit(f, den):
         raise NotExpandable(
             "denominator is not a unit of the approximation ring")
@@ -501,10 +494,3 @@ class ApproxDomain:
             return reduce_scalar(x, self.ctx, err_target=self.err)
         raise TypeError(f"cannot coerce {type(x).__name__}")
 
-
-def domain_of(elem) -> "ExactDomain | ApproxDomain":
-    if isinstance(elem, Scalar):
-        return ExactDomain(elem.field)
-    if isinstance(elem, ApproxScalar):
-        return ApproxDomain(elem.field, elem.ctx, elem.err_lv)
-    raise TypeError(f"not a scalar: {type(elem).__name__}")

@@ -272,6 +272,16 @@ PROPER_MEET = ["--field", "gauss:p=5:vars=x,y", "--cmd", "multi-decompose",
                "--mat", "1/5,0,0;0,0,0;0,0,1/5", "--precision", "N=10,d=28"]
 
 
+@pytest.mark.parametrize("n", ["1", "1/3"])
+def test_multi_decompose_at_small_precision(n):
+    # the lines' restrictions run at ceil(N) = 1, where 1 is not yet zero
+    argv = JOBS["readme-multi-decompose"][:-1] + [f"N={n}"]
+    report, code = run(parse_job(argv))
+    assert code == 0
+    keys = [c["key"] for c in report["result"]["decomposition"]["components"]]
+    assert keys == [["5/4", "1/4"], ["1/4", "5/4"]]
+
+
 def test_multi_decompose_certifies_its_intersections(monkeypatch):
     # an intersection that drops its column leaves a component uncovered
     intersect = factorize.la.intersect_spans
@@ -304,16 +314,19 @@ def test_multi_decompose_overstated_intersections_exit_as_certificate_failure(
 
 def test_stability_failure_exits_2(monkeypatch):
     # the README module's x components are lines; tilting each line's
-    # column by (1, 1) leaves a span that T_x does not keep
-    intersect = factorize._intersect
+    # column by (1, 1) once the decomposition by x is done leaves a span
+    # that T_x does not keep
+    decompose, intersect = factorize.decompose, factorize._intersect
 
-    def tilted(spans, adom, n):
-        cols, dom = intersect(spans, adom, n)
-        if adom is None:
-            cols = [[e + dom.one() for e in col] for col in cols]
-        return cols, dom
+    def tilted(spans, n):
+        return [[e + 1 for e in col] for col in intersect(spans, n)]
 
-    monkeypatch.setattr(factorize, "_intersect", tilted)
+    def then_tilted(m, j, ctx):
+        dec = decompose(m, j, ctx)
+        monkeypatch.setattr(factorize, "_intersect", tilted)
+        return dec
+
+    monkeypatch.setattr(factorize, "decompose", then_tilted)
     report, code = run(parse_job(JOBS["readme-multi-decompose"]))
     assert code == 2
     assert report["error"]["code"] == "stability-failure"

@@ -106,9 +106,9 @@ def test_decompose_conjugated_pair(gauss5):
     assert sum(c.dim for c in dec.components) == 2
     assert dec.certificate.ok
     # embeddings stack to an invertible matrix (direct sum certificate)
-    from padic_dm.precision import domain_of
     cols = [col for c in dec.components for col in la.columns(c.embedding)]
-    assert la.is_invertible(la.from_columns(cols), domain_of(cols[0][0]))
+    assert la.is_invertible(la.from_columns(cols),
+                            ApproxDomain(K, CTX, CTX.target_err))
 
 
 def test_decompose_pure_fixed_point(gauss5):
@@ -492,6 +492,24 @@ def test_lines_are_the_intersections(monkeypatch, seed, index):
     assert cli._decomposition_payload(dec)["components"] == want
 
 
+def test_printed_line_digits_are_certified_at_the_target():
+    # the quotient runs at ceil(N): a line's operator claims digits up to
+    # it, and each claimed digit of degree <= 12 is that of a run at
+    # twice the precision
+    m = _bench_corpus().multi_variants(505, 4)[1]
+    fine = {c.key: c.operator for c in multi_decompose(
+        m, PrecisionCtx(Fraction(20), d=56, max_iter=80)).components}
+    claims = []
+    for c in multi_decompose(m, CTX_MULTI).components:
+        for q, r in zip(c.operator.coeffs, fine[c.key].coeffs, strict=True):
+            err = min(q.err_lv, CTX_MULTI.target_err)
+            assert r.err_lv >= err
+            assert q.truncate_err(err, 12).lift() == \
+                r.truncate_err(err, 12).lift()
+            claims.append(err)
+    assert max(claims) == CTX_MULTI.target_err
+
+
 def test_lines_need_one_decomposition_and_no_intersection(gauss5xy,
                                                           monkeypatch):
     # the README module: a fall-back to decomposing by y and intersecting
@@ -534,17 +552,17 @@ def test_laurent_decompose(laurent):
 
 
 def test_restrict_rejects_unstable_span(gauss5xy):
-    from padic_dm.factorize import DEFAULT_GUARD, _restrict
+    from padic_dm.factorize import _restrict
     K = gauss5xy
     z, one = K.zero(), K.one()
     # T_x acts by 0, T_y swaps the basis vectors: e1 + e2 spans a
     # submodule, e1 alone does not
     m = DiffModule(ExactDomain(K), 2, [[[z, z], [z, z]], [[z, one], [one, z]]])
-    adom = ApproxDomain(K, CTX, CTX.target_err + DEFAULT_GUARD)
-    stable = _restrict(m, [[adom.one(), adom.one()]], adom)
+    adom = ApproxDomain(K, CTX, CTX.target_err)
+    stable = _restrict(m, [[adom.one(), adom.one()]])
     assert stable.dim == 1 and stable.mats[1][0][0] == adom.one()
     with pytest.raises(StabilityFailure, match="not stable under derivation"):
-        _restrict(m, [[adom.one(), adom.zero()]], adom)
+        _restrict(m, [[adom.one(), adom.zero()]])
 
 
 @pytest.mark.parametrize("job", ["readme-decompose", "three-radii",
@@ -557,9 +575,9 @@ def test_restrict_receives_columns_in_the_quotient(gauss5, monkeypatch, job):
     restrict, intersect = factorize._restrict, factorize.la.intersect_spans
     seen, intersections = [], []
 
-    def recording(m, u_cols, adom):
+    def recording(m, u_cols):
         seen.append((m.dim, u_cols))
-        return restrict(m, u_cols, adom)
+        return restrict(m, u_cols)
 
     def counting(u_cols, v_cols, domain):
         intersections.append(len(u_cols))

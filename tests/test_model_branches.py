@@ -6,8 +6,7 @@ No module of the package other than ``scalarfield`` (which defines the
 models) and ``precision`` (whose digit rings differ) may import ``GAUSS``
 or ``LAURENT``.  ``precision`` may read a field's ``kind`` at most
 ``MAX_PRECISION_BRANCHES`` times: the start of ``inverse``, ``derive``, the
-centring in ``lift``, the constant denominator of ``reduce_scalar``,
-``_coerce``'s valuation and the Laurent window.
+centring in ``lift``, ``_coerce``'s valuation and the Laurent window.
 """
 
 import ast
@@ -16,7 +15,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "padic_dm"
 MODEL_NAMES = {"GAUSS", "LAURENT"}
 MAY_IMPORT = {"scalarfield.py", "precision.py"}
-MAX_PRECISION_BRANCHES = 6
+MAX_PRECISION_BRANCHES = 5
 
 
 def _tree(path):
