@@ -264,7 +264,7 @@ def run(job: JobSpec) -> tuple[dict, int]:
     }
     t0 = time.monotonic()
     try:
-        result, ok = COMMANDS[job.command](job)
+        result, ok = COMMANDS[job.command](job, _build_module(job))
         report["result"] = result
         report["ok"] = ok
         code = 0 if ok else CertificateFailure.exit_code
@@ -292,14 +292,12 @@ def _checked_profile(m: DiffModule, job: JobSpec, prof: RadiusProfile,
     }, rep.ok
 
 
-def _run_radii(job: JobSpec) -> tuple[dict, bool]:
-    m = _build_module(job)
+def _run_radii(job: JobSpec, m: DiffModule) -> tuple[dict, bool]:
     return _checked_profile(m, job, profile(m, job.deriv, check=False), 24)
 
 
-def _run_decompose(job: JobSpec) -> tuple[dict, bool]:
+def _run_decompose(job: JobSpec, m: DiffModule) -> tuple[dict, bool]:
     field = job.field
-    m = _build_module(job)
     dec = decompose(m, job.deriv, job.precision)
     rep = check_rationality(dec.profile, field)
     return {
@@ -309,9 +307,8 @@ def _run_decompose(job: JobSpec) -> tuple[dict, bool]:
     }, dec.certificate.ok and rep.ok
 
 
-def _run_multi_decompose(job: JobSpec) -> tuple[dict, bool]:
+def _run_multi_decompose(job: JobSpec, m: DiffModule) -> tuple[dict, bool]:
     field = job.field
-    m = _build_module(job)
     dec = multi_decompose(m, job.precision)
     rationality = {}
     for pos, j in enumerate(m.derivations):
@@ -322,9 +319,7 @@ def _run_multi_decompose(job: JobSpec) -> tuple[dict, bool]:
     return result, dec.certificate.ok
 
 
-def _run_dual(job: JobSpec) -> tuple[dict, bool]:
-    field = job.field
-    m = _build_module(job)
+def _run_dual(job: JobSpec, m: DiffModule) -> tuple[dict, bool]:
     dm = dual(m)
     result = {"dual_mats": [matrix_str(g) if g is not None else None
                             for g in dm.mats]}
@@ -336,10 +331,9 @@ def _run_dual(job: JobSpec) -> tuple[dict, bool]:
     return result, bool(result["profiles_equal"])
 
 
-def _run_verify(job: JobSpec) -> tuple[dict, bool]:
+def _run_verify(job: JobSpec, m: DiffModule) -> tuple[dict, bool]:
     """Full pipeline: decomposition, then its profile's oracle check,
     rationality and dual; a split decomposition is reported too."""
-    m = _build_module(job)
     dec = decompose(m, job.deriv, job.precision)
     result, ok = _checked_profile(m, job, dec.profile, 30)
     if len(dec.components) > 1:

@@ -29,7 +29,12 @@ by delta.  When E <= 0 it steps nothing, since no H_k can pass the clip
 
 A module built from a single twisted polynomial carries only that
 derivation's matrix; modules over multi-derivation fields must satisfy the
-integrability identity pairwise, which is enforced on construction.
+integrability identity pairwise, which is enforced on construction.  A
+module derived from another (a gauge transform, a change of domain, the
+dual, a direct sum, a restriction to a stable span in ``factorize``) is
+built by ``DiffModule.mapped``, the one walk over the source's carried
+derivations; it trusts integrability, which these constructions
+preserve.
 """
 
 from __future__ import annotations
@@ -113,18 +118,21 @@ class DiffModule:
         winv = la.inverse(w, self.domain)
         if winv is None:
             raise ValueError("basis matrix is not invertible")
-        mats = [None if g is None else la.mat_mul(winv, self.act(j, w))
-                for j, g in enumerate(self.mats)]
-        return DiffModule(self.domain, self.dim, mats, _checked=True)
+        return self.mapped(self.domain, self.dim,
+                           lambda j, _g: la.mat_mul(winv, self.act(j, w)))
 
     def map_domain(self, domain) -> "DiffModule":
-        mats = []
-        for g in self.mats:
-            if g is None:
-                mats.append(None)
-            else:
-                mats.append([[domain.coerce(e) for e in row] for row in g])
-        return DiffModule(domain, self.dim, mats, _checked=True)
+        return self.mapped(domain, self.dim, lambda _j, g: [
+            [domain.coerce(e) for e in row] for row in g])
+
+    def mapped(self, domain, dim: int, f) -> "DiffModule":
+        """The module over ``domain`` of dimension ``dim`` whose matrix for
+        each carried derivation j is f(j, G_j); absent derivations stay
+        absent.  Integrability is trusted: f must map commuting actions to
+        commuting ones."""
+        return DiffModule(domain, dim, [None if g is None else f(j, g)
+                                        for j, g in enumerate(self.mats)],
+                          _checked=True)
 
     def __repr__(self):
         return f"DiffModule(dim={self.dim}, derivations={self.derivations})"
@@ -273,10 +281,8 @@ def iterate_G(m: DiffModule, j: int, k: int) -> la.Matrix:
 
 def dual(m: DiffModule) -> DiffModule:
     """Dual presentation: negated transpose of every action matrix."""
-    mats = []
-    for g in m.mats:
-        mats.append(None if g is None else la.mat_neg(la.transpose(g)))
-    return DiffModule(m.domain, m.dim, mats, _checked=True)
+    return m.mapped(m.domain, m.dim,
+                    lambda _j, g: la.mat_neg(la.transpose(g)))
 
 
 def direct_sum(m1: DiffModule, m2: DiffModule) -> DiffModule:
@@ -284,23 +290,10 @@ def direct_sum(m1: DiffModule, m2: DiffModule) -> DiffModule:
         raise FieldMismatch("direct sum over different fields or precisions")
     if m1.derivations != m2.derivations:
         raise FieldMismatch("direct sum of modules with different structure")
-    dom = m1.domain
-    n = m1.dim + m2.dim
-    mats = []
-    for j, g1 in enumerate(m1.mats):
-        if g1 is None:
-            mats.append(None)
-            continue
-        g2 = m2.mats[j]
-        g = la.zeros(dom, n, n)
-        for i in range(m1.dim):
-            for t in range(m1.dim):
-                g[i][t] = g1[i][t]
-        for i in range(m2.dim):
-            for t in range(m2.dim):
-                g[m1.dim + i][m1.dim + t] = g2[i][t]
-        mats.append(g)
-    return DiffModule(dom, n, mats, _checked=True)
+    n1, n2, zero = m1.dim, m2.dim, m1.domain.zero()
+    return m1.mapped(m1.domain, n1 + n2, lambda j, g1: (
+        [row + [zero] * n2 for row in g1]
+        + [[zero] * n1 + row for row in m2.mats[j]]))
 
 
 # -- cyclic vectors --------------------------------------------------------------

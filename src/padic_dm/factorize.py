@@ -354,11 +354,8 @@ def _restrict(m: DiffModule, u_cols: list) -> DiffModule:
     adom = _quotient_domain(u_cols)
     ma = m if not m.domain.is_exact else m.map_domain(adom)
     u = la.from_columns(u_cols)
-    mats = []
-    for j in range(ma.field.nderiv):
-        if ma.mats[j] is None:
-            mats.append(None)
-            continue
+
+    def induced(j, _g):
         w = la.from_columns(_quotient(
             [ma.apply_T(j, col) for col in u_cols], ma.dim))
         sol = la.solve_in_span(u, w)
@@ -369,8 +366,9 @@ def _restrict(m: DiffModule, u_cols: list) -> DiffModule:
         if any(not e.is_zero() for row in rest for e in row):
             raise StabilityFailure(
                 f"component basis not stable under derivation {j} at precision")
-        mats.append(x)
-    return DiffModule(adom, len(u_cols), mats, _checked=True)
+        return x
+
+    return ma.mapped(adom, len(u_cols), induced)
 
 
 def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:

@@ -243,17 +243,8 @@ def _rows(d: dict, dcap: int) -> tuple:
     return out, top
 
 def p_derive(a: Poly, var: int) -> Poly:
-    out: Poly = {}
-    for m, c in a.items():
-        e = m[var]
-        if e:
-            m2 = m[:var] + (e - 1,) + m[var + 1:]
-            s = out.get(m2, 0) + c * e
-            if s:
-                out[m2] = s
-            else:
-                out.pop(m2, None)
-    return out
+    return {m[:var] + (m[var] - 1,) + m[var + 1:]: c * m[var]
+            for m, c in a.items() if m[var]}
 
 def p_min_exp(a: Poly, var: int) -> int:
     return min((m[var] for m in a), default=-1)

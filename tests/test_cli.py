@@ -372,6 +372,30 @@ def test_decompose_without_candidates_exits_as_search_exhausted(monkeypatch):
     assert "attempts" not in report["error"]
 
 
+def test_rank_shortfall_exits_as_certificate_failure(monkeypatch):
+    # each component's span loses its last column in the quotient: the
+    # 5/4 line has rank 0, and every candidate fails on it
+    intersect = factorize._intersect
+    monkeypatch.setattr(factorize, "_intersect",
+                        lambda spans, n: intersect(spans, n)[:-1])
+    report, code = run(parse_job(JOBS["readme-decompose"]))
+    assert code == 2
+    assert report["error"]["code"] == "certificate-failure"
+    assert report["error"]["message"] == \
+        "component for lv 5/4 has rank 0, expected 1"
+    assert len(report["error"]["attempts"]) == 6
+
+
+def test_radii_without_cyclic_vector_exits_as_search_exhausted(monkeypatch):
+    # the zero vector spans no Krylov basis, so the profile has no
+    # presentation to read
+    monkeypatch.setattr(diffmod, "_candidate_schedule",
+                        lambda m, j: iter([[m.domain.zero()] * m.dim]))
+    report, code = run(parse_job(JOBS["readme-radii"]))
+    assert code == 1
+    assert report["error"]["code"] == "search-exhausted"
+
+
 def test_short_lifting_floor_reaches_the_attempts(monkeypatch):
     # every lifted cofactor keeps its digits only to err 11; its T^1
     # coefficient needs 23/2 at N = 10, so each split, and its rerun with
@@ -448,8 +472,19 @@ def test_radii_of_negative_powers_and_named_derivations(args, deriv):
     # positions inside a --mat entry count from the start of the --mat text
     (["--field", "gauss:p=5:vars=x", "--cmd", "radii", "--mat", "1,2;3,"],
      "unexpected token end of input (at position 6)"),
+    (["--cmd", "radii", "--op", "T"], "missing --field"),
+    (["--field", "gauss:p=5:vars=x", "--cmd", "nope", "--op", "T"],
+     "--cmd must be one of radii, decompose, multi-decompose, dual, verify"),
+    (op_args("T") + ["--mat", "1"], "--op and --mat are mutually exclusive"),
+    (["--field", "gauss:p=5:vars=x,y", "--cmd", "radii",
+      "--mat", "1", "--mat", "1", "--mat", "1"],
+     "need one --mat per derivation"),
+    (["--field", "gauss:p=5:vars=x,y", "--cmd", "multi-decompose",
+      "--mat", "1/5"], "multi-decompose needs one --mat per derivation"),
 ], ids=["negative-operator-power", "unknown-deriv", "end-empty",
-        "end-open-parenthesis", "end-bare-power", "end-empty-entry"])
+        "end-open-parenthesis", "end-bare-power", "end-empty-entry",
+        "no-field", "unknown-cmd", "op-and-mat", "three-mats",
+        "multi-one-mat"])
 def test_main_parse_error_messages(capsys, argv, message):
     assert main(argv) == 1
     report = json.loads(capsys.readouterr().out)
@@ -619,6 +654,25 @@ def test_main_height_cap_reads_printed_coefficients(capsys):
             "--op", "T + x/((3^500)^2) + 1/((2^500)^3)"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+def test_main_out_holds_the_printed_report(capsys, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(job_args("--out", str(out))) == 0
+    assert out.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["dual", "radii"])
+def test_one_mat_on_two_variables_carries_the_named_derivation(capsys,
+                                                               command):
+    # one --mat fills the slot of --deriv; the other derivation is absent
+    assert main(["--field", "gauss:p=5:vars=x,y", "--cmd", command,
+                 "--mat", "1/5,0;0,y", "--deriv", "y"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    if command == "dual":
+        assert result["dual_mats"] == [None, "-1/5,0;0,-y"]
+    assert [(e["lv"], e["mult"]) for e in result["profile"]["entries"]] \
+        == [("1/4", 1), ("5/4", 1)]
 
 
 def test_main_unwritable_out(capsys, tmp_path):

@@ -131,6 +131,26 @@ def test_direct_sum(gauss5, laurent):
         direct_sum(m1, scalar_module(laurent, 0))
 
 
+def test_derived_modules_keep_the_carried_derivations(gauss5xy):
+    # a module carrying only d_y: each construction from it fills the y
+    # slot alone, and the direct sum is block diagonal
+    K = gauss5xy
+    y, z, one = K.var(1), K.zero(), K.one()
+    m = DiffModule(ExactDomain(K), 1, [None, [[y]]])
+    s = direct_sum(m, dual(m))
+    assert s.mats == (None, [[y, z], [z, -y]])
+    gauge = s.change_basis([[one, one], [z, one]])
+    assert gauge.derivations == (1,) and gauge.dim == 2
+    seen = []
+
+    def f(j, g):
+        seen.append(j)
+        return [[g[0][0], z], [z, one]]
+
+    assert m.mapped(m.domain, 2, f).mats == (None, [[y, z], [z, one]])
+    assert seen == [1]
+
+
 def test_integrability(gauss5xy):
     K = gauss5xy
     x, y = K.var(0), K.var(1)

@@ -116,6 +116,16 @@ def test_check_rationality(gauss5):
     assert check_rationality(empty, gauss5).ok
 
 
+def test_check_rationality_flags_a_fractional_multiple(gauss5):
+    # (lv - lv_omega) * mult = 1/4 is not an integer; a profile read from a
+    # polygon never gives one, as its vertices are lattice points
+    prof = RadiusProfile.of([(lv("1/2"), 1), (lv("1/4"), 1)], 2, 0)
+    rep = check_rationality(prof, gauss5)
+    assert rep.ok and not rep.advisory_ok
+    assert rep.entries == ((lv("1/4"), 1, "skipped-boundary"),
+                           (lv("1/2"), 1, "flag"))
+
+
 def test_check_profile(gauss5):
     # the maximal radius 9/4 agrees with the oracle; an estimate shifted
     # by 2 does not, and the empty profile passes against any estimate

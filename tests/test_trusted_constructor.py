@@ -1,10 +1,16 @@
-"""Constructor guard: ``precision._from_capped`` builds a value without
-the degree test of ``ApproxScalar(...)``, so it is called only inside
-``precision``, on arithmetic results whose digits are within the cap.
+"""Constructor guards.
 
-Values from raw digits go through the public constructor, which cuts
-them; the normal-form helper of ``test_precision`` checks the cap on every
+``precision._from_capped`` builds a value without the degree test of
+``ApproxScalar(...)``, so it is called only inside ``precision``, on
+arithmetic results whose digits are within the cap.  Values from raw
+digits go through the public constructor, which cuts them; the
+normal-form helper of ``test_precision`` checks the cap on every
 arithmetic result.
+
+``DiffModule(..., _checked=True)`` skips the integrability check, so only
+``diffmod`` passes it: in a companion presentation, which carries one
+derivation, and in ``DiffModule.mapped``, which builds every module derived
+from another.  Every other module is checked on construction.
 """
 
 import ast
@@ -35,3 +41,14 @@ def test_the_owner_defines_and_calls_it():
                for node in tree.body)
     assert any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                and node.func.id == TRUSTED for node in ast.walk(tree))
+
+
+def test_only_diffmod_trusts_integrability():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "diffmod.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.keyword) and node.arg == "_checked"]
+    assert not found, "_checked outside diffmod.py at " + ", ".join(found)
