@@ -314,9 +314,11 @@ def _watermark(d: int, n: int) -> int:
 def _quotient(cols: list, n: int, band: bool = False) -> list:
     """Columns (or rows) over an n-dimensional module, in the certificate
     quotient of both decompositions: each entry cut to its ctx's target
-    error and ``_watermark``.  ``band``: containment is judged n + 4
-    degrees lower still, as products of watermark-truncated values make
-    junk above it.  ``_split_decomposition`` checks the watermark >= 2."""
+    error and ``_watermark``, which each entry keeps as its degree cap, so
+    no sum or product of them makes digits above it.  ``band``:
+    containment is judged n + 4 degrees lower still, as the derivative in
+    ``apply_T`` leaks the cut's truncation one degree down.
+    ``_split_decomposition`` checks the watermark >= 2."""
     below = n + 4 if band else 0
     return [[e.truncate_err(e.ctx.target_err, _watermark(e.ctx.d, n) - below)
              for e in col] for col in cols]

@@ -4,11 +4,12 @@ An ``ApproxScalar`` is pi^shift times digits known below pi^(err_lv -
 shift), pi the uniformizer: p (Gauss) or z (Laurent).  Both models keep
 digits by one rule, ``FieldSpec.pi_trunc``: a Gauss digit c while
 v_p(c) < err_lv - shift, a Laurent monomial z^m while m < err_lv - shift,
-and no monomial of total degree > ctx.d; ``FieldSpec.pi_shift`` moves
-digits by powers of pi.  Digits are dicts from exponent tuples to ``int``s
-over one positive ``int`` ``den``: 1 for Gauss (ints mod p^k); for the
-rational Laurent digits, sums bring operands to one denominator and
-products multiply them, with no gcd per digit.
+and no monomial of total degree > the value's degree cap d;
+``FieldSpec.pi_shift`` moves digits by powers of pi.  Digits are dicts
+from exponent tuples to ``int``s over one positive ``int`` ``den``: 1 for
+Gauss (ints mod p^k); for the rational Laurent digits, sums bring
+operands to one denominator and products multiply them, with no gcd per
+digit.
 
 Two constructors write a value, and both end in ``_normalize``, which
 alone writes ``coeffs``, ``den`` and ``shift`` into a normal form: the
@@ -16,15 +17,16 @@ digits truncated below pi^(err_lv - shift), gcd(den, digits) divided out
 and their valuation (``FieldSpec.poly_val``) moved into the shift.  So
 ``val`` of a nonzero value is its shift, and it is invertible when its
 constant digit is nonzero below pi.  The public ``ApproxScalar(...)``
-takes raw digits and also cuts them at the degree cap d.
-``_from_capped``, private to this module, takes digits already within
-the cap and skips that test: every arithmetic result has them, since
-products (``_conv``, those of exact scalars truncated at d, one per
-arity) are cut at d, sums and negations of capped operands stay capped,
-a Gauss d/dx lowers the degree, and Laurent sums move digits only inside
+takes raw digits, cuts them at ctx.d and gives the value that degree cap.
+``_from_capped``, private to this module, takes the cap d of the value it
+builds and digits already within it, and skips that test: every
+arithmetic result has them, since products (``_conv``, those of exact
+scalars truncated at ctx.d, one per arity) are cut at the smaller cap of
+their operands, sums and negations are formed from digits within it, a
+Gauss d/dx lowers the degree, and Laurent sums move digits only inside
 their window (``_window`` keeps err_lv - shift <= d + 1).  A product by
-the exact unit (digits {0: 1}, shift 0, den 1) is the other operand
-itself where the general route would return it unchanged
+the exact unit (digits {0: 1}, shift 0, den 1, cap no lower) is the other
+operand itself where the general route would return it unchanged
 (``_times_one``), and the unit is its own inverse.  Both models invert
 by one Newton iteration on integer numerators, which doubles the degree
 below which it is exact at every step; only its start depends on the
@@ -36,13 +38,23 @@ is multiplied by the Newton inverse of den, a constant den included.
 ``err_lv`` is a lower bound for lv(true - represented) in the pi-adic
 direction; every operation propagates it, and an exact operand c loses
 nothing of it in ``x + c`` or ``x * c`` (``_coerce``).  The d + 1 Laurent
-digits bound it by shift + d + 1 (``_window``).  The Gauss degree cap is
-still not an error term but a ring quotient: results are classes modulo
-monomials of degree > d, products respect it, and derivatives leak its
-truncation one degree down per application.  Callers pick d large enough
-that quotient effects stay below the target precision for their inputs
-(factorization certificates re-measure residuals, never trusting the
-iteration alone).
+digits bound it by shift + d + 1 (``_window``).
+
+Each value holds its own degree cap ``d``: ctx.d, unless ``truncate_err``
+cut it lower.  The Gauss cap is still not an error term but a ring
+quotient: a value is a class modulo the monomials of degree > d.  A sum,
+difference or product lies in the coarser quotient of its operands, and
+computes only the digits up to the smaller cap: ``_conv`` runs at it, the
+operand with the higher cap is cut before adding, and the Newton inverse
+stops at it.  A value cut at a watermark keeps it, so no product it
+enters recomputes the digits above.  Derivatives keep the cap and leak its
+truncation one degree down per application.  A Laurent value keeps ctx.d:
+a cut there is an error window instead, err_lv capped at shift + degree
++ 1 (``_window``), since a cap on degrees relative to the shift bounds
+nothing once a sum moves the digits to another shift.  Callers pick d
+large enough that quotient effects stay below the target precision for
+their inputs (factorization certificates re-measure residuals, never
+trusting the iteration alone).
 
 The ``ExactDomain`` / ``ApproxDomain`` pair lets the twisted-polynomial and
 module layers run the same algorithms over exact scalars or truncations.
@@ -83,9 +95,10 @@ class PrecisionCtx:
 
 
 class ApproxScalar:
-    """A truncated expansion with a valuation offset and an error bound."""
+    """A truncated expansion with a valuation offset, an error bound and a
+    degree cap."""
 
-    __slots__ = ("field", "ctx", "shift", "coeffs", "err_lv", "den")
+    __slots__ = ("field", "ctx", "shift", "coeffs", "err_lv", "den", "d")
 
     def __init__(self, field: FieldSpec, ctx: PrecisionCtx, shift: int,
                  coeffs: dict, err_lv: int, den: int = 1):
@@ -95,6 +108,7 @@ class ApproxScalar:
         self.coeffs = coeffs
         self.err_lv = err_lv
         self.den = den
+        self.d = ctx.d
         self._normalize(ctx.d)
 
     # -- representation upkeep ------------------------------------------
@@ -178,23 +192,25 @@ class ApproxScalar:
     def _absorbs(self, o: "ApproxScalar") -> bool:
         """Whether self + o is self for an o with no digits: the sum keeps
         err_lv (o's is no lower, nor, in the Laurent model, is the window
-        min(shift_a, shift_b) + d + 1) and the shift (self has digits, or
-        o's shift is no lower)."""
-        if o.err_lv < self.err_lv:
+        min(shift_a, shift_b) + d + 1), the degree cap (o's is no lower)
+        and the shift (self has digits, or o's shift is no lower)."""
+        if o.err_lv < self.err_lv or o.d < self.d:
             return False
         if _window(self.field, self.ctx, self.err_lv,
-                   min(self.shift, o.shift)) < self.err_lv:
+                   min(self.shift, o.shift), self.d)[0] < self.err_lv:
             return False
         return bool(self.coeffs) or o.shift >= self.shift
 
     def _add(self, o: "ApproxScalar", negate: bool = False) -> "ApproxScalar":
         """The sum (with ``negate``, the difference) by the general route:
-        both operands at the lower shift and over the lcm of the
-        denominators, then normalized."""
+        both operands at the lower shift, in the coarser degree quotient
+        and over the lcm of the denominators, then normalized."""
         f = self.field
         s = min(self.shift, o.shift)
-        a = f.pi_shift(self.coeffs, self.shift - s)
-        b = f.pi_shift(o.coeffs, o.shift - s)
+        err, d = _window(f, self.ctx, min(self.err_lv, o.err_lv), s,
+                         min(self.d, o.d))
+        a = f.pi_shift(_digits_to(self, d), self.shift - s)
+        b = f.pi_shift(_digits_to(o, d), o.shift - s)
         den = math.lcm(self.den, o.den)
         if den != 1:   # each operand scaled to den once
             ka, kb = den // self.den, den // o.den
@@ -208,11 +224,10 @@ class ApproxScalar:
         else:
             for m, c in b.items():
                 cc[m] = get(m, 0) + c
-        err = _window(f, self.ctx, min(self.err_lv, o.err_lv), s)
-        return _from_capped(f, self.ctx, s, cc, err, den)
+        return _from_capped(f, self.ctx, d, s, cc, err, den)
 
     def __neg__(self):
-        return _from_capped(self.field, self.ctx, self.shift,
+        return _from_capped(self.field, self.ctx, self.d, self.shift,
                             {m: -c for m, c in self.coeffs.items()},
                             self.err_lv, self.den)
 
@@ -240,11 +255,13 @@ class ApproxScalar:
     def _times_one(self, u: "ApproxScalar") -> bool:
         """Whether self * u is self by the general route: u is the exact
         unit, its err_lv is at least max(err_lv - shift, 0), so that the
-        product keeps err_lv (``_err_of_product``), and self lies inside its
-        Laurent window, so that ``_window`` keeps it too."""
+        product keeps err_lv (``_err_of_product``), its degree cap is no
+        lower, and self lies inside its Laurent window, so that ``_window``
+        keeps err_lv too."""
         return (u._is_one() and u.err_lv >= max(self._mod_exp, 0)
+                and u.d >= self.d
                 and _window(self.field, self.ctx, self.err_lv,
-                            self.shift) >= self.err_lv)
+                            self.shift, self.d)[0] >= self.err_lv)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -256,9 +273,10 @@ class ApproxScalar:
             return o
         f = self.field
         s = self.shift + o.shift
-        err = _window(f, self.ctx, self._err_of_product(o), s)
-        cc = _conv(self.coeffs, o.coeffs, self.ctx.d, f.nvars)
-        return _from_capped(f, self.ctx, s, cc, err, self.den * o.den)
+        err, d = _window(f, self.ctx, self._err_of_product(o), s,
+                         min(self.d, o.d))
+        cc = _conv(self.coeffs, o.coeffs, d, f.nvars)
+        return _from_capped(f, self.ctx, d, s, cc, err, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -286,12 +304,12 @@ class ApproxScalar:
         u0 = self.coeffs[mono0]
         if f.kind == GAUSS:
             # digits mod p^me, over den 1: start from 1/u0 mod p^me
-            top = ctx.d
+            top = self.d
             z, dz = {mono0: pow(u0, -1, f.p ** me)}, 1
         else:
             # rational digits: start from 1/u0, and stop below z^me, which
             # _normalize drops
-            top = min(ctx.d, me - 1)
+            top = min(self.d, me - 1)
             z, dz = {mono0: 1}, u0
         # Newton w <- w(2 - Uw) on w = z/dz ~ 1/U, U the digits (u = U/den):
         # z <- z(2dz - Uz), dz <- dz^2, then gcd(dz, z) divided out, which
@@ -312,37 +330,40 @@ class ApproxScalar:
                 z, dz = {m: c // g for m, c in z.items()}, dz // g
             D = cap + 1
         z = {m: c * self.den for m, c in z.items()}   # 1/u = den/U
-        return _from_capped(f, ctx, -v, z, self.err_lv - 2 * v, dz)
+        return _from_capped(f, ctx, self.d, -v, z, self.err_lv - 2 * v, dz)
 
     def truncate_err(self, err: int, degree: int | None = None) -> "ApproxScalar":
-        """Round down to a smaller error bound and/or degree window.
+        """Round down to a smaller error bound and/or degree.
 
         Values whose size is at or below the new bound become genuine
         zeros of the coarser quotient, which is what certificate linear
-        algebra at a fixed working precision needs.  ``degree`` discards
-        monomials above a watermark: products never push information past
-        the degree cap but derivatives leak the cap's truncation junk
-        downward one degree per application, so certificate checks ignore
-        the top band.
+        algebra at a fixed working precision needs.  ``degree`` cuts the
+        digits of total degree > degree, by the rule of ``_window``: a
+        Gauss value keeps the lower cap, so that no sum or product it
+        enters computes digits above it again; a Laurent value keeps ctx.d
+        and caps err_lv at shift + degree + 1, below which the digits it
+        keeps are all it knows.
         """
-        cc = self.coeffs
+        err = min(err, self.err_lv)
+        d = self.d
         if degree is not None:
-            cc = {m: c for m, c in cc.items() if sum(m) <= degree}
-        return ApproxScalar(self.field, self.ctx, self.shift,
-                            dict(cc), min(err, self.err_lv), self.den)
+            err, d = _window(self.field, self.ctx, err, self.shift,
+                             min(d, degree))
+        return _from_capped(self.field, self.ctx, d, self.shift,
+                            _digits_to(self, d), err, self.den)
 
     def derive(self, j: int = 0) -> "ApproxScalar":
         f = self.field
         f._check_deriv(j)
         if f.kind == GAUSS:
-            return _from_capped(f, self.ctx, self.shift,
+            return _from_capped(f, self.ctx, self.d, self.shift,
                                 P.p_derive(self.coeffs, j), self.err_lv)
         cc = {}
         for m, c in self.coeffs.items():
             e = self.shift + m[0]
             if e:
                 cc[m] = c * e
-        return _from_capped(f, self.ctx, self.shift - 1, cc,
+        return _from_capped(f, self.ctx, self.d, self.shift - 1, cc,
                             self.err_lv - 1, self.den)
 
     def __eq__(self, other):
@@ -374,13 +395,14 @@ class ApproxScalar:
         return str(self.lift())
 
 
-def _from_capped(f: FieldSpec, ctx: PrecisionCtx, shift: int,
+def _from_capped(f: FieldSpec, ctx: PrecisionCtx, d: int, shift: int,
                  coeffs: dict, err_lv: int, den: int = 1) -> ApproxScalar:
-    """A value from digits of total degree <= ctx.d: normalized as by
-    ``ApproxScalar(...)``, without its degree test (module docstring)."""
+    """A value of degree cap d from digits of total degree <= d: normalized
+    as by ``ApproxScalar(...)``, without its degree test (module
+    docstring)."""
     x = object.__new__(ApproxScalar)
-    x.field, x.ctx, x.shift, x.coeffs, x.err_lv, x.den = \
-        f, ctx, shift, coeffs, err_lv, den
+    x.field, x.ctx, x.d, x.shift, x.coeffs, x.err_lv, x.den = \
+        f, ctx, d, shift, coeffs, err_lv, den
     x._normalize(None)
     return x
 
@@ -395,11 +417,26 @@ def _conv(a: dict, b: dict, dcap: int, nvars: int) -> dict:
     return P.p_mul_bi(a, b, dcap)
 
 
-def _window(f: FieldSpec, ctx: PrecisionCtx, err: int, shift: int) -> int:
-    """err, capped at the window of a value of valuation ``shift``: the
-    d + 1 Laurent digits know nothing from z^(shift + d + 1) on.  The Gauss
-    degree cap is a quotient, not a window (module docstring)."""
-    return err if f.kind == GAUSS else min(err, shift + ctx.d + 1)
+def _window(f: FieldSpec, ctx: PrecisionCtx, err: int, shift: int,
+            d: int) -> tuple:
+    """(err_lv, degree cap) of a value of valuation ``shift`` and error err
+    kept to degree d.  The d + 1 Laurent digits are a window: they know
+    nothing from z^(shift + d + 1) on, so err is capped there, and the cap
+    stays ctx.d, since a cap on degrees relative to the shift is no bound
+    once a sum moves the digits to another shift.  The Gauss cap is a
+    quotient, not a window (module docstring): err is kept, and the cap
+    is d."""
+    if f.kind == GAUSS:
+        return err, d
+    return min(err, shift + d + 1), ctx.d
+
+
+def _digits_to(x: ApproxScalar, d: int) -> dict:
+    """The digits of x of total degree <= d: all of them when x's cap is no
+    higher."""
+    if x.d <= d:
+        return x.coeffs
+    return {m: c for m, c in x.coeffs.items() if sum(m) <= d}
 
 
 def _is_unit(f: FieldSpec, digits: dict) -> bool:
@@ -423,7 +460,7 @@ def reduce_scalar(x: Scalar, ctx: PrecisionCtx, err_target: int) -> ApproxScalar
         return ApproxScalar(f, ctx, 0, {}, err_target)
     a, b = f.poly_val(x.num), f.poly_val(x.den)
     shift = a - b
-    err = _window(f, ctx, err_target, shift)
+    err = _window(f, ctx, err_target, shift, ctx.d)[0]
     if err <= shift:
         return ApproxScalar(f, ctx, shift, {}, err_target)
     num, den = f.pi_shift(x.num, -a), f.pi_shift(x.den, -b)
@@ -432,7 +469,7 @@ def reduce_scalar(x: Scalar, ctx: PrecisionCtx, err_target: int) -> ApproxScalar
             "denominator is not a unit of the approximation ring")
     # the product is truncated below pi^(err - shift) by the normal form
     inv = ApproxScalar(f, ctx, 0, den, err - shift).inverse()
-    return _from_capped(f, ctx, shift,
+    return _from_capped(f, ctx, ctx.d, shift,
                         _conv(num, inv.coeffs, ctx.d, f.nvars), err, inv.den)
 
 

@@ -282,6 +282,23 @@ def test_multi_decompose_at_small_precision(n):
     assert keys == [["5/4", "1/4"], ["1/4", "5/4"]]
 
 
+LAURENT_CUT_OP = ["--field", "laurent:z", "--cmd", "decompose",
+                  "--op", "T^2 - (1/z^3)*T + 1/z", "--precision"]
+
+
+@pytest.mark.parametrize("d", [20, 22])
+def test_laurent_cut_keeps_what_it_knows(d):
+    # a Laurent cut at the watermark claimed the digits it dropped, and
+    # T times 1/z^3 moved them into the containment band: stability failed
+    # on every candidate at these caps, and held at d=64
+    def components(cap):
+        report, code = run(parse_job(LAURENT_CUT_OP + [f"N=10,d={cap}"]))
+        assert code == 0
+        return report["result"]["decomposition"]["components"]
+
+    assert components(d) == components(64)
+
+
 def test_multi_decompose_certifies_its_intersections(monkeypatch):
     # an intersection that drops its column leaves a component uncovered
     intersect = factorize.la.intersect_spans

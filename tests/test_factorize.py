@@ -510,6 +510,47 @@ def test_printed_line_digits_are_certified_at_the_target():
     assert max(claims) == CTX_MULTI.target_err
 
 
+def _nested(depth, key, f):
+    """f, counting in depth[key] the calls that are running."""
+    def run(*args, **kwargs):
+        depth[key] += 1
+        try:
+            return f(*args, **kwargs)
+        finally:
+            depth[key] -= 1
+    return run
+
+
+def test_certificate_products_stay_below_the_watermark(monkeypatch):
+    # values cut to the certificate quotient keep the watermark as their
+    # degree cap: no product of the meets and restrictions computes a
+    # digit above it (the exact matrices are still reduced at d), and the
+    # line operators hold no digit above it
+    from padic_dm import factorize, precision
+    m = _bench_corpus().multi_variants(505, 4)[1]
+    top = factorize._watermark(CTX_MULTI.d, m.dim)
+    depth, caps = Counter(), []
+    conv = precision._conv
+
+    def recorded(a, b, dcap, nvars):
+        if depth["quotient"] and not depth["reduce"]:
+            caps.append(dcap)
+        return conv(a, b, dcap, nvars)
+
+    monkeypatch.setattr(precision, "_conv", recorded)
+    monkeypatch.setattr(precision, "reduce_scalar", _nested(
+        depth, "reduce", precision.reduce_scalar))
+    for name in ("_intersect", "_restrict"):
+        monkeypatch.setattr(factorize, name, _nested(
+            depth, "quotient", getattr(factorize, name)))
+    dec = multi_decompose(m, CTX_MULTI)
+    assert dec.certificate.ok
+    assert caps and max(caps) <= top
+    for c in dec.components:
+        for q in c.operator.coeffs:
+            assert all(sum(e) <= top for e in q.coeffs)
+
+
 def test_lines_need_one_decomposition_and_no_intersection(gauss5xy,
                                                           monkeypatch):
     # the README module: a fall-back to decomposing by y and intersecting

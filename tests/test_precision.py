@@ -34,12 +34,13 @@ def _laurent(field, ctx, shift, digits, err_lv):
 
 def _assert_normal_form(x):
     """int digits over one positive int den with gcd(den, digits) = 1, no
-    digit of total degree above ctx.d, and the valuation in the shift
-    (Gauss: den 1 and digits of gcd prime to p; Laurent: a digit at
-    exponent 0)."""
+    digit of total degree above the value's cap d, itself at most ctx.d
+    (Laurent: equal to it), and the valuation in the shift (Gauss: den 1
+    and digits of gcd prime to p; Laurent: a digit at exponent 0)."""
     assert type(x.den) is int and x.den > 0
     assert all(type(c) is int and c for c in x.coeffs.values())
-    assert all(sum(m) <= x.ctx.d for m in x.coeffs)
+    assert x.d <= x.ctx.d
+    assert all(sum(m) <= x.d for m in x.coeffs)
     if not x.coeffs:
         assert x.den == 1
     elif x.field.kind == "gauss":
@@ -48,6 +49,8 @@ def _assert_normal_form(x):
     else:
         assert math.gcd(x.den, *x.coeffs.values()) == 1
         assert (0,) in x.coeffs
+    if x.field.kind == "laurent":
+        assert x.d == x.ctx.d
 
 
 def test_reduce_one(gauss5):
@@ -834,3 +837,122 @@ def test_laurent_ops_match_fraction_reference(laurent, case):
         _assert_normal_form(got)
         assert _ref(got) == want
     assert x.lift() == _ref_lift(rx, laurent)
+
+
+# -- per-value degree caps ------------------------------------------------------
+#
+# A Gauss value cut by ``truncate_err(err, degree)`` keeps the lower degree
+# cap: the results it enters compute only the digits up to the smaller cap
+# of their operands, and those digits are the ones the full-cap result has.
+
+
+def _known(x):
+    """What a value states: its digits, error, den and cap; the shift when
+    there are digits (a value with none has no valuation of its own)."""
+    return x.shift if x.coeffs else None, x.coeffs, x.err_lv, x.den, x.d
+
+
+def _assert_agree_to(got, full, c):
+    """got has cap c, and its digits of degree <= c are full's, at the
+    error both know."""
+    _assert_normal_form(got)
+    assert got.d == c
+    e = min(got.err_lv, full.err_lv)
+    assert _known(got.truncate_err(e)) == _known(full.truncate_err(e, c))
+
+
+@st.composite
+def capped_gauss_pairs(draw):
+    """Two raw Gauss values in one or two variables at one ctx, and a cap
+    from 0 to d for each."""
+    field = draw(st.sampled_from([FieldSpec.gauss(5, ("x",)),
+                                  FieldSpec.gauss(5, ("x", "y"))]))
+    d = draw(st.integers(1, 6))
+    x, y = _draw_raw(draw, field, d), _draw_raw(draw, field, d)
+    return x, y, draw(st.integers(0, d)), draw(st.integers(0, d))
+
+
+@given(capped_gauss_pairs())
+@example((ApproxScalar(FieldSpec.gauss(5, ("x",)), PrecisionCtx(10, d=4), 0,
+                       {(0,): 1, (2,): 3, (4,): 1}, 6),
+          ApproxScalar(FieldSpec.gauss(5, ("x",)), PrecisionCtx(10, d=4), 0,
+                       {(0,): 2, (1,): 1, (3,): 4}, 6), 1, 3))
+@settings(max_examples=300, deadline=None)
+def test_cut_values_keep_their_cap(case):
+    x, y, cx, cy = case
+    xc, yc = x.truncate_err(x.err_lv, cx), y.truncate_err(y.err_lv, cy)
+    assert (xc.d, yc.d) == (cx, cy)
+    c = min(cx, cy)
+    _assert_agree_to(xc + yc, x + y, c)
+    _assert_agree_to(xc - yc, x - y, c)
+    _assert_agree_to(xc * yc, x * y, c)
+    _assert_agree_to(xc + 1, x + 1, cx)
+    _assert_agree_to(yc * 3, y * 3, cy)
+    if x.is_invertible():
+        _assert_agree_to(xc.inverse(), x.inverse(), cx)
+    for j in range(x.field.nvars):
+        # d/dx_j keeps the cap, and the digit at the cap is junk
+        got = xc.derive(j)
+        assert got.d == cx
+        if cx:
+            _assert_agree_to(got.truncate_err(got.err_lv, cx - 1),
+                             x.derive(j), cx - 1)
+
+
+def test_products_of_cut_values_run_at_the_smaller_cap(gauss5, monkeypatch):
+    ctx = PrecisionCtx(Fraction(10), d=12)
+    x = reduce_scalar(gauss5.one() / (1 - gauss5.var(0)), ctx, err_target=10)
+    caps = []
+    conv = precision._conv
+
+    def recorded(a, b, dcap, nvars):
+        caps.append(dcap)
+        return conv(a, b, dcap, nvars)
+
+    monkeypatch.setattr(precision, "_conv", recorded)
+    u, v = x.truncate_err(10, 7), x.truncate_err(10, 4)
+    w = u * v + u
+    assert caps == [4] and w.d == 4
+    assert w.coeffs == {(k,): k + 2 for k in range(5)}
+    w.inverse()
+    assert max(caps) == 4
+
+
+@given(sum_operands(), st.integers(0, 6))
+@settings(max_examples=300, deadline=None)
+def test_shortcuts_keep_the_coarser_cap(ab, cap):
+    """A sum with an operand that has no digits, and a product by the exact
+    unit, return an operand only when it has the general route's cap: an
+    operand of a finer quotient than its partner's is not the result."""
+    a, b = ab
+    b = b.truncate_err(b.err_lv, cap)
+    one = ApproxScalar(a.field, a.ctx, 0, {(0,) * a.field.nvars: 1},
+                       max(a.err_lv - a.shift, 0) + 1).truncate_err(99, cap)
+    for x, y in ((a, b), (b, a)):
+        assert _known(x + y) == _known(x._add(y))
+        got = [_known(x * one), _known(one * x)]
+        with mock.patch.object(ApproxScalar, "_is_one", lambda self: False):
+            assert got == [_known(x * one), _known(one * x)]
+
+
+@st.composite
+def laurent_cuts(draw):
+    """A raw Laurent value, a new error bound and a degree from 0 to d + 1."""
+    d = draw(st.integers(1, 6))
+    x = _draw_raw(draw, FieldSpec.laurent("z"), d)
+    return x, x.shift + draw(st.integers(-2, 15)), draw(st.integers(0, d + 1))
+
+
+@given(laurent_cuts())
+@example((ApproxScalar(FieldSpec.laurent("z"), PrecisionCtx(10, d=6), 0,
+                       {(0,): 1, (1,): 1, (4,): 1}, 7), 7, 2))
+@settings(max_examples=300, deadline=None)
+def test_laurent_cut_claims_no_dropped_digit(case):
+    """A Laurent cut at a degree is a window: err_lv is capped at shift +
+    degree + 1, so the digits it drops lie at or above its err_lv, and the
+    value keeps the cap ctx.d."""
+    x, err, degree = case
+    got = x.truncate_err(err, degree)
+    assert (x - got).val() >= got.err_lv
+    assert got.err_lv <= x.shift + degree + 1
+    _assert_normal_form(got)
