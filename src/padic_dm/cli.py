@@ -114,6 +114,12 @@ def _key_values(parts):
         yield key, value if eq else None
 
 
+# Cap on the Gauss prime p: `FieldSpec` tests it by trial division, 3 ms for
+# 2^31 - 1, 0.70 s at 47 bits, over 10 s for 2^61 - 1, while `decompose` on
+# T^2 - (1/p)*T + x at p = 2^31 - 1 takes 0.01 s (one process, shared 2-core
+# host).  Inputs use p <= 7.
+MAX_P = 2 ** 31
+
 # The gauss field options and the --precision keys, with their parsers.
 GAUSS_OPTIONS = {"p": int, "vars": lambda text: tuple(text.split(","))}
 PRECISION_OPTIONS = {"N": Fraction, "d": int, "max_iter": int}
@@ -127,6 +133,8 @@ def _parse_field(text: str) -> FieldSpec:
                                  "field option")
             if "p" not in opts:
                 raise ParseError("gauss field needs p=<prime>")
+            if opts["p"] > MAX_P:
+                raise ParseError(f"field option p above {MAX_P}")
             field = FieldSpec.gauss(opts["p"], opts.get("vars", ("x",)))
         elif kind == "laurent" and len(parts) <= 1:
             field = FieldSpec.laurent(*parts)
@@ -242,7 +250,7 @@ def _decomposition_payload(dec: Decomposition) -> dict:
             op = TwistedPoly(op.domain, op.deriv, [
                 q.truncate_err(op.domain.ctx.target_err) for q in op.coeffs])
         comps.append({"key": key, "dim": c.dim, "exact": c.exact,
-                      "operator": str(op.lift_exact())})
+                      "operator": str(op)})
     cert = dec.certificate
     return {"components": comps, "dim": dec.dim,
             "certificate": {**asdict(cert), "ok": cert.ok,

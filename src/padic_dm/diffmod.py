@@ -185,7 +185,7 @@ def from_operator(p: TwistedPoly) -> DiffModule:
         g[h][n - 1] = g[h][n - 1] - p.coeff(h)
     mats = [None] * dom.field.nderiv
     mats[p.deriv] = g
-    return DiffModule(dom, n, mats, _checked=True)
+    return DiffModule(dom, n, mats)
 
 
 def _integer_form(g1: la.Matrix, nvars: int) -> tuple:

@@ -215,7 +215,7 @@ class SlopeFactorization:
     factors: tuple
     lvs: tuple
     residual_lv: tuple
-    tails: tuple = ()
+    tails: tuple
 
 
 def factor_by_radii(p: TwistedPoly, ctx: PrecisionCtx) -> SlopeFactorization:
@@ -386,10 +386,9 @@ def decompose(m: DiffModule, j: int, ctx: PrecisionCtx) -> Decomposition:
     raised with ``attempts`` listing the (code, message) of each failure in
     turn, both runs of a rerun candidate; SearchExhausted, with no
     attempts, when there is no candidate.
-    FieldMismatch when M carries no matrix for derivation j.
+    FieldMismatch when M carries no matrix for derivation j (``m.mat``).
     """
-    if j not in m.derivations:
-        raise FieldMismatch(f"module carries no structure for derivation {j}")
+    m.mat(j)
     if m.dim == 0:
         return Decomposition((), Certificate(),
                              RadiusProfile.of((), 0, j))
@@ -514,9 +513,6 @@ def multi_decompose(m: DiffModule, ctx: PrecisionCtx) -> Decomposition:
     """
     if not m.derivations:
         raise FieldMismatch("module carries no derivation to decompose by")
-    if m.dim == 0:
-        return Decomposition((), Certificate(),
-                             MultiRadiusProfile.of((), 0))
     first, *rest = m.derivations
     decs = [decompose(m, first, ctx)]
     lines = decs[0].components

@@ -141,13 +141,11 @@ class _Expr:
             op, _txt, pos = self.take()
             w = self.unary()
             if op == "*":
-                v = _pmul(v, w)
+                v = _pmul(v, w, pos)
             else:
                 if len(w) != 1:
                     raise ParseError("cannot divide by an operator", pos)
-                if w[0].is_zero():
-                    raise ParseError("division by zero", pos)
-                v = [c / w[0] for c in v]
+                v = _pdiv(v, w, pos)
             v = _capped(v, pos)
         return v
 
@@ -168,21 +166,19 @@ class _Expr:
             return _pneg(v) if tok[0] == "-" else v
         return self.power()
 
-    # power := atom ('^' int)?
+    # power := atom ('^' '-'? int)?; a^-e is (1/a)^e
     def power(self) -> list:
         v = self.atom()
         if self.peek()[0] == "^":
             _op, _txt, pos = self.take()
-            sign = 1
-            if self.peek()[0] == "-":
+            negative = self.peek()[0] == "-"
+            if negative:
                 self.take()
-                sign = -1
-            etok = self.take("int")
-            e = etok[1]
-            if sign < 0:
+            e = self.take("int")[1]
+            if negative:
                 if len(v) != 1:
                     raise ParseError("negative power of an operator", pos)
-                v = [v[0].inverse()]
+                v = _pdiv([self.field.one()], v, pos)
             v = _ppow(v, e, pos)
         return v
 
@@ -221,7 +217,10 @@ def _pneg(a: list) -> list:
     return [-c for c in a]
 
 
-def _pmul(a: list, b: list) -> list:
+def _pmul(a: list, b: list, pos: int) -> list:
+    """The product, refused before it is formed past the degree cap."""
+    if len(a) + len(b) - 1 > MAX_DEGREE:
+        raise ParseError("operator degree too large", pos)
     field = a[0].field
     out = [field.zero()] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -232,17 +231,20 @@ def _pmul(a: list, b: list) -> list:
     return out
 
 
+def _pdiv(a: list, b: list, pos: int) -> list:
+    """a / b for a scalar b: the one zero test of a divisor."""
+    if b[0].is_zero():
+        raise ParseError("division by zero", pos)
+    return [c / b[0] for c in a]
+
+
 def _ppow(a: list, e: int, pos: int) -> list:
-    if e < 0:
-        raise ParseError("negative exponent", pos)
     if e > MAX_DEGREE:
         raise ParseError(f"exponent above {MAX_DEGREE}", pos)
     field = a[0].field
     out = [field.one()]
     for _ in range(e):
-        out = _capped(_pmul(out, a), pos)
-        if len(out) > MAX_DEGREE:
-            raise ParseError("operator degree too large", pos)
+        out = _capped(_pmul(out, a, pos), pos)
     return out
 
 

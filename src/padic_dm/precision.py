@@ -3,13 +3,13 @@
 An ``ApproxScalar`` is pi^shift times digits known below pi^(err_lv -
 shift), pi the uniformizer: p (Gauss) or z (Laurent).  Both models keep
 digits by one rule, ``FieldSpec.pi_trunc``: a Gauss digit c while
-v_p(c) < err_lv - shift, a Laurent monomial z^m while m < err_lv - shift,
-and no monomial of total degree > the value's degree cap d;
-``FieldSpec.pi_shift`` moves digits by powers of pi.  Digits are dicts
-from exponent tuples to ``int``s over one positive ``int`` ``den``: 1 for
-Gauss (ints mod p^k); for the rational Laurent digits, sums bring
-operands to one denominator and products multiply them, with no gcd per
-digit.
+v_p(c) < err_lv - shift, a Laurent monomial z^m while m < err_lv - shift;
+``FieldSpec.pi_shift`` moves digits by powers of pi.  No monomial of
+total degree > the value's degree cap d is kept, by one cut
+(``_digits_to``).  Digits are dicts from exponent tuples to ``int``s over
+one positive ``int`` ``den``: 1 for Gauss (ints mod p^k); for the
+rational Laurent digits, sums bring operands to one denominator and
+products multiply them, with no gcd per digit.
 
 Two constructors write a value, and both end in ``_normalize``, which
 alone writes ``coeffs``, ``den`` and ``shift`` into a normal form: the
@@ -105,11 +105,11 @@ class ApproxScalar:
         self.field = field
         self.ctx = ctx
         self.shift = shift
-        self.coeffs = coeffs
+        self.coeffs = _digits_to(coeffs, None, ctx.d)
         self.err_lv = err_lv
         self.den = den
         self.d = ctx.d
-        self._normalize(ctx.d)
+        self._normalize()
 
     # -- representation upkeep ------------------------------------------
 
@@ -117,11 +117,10 @@ class ApproxScalar:
     def _mod_exp(self) -> int:
         return self.err_lv - self.shift
 
-    def _normalize(self, d: int | None):
-        """The normal form of the module docstring; digits of total degree
-        > d dropped too, unless d is None."""
+    def _normalize(self):
+        """The normal form of the module docstring."""
         f = self.field
-        cc = f.pi_trunc(self.coeffs, self._mod_exp, d)
+        cc = f.pi_trunc(self.coeffs, self._mod_exp)
         if self.den != 1:   # Laurent: gcd(den, digits) = 1, den > 0
             g = math.gcd(self.den, *cc.values())
             g = -g if self.den < 0 else g
@@ -209,8 +208,8 @@ class ApproxScalar:
         s = min(self.shift, o.shift)
         err, d = _window(f, self.ctx, min(self.err_lv, o.err_lv), s,
                          min(self.d, o.d))
-        a = f.pi_shift(_digits_to(self, d), self.shift - s)
-        b = f.pi_shift(_digits_to(o, d), o.shift - s)
+        a = f.pi_shift(_digits_to(self.coeffs, self.d, d), self.shift - s)
+        b = f.pi_shift(_digits_to(o.coeffs, o.d, d), o.shift - s)
         den = math.lcm(self.den, o.den)
         if den != 1:   # each operand scaled to den once
             ka, kb = den // self.den, den // o.den
@@ -350,7 +349,7 @@ class ApproxScalar:
             err, d = _window(self.field, self.ctx, err, self.shift,
                              min(d, degree))
         return _from_capped(self.field, self.ctx, d, self.shift,
-                            _digits_to(self, d), err, self.den)
+                            _digits_to(self.coeffs, self.d, d), err, self.den)
 
     def derive(self, j: int = 0) -> "ApproxScalar":
         f = self.field
@@ -403,7 +402,7 @@ def _from_capped(f: FieldSpec, ctx: PrecisionCtx, d: int, shift: int,
     x = object.__new__(ApproxScalar)
     x.field, x.ctx, x.d, x.shift, x.coeffs, x.err_lv, x.den = \
         f, ctx, d, shift, coeffs, err_lv, den
-    x._normalize(None)
+    x._normalize()
     return x
 
 
@@ -431,12 +430,12 @@ def _window(f: FieldSpec, ctx: PrecisionCtx, err: int, shift: int,
     return min(err, shift + d + 1), ctx.d
 
 
-def _digits_to(x: ApproxScalar, d: int) -> dict:
-    """The digits of x of total degree <= d: all of them when x's cap is no
-    higher."""
-    if x.d <= d:
-        return x.coeffs
-    return {m: c for m, c in x.coeffs.items() if sum(m) <= d}
+def _digits_to(coeffs: dict, cap: int | None, d: int) -> dict:
+    """The digits of total degree <= d among coeffs, whose degrees are at
+    most ``cap`` (None for raw digits): all of them when cap <= d."""
+    if cap is not None and cap <= d:
+        return coeffs
+    return {m: c for m, c in coeffs.items() if sum(m) <= d}
 
 
 def _is_unit(f: FieldSpec, digits: dict) -> bool:

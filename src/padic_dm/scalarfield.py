@@ -146,22 +146,16 @@ class FieldSpec:
             return {m: c // q for m, c in a.items()}
         return {(m[0] + k,): c for m, c in a.items()}
 
-    def pi_trunc(self, a: P.Poly, k: int, d: int | None = None) -> P.Poly:
+    def pi_trunc(self, a: P.Poly, k: int) -> P.Poly:
         """The nonzero part of a below pi^k, in one pass: the digits mod p^k
-        (Gauss), or the terms of z-degree < k (Laurent).  With ``d``, only
-        the terms of total degree <= d are kept, too.  Both are ring maps
-        on polynomials; mod p^k also commutes with d/dx_j, which the degree
-        cap does not."""
+        (Gauss), or the terms of z-degree < k (Laurent).  Both are ring maps
+        on polynomials; mod p^k also commutes with d/dx_j."""
         if self.kind == GAUSS:
             if k <= 0:
                 return {}
             q = self.p ** k
-            if d is None:
-                return {m: r for m, c in a.items() if (r := c % q)}
-            return {m: r for m, c in a.items()
-                    if sum(m) <= d and (r := c % q)}
-        top = k if d is None else min(k, d + 1)
-        return {m: c for m, c in a.items() if c and m[0] < top}
+            return {m: r for m, c in a.items() if (r := c % q)}
+        return {m: c for m, c in a.items() if c and m[0] < k}
 
     def _check_deriv(self, j: int):
         if not 0 <= j < self.nderiv:

@@ -117,10 +117,7 @@ class TwistedPoly:
         return TwistedPoly(self.domain, self.deriv, [-c for c in self.coeffs])
 
     def __sub__(self, other: "TwistedPoly") -> "TwistedPoly":
-        self._check_compatible(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return TwistedPoly(self.domain, self.deriv,
-                           [self.coeff(i) - other.coeff(i) for i in range(n)])
+        return self + (-other)
 
     def scale_left(self, c) -> "TwistedPoly":
         """i(c) * P: plain left coefficient scaling."""
@@ -173,8 +170,6 @@ class TwistedPoly:
 def mul(p: TwistedPoly, q: TwistedPoly) -> TwistedPoly:
     """Product by the closed convolution formula."""
     p._check_compatible(q)
-    if p.is_zero() or q.is_zero():
-        return TwistedPoly.zero(p.domain, p.deriv)
     dp, dq, j = p.degree, q.degree, p.deriv
     # derivative towers of q's coefficients, up to order dp
     towers = []
@@ -312,8 +307,6 @@ class NewtonPolygon:
 def newton_polygon(p: TwistedPoly) -> NewtonPolygon:
     if p.is_zero():
         raise ZeroPolynomial("newton polygon of the zero polynomial")
-    if p.degree == 0:
-        raise ZeroPolynomial("newton polygon needs positive degree")
     if not p.is_monic():
         raise NotMonic("newton polygon requires a monic polynomial")
     pts = []

@@ -7,9 +7,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from padic_dm import (PadicDMError, ParseError, TwistedPoly, cli, diffmod,
-                      errors, factorize, grammar, radii)
+from padic_dm import (FieldSpec, PadicDMError, ParseError, TwistedPoly, cli,
+                      diffmod, errors, factorize, grammar, radii)
 from padic_dm.cli import COMMANDS, main, parse_job, run
 from padic_dm.grammar import (MAX_NESTING, matrix_str, parse_matrix,
                               parse_operator, parse_scalar)
@@ -593,6 +594,13 @@ def test_main_bad_numbers_exit_as_json(capsys, args):
      "--precision", "N=10,d=128"],
     ["--field", "gauss:p=5:vars=x", "--cmd", "radii", "--mat", "1,2;3,$"],
     ["--field", "gauss:p=5:vars=x", "--cmd", "radii", "--mat", "1,2;3,x+"],
+    op_args("T + 0^-1"),
+    ["--field", "laurent:z", "--cmd", "radii", "--mat", "(z-z)^-1"],
+    op_args("T^300*T^300"),
+    ["--field", f"gauss:p={2 ** 61 - 1}:vars=x", "--cmd", "radii",
+     "--op", "T"],
+    ["--field", f"gauss:p={(2 ** 31 - 1) * (2 ** 61 - 1)}:vars=x",
+     "--cmd", "radii", "--op", "T"],
 ], ids=["mat-sizes", "laurent-T", "gauss-T", "gauss-x-T", "exponent-513",
         "exponent-1e9", "operator-exponent-1e9", "nested-power-degree",
         "power-degree-512", "laurent-extra-part", "laurent-empty-var",
@@ -605,7 +613,10 @@ def test_main_bad_numbers_exit_as_json(capsys, args):
         "cap-max_iter", "cap-op-degree", "cap-mat-size",
         "cap-mat-rows", "nested-200-parentheses", "nested-1200-signs",
         "mat-row-100000-wide", "joint-cap-univariate",
-        "joint-cap-bivariate", "mat-entry-character", "mat-entry-end"])
+        "joint-cap-bivariate", "mat-entry-character", "mat-entry-end",
+        "negative-power-of-zero", "mat-negative-power-of-zero",
+        "operator-product-degree-600", "field-p-61-bit-prime",
+        "field-p-semiprime"])
 def test_main_bad_input_exits_as_json(capsys, request, argv):
     t0 = time.monotonic()
     assert main(argv) == 1
@@ -620,8 +631,12 @@ def test_main_bad_input_exits_as_json(capsys, request, argv):
 
 
 # Offsets in the --mat text of the errors inside an entry: '$' at 6, and
-# the end of input at 8.
-BAD_INPUT_POSITIONS = {"mat-entry-character": 6, "mat-entry-end": 8}
+# the end of input at 8; the '^' of a negative power of zero, and the '*'
+# of a product past the degree cap.
+BAD_INPUT_POSITIONS = {"mat-entry-character": 6, "mat-entry-end": 8,
+                       "negative-power-of-zero": 5,
+                       "mat-negative-power-of-zero": 5,
+                       "operator-product-degree-600": 5}
 
 
 def test_exit_codes_match_the_readme_table():
@@ -749,6 +764,58 @@ def test_matrix_shape_is_checked_before_any_entry(monkeypatch, gauss5):
         with pytest.raises(ParseError, match="not square"):
             parse_matrix(text, gauss5)
     assert parsed == []
+
+
+def test_operator_products_obey_the_degree_cap(monkeypatch, gauss5):
+    # a product is refused as a power of that degree is, before it is formed
+    assert parse_operator("T^256*T^255", gauss5).degree == 511
+    for text in ["T^300*T^300", "T^511*T", "T^512"]:
+        with pytest.raises(ParseError, match="operator degree too large"):
+            parse_operator(text, gauss5)
+    lengths = []
+    capped = grammar._capped
+
+    def recorded(a, pos):
+        lengths.append(len(a))
+        return capped(a, pos)
+
+    monkeypatch.setattr(grammar, "_capped", recorded)
+    with pytest.raises(ParseError, match="operator degree too large"):
+        parse_operator("(T+1)^3*T^300*T^300", gauss5)
+    assert max(lengths) <= grammar.MAX_DEGREE
+
+
+def test_negative_power_of_zero_is_a_division_by_zero(gauss5, laurent):
+    for text, field in [("0^-1", gauss5), ("(x-x)^-3", gauss5),
+                        ("(z-z)^-1", laurent), ("1/(0^-2)", laurent)]:
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_scalar(text, field)
+    assert parse_scalar("(2*x)^-2", gauss5) == parse_scalar("1/(4*x^2)", gauss5)
+
+
+# Short operator texts: well-formed expressions over small atoms, with
+# negative and zero powers and divisions, or any characters of the
+# operator alphabet.
+OPERATOR_ALPHABET = "0123456789xT+-*/^()"
+OPERATOR_TEXTS = st.one_of(
+    st.recursive(
+        st.sampled_from(["0", "1", "2", "5", "12", "x", "T"]),
+        lambda inner: st.one_of(
+            st.builds("({}{}{})".format, inner, st.sampled_from("+-*/"),
+                      inner),
+            st.builds("{}^{}".format, inner,
+                      st.sampled_from(["-2", "-1", "0", "1", "3", "9"]))),
+        max_leaves=6),
+    st.text(OPERATOR_ALPHABET, max_size=10))
+
+
+@given(OPERATOR_TEXTS)
+@settings(max_examples=150, deadline=None)
+def test_operator_text_parses_or_is_a_parse_error(text):
+    try:
+        parse_operator(text, FieldSpec.gauss(5, ("x",)))
+    except ParseError:
+        pass
 
 
 def test_parse_errors_have_positions(gauss5):

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from padic_dm import (DiffModule, ExactDomain, FieldMismatch, IntegrabilityError,
-                      LogVal, ModuleMorphism, NotMonic, TwistedPoly,
-                      cyclic_data, direct_sum, divmod_right,
-                      dual, from_operator, iterate_G, linalg as la,
-                      spectral_radius_bruteforce)
+from padic_dm import (ApproxDomain, DiffModule, ExactDomain, FieldMismatch,
+                      IntegrabilityError, LogVal, ModuleMorphism, NotMonic,
+                      PrecisionCtx, TwistedPoly, cyclic_data, direct_sum,
+                      divmod_right, dual, from_operator, iterate_G,
+                      linalg as la, parse_operator, spectral_radius_bruteforce)
 
 from conftest import random_scalar, random_twisted
 
@@ -75,6 +75,26 @@ def test_iterate_examples(gauss5):
     assert iterate_G(m, 0, 2)[0][0] == x * x + 1
     mc = scalar_module(K, K.scalar(3))
     assert iterate_G(mc, 0, 4)[0][0] == K.scalar(81)
+
+
+@pytest.mark.parametrize("field, text", [
+    ("gauss5", "T^2 - (1/5)*T + x"),
+    ("laurent", "T^3 - T^2/z^3 + (z+2)/z"),
+])
+def test_iterate_over_truncated_scalars_matches_the_exact_one(request, field,
+                                                              text):
+    # over an ApproxDomain G_k is stepped by DiffModule.act; it equals the
+    # exact G_k reduced at precision (polynomial entries leave the degree
+    # cap no junk to leak down)
+    K = request.getfixturevalue(field)
+    m = from_operator(parse_operator(text, K))
+    adom = ApproxDomain(K, PrecisionCtx(Fraction(10), d=16), 10)
+    ma = m.map_domain(adom)
+    for k in range(7):
+        got = iterate_G(ma, 0, k)
+        want = [[adom.coerce(e) for e in row] for row in iterate_G(m, 0, k)]
+        assert la.mat_equal(got, want)
+        assert any(not e.is_zero() for row in got for e in row)
 
 
 def test_convention_soundness(gauss5):

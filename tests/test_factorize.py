@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from padic_dm import (ApproxDomain, CertificateFailure, DiffModule,
-                      ExactDomain, FieldMismatch, IterationBudget, LogVal,
-                      MultiRadiusProfile, NoGap, PrecisionCtx, PrecisionLoss,
+from padic_dm import (ApproxDomain, Certificate, CertificateFailure,
+                      Decomposition, DiffModule, ExactDomain, FieldMismatch,
+                      IterationBudget, LogVal, MultiRadiusProfile, NoGap, PrecisionCtx, PrecisionLoss,
                       SearchExhausted, StabilityFailure, TwistedPoly,
                       decompose, direct_sum, factor_by_radii, from_operator,
                       iterate_G, linalg as la, mul, multi_decompose,
@@ -190,6 +190,81 @@ def test_decompose_without_candidates_exhausts_the_search(gauss5,
     with pytest.raises(SearchExhausted) as err:
         decompose(m, 0, CTX)
     assert err.value.attempts == ()
+
+
+README_OP = "T^2 - (1/5)*T + x"
+
+
+def test_vanishing_vertex_coefficient_is_a_precision_loss(gauss5,
+                                                         monkeypatch):
+    # the split is moved to the degree-2 coefficient of T^3 - T/5 + x,
+    # which is 0: the monic polygon truncation cannot divide by it
+    from padic_dm import factorize
+    groups = factorize._split_groups
+    monkeypatch.setattr(factorize, "_split_groups",
+                        lambda p, lv_break: (2,) + groups(p, lv_break)[1:])
+    p = parse_operator("T^3 - (1/5)*T + x", gauss5)
+    with pytest.raises(PrecisionLoss, match="vertex coefficient vanished"):
+        slope_factorize(p, lv("3/4"), CTX)
+
+
+def test_stalled_residual_is_an_iteration_budget(gauss5, monkeypatch):
+    # a residual norm that never rises stops the contraction at its
+    # second step
+    from padic_dm import factorize
+    monkeypatch.setattr(factorize, "pi_norm", lambda f, lv_t: LogVal(0))
+    p = parse_operator(README_OP, gauss5)
+    with pytest.raises(IterationBudget, match="residual stalled at lv 0"):
+        slope_factorize(p, lv("5/4"), CTX)
+
+
+def test_vanishing_cofactor_constant_is_a_precision_loss(gauss5,
+                                                         monkeypatch):
+    # the chord inverts the cofactor's constant term after a step that
+    # falls short of N; a cofactor whose constant term vanishes stops it
+    from padic_dm import factorize, twisted
+    divide = twisted.divmod_right
+
+    def no_constant(p, q):
+        cof, r = divide(p, q)
+        return TwistedPoly(cof.domain, cof.deriv,
+                           [cof.domain.zero(), *cof.coeffs[1:]]), r
+
+    monkeypatch.setattr(factorize, "divmod_right", no_constant)
+    p = parse_operator(README_OP, gauss5)
+    with pytest.raises(PrecisionLoss, match="cofactor constant term"):
+        slope_factorize(p, lv("5/4"), CTX)
+
+
+def test_rank_deficient_embedding_is_a_stability_failure(gauss5xy,
+                                                         monkeypatch):
+    # the README module splits into two lines, each restricted to its span
+    # by a solve in that span; a basis that the solve finds rank-deficient
+    # once the first decomposition is certified reaches multi_decompose's
+    # caller as a StabilityFailure
+    from padic_dm import factorize
+    single = factorize.decompose
+
+    def then_deficient(*args):
+        dec = single(*args)
+        monkeypatch.setattr(la, "solve_in_span", lambda u, w: None)
+        return dec
+
+    monkeypatch.setattr(factorize, "decompose", then_deficient)
+    m = _diagonal(gauss5xy, (1, 0), (0, 1))
+    with pytest.raises(StabilityFailure, match="rank-deficient"):
+        multi_decompose(m, PrecisionCtx(Fraction(10), d=28))
+
+
+@pytest.mark.parametrize("nderiv", [1, 2])
+def test_multi_decompose_of_the_zero_module(gauss5, gauss5xy, nderiv):
+    # the general path gives the empty decomposition, with every check ok
+    field = gauss5 if nderiv == 1 else gauss5xy
+    m = DiffModule(ExactDomain(field), 0, [[]] * nderiv)
+    dec = multi_decompose(m, CTX)
+    assert dec == Decomposition((), Certificate(),
+                                MultiRadiusProfile.of((), 0))
+    assert dec.certificate.ok
 
 
 # With factorize.DEFAULT_GUARD at 0, factors certified by each

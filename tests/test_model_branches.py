@@ -1,6 +1,8 @@
 """Model guards: the ``gauss`` and ``laurent`` models differ, for truncated
 digits, only in the uniformizer pi, which ``FieldSpec.pi_shift`` and
-``FieldSpec.pi_trunc`` hold beside ``FieldSpec.poly_val``.
+``FieldSpec.pi_trunc`` hold beside ``FieldSpec.poly_val``.  The degree cap
+is no part of that rule: ``precision._digits_to`` cuts the digits of both
+models at a total degree, and ``pi_trunc`` knows no degrees.
 
 No module of the package other than ``scalarfield`` (which defines the
 models) and ``precision`` (whose digit rings differ) may import ``GAUSS``

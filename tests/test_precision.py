@@ -16,6 +16,7 @@ from padic_dm import (ApproxDomain, ApproxScalar, FieldMismatch, FieldSpec,
 from padic_dm.precision import _conv
 
 from conftest import schoolbook
+from test_scalarfield import pi_cases
 
 
 def _digits(x):
@@ -897,6 +898,25 @@ def test_cut_values_keep_their_cap(case):
         if cx:
             _assert_agree_to(got.truncate_err(got.err_lv, cx - 1),
                              x.derive(j), cx - 1)
+
+
+def _cut(digits, d):
+    """precision's degree cut on raw digits, as the public constructor
+    applies it."""
+    return precision._digits_to(digits, None, d)
+
+
+@given(pi_cases(), st.integers(0, 12))
+@settings(max_examples=200, deadline=None)
+def test_degree_cut_is_a_ring_map(case, d):
+    """The cut at total degree d, alone and followed by the truncation below
+    pi^k, commutes with sums and products of int polynomials: the quotient
+    that the public constructor maps raw digits into."""
+    field, a, b, k = case
+    for t in (lambda x: _cut(x, d), lambda x: field.pi_trunc(_cut(x, d), k)):
+        assert t(P.p_mul(a, b)) == t(P.p_mul(t(a), t(b)))
+        assert t(P.p_add(a, b)) == t(P.p_add(t(a), t(b)))
+    assert all(sum(m) <= d for m in _cut(a, d))
 
 
 def test_products_of_cut_values_run_at_the_smaller_cap(gauss5, monkeypatch):

@@ -250,6 +250,23 @@ def test_newton_polygon_examples(gauss5):
         newton_polygon(TwistedPoly.zero(dom, 0))
 
 
+def test_newton_polygon_of_the_unit_is_empty(gauss5):
+    # K<T>/(1) is the zero module: no slope and no root at zero
+    np0 = newton_polygon(TwistedPoly.one(ExactDomain(gauss5), 0))
+    assert np0.slopes == () and np0.at_zero == 0
+
+
+@pytest.mark.parametrize("approx", [False, True], ids=["exact", "approx"])
+def test_product_with_a_zero_operand_is_zero(gauss5, approx):
+    # the convolution forms no term when either operand has no coefficient
+    p = parse_operator("T^2 - (1/5)*T + x", gauss5)
+    if approx:
+        p = p.map_domain(ApproxDomain(gauss5, PrecisionCtx(Fraction(10)), 10))
+    zero = TwistedPoly.zero(p.domain, 0)
+    for got in (mul(p, zero), mul(zero, p), mul(zero, zero)):
+        assert got.is_zero() and got.domain == p.domain and got.deriv == 0
+
+
 def test_laurent_ring_laws(laurent):
     rng = random.Random(10)
     for _ in range(20):
