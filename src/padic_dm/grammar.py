@@ -239,12 +239,17 @@ def _pdiv(a: list, b: list, pos: int) -> list:
 
 
 def _ppow(a: list, e: int, pos: int) -> list:
+    """a^e by squaring: every product and square is a^k for some k <= e,
+    and each is capped as it is formed."""
     if e > MAX_DEGREE:
         raise ParseError(f"exponent above {MAX_DEGREE}", pos)
-    field = a[0].field
-    out = [field.one()]
-    for _ in range(e):
-        out = _capped(_pmul(out, a, pos), pos)
+    out = [a[0].field.one()]
+    while e:
+        if e & 1:
+            out = _capped(_pmul(out, a, pos), pos)
+        e >>= 1
+        if e:
+            a = _capped(_pmul(a, a, pos), pos)
     return out
 
 

@@ -17,14 +17,14 @@ digits truncated below pi^(err_lv - shift), gcd(den, digits) divided out
 and their valuation (``FieldSpec.poly_val``) moved into the shift.  So
 ``val`` of a nonzero value is its shift, and it is invertible when its
 constant digit is nonzero below pi.  The public ``ApproxScalar(...)``
-takes raw digits, cuts them at ctx.d and gives the value that degree cap.
-``_from_capped``, private to this module, takes the cap d of the value it
-builds and digits already within it, and skips that test: every
-arithmetic result has them, since products (``_conv``, those of exact
-scalars truncated at ctx.d, one per arity) are cut at the smaller cap of
-their operands, sums and negations are formed from digits within it, a
-Gauss d/dx lowers the degree, and Laurent sums move digits only inside
-their window (``_window`` keeps err_lv - shift <= d + 1).  A product by
+takes raw digits, cuts them at ctx.d and gives the value that degree cap
+and its window (below).  ``_from_capped``, private to this module, takes
+the cap d of the value it builds and digits already within it, and skips
+both: every arithmetic result has them, since products (``_conv``, those
+of exact scalars truncated at ctx.d, one per arity) are cut at the
+smaller cap of their operands, sums and negations are formed from digits
+within it, a Gauss d/dx lowers the degree, and Laurent sums keep only
+the digits inside their window.  A product by
 the exact unit (digits {0: 1}, shift 0, den 1, cap no lower) is the other
 operand itself where the general route would return it unchanged
 (``_times_one``), and the unit is its own inverse.  Both models invert
@@ -37,8 +37,17 @@ is multiplied by the Newton inverse of den, a constant den included.
 
 ``err_lv`` is a lower bound for lv(true - represented) in the pi-adic
 direction; every operation propagates it, and an exact operand c loses
-nothing of it in ``x + c`` or ``x * c`` (``_coerce``).  The d + 1 Laurent
-digits bound it by shift + d + 1 (``_window``).
+nothing of it in ``x + c`` or ``x * c`` (``_coerce``), in either model.
+
+Every Laurent value lies in its window, err_lv <= shift + d + 1: its
+d + 1 digits know nothing from z^(shift + d + 1) on.  ``_window`` caps
+err_lv there where it could pass the window: the public constructor,
+``reduce_scalar``, ``truncate_err`` and products, whose shift is the sum
+of their operands' (so a product of two values with no digits can pass
+it).  The other operations keep it without a test: a sum lies at the
+lower shift s of its operands, and the operand at s has err_lv <= s + d
++ 1 already; negation, ``derive``, ``inverse`` and ``_normalize`` never
+raise err_lv - shift.
 
 Each value holds its own degree cap ``d``: ctx.d, unless ``truncate_err``
 cut it lower.  The Gauss cap is still not an error term but a ring
@@ -49,9 +58,9 @@ operand with the higher cap is cut before adding, and the Newton inverse
 stops at it.  A value cut at a watermark keeps it, so no product it
 enters recomputes the digits above.  Derivatives keep the cap and leak its
 truncation one degree down per application.  A Laurent value keeps ctx.d:
-a cut there is an error window instead, err_lv capped at shift + degree
-+ 1 (``_window``), since a cap on degrees relative to the shift bounds
-nothing once a sum moves the digits to another shift.  Callers pick d
+a cut there narrows its window instead, err_lv capped at shift + degree
++ 1, since a cap on degrees relative to the shift bounds nothing once a
+sum moves the digits to another shift.  Callers pick d
 large enough that quotient effects stay below the target precision for
 their inputs (factorization certificates re-measure residuals, never
 trusting the iteration alone).
@@ -106,7 +115,7 @@ class ApproxScalar:
         self.ctx = ctx
         self.shift = shift
         self.coeffs = _digits_to(coeffs, None, ctx.d)
-        self.err_lv = err_lv
+        self.err_lv = _window(field, ctx, err_lv, shift, ctx.d)[0]
         self.den = den
         self.d = ctx.d
         self._normalize()
@@ -170,9 +179,7 @@ class ApproxScalar:
         other = self.field.scalar(other)   # FieldMismatch for another field
         # an exact c reduced at err_lv + max(0, v(c) - shift) makes x + c
         # and x * c keep err_lv and v(c) + err_lv: nothing is lost
-        v = 0
-        if self.field.kind == GAUSS and other.num:
-            v = int(other.val())
+        v = int(other.val()) if other.num else 0
         return reduce_scalar(other, self.ctx,
                              err_target=self.err_lv + max(0, v - self.shift))
 
@@ -190,24 +197,17 @@ class ApproxScalar:
 
     def _absorbs(self, o: "ApproxScalar") -> bool:
         """Whether self + o is self for an o with no digits: the sum keeps
-        err_lv (o's is no lower, nor, in the Laurent model, is the window
-        min(shift_a, shift_b) + d + 1), the degree cap (o's is no lower)
-        and the shift (self has digits, or o's shift is no lower)."""
-        if o.err_lv < self.err_lv or o.d < self.d:
-            return False
-        if _window(self.field, self.ctx, self.err_lv,
-                   min(self.shift, o.shift), self.d)[0] < self.err_lv:
-            return False
-        return bool(self.coeffs) or o.shift >= self.shift
+        err_lv and the degree cap (o's are no lower) and the shift (self
+        has digits, or o's shift is no lower)."""
+        return (o.err_lv >= self.err_lv and o.d >= self.d
+                and (bool(self.coeffs) or o.shift >= self.shift))
 
     def _add(self, o: "ApproxScalar", negate: bool = False) -> "ApproxScalar":
         """The sum (with ``negate``, the difference) by the general route:
         both operands at the lower shift, in the coarser degree quotient
         and over the lcm of the denominators, then normalized."""
         f = self.field
-        s = min(self.shift, o.shift)
-        err, d = _window(f, self.ctx, min(self.err_lv, o.err_lv), s,
-                         min(self.d, o.d))
+        s, d = min(self.shift, o.shift), min(self.d, o.d)
         a = f.pi_shift(_digits_to(self.coeffs, self.d, d), self.shift - s)
         b = f.pi_shift(_digits_to(o.coeffs, o.d, d), o.shift - s)
         den = math.lcm(self.den, o.den)
@@ -223,7 +223,8 @@ class ApproxScalar:
         else:
             for m, c in b.items():
                 cc[m] = get(m, 0) + c
-        return _from_capped(f, self.ctx, d, s, cc, err, den)
+        return _from_capped(f, self.ctx, d, s, cc,
+                            min(self.err_lv, o.err_lv), den)
 
     def __neg__(self):
         return _from_capped(self.field, self.ctx, self.d, self.shift,
@@ -254,13 +255,10 @@ class ApproxScalar:
     def _times_one(self, u: "ApproxScalar") -> bool:
         """Whether self * u is self by the general route: u is the exact
         unit, its err_lv is at least max(err_lv - shift, 0), so that the
-        product keeps err_lv (``_err_of_product``), its degree cap is no
-        lower, and self lies inside its Laurent window, so that ``_window``
-        keeps err_lv too."""
+        product keeps err_lv (``_err_of_product``), and its degree cap is
+        no lower."""
         return (u._is_one() and u.err_lv >= max(self._mod_exp, 0)
-                and u.d >= self.d
-                and _window(self.field, self.ctx, self.err_lv,
-                            self.shift, self.d)[0] >= self.err_lv)
+                and u.d >= self.d)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -307,8 +305,8 @@ class ApproxScalar:
             z, dz = {mono0: pow(u0, -1, f.p ** me)}, 1
         else:
             # rational digits: start from 1/u0, and stop below z^me, which
-            # _normalize drops
-            top = min(self.d, me - 1)
+            # _normalize drops (me <= d + 1: the window)
+            top = me - 1
             z, dz = {mono0: 1}, u0
         # Newton w <- w(2 - Uw) on w = z/dz ~ 1/U, U the digits (u = U/den):
         # z <- z(2dz - Uz), dz <- dz^2, then gcd(dz, z) divided out, which

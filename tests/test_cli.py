@@ -785,6 +785,26 @@ def test_operator_products_obey_the_degree_cap(monkeypatch, gauss5):
     assert max(lengths) <= grammar.MAX_DEGREE
 
 
+def test_powers_are_formed_by_squaring(monkeypatch, gauss5):
+    # a small power is the repeated product; (T+1)^511 takes at most two
+    # products per bit of the exponent
+    base = [parse_scalar("1/5", gauss5), parse_scalar("x+2", gauss5)]
+    power = [gauss5.one()]
+    for e in range(9):
+        assert grammar._ppow(base, e, 0) == power
+        power = grammar._pmul(power, base, 0)
+    calls = []
+    pmul = grammar._pmul
+
+    def counted(a, b, pos):
+        calls.append(pos)
+        return pmul(a, b, pos)
+
+    monkeypatch.setattr(grammar, "_pmul", counted)
+    assert parse_operator("(T+1)^511", gauss5).degree == 511
+    assert len(calls) <= 2 * (511).bit_length()
+
+
 def test_negative_power_of_zero_is_a_division_by_zero(gauss5, laurent):
     for text, field in [("0^-1", gauss5), ("(x-x)^-3", gauss5),
                         ("(z-z)^-1", laurent), ("1/(0^-2)", laurent)]:

@@ -52,6 +52,7 @@ def _assert_normal_form(x):
         assert (0,) in x.coeffs
     if x.field.kind == "laurent":
         assert x.d == x.ctx.d
+        assert x.err_lv <= x.shift + x.ctx.d + 1   # the window
 
 
 def test_reduce_one(gauss5):
@@ -128,6 +129,26 @@ def test_laurent_reduce_window(laurent):
     r = reduce_scalar(laurent.one() / (laurent.one() - z), ctx, err_target=7)
     assert [r.coeffs.get((k,), 0) for k in range(7)] == [1] * 7
     assert r.err_lv == 7
+
+
+def test_constructor_caps_laurent_err_at_the_window(laurent):
+    # the digit z^9 lies past the window of d = 4: the value knows 1 + z^9
+    # only below z^5, as its reduction does
+    ctx = PrecisionCtx(10, d=4)
+    x = ApproxScalar(laurent, ctx, 0, {(0,): 1, (9,): 1}, 200)
+    r = reduce_scalar(laurent.one() + laurent.var(0) ** 9, ctx, 200)
+    assert (x.coeffs, x.err_lv) == (r.coeffs, r.err_lv) == ({(0,): 1}, 5)
+
+
+def test_exact_operand_keeps_its_valuation_in_both_models(gauss5, laurent):
+    # a product by an exact c gains v(c) digits of err_lv: p^2 in the
+    # Gauss model, z^5 in the Laurent model
+    ctx = PrecisionCtx(10, d=48)
+    x = reduce_scalar(gauss5.one() + gauss5.var(0), ctx, 10)
+    assert (x * 25).err_lv == 12
+    z = laurent.var(0)
+    y = reduce_scalar(laurent.one() + z, ctx, 10)
+    assert (y * z ** 5).err_lv == 15
 
 
 def test_truncate_err(gauss5):
@@ -640,9 +661,8 @@ def test_normal_form_carries_the_valuation(x):
 def test_times_one_keeps_the_representation(x):
     """x * 1 == x in digits, den, shift and err_lv for every valuation,
     which twisted.mul relies on when it skips its multiplications by
-    comb(h, j) == 1: an exact constant loses nothing.  Laurent values are
-    taken with err_lv <= shift + d + 1, the window every Laurent operation
-    keeps."""
+    comb(h, j) == 1: an exact constant loses nothing.  Laurent values lie
+    in their window err_lv <= shift + d + 1 from construction on."""
     if x.field.kind == "laurent" and x.err_lv > x.shift + x.ctx.d + 1:
         x = x.truncate_err(x.shift + x.ctx.d + 1)
     if not x.coeffs:
@@ -673,7 +693,7 @@ def _rep(x):
 @st.composite
 def unit_cases(draw):
     """A raw value x, zero at precision in about half of the cases (Laurent
-    values are often built outside their window), and the exact unit of
+    values often from raw err_lv above their window), and the exact unit of
     its field at an err_lv from two below to two above x's relative
     precision err_lv - shift (at least 1, so that it has its digit)."""
     field, d = draw(fields_and_caps())
@@ -691,8 +711,8 @@ def unit_cases(draw):
 def test_products_by_the_unit_take_the_general_result(case):
     """x * 1, 1 * x and the inverse of 1 give the shift, digits, err_lv and
     den of the general route, which runs when the unit is not recognized:
-    the rule returns an operand only where they agree (a Laurent x
-    outside its window, as in the example, is not returned)."""
+    the rule returns an operand only where they agree (the example's raw
+    err_lv 9 lies outside its window, which the constructor caps to 3)."""
     x, one = case
     assert one._is_one()
     got = [_rep(x * one), _rep(one * x), _rep(one.inverse())]
@@ -819,7 +839,8 @@ def test_laurent_ops_match_fraction_reference(laurent, case):
     ctx = PrecisionCtx(Fraction(10), d=d)
     x, y = (_laurent(laurent, ctx, s, {(e,): v for e, v in g.items()}, err)
             for s, g, err in (a, b))
-    rx, ry = _ref_normal(*a, d), _ref_normal(*b, d)
+    rx, ry = (_ref_normal(s, g, min(err, s + d + 1), d)
+              for s, g, err in (a, b))
     checks = [(x, rx), (y, ry),
               (x + y, _ref_add(rx, ry, d)),
               (x - y, _ref_add(rx, _ref_neg(ry), d)),
